@@ -22,12 +22,11 @@ import numpy as np
 from .core import (
     ASYMPTOTIC_LIMIT,
     HARD_DIRICHLET,
-    CharacteristicFunction,
     Evaluation,
     SolverError,
     wronskian,
 )
-from .integrate import canonical_pair
+from .integrate import canonical_pair, characteristic
 
 # denominators at or below this magnitude are reported as poles
 POLE_FLOOR = 1e-300
@@ -41,28 +40,30 @@ def cfm_l_ratios(pair, use_derivatives=False):
     cheap consistency check.
 
     Returns:
-        Two Evaluations. A denominator below 1e-300 in magnitude yields a
-        pole-flagged NaN instead of a ratio.
+        Two endpoint_ratio Evaluations.
     """
     xl, cl, dcl, sl, dsl = pair.left_values()
     xr, cr, dcr, sr, dsr = pair.right_values()
     if use_derivatives:
-        pairs = ((dcl, dsl), (dcr, dsr))
-    else:
-        pairs = ((cl, sl), (cr, sr))
-    out = []
-    for num, den in pairs:
-        if abs(den) <= POLE_FLOOR:
-            out.append(Evaluation(math.nan, "pole"))
-        elif not (math.isfinite(num) and math.isfinite(den)):
-            out.append(Evaluation(math.nan, "overflow"))
-        else:
-            out.append(Evaluation(num / den))
-    return out[0], out[1]
+        return endpoint_ratio(dcl, dsl), endpoint_ratio(dcr, dsr)
+    return endpoint_ratio(cl, sl), endpoint_ratio(cr, sr)
+
+
+def endpoint_ratio(num, den):
+    """num / den as an Evaluation.
+
+    A denominator at or below POLE_FLOOR in magnitude yields a pole-flagged
+    NaN, a value that is not finite an overflow-flagged NaN.
+    """
+    if abs(den) <= POLE_FLOOR:
+        return Evaluation(math.nan, "pole")
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return Evaluation(math.nan, "overflow")
+    return Evaluation(num / den)
 
 
 def cfm_value(problem, pair):
-    """CFM characteristic value from an existing canonical pair."""
+    """CFM characteristic value from endpoint data (CanonicalPair or Endpoints)."""
     if pair.truncated_left or pair.truncated_right:
         return Evaluation(math.nan, "overflow")
     if problem.symmetric:
@@ -77,22 +78,17 @@ def cfm_value(problem, pair):
     return Evaluation(l_plus.value - l_minus.value)
 
 
-def cfm_characteristic(problem):
+def cfm_characteristic(problem, samples=None):
     """Characteristic function for the canonical-function route.
 
     Symmetric problems use the pole-free product form C(x_right)*S(x_right);
     everything else uses the endpoint-ratio difference l+ - l-.
     """
-
-    def fn(energy):
-        pair = canonical_pair(problem.potential, energy, problem.grid)
-        return cfm_value(problem, pair)
-
-    return CharacteristicFunction(fn, label="cfm")
+    return characteristic(problem, cfm_value, "cfm", samples)
 
 
 def dirichlet_value(problem, pair):
-    """Two-wall determinant from an existing canonical pair."""
+    """Two-wall determinant from endpoint data (CanonicalPair or Endpoints)."""
     if pair.truncated_left or pair.truncated_right:
         return Evaluation(math.nan, "overflow")
     _, cl, _, sl, _ = pair.left_values()
@@ -103,17 +99,12 @@ def dirichlet_value(problem, pair):
     return Evaluation(value)
 
 
-def dirichlet_determinant(problem):
+def dirichlet_determinant(problem, samples=None):
     """Characteristic function C(xL) S(xR) - C(xR) S(xL) for boxed problems."""
     asym = problem.asymptotics
     if asym.left_kind != HARD_DIRICHLET or asym.right_kind != HARD_DIRICHLET:
         raise ValueError("the two-wall determinant needs hard walls on both sides")
-
-    def fn(energy):
-        pair = canonical_pair(problem.potential, energy, problem.grid)
-        return dirichlet_value(problem, pair)
-
-    return CharacteristicFunction(fn, label="dirichlet")
+    return characteristic(problem, dirichlet_value, "dirichlet", samples)
 
 
 def box_characteristic_analytic(energy, x0):
@@ -159,11 +150,9 @@ class SaturationProfile:
 
 
 def _ratio_rows(num_a, den_a):
-    out = np.full(len(num_a), math.nan)
-    for i, (num, den) in enumerate(zip(num_a, den_a)):
-        if abs(den) > POLE_FLOOR and math.isfinite(num) and math.isfinite(den):
-            out[i] = num / den
-    return out
+    # flagged rows are NaN
+    return np.array([endpoint_ratio(num, den).value
+                     for num, den in zip(num_a.tolist(), den_a.tolist())])
 
 
 def _saturation_x(x, ratio, limit, tol):

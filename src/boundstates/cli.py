@@ -20,8 +20,9 @@ import numpy as np
 from . import potentials
 from .core import (FULL_LINE, Evaluation, PotentialSpec, Problem, SolverError,
                    make_grid)
-from .cfm import box_characteristic_analytic, cfm_value, saturation_profile
-from .integrate import canonical_pair
+from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
+                  saturation_profile)
+from .integrate import canonical_endpoints, canonical_pair
 from .oracle import (convergence_orders, fd_box_dispersion,
                      fd_box_recurrence_eigenvalues, shooting_reference)
 from .roots import METHODS, _default_probes, find_eigenvalues
@@ -370,19 +371,18 @@ def cmd_scan(args):
     lines.append(header)
     if hi > lo:
         x0 = problem.grid.x0
-        for e in np.linspace(lo, hi, n):
-            e = float(e)
-            # one canonical pair feeds every column of the row
-            pair = canonical_pair(problem.potential, e, problem.grid)
+        # one batched march gives the endpoint data every column of a row reads
+        for ends in canonical_endpoints(problem.potential, np.linspace(lo, hi, n),
+                                        problem.grid):
+            e = ends.energy
             if symmetric:
-                values = [("F_wm_even", wm_value_symmetric(problem, pair, "even")),
-                          ("F_wm_odd", wm_value_symmetric(problem, pair, "odd")),
-                          ("F_cfm", cfm_value(problem, pair)),
-                          ("ratio_c_over_s", _endpoint_ratio(pair, "c_over_s")),
-                          ("ratio_s_over_c", _endpoint_ratio(pair, "s_over_c"))]
+                values = [("F_wm_even", wm_value_symmetric(problem, ends, "even")),
+                          ("F_wm_odd", wm_value_symmetric(problem, ends, "odd")),
+                          ("F_cfm", cfm_value(problem, ends))]
+                values += zip(("ratio_c_over_s", "ratio_s_over_c"), _right_ratios(ends))
             else:
-                values = [("F_wm", wm_value(problem, pair)),
-                          ("F_cfm", cfm_value(problem, pair))]
+                values = [("F_wm", wm_value(problem, ends)),
+                          ("F_cfm", cfm_value(problem, ends))]
                 if is_box:
                     values.append(("F_box_analytic", _box_analytic(e, x0)))
             lines.append(_fmt(e) + "," + _cells(values))
@@ -390,14 +390,13 @@ def cmd_scan(args):
     return EXIT_OK
 
 
-def _endpoint_ratio(pair, which):
-    _, c, _, s, _ = pair.right_values()
-    if pair.truncated_right or pair.truncated_left:
-        return Evaluation(math.nan, "overflow")
-    num, den = (c, s) if which == "c_over_s" else (s, c)
-    if abs(den) < 1e-300:
-        return Evaluation(math.nan, "pole")
-    return Evaluation(num / den, None)
+def _right_ratios(ends):
+    # C/S and S/C at the right end
+    if ends.truncated_right or ends.truncated_left:
+        flagged = Evaluation(math.nan, "overflow")
+        return flagged, flagged
+    _, c, _, s, _ = ends.right_values()
+    return endpoint_ratio(c, s), endpoint_ratio(s, c)
 
 
 def _box_analytic(energy, x0):

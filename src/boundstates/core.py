@@ -202,15 +202,23 @@ class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.
 
     evaluate() returns the flagged form; plain calls collapse flagged
-    evaluations to NaN.
+    evaluations to NaN. evaluate_many() gives evaluate() at each of many
+    energies; `many`, when given, computes that list for a numpy vector of
+    energies in one batch, and must match evaluate() at each energy.
     """
 
-    def __init__(self, fn, label=""):
+    def __init__(self, fn, label="", many=None):
         self._fn = fn
+        self._many = many
         self.label = label
 
     def evaluate(self, energy):
         return self._fn(float(energy))
+
+    def evaluate_many(self, energies):
+        if self._many is None:
+            return [self.evaluate(e) for e in energies]
+        return self._many(np.asarray(energies, dtype=float))
 
     def __call__(self, energy):
         ev = self.evaluate(energy)

@@ -18,12 +18,13 @@ import numpy as np
 
 from .cfm import cfm_characteristic, cfm_l_ratios, dirichlet_determinant
 from .core import RefinementError
-from .integrate import canonical_pair
+from .integrate import canonical_pair, sample_potential
 from .wm import (
     assemble_eigenresult,
     wm_characteristic,
     wm_characteristic_symmetric,
     wm_eigenfunction,
+    wm_endpoint_data,
 )
 
 METHODS = ("wm", "wm-even", "wm-odd", "cfm", "dirichlet")
@@ -75,7 +76,7 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
         n_probe = _default_probes(lo, hi)
     n_probe = max(2, int(n_probe))
     eps = np.linspace(lo, hi, n_probe + 1)
-    evals = [char_fn.evaluate(e) for e in eps]
+    evals = char_fn.evaluate_many(eps)
     ok = [i for i, ev in enumerate(evals) if ev.ok]
     if not ok:
         warnings.warn("every probe evaluation was flagged; nothing to bracket",
@@ -110,7 +111,7 @@ def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi):
     # zoom in tenfold and judge each inner sign change by whether the
     # crossing-adjacent magnitudes grew (pole) or shrank (root)
     sub = np.linspace(e_lo, e_hi, 11)
-    inner = [char_fn.evaluate(e) for e in sub[1:-1]]
+    inner = char_fn.evaluate_many(sub[1:-1])
     vals = [f_lo] + [ev.value if ev.ok else math.nan for ev in inner] + [f_hi]
     outer_floor = min(abs(f_lo), abs(f_hi))
     out = []
@@ -171,30 +172,29 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     raise RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
 
 
-def characteristic_for(problem, method):
+def characteristic_for(problem, method, samples=None):
     """Dispatch a method name to its characteristic function."""
     if method == "wm":
-        return wm_characteristic(problem)
+        return wm_characteristic(problem, samples)
     if method == "wm-even":
-        return wm_characteristic_symmetric(problem, "even")
+        return wm_characteristic_symmetric(problem, "even", samples)
     if method == "wm-odd":
-        return wm_characteristic_symmetric(problem, "odd")
+        return wm_characteristic_symmetric(problem, "odd", samples)
     if method == "cfm":
-        return cfm_characteristic(problem)
+        return cfm_characteristic(problem, samples)
     if method == "dirichlet":
-        return dirichlet_determinant(problem)
+        return dirichlet_determinant(problem, samples)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _assemble_cfm(problem, root, residual=None):
+def _assemble_cfm(problem, root, samples):
     # coefficient choice straight from the endpoint data: phi = C - l S for
     # the ratio form, the vanishing factor alone for the symmetric product
-    pair = canonical_pair(problem.potential, root, problem.grid)
+    pair = canonical_pair(problem.potential, root, problem.grid, samples=samples)
     if problem.symmetric:
         _, cr, _, sr, _ = pair.right_values()
         a2, b2 = (1.0, 0.0) if abs(cr) <= abs(sr) else (0.0, 1.0)
-        if residual is None:
-            residual = abs(cr * sr) / max(cr * cr + sr * sr, 1e-300)
+        residual = abs(cr * sr) / max(cr * cr + sr * sr, 1e-300)
     else:
         l_minus, l_plus = cfm_l_ratios(pair)
         ls = [r.value for r in (l_minus, l_plus) if r.ok]
@@ -203,10 +203,10 @@ def _assemble_cfm(problem, root, residual=None):
         l = sum(ls) / len(ls)
         nrm = math.hypot(1.0, l)
         a2, b2 = 1.0 / nrm, -l / nrm
-        if residual is None:
-            residual = (abs(ls[-1] - ls[0]) / max(1.0, *map(abs, ls))
-                        if len(ls) == 2 else math.nan)
-    return assemble_eigenresult(problem, pair, a2, b2, residual)
+        residual = (abs(ls[-1] - ls[0]) / max(1.0, *map(abs, ls))
+                    if len(ls) == 2 else math.nan)
+    return assemble_eigenresult(problem, pair, wm_endpoint_data(pair, problem.asymptotics),
+                                a2, b2, residual)
 
 
 def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
@@ -224,7 +224,9 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
         EigenResults sorted by energy and indexed by position. Brackets that
         fail to refine are reported as RefinementWarnings, not errors.
     """
-    char_fn = characteristic_for(problem, method)
+    # v does not depend on the energy: one sampling serves every march
+    samples = sample_potential(problem.potential, problem.grid)
+    char_fn = characteristic_for(problem, method, samples)
     window = energy_range if energy_range is not None else problem.energy_range
     roots = []
     for br in scan_brackets(char_fn, window, n_probe):
@@ -243,8 +245,8 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
     results = []
     for i, root in enumerate(roots):
         if method == "cfm":
-            res = _assemble_cfm(problem, root)
+            res = _assemble_cfm(problem, root, samples)
         else:
-            res = wm_eigenfunction(problem, root)
+            res = wm_eigenfunction(problem, root, samples)
         results.append(replace(res, index=i))
     return results

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CharacteristicFunction,
     DegenerateAsymptoticsError,
     DegenerateRootError,
     EigenResult,
     Evaluation,
     wronskian,
 )
-from .integrate import canonical_pair
+from .integrate import canonical_pair, characteristic
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -96,7 +95,7 @@ def _flagged(value, data_truncated):
 
 
 def wm_value(problem, pair):
-    """General WM determinant from an existing canonical pair."""
+    """General WM determinant from endpoint data (CanonicalPair or Endpoints)."""
     try:
         d = wm_endpoint_data(pair, problem.asymptotics)
     except DegenerateAsymptoticsError:
@@ -114,45 +113,41 @@ def wm_value_symmetric(problem, pair, parity):
     return _flagged(value, d.truncated)
 
 
-def wm_characteristic(problem):
+def wm_characteristic(problem, samples=None):
     """Characteristic function for the general two-sided determinant.
 
     Each evaluation costs one canonical-pair integration over the grid.
     """
-
-    def fn(energy):
-        pair = canonical_pair(problem.potential, energy, problem.grid)
-        return wm_value(problem, pair)
-
-    return CharacteristicFunction(fn, label="wm")
+    return characteristic(problem, wm_value, "wm", samples)
 
 
-def wm_characteristic_symmetric(problem, parity):
+def wm_characteristic_symmetric(problem, parity, samples=None):
     """Even or odd characteristic function; symmetric problems only."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if not problem.symmetric:
         raise ValueError("even/odd splitting needs a parity invariant potential with x0 = 0")
 
-    def fn(energy):
-        pair = canonical_pair(problem.potential, energy, problem.grid)
-        return wm_value_symmetric(problem, pair, parity)
+    def value(problem, ends):
+        return wm_value_symmetric(problem, ends, parity)
 
-    return CharacteristicFunction(fn, label=f"wm-{parity}")
+    return characteristic(problem, value, f"wm-{parity}", samples)
 
 
-def wm_eigenfunction(problem, root):
+def wm_eigenfunction(problem, root, samples=None):
     """Assemble the normalized eigenfunction at an accepted root.
 
     The coefficient direction (a2, b2) is the nullspace of the boundary rows
     (W(L_c,C), W(L_c,S)) and (W(R_c,C), W(R_c,S)), taken from whichever row
     is better conditioned.
 
+    samples are the solve's PotentialSamples, as for canonical_pair.
+
     Returns:
         EigenResult whose index is set to the node count (they agree for a
         true n-th level; callers re-index by spectral position).
     """
-    pair = canonical_pair(problem.potential, root, problem.grid)
+    pair = canonical_pair(problem.potential, root, problem.grid, samples=samples)
     d = wm_endpoint_data(pair, problem.asymptotics)
     row_l = (d.w_lc_c, d.w_lc_s)
     row_r = (d.w_rc_c, d.w_rc_s)
@@ -168,18 +163,17 @@ def wm_eigenfunction(problem, root):
     # between the boundary rows, a scale-free closeness-to-singular measure
     det = d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s
     residual = abs(det) / max(norm_l * norm_r, 1e-300)
-    return assemble_eigenresult(problem, pair, a2, b2, residual)
+    return assemble_eigenresult(problem, pair, d, a2, b2, residual)
 
 
-def assemble_eigenresult(problem, pair, a2, b2, residual):
+def assemble_eigenresult(problem, pair, d, a2, b2, residual):
     """Build a normalized EigenResult from a coefficient direction.
 
     Shared by the WM nullspace path and the endpoint-ratio path. Samples are
     L2 normalized by the trapezoid rule, the overall sign is fixed by the
     largest antinode, and the divergent admixtures b1, b3 are read off the
-    boundary Wronskians.
+    boundary Wronskians d, the pair's wm_endpoint_data.
     """
-    d = wm_endpoint_data(pair, problem.asymptotics)
     x, c, dc, s, ds = pair.full_line()
     psi = a2 * c + b2 * s
     dpsi = a2 * dc + b2 * ds
@@ -196,7 +190,7 @@ def assemble_eigenresult(problem, pair, a2, b2, residual):
     b1 = (a2 * d.w_lc_c + b2 * d.w_lc_s) / d.w_lc_ld
     b3 = (a2 * d.w_rc_c + b2 * d.w_rc_s) / d.w_rc_rd
 
-    node_count = _count_nodes(psi, x, problem.potential.evaluate, pair.energy)
+    node_count = _count_nodes(psi, pair.full_line_potential(), pair.energy)
     parity = _parity_tag(problem, a2, b2)
     return EigenResult(
         energy=float(pair.energy), index=node_count, parity=parity,
@@ -204,15 +198,15 @@ def assemble_eigenresult(problem, pair, a2, b2, residual):
         x=x, psi=psi, dpsi=dpsi, a2=a2, b2=b2, b1=b1, b3=b3)
 
 
-def _count_nodes(psi, x, v, energy):
+def _count_nodes(psi, v, energy):
     # Nodes of a bound state sit between the outermost classical turning
     # points; past them the true solution is monotone, but the residual
     # divergent admixture grows there and can fake a crossing, so restrict
-    # the count to the allowed span.
-    allowed = np.array([v(xi) <= energy for xi in x])
+    # the count to the allowed span. v holds the potential at psi's samples.
+    allowed = v <= energy
     if allowed.any():
         i0 = int(allowed.argmax())
-        i1 = len(x) - 1 - int(allowed[::-1].argmax())
+        i1 = len(psi) - 1 - int(allowed[::-1].argmax())
         psi = psi[i0:i1 + 1]
     # drop samples that are numerically zero so wall values and the exact
     # S(0) = 0 sample cannot fake or hide a crossing

@@ -1,13 +1,16 @@
 """Integrator tests: canonical-pair structure, accuracy, overflow handling."""
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from boundstates import poschl_teller
+from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates.core import PotentialSpec, make_grid, wronskian
-from boundstates.integrate import canonical_pair, propagate
+from boundstates.integrate import canonical_endpoints, canonical_pair, propagate
+from boundstates.roots import _default_probes, characteristic_for
 
 FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True, name="free")
 PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
@@ -112,3 +115,69 @@ def test_rescaled_pair_scales_both_solutions():
     w0 = wronskian(pair.c, pair.dc, pair.s, pair.ds)
     w = wronskian(doubled.c, doubled.dc, doubled.s, doubled.ds)
     assert np.array_equal(w, 4.0 * w0)
+
+
+# --- batched endpoint march -------------------------------------------------
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
+QUARTIC = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
+BATCH_CASES = [
+    (PT25, "wm"), (PT25, "wm-even"), (PT25, "wm-odd"), (PT25, "cfm"),
+    (PT25_TWO_SIDED, "wm"), (PT25_TWO_SIDED, "cfm"),
+    (infinite_well(x0=0.49, h=0.01, energy_max=60.0), "dirichlet"),
+    (QUARTIC, "wm"), (QUARTIC, "cfm"),
+    (radial(lambda r: -10.0 * math.exp(-r), h=0.01), "wm"),
+    (radial(lambda r: -10.0 * math.exp(-r), h=0.01), "cfm"),
+]
+
+
+@pytest.mark.parametrize("problem, method", BATCH_CASES,
+                         ids=[f"{p.name}-{p.grid.n_left}-{m}" for p, m in BATCH_CASES])
+def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method):
+    fn = characteristic_for(problem, method)
+    lo, hi = problem.energy_range
+    eps = np.linspace(lo, hi, _default_probes(lo, hi) + 1)
+    batch = fn.evaluate_many(eps)
+    scalar = [fn.evaluate(e) for e in eps]
+    assert [ev.flag for ev in batch] == [ev.flag for ev in scalar]
+    assert [_bits(ev.value) for ev in batch] == [_bits(ev.value) for ev in scalar]
+    if problem is QUARTIC:
+        assert any(ev.flag == "overflow" for ev in scalar)
+    assert fn.evaluate_many([]) == []
+    assert fn.evaluate_many(eps[7:8]) == [fn.evaluate(eps[7])]
+
+
+@pytest.mark.parametrize("grid", [make_grid(0.0, 0.01, 0, 10000),
+                                  make_grid(0.0, 0.01, 10000, 10000),
+                                  make_grid(0.5, 0.01, 0, 10000),
+                                  make_grid(0.0, 0.01, 100, 0)])
+def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
+    # a slab whose solutions pass the cap mid-sweep, at different steps for
+    # different energies: reflected, two-sided, unreflected with no left
+    # sweep, and with no right sweep
+    slab = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True,
+                         name="slab")
+    energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
+    for ends, e in zip(canonical_endpoints(slab, energies, grid), energies):
+        pair = canonical_pair(slab, e, grid)
+        assert ends.energy == pair.energy
+        assert ends.left_values() == pair.left_values()
+        assert ends.right_values() == pair.right_values()
+        assert (ends.truncated_left, ends.truncated_right) == (
+            pair.truncated_left, pair.truncated_right)
+    if grid.n_right:
+        assert canonical_pair(slab, -40.0, grid).truncated_right
+
+
+@pytest.mark.parametrize("problem", [PT25, QUARTIC, anharmonic(-5.0, 1.0, h=0.005)])
+def test_reflected_pair_reads_the_potential_it_would_evaluate(problem):
+    # node counting reads the mirrored samples; they must be v at -x
+    pair = canonical_pair(problem.potential, problem.energy_range[0], problem.grid)
+    assert pair.reflected
+    x, *_ = pair.full_line()
+    direct = np.array([problem.potential.evaluate(xi) for xi in x])
+    assert np.array_equal(pair.full_line_potential(), direct)

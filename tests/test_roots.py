@@ -1,6 +1,7 @@
 """Scanning, pole rejection, refinement, and the end-to-end eigenvalue driver."""
 
 import math
+import warnings
 
 import pytest
 
@@ -151,3 +152,21 @@ def test_unknown_method_is_rejected():
     prob = poschl_teller(2.5)
     with pytest.raises(ValueError):
         find_eigenvalues(prob, method="secret")
+
+
+# the levels these runs return; quartic overflow loses the rest (wm finds 3
+# of the 25 levels below 100, cfm 8)
+QUARTIC_LEVELS = {
+    "wm": [87.44199421223368, 92.6612440197743, 97.9550918995659],
+    "cfm": [62.5479872695082, 67.3575683251413, 72.2546604252815, 77.23624163344077,
+            82.29953835697926, 87.44199421223391, 92.6612440197743, 97.9550918995659],
+}
+
+
+@pytest.mark.parametrize("method", ["wm", "cfm"])
+def test_overflowing_probes_emit_no_numpy_warning(method):
+    problem = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = find_eigenvalues(problem, method=method, n_probe=200)
+    assert [r.energy for r in results] == pytest.approx(QUARTIC_LEVELS[method], abs=1e-9)

@@ -117,7 +117,7 @@ def test_node_count_interior_crossings_only():
     x = np.linspace(0.0, math.pi, 301)
     psi = np.sin(3.0 * x)
     # wall zeros at both ends must not register; the allowed span is everything
-    assert _count_nodes(psi, x, lambda xi: 0.0, 4.5) == 2
+    assert _count_nodes(psi, np.zeros_like(x), 4.5) == 2
 
 
 def test_node_count_ignores_crossings_outside_turning_points():
@@ -125,7 +125,7 @@ def test_node_count_ignores_crossings_outside_turning_points():
     psi = np.where(np.abs(x) < 2.5, np.exp(-x * x), -1e-4)
     # a nodeless state whose far tail flips sign: v = x^2, eps = 1 puts the
     # turning points at +-1, so the flips at |x| = 2.5 are out of scope
-    assert _count_nodes(psi, x, lambda xi: xi * xi, 1.0) == 0
+    assert _count_nodes(psi, x * x, 1.0) == 0
     # counting blindly over the whole span would have seen two crossings
     live = psi[np.abs(psi) > 1e-7 * np.max(np.abs(psi))]
     assert np.count_nonzero(np.sign(live)[1:] != np.sign(live)[:-1]) == 2
