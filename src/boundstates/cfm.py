@@ -26,7 +26,8 @@ from .core import (
     SolverError,
     wronskian,
 )
-from .integrate import canonical_pair, characteristic
+from .integrate import canonical_pair
+from .wm import characteristic
 
 # denominators at or below this magnitude are reported as poles
 POLE_FLOOR = 1e-300
@@ -78,13 +79,13 @@ def cfm_value(problem, pair):
     return Evaluation(l_plus.value - l_minus.value)
 
 
-def cfm_characteristic(problem, samples=None):
+def cfm_characteristic(problem):
     """Characteristic function for the canonical-function route.
 
     Symmetric problems use the pole-free product form C(x_right)*S(x_right);
     everything else uses the endpoint-ratio difference l+ - l-.
     """
-    return characteristic(problem, cfm_value, "cfm", samples)
+    return characteristic(problem, cfm_value, "cfm")
 
 
 def dirichlet_value(problem, pair):
@@ -99,12 +100,12 @@ def dirichlet_value(problem, pair):
     return Evaluation(value)
 
 
-def dirichlet_determinant(problem, samples=None):
+def dirichlet_determinant(problem):
     """Characteristic function C(xL) S(xR) - C(xR) S(xL) for boxed problems."""
     asym = problem.asymptotics
     if asym.left_kind != HARD_DIRICHLET or asym.right_kind != HARD_DIRICHLET:
         raise ValueError("the two-wall determinant needs hard walls on both sides")
-    return characteristic(problem, dirichlet_value, "dirichlet", samples)
+    return characteristic(problem, dirichlet_value, "dirichlet")
 
 
 def box_characteristic_analytic(energy, x0):

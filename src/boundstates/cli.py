@@ -22,7 +22,7 @@ from .core import (FULL_LINE, Evaluation, PotentialSpec, Problem, SolverError,
                    make_grid)
 from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
                   saturation_profile)
-from .integrate import canonical_endpoints, canonical_pair
+from .integrate import canonical_endpoints, canonical_pair, sample_potential
 from .oracle import (convergence_orders, fd_box_dispersion,
                      fd_box_recurrence_eigenvalues, shooting_reference)
 from .roots import METHODS, _default_probes, find_eigenvalues
@@ -370,10 +370,10 @@ def cmd_scan(args):
                       [("range", "%s:%s" % (_fmt(lo), _fmt(hi))), ("probes", n)])
     lines.append(header)
     if hi > lo:
-        x0 = problem.grid.x0
         # one batched march gives the endpoint data every column of a row reads
-        for ends in canonical_endpoints(problem.potential, np.linspace(lo, hi, n),
-                                        problem.grid):
+        pot, grid = problem.potential, problem.grid
+        for ends in canonical_endpoints(pot, np.linspace(lo, hi, n), grid,
+                                        sample_potential(pot, grid)):
             e = ends.energy
             if symmetric:
                 values = [("F_wm_even", wm_value_symmetric(problem, ends, "even")),
@@ -384,7 +384,7 @@ def cmd_scan(args):
                 values = [("F_wm", wm_value(problem, ends)),
                           ("F_cfm", cfm_value(problem, ends))]
                 if is_box:
-                    values.append(("F_box_analytic", _box_analytic(e, x0)))
+                    values.append(("F_box_analytic", _box_analytic(e, grid.x0)))
             lines.append(_fmt(e) + "," + _cells(values))
     _emit(lines, args.out)
     return EXIT_OK

@@ -204,13 +204,16 @@ class CharacteristicFunction:
     evaluate() returns the flagged form; plain calls collapse flagged
     evaluations to NaN. evaluate_many() gives evaluate() at each of many
     energies; `many`, when given, computes that list for a numpy vector of
-    energies in one batch, and must match evaluate() at each energy.
+    energies in one batch, and must match evaluate() at each energy. samples
+    are the potential samples the evaluations march through, if any, so that
+    eigenfunction assembly can reuse them.
     """
 
-    def __init__(self, fn, label="", many=None):
+    def __init__(self, fn, label="", many=None, samples=None):
         self._fn = fn
         self._many = many
         self.label = label
+        self.samples = samples
 
     def evaluate(self, energy):
         return self._fn(float(energy))

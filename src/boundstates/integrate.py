@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CharacteristicFunction, Grid
+from .core import Grid
 
 DEFAULT_CAP = 1e280
 
@@ -330,15 +330,13 @@ def canonical_pair(potential, energy, grid, cap=DEFAULT_CAP, samples=None):
                          v=samples.line[grid.n_left + 1 - nl:grid.n_left + nr])
 
 
-def canonical_endpoints(potential, energies, grid, samples=None, cap=DEFAULT_CAP):
+def canonical_endpoints(potential, energies, grid, samples, cap=DEFAULT_CAP):
     """Endpoint data of the canonical pair at many energies, marched in lockstep.
 
     Yields one Endpoints per energy, in order, equal bit for bit to the
     endpoint accessors and truncation flags of canonical_pair at that energy;
-    no per-step arrays are kept. samples as for canonical_pair.
+    no per-step arrays are kept. samples are sample_potential(potential, grid).
     """
-    if samples is None:
-        samples = sample_potential(potential, grid)
     energies = np.asarray(energies, dtype=float)
 
     def side(nodes_halves, h, n):
@@ -355,25 +353,3 @@ def canonical_endpoints(potential, energies, grid, samples=None, cap=DEFAULT_CAP
     for energy, (*lv, trunc_l), (*r, trunc_r) in zip(energies.tolist(), left, right):
         yield Endpoints(energy, tuple(lv), tuple(r), trunc_l, trunc_r)
 
-
-def characteristic(problem, value, label, samples=None):
-    """CharacteristicFunction of a per-endpoint value function.
-
-    value(problem, ends) maps one energy's endpoint data (a CanonicalPair or
-    Endpoints) to an Evaluation. evaluate() marches one energy with
-    canonical_pair; evaluate_many() marches a batch with canonical_endpoints.
-    Both read the same samples of v, taken here unless the solve passes its
-    own.
-    """
-    pot, grid = problem.potential, problem.grid
-    if samples is None:
-        samples = sample_potential(pot, grid)
-
-    def one(energy):
-        return value(problem, canonical_pair(pot, energy, grid, samples=samples))
-
-    def many(energies):
-        return [value(problem, ends)
-                for ends in canonical_endpoints(pot, energies, grid, samples)]
-
-    return CharacteristicFunction(one, label=label, many=many)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cfm import cfm_characteristic, cfm_l_ratios, dirichlet_determinant
 from .core import RefinementError
-from .integrate import canonical_pair, sample_potential
+from .integrate import canonical_pair
 from .wm import (
     assemble_eigenresult,
     wm_characteristic,
@@ -172,18 +172,18 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     raise RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
 
 
-def characteristic_for(problem, method, samples=None):
+def characteristic_for(problem, method):
     """Dispatch a method name to its characteristic function."""
     if method == "wm":
-        return wm_characteristic(problem, samples)
+        return wm_characteristic(problem)
     if method == "wm-even":
-        return wm_characteristic_symmetric(problem, "even", samples)
+        return wm_characteristic_symmetric(problem, "even")
     if method == "wm-odd":
-        return wm_characteristic_symmetric(problem, "odd", samples)
+        return wm_characteristic_symmetric(problem, "odd")
     if method == "cfm":
-        return cfm_characteristic(problem, samples)
+        return cfm_characteristic(problem)
     if method == "dirichlet":
-        return dirichlet_determinant(problem, samples)
+        return dirichlet_determinant(problem)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -224,9 +224,10 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
         EigenResults sorted by energy and indexed by position. Brackets that
         fail to refine are reported as RefinementWarnings, not errors.
     """
-    # v does not depend on the energy: one sampling serves every march
-    samples = sample_potential(problem.potential, problem.grid)
-    char_fn = characteristic_for(problem, method, samples)
+    char_fn = characteristic_for(problem, method)
+    # v does not depend on the energy: assembly marches through the samples
+    # every evaluation of char_fn read
+    samples = char_fn.samples
     window = energy_range if energy_range is not None else problem.energy_range
     roots = []
     for br in scan_brackets(char_fn, window, n_probe):

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CharacteristicFunction,
     DegenerateAsymptoticsError,
     DegenerateRootError,
     EigenResult,
     Evaluation,
     wronskian,
 )
-from .integrate import canonical_pair, characteristic
+from .integrate import canonical_endpoints, canonical_pair, sample_potential
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -113,15 +114,37 @@ def wm_value_symmetric(problem, pair, parity):
     return _flagged(value, d.truncated)
 
 
-def wm_characteristic(problem, samples=None):
+def characteristic(problem, value, label):
+    """CharacteristicFunction of a per-endpoint value function.
+
+    Shared by every method. value(problem, ends) maps one energy's endpoint
+    data (a CanonicalPair or Endpoints) to an Evaluation. v is sampled here,
+    once; evaluate() marches one energy with canonical_pair and
+    evaluate_many() a batch with canonical_endpoints, both through these
+    samples, which the function keeps as .samples.
+    """
+    pot, grid = problem.potential, problem.grid
+    samples = sample_potential(pot, grid)
+
+    def one(energy):
+        return value(problem, canonical_pair(pot, energy, grid, samples=samples))
+
+    def many(energies):
+        return [value(problem, ends)
+                for ends in canonical_endpoints(pot, energies, grid, samples)]
+
+    return CharacteristicFunction(one, label=label, many=many, samples=samples)
+
+
+def wm_characteristic(problem):
     """Characteristic function for the general two-sided determinant.
 
     Each evaluation costs one canonical-pair integration over the grid.
     """
-    return characteristic(problem, wm_value, "wm", samples)
+    return characteristic(problem, wm_value, "wm")
 
 
-def wm_characteristic_symmetric(problem, parity, samples=None):
+def wm_characteristic_symmetric(problem, parity):
     """Even or odd characteristic function; symmetric problems only."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -131,7 +154,7 @@ def wm_characteristic_symmetric(problem, parity, samples=None):
     def value(problem, ends):
         return wm_value_symmetric(problem, ends, parity)
 
-    return characteristic(problem, value, f"wm-{parity}", samples)
+    return characteristic(problem, value, f"wm-{parity}")
 
 
 def wm_eigenfunction(problem, root, samples=None):
@@ -141,7 +164,8 @@ def wm_eigenfunction(problem, root, samples=None):
     (W(L_c,C), W(L_c,S)) and (W(R_c,C), W(R_c,S)), taken from whichever row
     is better conditioned.
 
-    samples are the solve's PotentialSamples, as for canonical_pair.
+    samples are the solve's PotentialSamples (its characteristic function's
+    .samples); without them canonical_pair samples v.
 
     Returns:
         EigenResult whose index is set to the node count (they agree for a

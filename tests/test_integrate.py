@@ -9,7 +9,8 @@ import pytest
 
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates.core import PotentialSpec, make_grid, wronskian
-from boundstates.integrate import canonical_endpoints, canonical_pair, propagate
+from boundstates.integrate import (canonical_endpoints, canonical_pair, propagate,
+                                   sample_potential)
 from boundstates.roots import _default_probes, characteristic_for
 
 FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True, name="free")
@@ -162,7 +163,8 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
     slab = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True,
                          name="slab")
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
-    for ends, e in zip(canonical_endpoints(slab, energies, grid), energies):
+    batch = canonical_endpoints(slab, energies, grid, sample_potential(slab, grid))
+    for ends, e in zip(batch, energies):
         pair = canonical_pair(slab, e, grid)
         assert ends.energy == pair.energy
         assert ends.left_values() == pair.left_values()

@@ -1,5 +1,6 @@
 """Scanning, pole rejection, refinement, and the end-to-end eigenvalue driver."""
 
+import dataclasses
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from boundstates import (
     scan_brackets,
 )
 from boundstates.core import CharacteristicFunction, Evaluation, RefinementError
+from boundstates.integrate import sample_potential
 from boundstates.roots import RefinementWarning
 
 
@@ -170,3 +172,27 @@ def test_overflowing_probes_emit_no_numpy_warning(method):
         warnings.simplefilter("error", RuntimeWarning)
         results = find_eigenvalues(problem, method=method, n_probe=200)
     assert [r.energy for r in results] == pytest.approx(QUARTIC_LEVELS[method], abs=1e-9)
+
+
+def _counting(problem):
+    # the same problem with its v(x) calls counted in calls[0]
+    calls = [0]
+    v = problem.potential.evaluate
+
+    def counted(x):
+        calls[0] += 1
+        return v(x)
+
+    pot = dataclasses.replace(problem.potential, evaluate=counted)
+    return dataclasses.replace(problem, potential=pot), calls
+
+
+@pytest.mark.parametrize("method", ["wm", "wm-odd", "cfm"])
+def test_a_solve_samples_the_potential_once(method):
+    problem, calls = _counting(poschl_teller(2.5, h=0.01, x_right=5.0))
+    sample_potential(problem.potential, problem.grid)
+    once = calls[0]
+    calls[0] = 0
+    results = find_eigenvalues(problem, method=method)
+    assert results
+    assert calls[0] == once
