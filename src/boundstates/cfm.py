@@ -134,13 +134,19 @@ def box_characteristic_analytic(energy, x0):
 class SaturationProfile:
     """How the two endpoint-ratio representations approach their limit.
 
-    x runs from the origin to x_right. wm_ratio is W(C, R_c)/W(S, R_c) and
-    cfm_ratio is C/S, NaN where a denominator hit the pole floor. Each
-    saturation_x is the smallest grid point beyond which the ratio stays
-    inside tol * max(1, |limit|) of its x_right value; pole rows are ignored.
+    x runs from the origin to x_right, with the canonical pair's C and S and
+    the boundary Wronskians w_rc_c = W(R_c, C) and w_rc_s = W(R_c, S) at each
+    x. wm_ratio is w_rc_c / w_rc_s and cfm_ratio is C/S, NaN where
+    cfm.endpoint_ratio flags a row. Each saturation_x is the smallest grid
+    point beyond which the ratio stays inside tol * max(1, |limit|) of its
+    x_right value; pole rows are ignored.
     """
 
     x: np.ndarray
+    c: np.ndarray
+    s: np.ndarray
+    w_rc_c: np.ndarray
+    w_rc_s: np.ndarray
     wm_ratio: np.ndarray
     cfm_ratio: np.ndarray
     limit_wm: float
@@ -184,12 +190,10 @@ def saturation_profile(problem, energy, tol=1e-6):
     c, dc = pair.c[keep], pair.dc[keep]
     s, ds = pair.s[keep], pair.ds[keep]
 
-    rcv = np.empty(len(x))
-    rcd = np.empty(len(x))
-    for i, xi in enumerate(x):
-        rcv[i], rcd[i] = asym.right_convergent(energy, xi)
-
-    wm_ratio = _ratio_rows(wronskian(c, dc, rcv, rcd), wronskian(s, ds, rcv, rcd))
+    rcv, rcd = np.array([asym.right_convergent(energy, xi) for xi in x.tolist()]).T
+    w_rc_c = wronskian(rcv, rcd, c, dc)
+    w_rc_s = wronskian(rcv, rcd, s, ds)
+    wm_ratio = _ratio_rows(w_rc_c, w_rc_s)
     cfm_ratio = _ratio_rows(c, s)
 
     if not (math.isfinite(wm_ratio[-1]) and math.isfinite(cfm_ratio[-1])):
@@ -197,7 +201,8 @@ def saturation_profile(problem, energy, tol=1e-6):
     limit_wm = float(wm_ratio[-1])
     limit_cfm = float(cfm_ratio[-1])
     return SaturationProfile(
-        x=x, wm_ratio=wm_ratio, cfm_ratio=cfm_ratio,
+        x=x, c=c, s=s, w_rc_c=w_rc_c, w_rc_s=w_rc_s,
+        wm_ratio=wm_ratio, cfm_ratio=cfm_ratio,
         limit_wm=limit_wm, limit_cfm=limit_cfm,
         saturation_x_wm=_saturation_x(x, wm_ratio, limit_wm, tol),
         saturation_x_cfm=_saturation_x(x, cfm_ratio, limit_cfm, tol),

@@ -22,6 +22,8 @@ from .core import (FULL_LINE, Evaluation, PotentialSpec, Problem, SolverError,
                    make_grid)
 from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
                   saturation_profile)
+# canonical_pair is not called here, but bench/tracer.py counts pairs by
+# rebinding it in this module, so the name stays
 from .integrate import canonical_endpoints, canonical_pair, sample_potential
 from .oracle import (convergence_orders, fd_box_dispersion,
                      fd_box_recurrence_eigenvalues, shooting_reference)
@@ -173,10 +175,12 @@ def compile_expr(expr, var):
         if name != var and name not in _EXPR_NAMES:
             raise ValueError("unknown name %r in --expr" % name)
 
+    # the name table is built once; each call gets its own locals, so an
+    # assignment inside the expression cannot leak into the next call
+    names = dict(_EXPR_NAMES, __builtins__={})
+
     def fn(value):
-        env = dict(_EXPR_NAMES)
-        env[var] = value
-        return float(eval(code, {"__builtins__": {}}, env))
+        return float(eval(code, names, {var: value}))
 
     fn(1.0)  # smoke the expression once so errors surface as config errors
     return fn
@@ -416,27 +420,14 @@ def cmd_saturate(args):
     tol = args.tol or 1e-6
 
     profile = saturation_profile(problem, energy, tol=tol)
-    pair = canonical_pair(problem.potential, energy, problem.grid)
-    keep = pair.x >= problem.grid.x0
-    x = pair.x[keep]
-    c = pair.c[keep]
-    dc = pair.dc[keep]
-    s = pair.s[keep]
-    ds = pair.ds[keep]
-    right_conv = problem.asymptotics.right_convergent
-
     lines = _preamble("saturate", args, problem,
                       [("energy", _fmt(energy)), ("tol", _fmt(tol))])
     lines.append("x,C,S,W_Rc_C,W_Rc_S,ratio_cfm,ratio_wm")
-    for j in range(len(x)):
-        rcv, rcd = right_conv(energy, float(x[j]))
-        w_rc_c = rcv * dc[j] - rcd * c[j]
-        w_rc_s = rcv * ds[j] - rcd * s[j]
-        ratio_cfm = c[j] / s[j] if abs(s[j]) > 1e-300 else math.nan
-        ratio_wm = w_rc_c / w_rc_s if abs(w_rc_s) > 1e-300 else math.nan
-        cells = [_fmt(x[j]), _fmt(c[j]), _fmt(s[j]), _fmt(w_rc_c), _fmt(w_rc_s),
-                 _fmt(ratio_cfm) if math.isfinite(ratio_cfm) else "",
-                 _fmt(ratio_wm) if math.isfinite(ratio_wm) else ""]
+    columns = zip(profile.x, profile.c, profile.s, profile.w_rc_c, profile.w_rc_s)
+    for values, ratios in zip(columns, zip(profile.cfm_ratio, profile.wm_ratio)):
+        # flagged ratios are NaN and print as empty cells
+        cells = [_fmt(v) for v in values]
+        cells += [_fmt(r) if math.isfinite(r) else "" for r in ratios]
         lines.append(",".join(cells))
     lines += ["# limit_ratio_wm = %s" % _fmt(profile.limit_wm),
               "# limit_ratio_cfm = %s" % _fmt(profile.limit_cfm),

@@ -102,6 +102,31 @@ def fd_box_recurrence_eigenvalues(N, n_max):
     return roots
 
 
+def _rk4(y, p, e2, nodes, halves, h):
+    # Classical RK4 on phi'' = (2 v - 2 eps) phi from (y, p), where nodes[j]
+    # and halves[j] hold 2 v at the j-th point and the midpoint of step j.
+    # y, p and e2 are floats for one energy or equal-length arrays for a
+    # batch; each operation acts elementwise in the same order either way, so
+    # an energy's result has the same bits in both.
+    h2 = h * 0.5
+    h6 = h / 6.0
+    g2 = nodes[0] - e2
+    for j in range(len(halves)):
+        g0 = g2
+        g1 = halves[j] - e2
+        g2 = nodes[j + 1] - e2
+        k1p = g0 * y
+        k2y = p + h2 * k1p
+        k2p = g1 * (y + h2 * p)
+        k3y = p + h2 * k2p
+        k3p = g1 * (y + h2 * k2y)
+        k4y = p + h * k3p
+        k4p = g2 * (y + h * k3y)
+        y = y + h6 * (p + 2.0 * (k2y + k3y) + k4y)
+        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+    return y, p
+
+
 def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
                        tol=1e-10):
     """Bound-state energies by plain bisection shooting on a denser grid.
@@ -109,7 +134,9 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     Integrates rightward from the left boundary with the convergent-member
     start and bisects on the sign of W(R_c, phi) at the right end. Runs at
     grid.h / dense_factor. Symmetric half-grid problems are shot across the
-    full reflected span.
+    full reflected span. v is sampled once per call, at the 2 n + 1 points
+    the march reads; the probe energies are marched together as one array,
+    and each bisection midpoint alone.
     """
     grid = problem.grid
     h = grid.h / dense_factor
@@ -122,46 +149,38 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     x_end = x_start + n * h
     v = problem.potential.evaluate
     asym = problem.asymptotics
+    # 2 v at the march's points, in the float expressions a per-step call
+    # would use: the point x_start + j*h and the midpoint (x_start + j*h) + h/2
+    nodes = [2.0 * v(x_start)] + [2.0 * v(x_start + j * h) for j in range(1, n + 1)]
+    halves = [2.0 * v((x_start + j * h) + h * 0.5) for j in range(n)]
+
+    def closing(energy, y, p):
+        rcv, rcd = asym.right_convergent(energy, x_end)
+        return wronskian(rcv, rcd, y, p)
 
     def mismatch(energy):
         y, p = asym.left_convergent(energy, x_start)
-        e2 = 2.0 * energy
-        h2 = h * 0.5
-        h6 = h / 6.0
-        g2 = 2.0 * v(x_start) - e2
-        for j in range(n):
-            g0 = g2
-            xj = x_start + j * h
-            g1 = 2.0 * v(xj + h2) - e2
-            g2 = 2.0 * v(x_start + (j + 1) * h) - e2
-            k1p = g0 * y
-            k2y = p + h2 * k1p
-            k2p = g1 * (y + h2 * p)
-            k3y = p + h2 * k2p
-            k3p = g1 * (y + h2 * k2y)
-            k4y = p + h * k3p
-            k4p = g2 * (y + h * k3y)
-            y = y + h6 * (p + 2.0 * (k2y + k3y) + k4y)
-            p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        rcv, rcd = asym.right_convergent(energy, x_end)
-        return wronskian(rcv, rcd, y, p)
+        return closing(energy, *_rk4(y, p, 2.0 * energy, nodes, halves, h))
 
     lo, hi = energy_range if energy_range is not None else problem.energy_range
     if n_probe is None:
         n_probe = max(40, math.ceil(8.0 * (hi - lo)))
-    probes = np.linspace(lo, hi, n_probe + 1)
-    vals = [mismatch(e) for e in probes]
+    probes = np.linspace(lo, hi, n_probe + 1).tolist()
+    y0, p0 = np.array([asym.left_convergent(e, x_start) for e in probes]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys, ps = _rk4(y0, p0, 2.0 * np.array(probes), nodes, halves, h)
+    vals = [closing(e, y, p) for e, y, p in zip(probes, ys.tolist(), ps.tolist())]
     roots = []
     for i in range(len(probes) - 1):
         fa, fb = vals[i], vals[i + 1]
         if not (math.isfinite(fa) and math.isfinite(fb)):
             continue
         if fa == 0.0:
-            roots.append(float(probes[i]))
+            roots.append(probes[i])
             continue
         if (fa < 0) == (fb < 0):
             continue
-        blo, bhi, flo = float(probes[i]), float(probes[i + 1]), fa
+        blo, bhi, flo = probes[i], probes[i + 1], fa
         for _ in range(200):
             if bhi - blo < tol:
                 break

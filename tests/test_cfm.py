@@ -18,7 +18,7 @@ from boundstates import (
     radial,
     saturation_profile,
 )
-from boundstates.cfm import cfm_value
+from boundstates.cfm import cfm_value, endpoint_ratio
 from boundstates.integrate import canonical_pair
 from boundstates.potentials import decay_model
 
@@ -103,6 +103,23 @@ def test_saturation_profile_orders_the_two_representations():
     assert prof.x[0] == 0.0
     assert math.isnan(prof.cfm_ratio[0])
     assert math.isfinite(prof.wm_ratio[0])
+
+
+def test_saturation_profile_carries_its_columns():
+    prof = saturation_profile(PT, -1.0, tol=1e-6)
+    pair = canonical_pair(PT.potential, -1.0, PT.grid)
+    keep = pair.x >= 0.0
+    c, dc, s, ds = pair.c[keep], pair.dc[keep], pair.s[keep], pair.ds[keep]
+    assert np.array_equal(prof.x, pair.x[keep])
+    assert np.array_equal(prof.c, c) and np.array_equal(prof.s, s)
+    rcv, rcd = np.array([PT.asymptotics.right_convergent(-1.0, x)
+                         for x in prof.x.tolist()]).T
+    assert np.array_equal(prof.w_rc_c, rcv * dc - rcd * c)
+    assert np.array_equal(prof.w_rc_s, rcv * ds - rcd * s)
+    for ratio, num, den in ((prof.wm_ratio, prof.w_rc_c, prof.w_rc_s),
+                            (prof.cfm_ratio, prof.c, prof.s)):
+        expected = [endpoint_ratio(a, b).value for a, b in zip(num.tolist(), den.tolist())]
+        assert np.array_equal(ratio, expected, equal_nan=True)
 
 
 def test_saturation_limits_agree_once_converged():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, exit codes, CSV shape."""
 
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from boundstates import box_characteristic_analytic
-from boundstates.cli import main
+from boundstates.cli import compile_expr, main
 
 PT10 = ["--potential", "poschl-teller", "--v0", "10", "--h", "0.005", "--nr", "2400"]
 PT25_SMALL = ["--potential", "poschl-teller", "--v0", "2.5", "--h", "0.01", "--nr", "500"]
@@ -259,6 +260,12 @@ def test_expr_rejects_unknown_names(capsys):
         code = run_cli(["solve", "--potential", "inline", "--expr", expr])
         assert code == 1
         assert "--expr" in capsys.readouterr().err
+
+
+def test_expr_assignments_do_not_outlive_a_call():
+    fn = compile_expr("(exp := 0.0) if x > 2 else exp(x)", "x")
+    assert fn(3.0) == 0.0
+    assert fn(1.0) == math.exp(1.0)
 
 
 def test_inline_expression_solves_a_gaussian_well(capsys):
