@@ -26,7 +26,7 @@ from .core import (
     make_grid,
     wronskian,
 )
-from .integrate import CanonicalPair, Propagation, canonical_pair, propagate
+from .integrate import CanonicalPair, canonical_pair
 from .oracle import (
     convergence_orders,
     fd_box_dispersion,
@@ -56,13 +56,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticModel", "Bracket", "CanonicalPair", "CharacteristicFunction",
     "EigenResult", "Evaluation", "Grid", "PotentialSpec", "Problem",
-    "Propagation", "SaturationProfile", "SolverError", "WmEndpointData",
+    "SaturationProfile", "SolverError", "WmEndpointData",
     "anharmonic", "box_characteristic_analytic", "box_exact_energy",
     "canonical_pair", "cfm_characteristic", "cfm_l_ratios",
     "convergence_orders", "dirichlet_determinant", "fd_box_dispersion",
     "fd_box_recurrence_eigenvalues", "find_eigenvalues", "infinite_well",
     "make_grid", "poschl_teller", "poschl_teller_critical_strengths",
-    "poschl_teller_exact_energies", "propagate", "radial", "refine_root",
+    "poschl_teller_exact_energies", "radial", "refine_root",
     "saturation_profile", "scan_brackets", "shooting_reference",
     "wm_characteristic", "wm_characteristic_symmetric", "wm_eigenfunction",
     "wm_endpoint_data", "wronskian",

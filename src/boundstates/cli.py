@@ -18,15 +18,14 @@ import warnings
 import numpy as np
 
 from . import potentials
-from .core import (FULL_LINE, Evaluation, PotentialSpec, Problem, SolverError,
-                   make_grid)
+from .core import Evaluation, PotentialSpec, Problem, SolverError, make_grid
 from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
                   saturation_profile)
 # canonical_pair is not called here, but bench/tracer.py counts pairs by
 # rebinding it in this module, so the name stays
 from .integrate import canonical_endpoints, canonical_pair, sample_potential
-from .oracle import (convergence_orders, fd_box_dispersion,
-                     fd_box_recurrence_eigenvalues, shooting_reference)
+from .oracle import (convergence_orders, fd_box_recurrence_eigenvalues,
+                     shooting_reference)
 from .roots import METHODS, _default_probes, find_eigenvalues
 from .wm import wm_value, wm_value_symmetric
 
@@ -238,8 +237,7 @@ def build_problem(args, command):
         h = _resolved_h(args, 0.01)
         r_max = args.nr * h if args.nr is not None else 10.0
         return potentials.radial(inner, l=args.l or 0, h=h, r_max=r_max,
-                                 energy_range=rng or (-10.0, 0.0),
-                                 parameters={"expr": args.expr})
+                                 energy_range=rng or (-10.0, 0.0))
 
     # inline full-line potential with exponential tails
     if not args.expr:
@@ -250,9 +248,7 @@ def build_problem(args, command):
     nr = args.nr if args.nr is not None else 500
     nl = args.nl if args.nl is not None else (0 if symmetric else nr)
     grid = make_grid(0.0, h, nl, nr)
-    spec = PotentialSpec(evaluate=v, domain=FULL_LINE,
-                         parity_invariant=symmetric,
-                         parameters={"expr": args.expr}, name="inline")
+    spec = PotentialSpec(evaluate=v, parity_invariant=symmetric)
     if rng is None:
         vmin = min(v(x) for x in grid.points())
         rng = (min(vmin, -1.0), 0.0)
@@ -261,8 +257,26 @@ def build_problem(args, command):
                    energy_range=rng, name="inline")
 
 
-def _default_method(problem):
-    return "dirichlet" if problem.name == "box" else "wm"
+def _solve_window(args, command):
+    """Build the problem and solve the requested window.
+
+    Returns (problem, method, rng, results, exact): rng is the --range
+    window or None, and exact the closed-form levels in the solved window
+    when the problem has them. Refinement warnings print and do not stop.
+    """
+    problem = build_problem(args, command)
+    method = args.method or ("dirichlet" if args.potential == "box" else "wm")
+    rng = _parse_range(args.energy_range) if args.energy_range else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        results = find_eigenvalues(problem, method=method, energy_range=rng,
+                                   n_probe=args.probes,
+                                   tol_e=args.tol or 1e-10)
+    exact = None
+    if problem.exact_spectrum is not None:
+        lo, hi = rng or problem.energy_range
+        exact = problem.exact_spectrum(lo, hi)
+    return problem, method, rng, results, exact
 
 
 # --- output helpers -----------------------------------------------------
@@ -312,20 +326,7 @@ def _cells(values):
 # --- subcommands ---------------------------------------------------------
 
 def cmd_solve(args):
-    problem = build_problem(args, "solve")
-    method = args.method or _default_method(problem)
-    rng = _parse_range(args.energy_range) if args.energy_range else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        results = find_eigenvalues(problem, method=method, energy_range=rng,
-                                   n_probe=args.probes,
-                                   tol_e=args.tol or 1e-10)
-
-    exact = None
-    if problem.exact_spectrum is not None:
-        lo, hi = rng or problem.energy_range
-        exact = problem.exact_spectrum(lo, hi)
-
+    problem, method, rng, results, exact = _solve_window(args, "solve")
     extra = [("method", method)]
     if rng:
         extra.append(("range", "%s:%s" % (_fmt(rng[0]), _fmt(rng[1]))))
@@ -362,7 +363,7 @@ def cmd_scan(args):
     n = args.probes if args.probes is not None else _default_probes(lo, hi)
 
     symmetric = problem.symmetric
-    is_box = problem.name == "box"
+    is_box = args.potential == "box"
     if symmetric:
         header = "epsilon,F_wm_even,F_wm_odd,F_cfm,ratio_c_over_s,ratio_s_over_c,flags"
     elif is_box:
@@ -439,16 +440,11 @@ def cmd_saturate(args):
 
 
 def cmd_oracle(args):
-    problem = build_problem(args, "oracle")
-    method = args.method or _default_method(problem)
-    rng = _parse_range(args.energy_range) if args.energy_range else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        engine = find_eigenvalues(problem, method=method, energy_range=rng,
-                                  n_probe=args.probes, tol_e=args.tol or 1e-10)
+    is_box = args.potential == "box"
+    problem, method, rng, engine, exact = _solve_window(args, "oracle")
     energies = [r.energy for r in engine]
 
-    if problem.name == "box":
+    if is_box:
         # the finite-difference recurrence is the independent route here
         h = problem.grid.h
         N = int(round(1.0 / h))
@@ -458,13 +454,8 @@ def cmd_oracle(args):
         reference = shooting_reference(problem, energy_range=rng,
                                        n_probe=args.probes)
 
-    exact = None
-    if problem.exact_spectrum is not None:
-        lo, hi = rng or problem.energy_range
-        exact = problem.exact_spectrum(lo, hi)
-
     extra = [("method", method),
-             ("reference", "fd-recurrence" if problem.name == "box" else "shooting")]
+             ("reference", "fd-recurrence" if is_box else "shooting")]
     lines = _preamble("oracle", args, problem, extra)
     lines.append("index,engine,reference,delta,exact,exact_delta")
     rows = max(len(energies), len(reference))
@@ -479,7 +470,7 @@ def cmd_oracle(args):
             if i < len(energies):
                 err = _fmt(abs(energies[i] - exact[i]))
         lines.append("%d,%s,%s,%s,%s,%s" % (i, eng, ref, delta, ex, err))
-    if problem.name == "box":
+    if is_box:
         orders = convergence_orders()
         lines.append("# fd_order = %s" % _fmt(orders["fd"]))
         lines.append("# rk4_order = %s" % _fmt(orders["rk4"]))

@@ -2,21 +2,17 @@
 
 Everything downstream (the integrator, the two characteristic methods, root
 finding) speaks in terms of the containers defined here: a uniform grid with
-a distinguished origin, a potential plus the facts the solvers need about it,
-reference solutions at the boundaries, and the assembled problem.
+a distinguished origin, a potential with its parity, reference solutions at
+the boundaries, and the assembled problem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-FULL_LINE = "full-line"
-HALF_LINE = "half-line"
-FINITE_INTERVAL = "finite-interval"
 
 ASYMPTOTIC_LIMIT = "asymptotic-limit"
 HARD_DIRICHLET = "hard-dirichlet"
@@ -113,26 +109,12 @@ class PotentialSpec:
 
     Attributes:
         evaluate: v(x), finite on the solver grid.
-        domain: FULL_LINE, HALF_LINE, or FINITE_INTERVAL.
-        interval: wall positions (x1, x2); FINITE_INTERVAL only.
         parity_invariant: True when v(-x) == v(x). Enables the symmetric
             shortcuts (rightward-only integration, even/odd splitting).
-        parameters: named parameters, echoed into output headers.
-        name: short label for reports.
     """
 
     evaluate: Callable[[float], float]
-    domain: str = FULL_LINE
-    interval: tuple[float, float] | None = None
     parity_invariant: bool = False
-    parameters: dict = field(default_factory=dict)
-    name: str = "custom"
-
-    def __post_init__(self):
-        if self.domain not in (FULL_LINE, HALF_LINE, FINITE_INTERVAL):
-            raise ValueError(f"unknown domain kind {self.domain!r}")
-        if self.domain == FINITE_INTERVAL and self.interval is None:
-            raise ValueError("finite-interval potentials need wall positions")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ samples. The two canonical solutions C (start 1, 0) and S (start 0, 1) are
 marched in one sweep. One energy at a time (`canonical_pair`) keeps every
 sample, for refinement and eigenfunction assembly; a vector of energies
 (`canonical_endpoints`) marches in lockstep and keeps the end points only, for
-scans. Growth beyond the overflow cap truncates the sweep and flags the result
+scans. Growth beyond DEFAULT_CAP truncates the sweep and flags the result
 instead of raising.
 """
 
@@ -52,16 +52,6 @@ def sample_potential(potential, grid):
 
     right, left = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
     return PotentialSamples(right, left, np.array(left[0][:0:-1] + right[0]))
-
-
-@dataclass
-class Propagation:
-    """Samples of a single solution, in traversal order from the origin."""
-
-    x: np.ndarray
-    y: np.ndarray
-    dy: np.ndarray
-    truncated: bool
 
 
 def _march(nodes, halves, energy, h, n_steps, starts, cap):
@@ -174,35 +164,6 @@ def _march_endpoints(nodes, halves, energies, x0, h, n_steps, cap):
     return (x0 + h * steps).tolist(), c, dc, s, ds, (steps < n_steps).tolist()
 
 
-def propagate(potential, energy, grid, start_value, start_slope, direction, cap=DEFAULT_CAP):
-    """Integrate one solution outward from grid.x0.
-
-    Args:
-        potential: PotentialSpec (only .evaluate is used).
-        energy: eps in phi'' = 2(v - eps) phi.
-        grid: Grid; the sweep covers the grid points on the chosen side.
-        start_value, start_slope: initial data at grid.x0.
-        direction: "rightward" or "leftward".
-        cap: magnitude bound; exceeding it stops the sweep with truncated=True.
-
-    Returns:
-        Propagation with samples in traversal order (origin first).
-    """
-    if direction == "rightward":
-        n, h = grid.n_right, grid.h
-    elif direction == "leftward":
-        n, h = grid.n_left, -grid.h
-    else:
-        raise ValueError(f"direction must be 'rightward' or 'leftward', got {direction!r}")
-    samples = sample_potential(potential, grid)
-    side = samples.right if direction == "rightward" else samples.left
-    cols, stored, truncated = _march(
-        *side, energy, h, n, [(start_value, start_slope)], cap)
-    x = grid.x0 + h * np.arange(stored)
-    y, dy = cols[0]
-    return Propagation(x=x, y=y, dy=dy, truncated=truncated)
-
-
 def _mirrored(values):
     # the left end of a reflected pair: C(-x) = C(x), S(-x) = -S(x)
     x, c, dc, s, ds = values
@@ -277,21 +238,12 @@ class CanonicalPair:
         """The potential samples at the points of full_line()."""
         return self._line(self.v)
 
-    def rescaled(self, factor):
-        """Same pair with both solutions scaled by a constant."""
-        factor = float(factor)
-        return CanonicalPair(
-            self.grid, self.energy, self.x,
-            self.c * factor, self.dc * factor,
-            self.s * factor, self.ds * factor,
-            self.truncated_left, self.truncated_right, self.reflected, self.v)
-
 
 def _reflected(potential, grid):
     return grid.n_left == 0 and potential.parity_invariant and grid.x0 == 0.0
 
 
-def canonical_pair(potential, energy, grid, cap=DEFAULT_CAP, samples=None):
+def canonical_pair(potential, energy, grid, samples=None):
     """Build the canonical pair for one energy.
 
     Both solutions share each sweep. When the potential is parity invariant
@@ -304,7 +256,7 @@ def canonical_pair(potential, energy, grid, cap=DEFAULT_CAP, samples=None):
         samples = sample_potential(potential, grid)
     starts = [(1.0, 0.0), (0.0, 1.0)]
     right_cols, nr, trunc_r = _march(
-        *samples.right, energy, grid.h, grid.n_right, starts, cap)
+        *samples.right, energy, grid.h, grid.n_right, starts, DEFAULT_CAP)
     (cr, dcr), (sr, dsr) = right_cols
     if grid.n_left == 0:
         reflected = _reflected(potential, grid)
@@ -314,7 +266,7 @@ def canonical_pair(potential, energy, grid, cap=DEFAULT_CAP, samples=None):
                              truncated_right=trunc_r, reflected=reflected,
                              v=samples.line[:nr])
     left_cols, nl, trunc_l = _march(
-        *samples.left, energy, -grid.h, grid.n_left, starts, cap)
+        *samples.left, energy, -grid.h, grid.n_left, starts, DEFAULT_CAP)
     (cl, dcl), (sl, dsl) = left_cols
     x = np.concatenate([(grid.x0 - grid.h * np.arange(nl))[:0:-1],
                         grid.x0 + grid.h * np.arange(nr)])
@@ -330,7 +282,7 @@ def canonical_pair(potential, energy, grid, cap=DEFAULT_CAP, samples=None):
                          v=samples.line[grid.n_left + 1 - nl:grid.n_left + nr])
 
 
-def canonical_endpoints(potential, energies, grid, samples, cap=DEFAULT_CAP):
+def canonical_endpoints(potential, energies, grid, samples):
     """Endpoint data of the canonical pair at many energies, marched in lockstep.
 
     Yields one Endpoints per energy, in order, equal bit for bit to the
@@ -340,7 +292,8 @@ def canonical_endpoints(potential, energies, grid, samples, cap=DEFAULT_CAP):
     energies = np.asarray(energies, dtype=float)
 
     def side(nodes_halves, h, n):
-        return zip(*_march_endpoints(*nodes_halves, energies, grid.x0, h, n, cap))
+        return zip(*_march_endpoints(*nodes_halves, energies, grid.x0, h, n,
+                                     DEFAULT_CAP))
 
     right = side(samples.right, grid.h, grid.n_right)
     if _reflected(potential, grid):

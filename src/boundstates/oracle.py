@@ -11,6 +11,7 @@ reused.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -170,6 +171,12 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     with np.errstate(over="ignore", invalid="ignore"):
         ys, ps = _rk4(y0, p0, 2.0 * np.array(probes), nodes, halves, h)
     vals = [closing(e, y, p) for e, y, p in zip(probes, ys.tolist(), ps.tolist())]
+    lost = sum(not math.isfinite(f) for f in vals)
+    if lost:
+        # a level in a cell with a non-finite end cannot be bracketed
+        warnings.warn(f"shooting_reference: {lost} of {len(vals)} probe marches "
+                      "ended non-finite; levels next to them are lost",
+                      UserWarning, stacklevel=2)
     roots = []
     for i in range(len(probes) - 1):
         fa, fb = vals[i], vals[i + 1]

@@ -10,10 +10,6 @@ from __future__ import annotations
 import math
 
 from .core import (
-    ASYMPTOTIC_LIMIT,
-    FINITE_INTERVAL,
-    FULL_LINE,
-    HALF_LINE,
     HARD_DIRICHLET,
     AsymptoticModel,
     PotentialSpec,
@@ -148,10 +144,7 @@ def infinite_well(x0=0.5, h=0.001, energy_max=125.0):
         raise ValueError(f"origin must lie strictly inside (0, 1), got {x0!r}")
     n_left = _steps(x0, h, "origin offset")
     n_right = _steps(1.0 - x0, h, "origin-to-wall distance")
-    spec = PotentialSpec(
-        evaluate=lambda x: 0.0,
-        domain=FINITE_INTERVAL, interval=(0.0, 1.0),
-        parameters={"x0": x0}, name="box")
+    spec = PotentialSpec(evaluate=lambda x: 0.0)
 
     def spectrum(lo, hi):
         out = []
@@ -199,10 +192,8 @@ def poschl_teller(v0, h=0.01, x_right=5.0, energy_range=None):
     if not v0 > 0.0:
         raise ValueError(f"well strength must be positive, got {v0!r}")
     n_right = _steps(x_right, h, "half-width")
-    spec = PotentialSpec(
-        evaluate=lambda x: -v0 / math.cosh(x) ** 2,
-        domain=FULL_LINE, parity_invariant=True,
-        parameters={"v0": v0}, name="poschl-teller")
+    spec = PotentialSpec(evaluate=lambda x: -v0 / math.cosh(x) ** 2,
+                         parity_invariant=True)
     if energy_range is None:
         energy_range = (-float(v0), 0.0)
 
@@ -237,16 +228,14 @@ def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
             x *= 1.25
         x_right = math.ceil(x / h) * h
     n_right = _steps(x_right, h, "half-width")
-    spec = PotentialSpec(
-        evaluate=v, domain=FULL_LINE, parity_invariant=True,
-        parameters={"v2": v2, "v4": v4}, name="anharmonic")
+    spec = PotentialSpec(evaluate=v, parity_invariant=True)
     return Problem(spec, make_grid(0.0, h, 0, n_right),
                    quartic_decay_model(v4, -x_right, x_right),
                    energy_range=(v_min, float(energy_max)), name="anharmonic")
 
 
 def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
-           energy_range=(-10.0, 0.0), parameters=None):
+           energy_range=(-10.0, 0.0)):
     """Half-line problem for the radial equation with angular momentum l.
 
     The solved potential is the effective one, l (l + 1) / (2 r^2) + inner(r).
@@ -280,9 +269,7 @@ def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
     def v_eff(r):
         return 0.5 * l * (l + 1) / (r * r) + inner(r)
 
-    spec = PotentialSpec(
-        evaluate=v_eff, domain=HALF_LINE,
-        parameters=dict(parameters or {}, l=l), name="radial")
+    spec = PotentialSpec(evaluate=v_eff)
     n_left = _steps(r_origin - r_min, h, "origin-to-r_min distance")
     n_right = _steps(r_max - r_origin, h, "origin-to-r_max distance")
     return Problem(spec, make_grid(r_origin, h, n_left, n_right),

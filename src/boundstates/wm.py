@@ -51,8 +51,6 @@ class WmEndpointData:
     w_rc_c: float
     w_rc_s: float
     w_rc_rd: float
-    x_left: float
-    x_right: float
     truncated: bool
 
 
@@ -84,8 +82,6 @@ def wm_endpoint_data(pair, asymptotics):
         w_rc_c=wronskian(rcv, rcd, cr, dcr),
         w_rc_s=wronskian(rcv, rcd, sr, dsr),
         w_rc_rd=w_rc_rd,
-        x_left=xl,
-        x_right=xr,
         truncated=pair.truncated_left or pair.truncated_right)
 
 

@@ -27,7 +27,7 @@ PT_WIDE = poschl_teller(2.5, h=0.01, x_right=10.0)
 
 
 def _free_problem(x_right=5.0):
-    spec = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True, name="free")
+    spec = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
     grid = make_grid(0.0, 0.01, 0, int(round(x_right / 0.01)))
     return Problem(spec, grid, decay_model(-x_right, x_right),
                    energy_range=(-2.0, 0.0), name="free")
@@ -66,7 +66,7 @@ def test_symmetric_cfm_is_the_endpoint_product():
 
 def test_endpoint_ratio_flags_a_zero_denominator():
     # a degenerate grid whose right end is the origin itself, where S = 0
-    spec = PotentialSpec(evaluate=lambda x: 0.0, name="free")
+    spec = PotentialSpec(evaluate=lambda x: 0.0)
     pair = canonical_pair(spec, -1.0, make_grid(0.0, 0.01, 100, 0))
     l_minus, l_plus = cfm_l_ratios(pair)
     assert l_minus.ok
@@ -75,7 +75,7 @@ def test_endpoint_ratio_flags_a_zero_denominator():
 
 
 def test_truncated_pair_flags_overflow():
-    slab = PotentialSpec(evaluate=lambda x: 25.0, name="slab")
+    slab = PotentialSpec(evaluate=lambda x: 25.0)
     prob = Problem(slab, make_grid(0.0, 0.01, 0, 10000),
                    decay_model(-100.0, 100.0), energy_range=(-2.0, 0.0), name="slab")
     pair = canonical_pair(slab, -1.0, prob.grid)

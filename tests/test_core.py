@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from boundstates.core import (
     ASYMPTOTIC_LIMIT,
-    FINITE_INTERVAL,
-    FULL_LINE,
     AsymptoticModel,
     CharacteristicFunction,
     Evaluation,
@@ -77,16 +75,6 @@ def test_make_grid_rejects_bad_counts_and_origin():
         make_grid(0.0, 0.1, 0, 1)
     with pytest.raises(ValueError):
         make_grid(math.nan, 0.1, 0, 10)
-
-
-def test_potential_spec_validates_domain():
-    with pytest.raises(ValueError):
-        PotentialSpec(evaluate=lambda x: 0.0, domain="circle")
-    with pytest.raises(ValueError):
-        PotentialSpec(evaluate=lambda x: 0.0, domain=FINITE_INTERVAL)
-    spec = PotentialSpec(evaluate=lambda x: 0.0, domain=FINITE_INTERVAL,
-                         interval=(0.0, 1.0))
-    assert spec.interval == (0.0, 1.0)
 
 
 def _flat_model(requires_negative_energy=False):

@@ -9,11 +9,10 @@ import pytest
 
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates.core import PotentialSpec, make_grid, wronskian
-from boundstates.integrate import (canonical_endpoints, canonical_pair, propagate,
-                                   sample_potential)
+from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
 from boundstates.roots import _default_probes, characteristic_for
 
-FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True, name="free")
+FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
 PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
 
 
@@ -55,25 +54,21 @@ def test_halving_the_step_changes_little():
     results = {}
     for h in (0.01, 0.005):
         grid = make_grid(0.0, h, 0, int(round(5.0 / h)))
-        prop = propagate(PT25.potential, -1.0, grid, 1.0, 0.0, "rightward")
-        assert not prop.truncated
-        results[h] = prop.y[-1]
+        pair = canonical_pair(PT25.potential, -1.0, grid)
+        assert not pair.truncated_right
+        results[h] = pair.c[-1]
     assert results[0.01] == pytest.approx(-108.51900692869377, rel=1e-12)
     rel = abs(results[0.01] - results[0.005]) / abs(results[0.005])
     assert rel < 5e-9
 
 
-def test_propagate_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        propagate(FREE, 1.0, make_grid(0.0, 0.1, 5, 5), 1.0, 0.0, "up")
-
-
 def test_leftward_sweep_mirrors_rightward_for_even_potential():
-    grid = make_grid(0.0, 0.01, 400, 400)
-    right = propagate(PT25.potential, -1.0, grid, 1.0, 0.0, "rightward")
-    left = propagate(PT25.potential, -1.0, grid, 1.0, 0.0, "leftward")
-    assert np.allclose(left.y, right.y, rtol=1e-13, atol=1e-13)
-    assert np.allclose(left.dy, -right.dy, rtol=1e-13, atol=1e-13)
+    # C from the origin outward on each side of a two-sided pair
+    pair = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 400, 400))
+    assert not pair.reflected
+    left, right = slice(400, None, -1), slice(400, None)
+    assert np.allclose(pair.c[left], pair.c[right], rtol=1e-13, atol=1e-13)
+    assert np.allclose(pair.dc[left], -pair.dc[right], rtol=1e-13, atol=1e-13)
 
 
 def test_reflected_pair_agrees_with_two_sided_integration():
@@ -97,25 +92,13 @@ def test_left_values_flip_signs_under_reflection():
 
 
 def test_overflow_truncates_and_flags():
-    barrier = PotentialSpec(evaluate=lambda x: 25.0, name="slab")
+    barrier = PotentialSpec(evaluate=lambda x: 25.0)
     grid = make_grid(0.0, 0.01, 0, 10000)
-    prop = propagate(barrier, -1.0, grid, 1.0, 0.0, "rightward")
-    assert prop.truncated
-    assert len(prop.y) < grid.n_right + 1
-    assert np.all(np.isfinite(prop.y))
     pair = canonical_pair(barrier, -1.0, grid)
     assert pair.truncated_right
-
-
-def test_rescaled_pair_scales_both_solutions():
-    pair = canonical_pair(FREE, 1.0, make_grid(0.0, 0.1, 0, 20))
-    doubled = pair.rescaled(2.0)
-    assert np.array_equal(doubled.c, 2.0 * pair.c)
-    assert np.array_equal(doubled.ds, 2.0 * pair.ds)
-    # scaling by a power of two is exact, so the Wronskian scales exactly too
-    w0 = wronskian(pair.c, pair.dc, pair.s, pair.ds)
-    w = wronskian(doubled.c, doubled.dc, doubled.s, doubled.ds)
-    assert np.array_equal(w, 4.0 * w0)
+    assert len(pair.c) < grid.n_right + 1
+    for a in (pair.x, pair.c, pair.dc, pair.s, pair.ds):
+        assert np.all(np.isfinite(a))
 
 
 # --- batched endpoint march -------------------------------------------------
@@ -160,8 +143,7 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
     # a slab whose solutions pass the cap mid-sweep, at different steps for
     # different energies: reflected, two-sided, unreflected with no left
     # sweep, and with no right sweep
-    slab = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True,
-                         name="slab")
+    slab = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True)
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
     batch = canonical_endpoints(slab, energies, grid, sample_potential(slab, grid))
     for ends, e in zip(batch, energies):

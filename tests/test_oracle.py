@@ -212,6 +212,17 @@ def test_overflowing_shooting_probes_emit_no_numpy_warning():
         assert shooting_reference(_quartic(), (0.0, 100.0)) == []
 
 
+def test_shooting_reference_warns_when_probes_end_non_finite():
+    # a non-finite probe leaves its cells unbracketed, so levels there are
+    # lost; the count must be reported, and a clean lattice stays silent
+    with pytest.warns(UserWarning, match="800 of 801 probe marches"):
+        assert shooting_reference(_quartic(), (0.0, 100.0)) == []
+    make, window, n_probe, n_levels = SHOOTING_CASES["poschl-teller"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(shooting_reference(make(), window, n_probe=n_probe)) == n_levels
+
+
 def _counting(problem):
     calls = [0]
     v = problem.potential.evaluate

@@ -113,7 +113,6 @@ def test_anharmonic_rejects_nonpositive_quartic():
 def test_radial_effective_potential_adds_the_centrifugal_term():
     prob = radial(lambda r: -1.0 / r, l=1, h=0.01, r_max=10.0)
     assert prob.potential.evaluate(2.0) == pytest.approx(1.0 / 4.0 - 0.5)
-    assert prob.potential.parameters["l"] == 1
 
 
 def test_radial_rejects_too_singular_inner_potentials():
