@@ -253,8 +253,7 @@ def build_problem(args, command):
         vmin = min(v(x) for x in grid.points())
         rng = (min(vmin, -1.0), 0.0)
     model = potentials.decay_model(grid.x_left, grid.x_right)
-    return Problem(potential=spec, grid=grid, asymptotics=model,
-                   energy_range=rng, name="inline")
+    return Problem(potential=spec, grid=grid, asymptotics=model, energy_range=rng)
 
 
 def _solve_window(args, command):

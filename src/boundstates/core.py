@@ -149,7 +149,6 @@ class Problem:
     asymptotics: AsymptoticModel
     energy_range: tuple[float, float]
     exact_spectrum: Callable[[float, float], list] | None = None
-    name: str = ""
 
     def __post_init__(self):
         lo, hi = self.energy_range

@@ -4,15 +4,16 @@ Classical fixed-step RK4 on the first-order form of phi'' = 2(v - eps) phi.
 v does not depend on the energy, so it is sampled once per solve, on the grid
 points and the half-step points of each side, and every march reads those
 samples. The two canonical solutions C (start 1, 0) and S (start 0, 1) are
-marched in one sweep. One energy at a time (`canonical_pair`) keeps every
-sample, for refinement and eigenfunction assembly; a vector of energies
-(`canonical_endpoints`) marches in lockstep and keeps the end points only, for
-scans. Growth beyond DEFAULT_CAP truncates the sweep and flags the result
-instead of raising.
+marched in one sweep. `canonical_pair` keeps every sample, for eigenfunction
+assembly and saturation profiles. `canonical_ends` keeps only the end points
+of one energy, for refinement, and `canonical_endpoints` those of a vector of
+energies marched in lockstep, for scans. Growth beyond DEFAULT_CAP truncates
+the sweep and flags the result instead of raising.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,69 +55,66 @@ def sample_potential(potential, grid):
     return PotentialSamples(right, left, np.array(left[0][:0:-1] + right[0]))
 
 
-def _march(nodes, halves, energy, h, n_steps, starts, cap):
-    # h carries the direction sign; starts is a list of (y, p) tuples.
-    # Plain-float inner loop: this is the hot path for every single-energy
-    # evaluation, so everything stays out of numpy until storage.
-    ncol = len(starts)
-    ys = [np.empty(n_steps + 1) for _ in range(ncol)]
-    ps = [np.empty(n_steps + 1) for _ in range(ncol)]
-    state = []
-    for i, (y0, p0) in enumerate(starts):
-        ys[i][0] = y0
-        ps[i][0] = p0
-        state.append((float(y0), float(p0)))
+def _march(nodes, halves, energy, h, n_steps, cap, keep):
+    # C from (1, 0) and S from (0, 1); h carries the direction sign. Both RK4
+    # updates are written out in plain floats, the hot path of every
+    # single-energy evaluation. Returns the columns [(C, C'), (S, S')]: arrays
+    # of every state with keep, else the last state inside the cap as floats.
+    c, dc, s, ds = 1.0, 0.0, 0.0, 1.0
+    if keep:
+        cols = [array("d", (v,)) for v in (c, dc, s, ds)]
+        put_c, put_dc, put_s, put_ds = (a.append for a in cols)
     e2 = 2.0 * float(energy)
     h2 = h * 0.5
     h6 = h / 6.0
     g2 = 2.0 * nodes[0] - e2
-    stored = 1
-    truncated = False
+    stored = n_steps + 1
     for j in range(n_steps):
         g0 = g2
         g1 = 2.0 * halves[j] - e2
         g2 = 2.0 * nodes[j + 1] - e2
-        new = []
-        ok = True
-        for y, p in state:
-            k1p = g0 * y
-            k2y = p + h2 * k1p
-            k2p = g1 * (y + h2 * p)
-            k3y = p + h2 * k2p
-            k3p = g1 * (y + h2 * k2y)
-            k4y = p + h * k3p
-            k4p = g2 * (y + h * k3y)
-            y = y + h6 * (p + 2.0 * (k2y + k3y) + k4y)
-            p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-            new.append((y, p))
-            if not (abs(y) <= cap and abs(p) <= cap):
-                ok = False
-        if not ok:
-            truncated = True
+        k1p = g0 * c
+        k2y = dc + h2 * k1p
+        k2p = g1 * (c + h2 * dc)
+        k3y = dc + h2 * k2p
+        k3p = g1 * (c + h2 * k2y)
+        k4y = dc + h * k3p
+        k4p = g2 * (c + h * k3y)
+        c1 = c + h6 * (dc + 2.0 * (k2y + k3y) + k4y)
+        dc1 = dc + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        k1p = g0 * s
+        k2y = ds + h2 * k1p
+        k2p = g1 * (s + h2 * ds)
+        k3y = ds + h2 * k2p
+        k3p = g1 * (s + h2 * k2y)
+        k4y = ds + h * k3p
+        k4p = g2 * (s + h * k3y)
+        s1 = s + h6 * (ds + 2.0 * (k2y + k3y) + k4y)
+        ds1 = ds + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        if not (abs(c1) <= cap and abs(dc1) <= cap and abs(s1) <= cap and abs(ds1) <= cap):
+            stored = j + 1
             break
-        state = new
-        for i, (y, p) in enumerate(new):
-            ys[i][stored] = y
-            ps[i][stored] = p
-        stored += 1
-    cols = [(ys[i][:stored], ps[i][:stored]) for i in range(ncol)]
-    return cols, stored, truncated
+        c, dc, s, ds = c1, dc1, s1, ds1
+        if keep:
+            put_c(c)
+            put_dc(dc)
+            put_s(s)
+            put_ds(ds)
+    if keep:
+        c, dc, s, ds = (np.frombuffer(a) for a in cols)
+    return [(c, dc), (s, ds)], stored, stored <= n_steps
 
 
 def _march_endpoints(nodes, halves, energies, x0, h, n_steps, cap):
-    # _march for both canonical columns at every energy in lockstep, keeping
-    # only each energy's last state inside the cap. Every numpy operation is
-    # one of the scalar loop's, on the same operands in the same order, so
-    # the results match it bit for bit. The state a stacks (C, S) over
-    # (C', S'), so one operation serves both columns and both components,
-    # and each runs in place in a buffer. An energy that leaves the cap is
-    # dropped from the live set at that step. Returns lists
-    # (x, C, C', S, S', truncated) over the energies.
+    # _march at every energy in lockstep, keeping only each energy's last
+    # state inside the cap. Every numpy operation is one of the scalar loop's,
+    # on the same operands in the same order, so the results match it bit for
+    # bit. a stacks (C, S) over (C', S'), so one in-place operation serves both
+    # columns and both components. An energy that leaves the cap drops out of
+    # the live set at that step. Returns lists (x, C, C', S, S', truncated).
     m = len(energies)
     e2 = 2.0 * energies
-    a = np.zeros((2, 2, m))
-    a[0, 0] = 1.0
-    a[1, 1] = 1.0
+    a = np.eye(2)[:, :, None].repeat(m, axis=2)
     a_end = a.copy()
     steps = np.full(m, n_steps)
     live = np.arange(m)
@@ -244,65 +242,67 @@ def _reflected(potential, grid):
 
 
 def canonical_pair(potential, energy, grid, samples=None):
-    """Build the canonical pair for one energy.
+    """Build the canonical pair for one energy, keeping every sample.
 
-    Both solutions share each sweep. When the potential is parity invariant
-    and the grid is the right half line from x0 = 0, only the rightward sweep
-    runs and the pair is marked reflected. samples are the solve's
-    PotentialSamples of this potential on this grid; without them v is
-    sampled here.
+    When the potential is parity invariant and the grid is the right half
+    line from x0 = 0, only the rightward sweep runs and the pair is marked
+    reflected. samples are the solve's PotentialSamples of this potential on
+    this grid; without them v is sampled here.
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    starts = [(1.0, 0.0), (0.0, 1.0)]
-    right_cols, nr, trunc_r = _march(
-        *samples.right, energy, grid.h, grid.n_right, starts, DEFAULT_CAP)
-    (cr, dcr), (sr, dsr) = right_cols
-    if grid.n_left == 0:
-        reflected = _reflected(potential, grid)
-        x = grid.x0 + grid.h * np.arange(nr)
-        return CanonicalPair(grid, float(energy), x, cr, dcr, sr, dsr,
-                             truncated_left=trunc_r if reflected else False,
-                             truncated_right=trunc_r, reflected=reflected,
-                             v=samples.line[:nr])
-    left_cols, nl, trunc_l = _march(
-        *samples.left, energy, -grid.h, grid.n_left, starts, DEFAULT_CAP)
-    (cl, dcl), (sl, dsl) = left_cols
-    x = np.concatenate([(grid.x0 - grid.h * np.arange(nl))[:0:-1],
-                        grid.x0 + grid.h * np.arange(nr)])
-
-    def stitch(left, right):
-        return np.concatenate([left[:0:-1], right])
-
-    return CanonicalPair(grid, float(energy), x,
-                         stitch(cl, cr), stitch(dcl, dcr),
-                         stitch(sl, sr), stitch(dsl, dsr),
-                         truncated_left=trunc_l, truncated_right=trunc_r,
-                         reflected=False,
+    right, nr, trunc_r = _march(*samples.right, energy, grid.h, grid.n_right, DEFAULT_CAP, True)
+    reflected = _reflected(potential, grid)
+    cols = [a for col in right for a in col]
+    nl, trunc_l = 1, trunc_r and reflected
+    if grid.n_left:
+        left, nl, trunc_l = _march(*samples.left, energy, -grid.h, grid.n_left, DEFAULT_CAP, True)
+        cols = [np.concatenate([lc[:0:-1], rc])
+                for lc, rc in zip((a for col in left for a in col), cols)]
+    return CanonicalPair(grid, float(energy), grid.x0 + grid.h * np.arange(1 - nl, nr), *cols,
+                         truncated_left=trunc_l, truncated_right=trunc_r, reflected=reflected,
                          v=samples.line[grid.n_left + 1 - nl:grid.n_left + nr])
 
 
-def canonical_endpoints(potential, energies, grid, samples):
-    """Endpoint data of the canonical pair at many energies, marched in lockstep.
-
-    Yields one Endpoints per energy, in order, equal bit for bit to the
-    endpoint accessors and truncation flags of canonical_pair at that energy;
-    no per-step arrays are kept. samples are sample_potential(potential, grid).
-    """
-    energies = np.asarray(energies, dtype=float)
-
-    def side(nodes_halves, h, n):
-        return zip(*_march_endpoints(*nodes_halves, energies, grid.x0, h, n,
-                                     DEFAULT_CAP))
-
+def _ends(potential, energies, grid, samples, side):
+    # one Endpoints per energy; side(nodes_halves, h, n) marches one side and
+    # gives (x, C, C', S, S', truncated) at the sweep's end for each energy
     right = side(samples.right, grid.h, grid.n_right)
     if _reflected(potential, grid):
-        for energy, (*r, trunc) in zip(energies.tolist(), right):
+        for energy, (*r, trunc) in zip(energies, right):
             yield Endpoints(energy, _mirrored(r), tuple(r), trunc, trunc)
         return
     # without a left sweep the left end is the origin: a right sweep of no steps
     left = (side(samples.left, -grid.h, grid.n_left) if grid.n_left
             else side(samples.right, grid.h, 0))
-    for energy, (*lv, trunc_l), (*r, trunc_r) in zip(energies.tolist(), left, right):
+    for energy, (*lv, trunc_l), (*r, trunc_r) in zip(energies, left, right):
         yield Endpoints(energy, tuple(lv), tuple(r), trunc_l, trunc_r)
 
+
+def canonical_ends(potential, energy, grid, samples):
+    """Endpoints of the canonical pair at one energy, keeping no per-step arrays.
+
+    Equal bit for bit to canonical_pair's endpoint accessors and truncation
+    flags at that energy. samples are sample_potential(potential, grid).
+    """
+    energy = float(energy)
+
+    def side(nodes_halves, h, n):
+        (c, s), stored, trunc = _march(*nodes_halves, energy, h, n, DEFAULT_CAP, False)
+        return [(grid.x0 + h * (stored - 1), *c, *s, trunc)]
+
+    return next(_ends(potential, [energy], grid, samples, side))
+
+
+def canonical_endpoints(potential, energies, grid, samples):
+    """Endpoint data of the canonical pair at many energies, marched in lockstep.
+
+    Yields one Endpoints per energy, in order, equal bit for bit to
+    canonical_ends at that energy. samples are sample_potential(potential, grid).
+    """
+    energies = np.asarray(energies, dtype=float)
+
+    def side(nodes_halves, h, n):
+        return zip(*_march_endpoints(*nodes_halves, energies, grid.x0, h, n, DEFAULT_CAP))
+
+    return _ends(potential, energies.tolist(), grid, samples, side)

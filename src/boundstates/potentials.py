@@ -159,7 +159,7 @@ def infinite_well(x0=0.5, h=0.001, energy_max=125.0):
 
     return Problem(spec, make_grid(x0, h, n_left, n_right),
                    hard_wall_model(0.0, 1.0), energy_range=(0.0, float(energy_max)),
-                   exact_spectrum=spectrum, name="box")
+                   exact_spectrum=spectrum)
 
 
 def poschl_teller_lambda(v0):
@@ -202,7 +202,7 @@ def poschl_teller(v0, h=0.01, x_right=5.0, energy_range=None):
 
     return Problem(spec, make_grid(0.0, h, 0, n_right),
                    decay_model(-x_right, x_right), energy_range=energy_range,
-                   exact_spectrum=spectrum, name="poschl-teller")
+                   exact_spectrum=spectrum)
 
 
 def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
@@ -231,7 +231,7 @@ def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
     spec = PotentialSpec(evaluate=v, parity_invariant=True)
     return Problem(spec, make_grid(0.0, h, 0, n_right),
                    quartic_decay_model(v4, -x_right, x_right),
-                   energy_range=(v_min, float(energy_max)), name="anharmonic")
+                   energy_range=(v_min, float(energy_max)))
 
 
 def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
@@ -273,4 +273,4 @@ def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
     n_left = _steps(r_origin - r_min, h, "origin-to-r_min distance")
     n_right = _steps(r_max - r_origin, h, "origin-to-r_max distance")
     return Problem(spec, make_grid(r_origin, h, n_left, n_right),
-                   radial_model(l, r_max), energy_range=energy_range, name="radial")
+                   radial_model(l, r_max), energy_range=energy_range)

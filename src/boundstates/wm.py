@@ -26,7 +26,7 @@ from .core import (
     Evaluation,
     wronskian,
 )
-from .integrate import canonical_endpoints, canonical_pair, sample_potential
+from .integrate import canonical_endpoints, canonical_ends, canonical_pair, sample_potential
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -115,15 +115,15 @@ def characteristic(problem, value, label):
 
     Shared by every method. value(problem, ends) maps one energy's endpoint
     data (a CanonicalPair or Endpoints) to an Evaluation. v is sampled here,
-    once; evaluate() marches one energy with canonical_pair and
-    evaluate_many() a batch with canonical_endpoints, both through these
-    samples, which the function keeps as .samples.
+    once; evaluate() marches one energy with canonical_ends and
+    evaluate_many() a batch with canonical_endpoints, both endpoint-only and
+    through these samples, which the function keeps as .samples.
     """
     pot, grid = problem.potential, problem.grid
     samples = sample_potential(pot, grid)
 
     def one(energy):
-        return value(problem, canonical_pair(pot, energy, grid, samples=samples))
+        return value(problem, canonical_ends(pot, energy, grid, samples))
 
     def many(energies):
         return [value(problem, ends)

@@ -30,7 +30,7 @@ def _free_problem(x_right=5.0):
     spec = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
     grid = make_grid(0.0, 0.01, 0, int(round(x_right / 0.01)))
     return Problem(spec, grid, decay_model(-x_right, x_right),
-                   energy_range=(-2.0, 0.0), name="free")
+                   energy_range=(-2.0, 0.0))
 
 
 @pytest.mark.parametrize("energy", [0.0, -1.0])
@@ -77,7 +77,7 @@ def test_endpoint_ratio_flags_a_zero_denominator():
 def test_truncated_pair_flags_overflow():
     slab = PotentialSpec(evaluate=lambda x: 25.0)
     prob = Problem(slab, make_grid(0.0, 0.01, 0, 10000),
-                   decay_model(-100.0, 100.0), energy_range=(-2.0, 0.0), name="slab")
+                   decay_model(-100.0, 100.0), energy_range=(-2.0, 0.0))
     pair = canonical_pair(slab, -1.0, prob.grid)
     assert pair.truncated_right
     ev = cfm_value(prob, pair)

@@ -9,8 +9,15 @@ import pytest
 
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates.core import PotentialSpec, make_grid, wronskian
-from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
+from boundstates.cfm import cfm_value, dirichlet_value
+from boundstates.integrate import (
+    canonical_endpoints,
+    canonical_ends,
+    canonical_pair,
+    sample_potential,
+)
 from boundstates.roots import _default_probes, characteristic_for
+from boundstates.wm import wm_value, wm_value_symmetric
 
 FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
 PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
@@ -109,18 +116,25 @@ def _bits(value):
 
 PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
 QUARTIC = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
+BOX = infinite_well(x0=0.49, h=0.01, energy_max=60.0)
+RADIAL = radial(lambda r: -10.0 * math.exp(-r), h=0.01)
+# each id reads problem-n_left-method
 BATCH_CASES = [
-    (PT25, "wm"), (PT25, "wm-even"), (PT25, "wm-odd"), (PT25, "cfm"),
-    (PT25_TWO_SIDED, "wm"), (PT25_TWO_SIDED, "cfm"),
-    (infinite_well(x0=0.49, h=0.01, energy_max=60.0), "dirichlet"),
-    (QUARTIC, "wm"), (QUARTIC, "cfm"),
-    (radial(lambda r: -10.0 * math.exp(-r), h=0.01), "wm"),
-    (radial(lambda r: -10.0 * math.exp(-r), h=0.01), "cfm"),
+    pytest.param(PT25, "wm", id="poschl-teller-0-wm"),
+    pytest.param(PT25, "wm-even", id="poschl-teller-0-wm-even"),
+    pytest.param(PT25, "wm-odd", id="poschl-teller-0-wm-odd"),
+    pytest.param(PT25, "cfm", id="poschl-teller-0-cfm"),
+    pytest.param(PT25_TWO_SIDED, "wm", id="poschl-teller-500-wm"),
+    pytest.param(PT25_TWO_SIDED, "cfm", id="poschl-teller-500-cfm"),
+    pytest.param(BOX, "dirichlet", id="box-49-dirichlet"),
+    pytest.param(QUARTIC, "wm", id="anharmonic-0-wm"),
+    pytest.param(QUARTIC, "cfm", id="anharmonic-0-cfm"),
+    pytest.param(RADIAL, "wm", id="radial-90-wm"),
+    pytest.param(RADIAL, "cfm", id="radial-90-cfm"),
 ]
 
 
-@pytest.mark.parametrize("problem, method", BATCH_CASES,
-                         ids=[f"{p.name}-{p.grid.n_left}-{m}" for p, m in BATCH_CASES])
+@pytest.mark.parametrize("problem, method", BATCH_CASES)
 def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method):
     fn = characteristic_for(problem, method)
     lo, hi = problem.energy_range
@@ -145,16 +159,53 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
     # sweep, and with no right sweep
     slab = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True)
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
-    batch = canonical_endpoints(slab, energies, grid, sample_potential(slab, grid))
+    samples = sample_potential(slab, grid)
+    batch = canonical_endpoints(slab, energies, grid, samples)
     for ends, e in zip(batch, energies):
         pair = canonical_pair(slab, e, grid)
-        assert ends.energy == pair.energy
-        assert ends.left_values() == pair.left_values()
-        assert ends.right_values() == pair.right_values()
-        assert (ends.truncated_left, ends.truncated_right) == (
-            pair.truncated_left, pair.truncated_right)
+        # the lockstep batch and the single-energy endpoint march
+        for got in (ends, canonical_ends(slab, e, grid, samples)):
+            assert got.energy == pair.energy
+            assert got.left_values() == pair.left_values()
+            assert got.right_values() == pair.right_values()
+            assert [_bits(v) for v in got.left_values() + got.right_values()] == [
+                _bits(v) for v in pair.left_values() + pair.right_values()]
+            assert (got.truncated_left, got.truncated_right) == (
+                pair.truncated_left, pair.truncated_right)
     if grid.n_right:
         assert canonical_pair(slab, -40.0, grid).truncated_right
+
+
+def _pair_value(problem, method, energy):
+    pair = canonical_pair(problem.potential, energy, problem.grid)
+    if method in ("wm-even", "wm-odd"):
+        return wm_value_symmetric(problem, pair, method[3:])
+    value = {"wm": wm_value, "cfm": cfm_value, "dirichlet": dirichlet_value}[method]
+    return value(problem, pair)
+
+
+@pytest.mark.parametrize("problem, method", [
+    pytest.param(PT25, "wm", id="poschl-teller-wm"),
+    pytest.param(PT25, "wm-even", id="poschl-teller-wm-even"),
+    pytest.param(PT25, "wm-odd", id="poschl-teller-wm-odd"),
+    pytest.param(PT25_TWO_SIDED, "cfm", id="poschl-teller-two-sided-cfm"),
+    pytest.param(BOX, "dirichlet", id="box-dirichlet"),
+    pytest.param(QUARTIC, "wm", id="anharmonic-wm"),
+    pytest.param(QUARTIC, "cfm", id="anharmonic-cfm"),
+    pytest.param(RADIAL, "cfm", id="radial-cfm"),
+])
+def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, method):
+    # evaluate() marches endpoint-only; it must read what the stored pair reads
+    fn = characteristic_for(problem, method)
+    lo, hi = problem.energy_range
+    eps = np.linspace(lo, hi, _default_probes(lo, hi) + 1)[::37]
+    ends = [fn.evaluate(e) for e in eps]
+    pairs = [_pair_value(problem, method, e) for e in eps]
+    assert [ev.flag for ev in ends] == [ev.flag for ev in pairs]
+    assert [_bits(ev.value) for ev in ends] == [_bits(ev.value) for ev in pairs]
+    if problem is QUARTIC:
+        assert any(ev.flag == "overflow" for ev in ends)
+        assert any(ev.flag is None for ev in ends)
 
 
 @pytest.mark.parametrize("problem", [PT25, QUARTIC, anharmonic(-5.0, 1.0, h=0.005)])
