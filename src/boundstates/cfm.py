@@ -6,6 +6,7 @@ states sit where F = l+ - l- vanishes. For parity invariant potentials with
 x0 = 0 the two endpoint ratios collapse into one and the eigenvalues are the
 roots of the plain product C(x_right) * S(x_right): the C factor carries the
 even levels, the S factor the odd ones, and no ratio poles get in the way.
+The value functions read one energy's integrate.Endpoints, as WM's do.
 
 The saturation profile quantifies how fast each representation reaches its
 large-x limit; the Wronskian ratio W(C, R_c)/W(S, R_c) and the value ratio
@@ -33,20 +34,14 @@ from .wm import characteristic
 POLE_FLOOR = 1e-300
 
 
-def cfm_l_ratios(pair, use_derivatives=False):
-    """Endpoint ratios (l-, l+) of the canonical pair.
-
-    With use_derivatives the ratios are C'/S' instead of C/S; both converge
-    to the same limit for a decaying boundary, which makes the pairing a
-    cheap consistency check.
+def cfm_l_ratios(ends):
+    """Endpoint ratios (l-, l+) = C/S at the two ends of one energy's Endpoints.
 
     Returns:
         Two endpoint_ratio Evaluations.
     """
-    xl, cl, dcl, sl, dsl = pair.left_values()
-    xr, cr, dcr, sr, dsr = pair.right_values()
-    if use_derivatives:
-        return endpoint_ratio(dcl, dsl), endpoint_ratio(dcr, dsr)
+    _, cl, _, sl, _ = ends.left
+    _, cr, _, sr, _ = ends.right
     return endpoint_ratio(cl, sl), endpoint_ratio(cr, sr)
 
 
@@ -63,17 +58,17 @@ def endpoint_ratio(num, den):
     return Evaluation(num / den)
 
 
-def cfm_value(problem, pair):
-    """CFM characteristic value from endpoint data (CanonicalPair or Endpoints)."""
-    if pair.truncated_left or pair.truncated_right:
+def cfm_value(problem, ends):
+    """CFM characteristic value from one energy's Endpoints."""
+    if ends.truncated:
         return Evaluation(math.nan, "overflow")
     if problem.symmetric:
-        _, cr, _, sr, _ = pair.right_values()
+        _, cr, _, sr, _ = ends.right
         value = cr * sr
         if not math.isfinite(value):
             return Evaluation(value, "overflow")
         return Evaluation(value)
-    l_minus, l_plus = cfm_l_ratios(pair)
+    l_minus, l_plus = cfm_l_ratios(ends)
     if not l_minus.ok or not l_plus.ok:
         return Evaluation(math.nan, l_minus.flag or l_plus.flag)
     return Evaluation(l_plus.value - l_minus.value)
@@ -88,12 +83,12 @@ def cfm_characteristic(problem):
     return characteristic(problem, cfm_value, "cfm")
 
 
-def dirichlet_value(problem, pair):
-    """Two-wall determinant from endpoint data (CanonicalPair or Endpoints)."""
-    if pair.truncated_left or pair.truncated_right:
+def dirichlet_value(problem, ends):
+    """Two-wall determinant from one energy's Endpoints."""
+    if ends.truncated:
         return Evaluation(math.nan, "overflow")
-    _, cl, _, sl, _ = pair.left_values()
-    _, cr, _, sr, _ = pair.right_values()
+    _, cl, _, sl, _ = ends.left
+    _, cr, _, sr, _ = ends.right
     value = cl * sr - cr * sl
     if not math.isfinite(value):
         return Evaluation(value, "overflow")

@@ -73,7 +73,7 @@ def _add_common(p):
     p.add_argument("--nl", type=int, help="steps left of the origin")
     p.add_argument("--nr", type=int, help="steps right of the origin")
     p.add_argument("--range", dest="energy_range", metavar="LO:HI")
-    p.add_argument("--probes", type=int, help="scan probe count")
+    p.add_argument("--probes", type=_positive_int, help="scan probe count")
     p.add_argument("--tol", type=float, help="energy tolerance / band width")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--expr", help="potential expression in x (inline) or r (radial)")
@@ -102,11 +102,27 @@ def build_parser():
 
 # --- configuration -----------------------------------------------------
 
+def _positive_int(text):
+    # the --probes type; config files convert through it too
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return int(text)
+
+
+def _one_of(choices):
+    # a config file's potential or method, held to the flag's choices
+    def conv(text):
+        if text not in choices:
+            raise ValueError(text)
+        return text
+    return conv
+
+
 _FILE_KEYS = {
-    "potential": str, "method": str, "expr": str, "out": str, "dump": str,
-    "range": str, "v0": float, "v2": float, "v4": float, "x0": float,
-    "h": float, "tol": float, "energy": float, "l": int, "nl": int,
-    "nr": int, "probes": int, "parity": None,
+    "potential": _one_of(POTENTIALS), "method": _one_of(METHODS), "expr": str,
+    "out": str, "dump": str, "range": str, "v0": float, "v2": float,
+    "v4": float, "x0": float, "h": float, "tol": float, "energy": float,
+    "l": int, "nl": int, "nr": int, "probes": _positive_int, "parity": None,
 }
 
 
@@ -141,7 +157,7 @@ def read_config_file(path):
         conv = _FILE_KEYS[key]
         try:
             values[key] = _parse_bool(text) if conv is None else conv(text)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             _fail(EXIT_CONFIG, "%s:%d: bad value for %s: %r" % (path, lineno, key, text))
     return values
 
@@ -396,10 +412,10 @@ def cmd_scan(args):
 
 def _right_ratios(ends):
     # C/S and S/C at the right end
-    if ends.truncated_right or ends.truncated_left:
+    if ends.truncated:
         flagged = Evaluation(math.nan, "overflow")
         return flagged, flagged
-    _, c, _, s, _ = ends.right_values()
+    _, c, _, s, _ = ends.right
     return endpoint_ratio(c, s), endpoint_ratio(s, c)
 
 

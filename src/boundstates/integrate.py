@@ -4,22 +4,21 @@ Classical fixed-step RK4 on the first-order form of phi'' = 2(v - eps) phi.
 v does not depend on the energy, so it is sampled once per solve, on the grid
 points and the half-step points of each side, and every march reads those
 samples. The two canonical solutions C (start 1, 0) and S (start 0, 1) are
-marched in one sweep. `canonical_pair` keeps every sample, for eigenfunction
-assembly and saturation profiles. `canonical_ends` keeps only the end points
-of one energy, for refinement, and `canonical_endpoints` those of a vector of
-energies marched in lockstep, for scans. Growth beyond DEFAULT_CAP truncates
-the sweep and flags the result instead of raising.
+marched in one sweep. `canonical_pair` keeps every sample over the full
+logical line, for eigenfunction assembly and saturation profiles.
+`canonical_ends` keeps only the end points of one energy, for refinement, and
+`canonical_endpoints` those of a vector of energies marched in lockstep, for
+scans. All three give each energy's end points as one `Endpoints` record,
+which every characteristic value function reads. Growth beyond DEFAULT_CAP
+truncates the sweep and flags the result instead of raising.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .core import Grid
 
 DEFAULT_CAP = 1e280
 
@@ -169,72 +168,33 @@ def _mirrored(values):
 
 
 class Endpoints(NamedTuple):
-    """(x, C, C', S, S') at both reached ends of one energy's pair.
+    """One energy's canonical pair at its two reached ends.
 
-    Offers the endpoint accessors of CanonicalPair, so every value function
-    takes either; all entries are Python floats.
+    left and right are (x, C, C', S, S') as Python floats. truncated is set
+    when either sweep left DEFAULT_CAP before its end.
     """
 
     energy: float
     left: tuple
     right: tuple
-    truncated_left: bool
-    truncated_right: bool
-
-    def left_values(self):
-        return self.left
-
-    def right_values(self):
-        return self.right
+    truncated: bool
 
 
-@dataclass
-class CanonicalPair:
-    """The canonical solutions C and S sampled over one grid.
+class CanonicalPair(NamedTuple):
+    """The canonical solutions C and S at every reached point of one grid.
 
-    Arrays are grid ordered over the points actually reached; v holds the
-    potential samples at x. For a parity invariant potential on a right-half
-    grid (x0 = 0, n_left = 0) the pair is built rightward only and `reflected`
-    is set; the left-end accessors then apply C(-x) = C(x), S(-x) = -S(x).
+    The arrays are grid ordered over the full logical line: a reflected pair
+    (see canonical_pair) holds its mirrored left half too. v holds the
+    potential samples at x, and ends the energy's Endpoints.
     """
 
-    grid: Grid
-    energy: float
     x: np.ndarray
     c: np.ndarray
     dc: np.ndarray
     s: np.ndarray
     ds: np.ndarray
-    truncated_left: bool
-    truncated_right: bool
-    reflected: bool
     v: np.ndarray
-
-    def _at(self, i):
-        return tuple(float(a[i]) for a in (self.x, self.c, self.dc, self.s, self.ds))
-
-    def right_values(self):
-        """(x, C, C', S, S') at the rightmost reached point, as Python floats."""
-        return self._at(-1)
-
-    def left_values(self):
-        """(x, C, C', S, S') at the leftmost reached logical point, as Python floats."""
-        return _mirrored(self._at(-1)) if self.reflected else self._at(0)
-
-    def _line(self, a, odd=False):
-        if not self.reflected:
-            return a
-        return np.concatenate([-a[:0:-1] if odd else a[:0:-1], a])
-
-    def full_line(self):
-        """Grid-ordered (x, C, C', S, S') over the full logical domain."""
-        return (self._line(self.x, odd=True), self._line(self.c),
-                self._line(self.dc, odd=True), self._line(self.s, odd=True),
-                self._line(self.ds))
-
-    def full_line_potential(self):
-        """The potential samples at the points of full_line()."""
-        return self._line(self.v)
+    ends: Endpoints
 
 
 def _reflected(potential, grid):
@@ -245,23 +205,33 @@ def canonical_pair(potential, energy, grid, samples=None):
     """Build the canonical pair for one energy, keeping every sample.
 
     When the potential is parity invariant and the grid is the right half
-    line from x0 = 0, only the rightward sweep runs and the pair is marked
-    reflected. samples are the solve's PotentialSamples of this potential on
-    this grid; without them v is sampled here.
+    line from x0 = 0, only the rightward sweep runs and the pair is
+    reflected: its left half is the mirror image of the right, with C, S'
+    and v even and x, C' and S odd. samples are the solve's PotentialSamples
+    of this potential on this grid; without them v is sampled here.
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    right, nr, trunc_r = _march(*samples.right, energy, grid.h, grid.n_right, DEFAULT_CAP, True)
+    right, nr, trunc = _march(*samples.right, energy, grid.h, grid.n_right, DEFAULT_CAP, True)
+    (c, dc), (s, ds) = right
+    v = samples.line[grid.n_left:grid.n_left + nr]
     reflected = _reflected(potential, grid)
-    cols = [a for col in right for a in col]
-    nl, trunc_l = 1, trunc_r and reflected
-    if grid.n_left:
+    nl = nr if reflected else 1
+    if reflected:
+        c, ds, v = (np.concatenate([a[:0:-1], a]) for a in (c, ds, v))
+        dc, s = (np.concatenate([-a[:0:-1], a]) for a in (dc, s))
+    elif grid.n_left:
         left, nl, trunc_l = _march(*samples.left, energy, -grid.h, grid.n_left, DEFAULT_CAP, True)
-        cols = [np.concatenate([lc[:0:-1], rc])
-                for lc, rc in zip((a for col in left for a in col), cols)]
-    return CanonicalPair(grid, float(energy), grid.x0 + grid.h * np.arange(1 - nl, nr), *cols,
-                         truncated_left=trunc_l, truncated_right=trunc_r, reflected=reflected,
-                         v=samples.line[grid.n_left + 1 - nl:grid.n_left + nr])
+        trunc = trunc or trunc_l
+        c, dc, s, ds = (np.concatenate([la[:0:-1], ra])
+                        for la, ra in zip((a for col in left for a in col), (c, dc, s, ds)))
+        v = samples.line[grid.n_left + 1 - nl:grid.n_left + nr]
+    x = grid.x0 + grid.h * np.arange(1 - nl, nr)
+    ends = [tuple(float(a[i]) for a in (x, c, dc, s, ds)) for i in (0, -1)]
+    if reflected:
+        # as canonical_ends builds it, signed zeros included
+        ends[0] = _mirrored(ends[1])
+    return CanonicalPair(x, c, dc, s, ds, v, Endpoints(float(energy), *ends, trunc))
 
 
 def _ends(potential, energies, grid, samples, side):
@@ -270,20 +240,20 @@ def _ends(potential, energies, grid, samples, side):
     right = side(samples.right, grid.h, grid.n_right)
     if _reflected(potential, grid):
         for energy, (*r, trunc) in zip(energies, right):
-            yield Endpoints(energy, _mirrored(r), tuple(r), trunc, trunc)
+            yield Endpoints(energy, _mirrored(r), tuple(r), trunc)
         return
     # without a left sweep the left end is the origin: a right sweep of no steps
     left = (side(samples.left, -grid.h, grid.n_left) if grid.n_left
             else side(samples.right, grid.h, 0))
     for energy, (*lv, trunc_l), (*r, trunc_r) in zip(energies, left, right):
-        yield Endpoints(energy, tuple(lv), tuple(r), trunc_l, trunc_r)
+        yield Endpoints(energy, tuple(lv), tuple(r), trunc_l or trunc_r)
 
 
 def canonical_ends(potential, energy, grid, samples):
     """Endpoints of the canonical pair at one energy, keeping no per-step arrays.
 
-    Equal bit for bit to canonical_pair's endpoint accessors and truncation
-    flags at that energy. samples are sample_potential(potential, grid).
+    Equal bit for bit to canonical_pair(...).ends at that energy. samples
+    are sample_potential(potential, grid).
     """
     energy = float(energy)
 

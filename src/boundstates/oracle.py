@@ -55,6 +55,23 @@ def fd_box_recurrence_vector(N, energy):
     return np.array(_recurrence_sweep(N, energy))
 
 
+def _bisect(f, lo, hi, flo, tol):
+    # plain bisection of a sign change of f on [lo, hi], f(lo) = flo, until
+    # the bracket is narrower than tol or after 200 halvings
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def fd_box_recurrence_eigenvalues(N, n_max):
     """First n_max Dirichlet eigenvalues of the stride-2 recurrence by shooting.
 
@@ -84,20 +101,7 @@ def fd_box_recurrence_eigenvalues(N, n_max):
         fa, fb = vals[i], vals[i + 1]
         if (fa < 0) == (fb < 0):
             continue
-        lo, hi, flo = probes[i], probes[i + 1], fa
-        for _ in range(200):
-            if hi - lo < 1e-11:
-                break
-            mid = 0.5 * (lo + hi)
-            fm = phi_end(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+        roots.append(_bisect(phi_end, probes[i], probes[i + 1], fa, 1e-11))
     if len(roots) < n_max:
         raise RuntimeError(f"found only {len(roots)} of {n_max} recurrence eigenvalues")
     return roots
@@ -187,20 +191,7 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
             continue
         if (fa < 0) == (fb < 0):
             continue
-        blo, bhi, flo = probes[i], probes[i + 1], fa
-        for _ in range(200):
-            if bhi - blo < tol:
-                break
-            mid = 0.5 * (blo + bhi)
-            fm = mismatch(mid)
-            if fm == 0.0:
-                blo = bhi = mid
-                break
-            if (fm < 0) == (flo < 0):
-                blo, flo = mid, fm
-            else:
-                bhi = mid
-        roots.append(0.5 * (blo + bhi))
+        roots.append(_bisect(mismatch, probes[i], probes[i + 1], fa, tol))
     return roots
 
 

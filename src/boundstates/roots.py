@@ -192,11 +192,11 @@ def _assemble_cfm(problem, root, samples):
     # the ratio form, the vanishing factor alone for the symmetric product
     pair = canonical_pair(problem.potential, root, problem.grid, samples=samples)
     if problem.symmetric:
-        _, cr, _, sr, _ = pair.right_values()
+        _, cr, _, sr, _ = pair.ends.right
         a2, b2 = (1.0, 0.0) if abs(cr) <= abs(sr) else (0.0, 1.0)
         residual = abs(cr * sr) / max(cr * cr + sr * sr, 1e-300)
     else:
-        l_minus, l_plus = cfm_l_ratios(pair)
+        l_minus, l_plus = cfm_l_ratios(pair.ends)
         ls = [r.value for r in (l_minus, l_plus) if r.ok]
         if not ls:
             raise RefinementError(f"endpoint ratios undefined at root {root!r}")
@@ -205,7 +205,7 @@ def _assemble_cfm(problem, root, samples):
         a2, b2 = 1.0 / nrm, -l / nrm
         residual = (abs(ls[-1] - ls[0]) / max(1.0, *map(abs, ls))
                     if len(ls) == 2 else math.nan)
-    return assemble_eigenresult(problem, pair, wm_endpoint_data(pair, problem.asymptotics),
+    return assemble_eigenresult(problem, pair, wm_endpoint_data(pair.ends, problem.asymptotics),
                                 a2, b2, residual)
 
 

@@ -51,19 +51,18 @@ class WmEndpointData:
     w_rc_c: float
     w_rc_s: float
     w_rc_rd: float
-    truncated: bool
 
 
-def wm_endpoint_data(pair, asymptotics):
-    """Evaluate the six boundary Wronskians for one canonical pair.
+def wm_endpoint_data(ends, asymptotics):
+    """Evaluate the six boundary Wronskians from one energy's Endpoints.
 
     Raises:
         DegenerateAsymptoticsError: when a boundary pair's own Wronskian
             vanishes or is not finite, naming the side.
     """
-    xl, cl, dcl, sl, dsl = pair.left_values()
-    xr, cr, dcr, sr, dsr = pair.right_values()
-    e = pair.energy
+    xl, cl, dcl, sl, dsl = ends.left
+    xr, cr, dcr, sr, dsr = ends.right
+    e = ends.energy
     lcv, lcd = asymptotics.left_convergent(e, xl)
     ldv, ldd = asymptotics.left_divergent(e, xl)
     rcv, rcd = asymptotics.right_convergent(e, xr)
@@ -81,43 +80,42 @@ def wm_endpoint_data(pair, asymptotics):
         w_lc_ld=w_lc_ld,
         w_rc_c=wronskian(rcv, rcd, cr, dcr),
         w_rc_s=wronskian(rcv, rcd, sr, dsr),
-        w_rc_rd=w_rc_rd,
-        truncated=pair.truncated_left or pair.truncated_right)
+        w_rc_rd=w_rc_rd)
 
 
-def _flagged(value, data_truncated):
-    if data_truncated or not math.isfinite(value):
+def _flagged(value, ends):
+    if ends.truncated or not math.isfinite(value):
         return Evaluation(value, "overflow")
     return Evaluation(value)
 
 
-def wm_value(problem, pair):
-    """General WM determinant from endpoint data (CanonicalPair or Endpoints)."""
+def wm_value(problem, ends):
+    """General WM determinant from one energy's Endpoints."""
     try:
-        d = wm_endpoint_data(pair, problem.asymptotics)
+        d = wm_endpoint_data(ends, problem.asymptotics)
     except DegenerateAsymptoticsError:
         return Evaluation(math.nan, "degenerate")
-    return _flagged(d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s, d.truncated)
+    return _flagged(d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s, ends)
 
 
-def wm_value_symmetric(problem, pair, parity):
-    """Single-Wronskian form for parity invariant problems."""
+def wm_value_symmetric(problem, ends, parity):
+    """Single-Wronskian form for parity invariant problems, from Endpoints."""
     try:
-        d = wm_endpoint_data(pair, problem.asymptotics)
+        d = wm_endpoint_data(ends, problem.asymptotics)
     except DegenerateAsymptoticsError:
         return Evaluation(math.nan, "degenerate")
     value = d.w_rc_c if parity == "even" else d.w_rc_s
-    return _flagged(value, d.truncated)
+    return _flagged(value, ends)
 
 
 def characteristic(problem, value, label):
     """CharacteristicFunction of a per-endpoint value function.
 
-    Shared by every method. value(problem, ends) maps one energy's endpoint
-    data (a CanonicalPair or Endpoints) to an Evaluation. v is sampled here,
-    once; evaluate() marches one energy with canonical_ends and
-    evaluate_many() a batch with canonical_endpoints, both endpoint-only and
-    through these samples, which the function keeps as .samples.
+    Shared by every method. value(problem, ends) maps one energy's Endpoints
+    to an Evaluation. v is sampled here, once; evaluate() marches one energy
+    with canonical_ends and evaluate_many() a batch with canonical_endpoints,
+    both endpoint-only and through these samples, which the function keeps as
+    .samples.
     """
     pot, grid = problem.potential, problem.grid
     samples = sample_potential(pot, grid)
@@ -168,7 +166,7 @@ def wm_eigenfunction(problem, root, samples=None):
         true n-th level; callers re-index by spectral position).
     """
     pair = canonical_pair(problem.potential, root, problem.grid, samples=samples)
-    d = wm_endpoint_data(pair, problem.asymptotics)
+    d = wm_endpoint_data(pair.ends, problem.asymptotics)
     row_l = (d.w_lc_c, d.w_lc_s)
     row_r = (d.w_rc_c, d.w_rc_s)
     norm_l = math.hypot(*row_l)
@@ -192,14 +190,14 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
     Shared by the WM nullspace path and the endpoint-ratio path. Samples are
     L2 normalized by the trapezoid rule, the overall sign is fixed by the
     largest antinode, and the divergent admixtures b1, b3 are read off the
-    boundary Wronskians d, the pair's wm_endpoint_data.
+    boundary Wronskians d, the wm_endpoint_data of pair.ends.
     """
-    x, c, dc, s, ds = pair.full_line()
+    x, c, dc, s, ds, v, ends = pair
     psi = a2 * c + b2 * s
     dpsi = a2 * dc + b2 * ds
     l2 = math.sqrt(_trapezoid(psi * psi, x))
     if l2 == 0.0 or not math.isfinite(l2):
-        raise DegenerateRootError(f"eigenfunction norm degenerate at energy {pair.energy!r}")
+        raise DegenerateRootError(f"eigenfunction norm degenerate at energy {ends.energy!r}")
     sign = 1.0 if psi[np.argmax(np.abs(psi))] >= 0 else -1.0
     scale = sign / l2
     psi = psi * scale
@@ -210,10 +208,10 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
     b1 = (a2 * d.w_lc_c + b2 * d.w_lc_s) / d.w_lc_ld
     b3 = (a2 * d.w_rc_c + b2 * d.w_rc_s) / d.w_rc_rd
 
-    node_count = _count_nodes(psi, pair.full_line_potential(), pair.energy)
+    node_count = _count_nodes(psi, v, ends.energy)
     parity = _parity_tag(problem, a2, b2)
     return EigenResult(
-        energy=float(pair.energy), index=node_count, parity=parity,
+        energy=ends.energy, index=node_count, parity=parity,
         residual=abs(residual), node_count=node_count,
         x=x, psi=psi, dpsi=dpsi, a2=a2, b2=b2, b1=b1, b3=b3)
 

@@ -35,6 +35,7 @@ from boundstates import (
     wm_endpoint_data,
     wronskian,
 )
+from boundstates.cfm import endpoint_ratio
 from boundstates.core import CharacteristicFunction, RefinementError
 
 PT10_EXACT = poschl_teller_exact_energies(10.0)
@@ -282,8 +283,8 @@ def test_criterion_8_property_suite(pt10_census):
         base = poschl_teller(v0, h=h, x_right=half * h)
         problem = dataclasses.replace(base, grid=make_grid(0.0, h, half, half))
         for e in energies:
-            pair = canonical_pair(problem.potential, e, problem.grid)
-            d = wm_endpoint_data(pair, problem.asymptotics)
+            ends = canonical_pair(problem.potential, e, problem.grid).ends
+            d = wm_endpoint_data(ends, problem.asymptotics)
             worst_parity = max(
                 worst_parity,
                 abs(d.w_lc_c + d.w_rc_c) / max(abs(d.w_lc_c), abs(d.w_rc_c)),
@@ -293,9 +294,10 @@ def test_criterion_8_property_suite(pt10_census):
     worst_ratio = 0.0
     for v0, h, xr, e in ((2.5, 0.01, 10.0, -1.0), (10.0, 0.005, 12.0, -3.0)):
         problem = poschl_teller(v0, h=h, x_right=xr)
-        pair = canonical_pair(problem.potential, e, problem.grid)
-        values = cfm_l_ratios(pair)
-        derivs = cfm_l_ratios(pair, use_derivatives=True)
+        ends = canonical_pair(problem.potential, e, problem.grid).ends
+        values = cfm_l_ratios(ends)
+        (_, _, dcl, _, dsl), (_, _, dcr, _, dsr) = ends.left, ends.right
+        derivs = endpoint_ratio(dcl, dsl), endpoint_ratio(dcr, dsr)
         worst_ratio = max(worst_ratio, *(abs(a.value - b.value)
                                          for a, b in zip(values, derivs)))
 

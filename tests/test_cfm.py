@@ -57,9 +57,9 @@ def test_analytic_box_changes_sign_at_each_level(n):
 
 
 def test_symmetric_cfm_is_the_endpoint_product():
-    pair = canonical_pair(PT.potential, -1.0, PT.grid)
-    _, cr, _, sr, _ = pair.right_values()
-    ev = cfm_value(PT, pair)
+    ends = canonical_pair(PT.potential, -1.0, PT.grid).ends
+    _, cr, _, sr, _ = ends.right
+    ev = cfm_value(PT, ends)
     assert ev.ok
     assert ev.value == cr * sr
 
@@ -67,8 +67,8 @@ def test_symmetric_cfm_is_the_endpoint_product():
 def test_endpoint_ratio_flags_a_zero_denominator():
     # a degenerate grid whose right end is the origin itself, where S = 0
     spec = PotentialSpec(evaluate=lambda x: 0.0)
-    pair = canonical_pair(spec, -1.0, make_grid(0.0, 0.01, 100, 0))
-    l_minus, l_plus = cfm_l_ratios(pair)
+    ends = canonical_pair(spec, -1.0, make_grid(0.0, 0.01, 100, 0)).ends
+    l_minus, l_plus = cfm_l_ratios(ends)
     assert l_minus.ok
     assert not l_plus.ok
     assert l_plus.flag == "pole"
@@ -78,17 +78,20 @@ def test_truncated_pair_flags_overflow():
     slab = PotentialSpec(evaluate=lambda x: 25.0)
     prob = Problem(slab, make_grid(0.0, 0.01, 0, 10000),
                    decay_model(-100.0, 100.0), energy_range=(-2.0, 0.0))
-    pair = canonical_pair(slab, -1.0, prob.grid)
-    assert pair.truncated_right
-    ev = cfm_value(prob, pair)
+    ends = canonical_pair(slab, -1.0, prob.grid).ends
+    # the right sweep stopped short of x_right
+    assert ends.truncated and ends.right[0] < prob.grid.x_right
+    ev = cfm_value(prob, ends)
     assert not ev.ok
     assert ev.flag == "overflow"
 
 
 def test_value_and_derivative_ratios_share_the_limit():
-    pair = canonical_pair(PT_WIDE.potential, -1.0, PT_WIDE.grid)
-    lv_minus, lv_plus = cfm_l_ratios(pair)
-    ld_minus, ld_plus = cfm_l_ratios(pair, use_derivatives=True)
+    ends = canonical_pair(PT_WIDE.potential, -1.0, PT_WIDE.grid).ends
+    lv_minus, lv_plus = cfm_l_ratios(ends)
+    # C'/S' converges to the same limit as C/S for a decaying boundary
+    (_, _, dcl, _, dsl), (_, _, dcr, _, dsr) = ends.left, ends.right
+    ld_minus, ld_plus = endpoint_ratio(dcl, dsl), endpoint_ratio(dcr, dsr)
     assert abs(lv_plus.value - ld_plus.value) < 1e-8
     assert abs(lv_minus.value - ld_minus.value) < 1e-8
 

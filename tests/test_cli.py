@@ -236,6 +236,34 @@ def test_config_file_bad_value_and_missing_equals(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, line", [
+    # an unknown potential used to fall through to the inline one
+    pytest.param("solve", "potential = boxx\nexpr = -2*exp(-x*x)\n", 1,
+                 id="solve-potential"),
+    # scan reads no method, so a bad one went unnoticed
+    pytest.param("scan", "potential = box\nmethod = bogus\n", 2, id="scan-method"),
+])
+def test_config_file_values_meet_the_flags_choices(command, text, line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_cli([command, "--config", str(cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert ":%d: bad value for" % line in out.err
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_non_positive_probes_are_config_errors(command, probes, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("probes = %s\n" % probes)
+    for source in (["--probes", probes], ["--config", str(cfg)]):
+        assert run_cli([command, "--potential", "box", "--h", "0.01"] + source) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "probes" in out.err
+
+
 def test_missing_config_file_is_an_io_error(capsys):
     code = run_cli(["solve", "--potential", "poschl-teller", "--v0", "2.5",
                     "--config", "/nonexistent/run.cfg"])

@@ -62,7 +62,7 @@ def test_halving_the_step_changes_little():
     for h in (0.01, 0.005):
         grid = make_grid(0.0, h, 0, int(round(5.0 / h)))
         pair = canonical_pair(PT25.potential, -1.0, grid)
-        assert not pair.truncated_right
+        assert not pair.ends.truncated
         results[h] = pair.c[-1]
     assert results[0.01] == pytest.approx(-108.51900692869377, rel=1e-12)
     rel = abs(results[0.01] - results[0.005]) / abs(results[0.005])
@@ -70,9 +70,11 @@ def test_halving_the_step_changes_little():
 
 
 def test_leftward_sweep_mirrors_rightward_for_even_potential():
-    # C from the origin outward on each side of a two-sided pair
-    pair = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 400, 400))
-    assert not pair.reflected
+    # C from the origin outward on each side of a two-sided pair; a grid with
+    # a left side is marched leftward, never reflected
+    grid = make_grid(0.0, 0.01, 400, 400)
+    assert grid.n_left == 400
+    pair = canonical_pair(PT25.potential, -1.0, grid)
     left, right = slice(400, None, -1), slice(400, None)
     assert np.allclose(pair.c[left], pair.c[right], rtol=1e-13, atol=1e-13)
     assert np.allclose(pair.dc[left], -pair.dc[right], rtol=1e-13, atol=1e-13)
@@ -81,9 +83,10 @@ def test_leftward_sweep_mirrors_rightward_for_even_potential():
 def test_reflected_pair_agrees_with_two_sided_integration():
     half = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 0, 300))
     full = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 300, 300))
-    assert half.reflected and not full.reflected
-    hx, hc, hdc, hs, hds = half.full_line()
-    fx, fc, fdc, fs, fds = full.full_line()
+    # the half grid's pair is mirrored onto the full line
+    assert len(half.x) == len(full.x) == 601
+    hx, hc, hdc, hs, hds = half[:5]
+    fx, fc, fdc, fs, fds = full[:5]
     assert np.allclose(hx, fx, atol=1e-12)
     assert np.allclose(hc, fc, rtol=1e-12, atol=1e-12)
     assert np.allclose(hdc, fdc, rtol=1e-12, atol=1e-12)
@@ -93,8 +96,8 @@ def test_reflected_pair_agrees_with_two_sided_integration():
 
 def test_left_values_flip_signs_under_reflection():
     half = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 0, 300))
-    xr, c, dc, s, ds = half.right_values()
-    xl, cl, dcl, sl, dsl = half.left_values()
+    xr, c, dc, s, ds = half.ends.right
+    xl, cl, dcl, sl, dsl = half.ends.left
     assert (xl, cl, dcl, sl, dsl) == (-xr, c, -dc, -s, ds)
 
 
@@ -102,7 +105,7 @@ def test_overflow_truncates_and_flags():
     barrier = PotentialSpec(evaluate=lambda x: 25.0)
     grid = make_grid(0.0, 0.01, 0, 10000)
     pair = canonical_pair(barrier, -1.0, grid)
-    assert pair.truncated_right
+    assert pair.ends.truncated
     assert len(pair.c) < grid.n_right + 1
     for a in (pair.x, pair.c, pair.dc, pair.s, pair.ds):
         assert np.all(np.isfinite(a))
@@ -118,6 +121,8 @@ PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
 QUARTIC = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
 BOX = infinite_well(x0=0.49, h=0.01, energy_max=60.0)
 RADIAL = radial(lambda r: -10.0 * math.exp(-r), h=0.01)
+# solutions pass the cap mid-sweep, at different steps for different energies
+SLAB = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True)
 # each id reads problem-n_left-method
 BATCH_CASES = [
     pytest.param(PT25, "wm", id="poschl-teller-0-wm"),
@@ -154,34 +159,30 @@ def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method)
                                   make_grid(0.5, 0.01, 0, 10000),
                                   make_grid(0.0, 0.01, 100, 0)])
 def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
-    # a slab whose solutions pass the cap mid-sweep, at different steps for
-    # different energies: reflected, two-sided, unreflected with no left
-    # sweep, and with no right sweep
-    slab = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True)
+    # the slab on a reflected grid, a two-sided one, an unreflected one with
+    # no left sweep, and one with no right sweep
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
-    samples = sample_potential(slab, grid)
-    batch = canonical_endpoints(slab, energies, grid, samples)
+    samples = sample_potential(SLAB, grid)
+    batch = canonical_endpoints(SLAB, energies, grid, samples)
     for ends, e in zip(batch, energies):
-        pair = canonical_pair(slab, e, grid)
+        pair = canonical_pair(SLAB, e, grid)
         # the lockstep batch and the single-energy endpoint march
-        for got in (ends, canonical_ends(slab, e, grid, samples)):
-            assert got.energy == pair.energy
-            assert got.left_values() == pair.left_values()
-            assert got.right_values() == pair.right_values()
-            assert [_bits(v) for v in got.left_values() + got.right_values()] == [
-                _bits(v) for v in pair.left_values() + pair.right_values()]
-            assert (got.truncated_left, got.truncated_right) == (
-                pair.truncated_left, pair.truncated_right)
+        for got in (ends, canonical_ends(SLAB, e, grid, samples)):
+            assert got == pair.ends
+            assert [_bits(v) for v in got.left + got.right] == [
+                _bits(v) for v in pair.ends.left + pair.ends.right]
     if grid.n_right:
-        assert canonical_pair(slab, -40.0, grid).truncated_right
+        # the right sweep stopped short of x_right
+        ends = canonical_pair(SLAB, -40.0, grid).ends
+        assert ends.truncated and ends.right[0] < grid.x_right
 
 
 def _pair_value(problem, method, energy):
-    pair = canonical_pair(problem.potential, energy, problem.grid)
+    ends = canonical_pair(problem.potential, energy, problem.grid).ends
     if method in ("wm-even", "wm-odd"):
-        return wm_value_symmetric(problem, pair, method[3:])
+        return wm_value_symmetric(problem, ends, method[3:])
     value = {"wm": wm_value, "cfm": cfm_value, "dirichlet": dirichlet_value}[method]
-    return value(problem, pair)
+    return value(problem, ends)
 
 
 @pytest.mark.parametrize("problem, method", [
@@ -212,7 +213,28 @@ def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, meth
 def test_reflected_pair_reads_the_potential_it_would_evaluate(problem):
     # node counting reads the mirrored samples; they must be v at -x
     pair = canonical_pair(problem.potential, problem.energy_range[0], problem.grid)
-    assert pair.reflected
-    x, *_ = pair.full_line()
-    direct = np.array([problem.potential.evaluate(xi) for xi in x])
-    assert np.array_equal(pair.full_line_potential(), direct)
+    # a half grid whose pair reaches -x_right: the left half is mirrored
+    assert problem.grid.n_left == 0 and pair.x[0] == -problem.grid.x_right
+    direct = np.array([problem.potential.evaluate(xi) for xi in pair.x])
+    assert np.array_equal(pair.v, direct)
+
+
+
+@pytest.mark.parametrize("potential, grid, energies", [
+    pytest.param(PT25.potential, PT25.grid, (-2.0, -0.5, 0.0), id="poschl-teller"),
+    pytest.param(QUARTIC.potential, QUARTIC.grid, (0.5, 50.0), id="anharmonic"),
+    # sweeps that stop short of x_right, at different steps
+    pytest.param(SLAB, make_grid(0.0, 0.01, 0, 10000), (-40.0, -1.0), id="truncating-slab"),
+])
+def test_reflected_pair_is_mirrored_bit_for_bit(potential, grid, energies):
+    samples = sample_potential(potential, grid)
+    for energy in energies:
+        pair = canonical_pair(potential, energy, grid, samples)
+        n = len(pair.x) // 2
+        assert len(pair.x) == 2 * n + 1 and pair.x[n] == 0.0 and n > 0
+        # a[:n:-1] is the right half read from the outside in
+        for a in (pair.x, pair.dc, pair.s):
+            assert (-a[:n]).tobytes() == a[:n:-1].tobytes()
+        for a in (pair.c, pair.ds, pair.v):
+            assert a[:n].tobytes() == a[:n:-1].tobytes()
+        assert pair.ends == canonical_ends(potential, energy, grid, samples)

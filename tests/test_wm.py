@@ -31,18 +31,19 @@ PT_TWO_SIDED = dataclasses.replace(PT, grid=make_grid(0.0, 0.01, 500, 500))
 @pytest.mark.parametrize("energy", [3.0, 10.0, 30.0, 55.0])
 def test_hard_wall_determinant_reduces_to_dirichlet(energy):
     prob = infinite_well(x0=0.25, h=0.005, energy_max=60.0)
-    pair = canonical_pair(prob.potential, energy, prob.grid)
-    wm = wm_value(prob, pair)
-    di = dirichlet_value(prob, pair)
+    ends = canonical_pair(prob.potential, energy, prob.grid).ends
+    wm = wm_value(prob, ends)
+    di = dirichlet_value(prob, ends)
     assert wm.ok and di.ok
     assert wm.value == pytest.approx(di.value, rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
 def test_reflection_ties_left_wronskians_to_right_ones(energy):
+    # a grid with a left side is marched leftward, never reflected
+    assert PT_TWO_SIDED.grid.n_left == 500
     pair = canonical_pair(PT_TWO_SIDED.potential, energy, PT_TWO_SIDED.grid)
-    assert not pair.reflected
-    d = wm_endpoint_data(pair, PT_TWO_SIDED.asymptotics)
+    d = wm_endpoint_data(pair.ends, PT_TWO_SIDED.asymptotics)
     assert d.w_lc_c == pytest.approx(-d.w_rc_c, rel=1e-9, abs=1e-12)
     assert d.w_lc_s == pytest.approx(d.w_rc_s, rel=1e-9, abs=1e-12)
 
@@ -50,23 +51,25 @@ def test_reflection_ties_left_wronskians_to_right_ones(energy):
 @pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
 def test_full_determinant_factors_into_parity_pieces(energy):
     pair = canonical_pair(PT.potential, energy, PT.grid)
-    assert pair.reflected
-    full = wm_value(PT, pair).value
-    even = wm_value_symmetric(PT, pair, "even").value
-    odd = wm_value_symmetric(PT, pair, "odd").value
+    # the half grid's pair is reflected onto the full line
+    assert PT.grid.n_left == 0 and len(pair.x) == 2 * PT.grid.n_right + 1
+    ends = pair.ends
+    full = wm_value(PT, ends).value
+    even = wm_value_symmetric(PT, ends, "even").value
+    odd = wm_value_symmetric(PT, ends, "odd").value
     assert full == pytest.approx(-2.0 * even * odd, rel=1e-14)
     # the same factorization holds for honest two-sided integration, up to
     # the accumulated difference between the two sweeps
-    pair2 = canonical_pair(PT_TWO_SIDED.potential, energy, PT_TWO_SIDED.grid)
-    full2 = wm_value(PT_TWO_SIDED, pair2).value
-    even2 = wm_value_symmetric(PT_TWO_SIDED, pair2, "even").value
-    odd2 = wm_value_symmetric(PT_TWO_SIDED, pair2, "odd").value
+    ends2 = canonical_pair(PT_TWO_SIDED.potential, energy, PT_TWO_SIDED.grid).ends
+    full2 = wm_value(PT_TWO_SIDED, ends2).value
+    even2 = wm_value_symmetric(PT_TWO_SIDED, ends2, "even").value
+    odd2 = wm_value_symmetric(PT_TWO_SIDED, ends2, "odd").value
     assert full2 == pytest.approx(-2.0 * even2 * odd2, rel=1e-9)
 
 
 def test_zero_energy_flags_degenerate_asymptotics():
-    pair = canonical_pair(PT.potential, 0.0, PT.grid)
-    ev = wm_value(PT, pair)
+    ends = canonical_pair(PT.potential, 0.0, PT.grid).ends
+    ev = wm_value(PT, ends)
     assert not ev.ok
     assert ev.flag == "degenerate"
     assert math.isnan(wm_characteristic(PT)(0.0))
