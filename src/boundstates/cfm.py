@@ -60,17 +60,14 @@ def endpoint_ratio(num, den):
 
 def cfm_value(problem, ends):
     """CFM characteristic value from one energy's Endpoints."""
-    if ends.truncated:
-        return Evaluation(math.nan, "overflow")
     if problem.symmetric:
         _, cr, _, sr, _ = ends.right
-        value = cr * sr
-        if not math.isfinite(value):
-            return Evaluation(value, "overflow")
-        return Evaluation(value)
+        return Evaluation.of(cr * sr)
     l_minus, l_plus = cfm_l_ratios(ends)
     if not l_minus.ok or not l_plus.ok:
-        return Evaluation(math.nan, l_minus.flag or l_plus.flag)
+        # an end that outgrew the double range outranks a pole at the other
+        overflow = "overflow" in (l_minus.flag, l_plus.flag)
+        return Evaluation(math.nan, "overflow" if overflow else l_minus.flag or l_plus.flag)
     return Evaluation(l_plus.value - l_minus.value)
 
 
@@ -85,14 +82,9 @@ def cfm_characteristic(problem):
 
 def dirichlet_value(problem, ends):
     """Two-wall determinant from one energy's Endpoints."""
-    if ends.truncated:
-        return Evaluation(math.nan, "overflow")
     _, cl, _, sl, _ = ends.left
     _, cr, _, sr, _ = ends.right
-    value = cl * sr - cr * sl
-    if not math.isfinite(value):
-        return Evaluation(value, "overflow")
-    return Evaluation(value)
+    return Evaluation.of(cl * sr - cr * sl)
 
 
 def dirichlet_determinant(problem):

@@ -73,8 +73,9 @@ def _add_common(p):
     p.add_argument("--nl", type=int, help="steps left of the origin")
     p.add_argument("--nr", type=int, help="steps right of the origin")
     p.add_argument("--range", dest="energy_range", metavar="LO:HI")
-    p.add_argument("--probes", type=_positive_int, help="scan probe count")
-    p.add_argument("--tol", type=float, help="energy tolerance / band width")
+    p.add_argument("--probes", type=_positive_int,
+                   help="probe count: scan prints N rows, solve and oracle probe N cells")
+    p.add_argument("--tol", type=_positive_float, help="energy tolerance / band width")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--expr", help="potential expression in x (inline) or r (radial)")
     p.add_argument("--parity", action="store_true", default=None,
@@ -109,6 +110,17 @@ def _positive_int(text):
     return int(text)
 
 
+def _positive_float(text):
+    # the --tol type; config files convert through it too
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
+    return value
+
+
 def _one_of(choices):
     # a config file's potential or method, held to the flag's choices
     def conv(text):
@@ -121,7 +133,7 @@ def _one_of(choices):
 _FILE_KEYS = {
     "potential": _one_of(POTENTIALS), "method": _one_of(METHODS), "expr": str,
     "out": str, "dump": str, "range": str, "v0": float, "v2": float,
-    "v4": float, "x0": float, "h": float, "tol": float, "energy": float,
+    "v4": float, "x0": float, "h": float, "tol": _positive_float, "energy": float,
     "l": int, "nl": int, "nr": int, "probes": _positive_int, "parity": None,
 }
 
@@ -286,7 +298,7 @@ def _solve_window(args, command):
         warnings.simplefilter("always")
         results = find_eigenvalues(problem, method=method, energy_range=rng,
                                    n_probe=args.probes,
-                                   tol_e=args.tol or 1e-10)
+                                   tol_e=1e-10 if args.tol is None else args.tol)
     exact = None
     if problem.exact_spectrum is not None:
         lo, hi = rng or problem.energy_range
@@ -399,7 +411,9 @@ def cmd_scan(args):
                 values = [("F_wm_even", wm_value_symmetric(problem, ends, "even")),
                           ("F_wm_odd", wm_value_symmetric(problem, ends, "odd")),
                           ("F_cfm", cfm_value(problem, ends))]
-                values += zip(("ratio_c_over_s", "ratio_s_over_c"), _right_ratios(ends))
+                _, c, _, s, _ = ends.right
+                values += [("ratio_c_over_s", endpoint_ratio(c, s)),
+                           ("ratio_s_over_c", endpoint_ratio(s, c))]
             else:
                 values = [("F_wm", wm_value(problem, ends)),
                           ("F_cfm", cfm_value(problem, ends))]
@@ -408,15 +422,6 @@ def cmd_scan(args):
             lines.append(_fmt(e) + "," + _cells(values))
     _emit(lines, args.out)
     return EXIT_OK
-
-
-def _right_ratios(ends):
-    # C/S and S/C at the right end
-    if ends.truncated:
-        flagged = Evaluation(math.nan, "overflow")
-        return flagged, flagged
-    _, c, _, s, _ = ends.right
-    return endpoint_ratio(c, s), endpoint_ratio(s, c)
 
 
 def _box_analytic(energy, x0):
@@ -433,7 +438,7 @@ def cmd_saturate(args):
     energy = args.energy
     if problem.asymptotics.requires_negative_energy and energy >= 0:
         raise ValueError("saturate needs a negative --energy for decaying tails")
-    tol = args.tol or 1e-6
+    tol = 1e-6 if args.tol is None else args.tol
 
     profile = saturation_profile(problem, energy, tol=tol)
     lines = _preamble("saturate", args, problem,

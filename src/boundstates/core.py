@@ -178,6 +178,11 @@ class Evaluation:
     def ok(self):
         return self.flag is None and math.isfinite(self.value)
 
+    @classmethod
+    def of(cls, value):
+        """value as an Evaluation, flagged "overflow" when it is not finite."""
+        return cls(value) if math.isfinite(value) else cls(value, "overflow")
+
 
 class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.

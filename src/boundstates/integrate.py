@@ -9,8 +9,9 @@ logical line, for eigenfunction assembly and saturation profiles.
 `canonical_ends` keeps only the end points of one energy, for refinement, and
 `canonical_endpoints` those of a vector of energies marched in lockstep, for
 scans. All three give each energy's end points as one `Endpoints` record,
-which every characteristic value function reads. Growth beyond DEFAULT_CAP
-truncates the sweep and flags the result instead of raising.
+which every characteristic value function reads. Every march runs to the
+grid end: growth past the double range goes on as inf or NaN, and the value
+functions flag a value that is not finite as overflow.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from array import array
 from typing import NamedTuple
 
 import numpy as np
-
-DEFAULT_CAP = 1e280
 
 
 class PotentialSamples(NamedTuple):
@@ -54,11 +53,14 @@ def sample_potential(potential, grid):
     return PotentialSamples(right, left, np.array(left[0][:0:-1] + right[0]))
 
 
-def _march(nodes, halves, energy, h, n_steps, cap, keep):
+def _march(nodes, halves, energy, h, n_steps, keep):
     # C from (1, 0) and S from (0, 1); h carries the direction sign. Both RK4
     # updates are written out in plain floats, the hot path of every
-    # single-energy evaluation. Returns the columns [(C, C'), (S, S')]: arrays
-    # of every state with keep, else the last state inside the cap as floats.
+    # single-energy evaluation; float * and + run on into inf and NaN instead
+    # of raising. Returns the columns [(C, C'), (S, S')]: arrays of every
+    # state with keep, else the last state as floats. The stored-sample count
+    # and the False after it are read by bench/tracer.py, which counts
+    # column-steps from the second item.
     c, dc, s, ds = 1.0, 0.0, 0.0, 1.0
     if keep:
         cols = [array("d", (v,)) for v in (c, dc, s, ds)]
@@ -67,7 +69,6 @@ def _march(nodes, halves, energy, h, n_steps, cap, keep):
     h2 = h * 0.5
     h6 = h / 6.0
     g2 = 2.0 * nodes[0] - e2
-    stored = n_steps + 1
     for j in range(n_steps):
         g0 = g2
         g1 = 2.0 * halves[j] - e2
@@ -79,8 +80,8 @@ def _march(nodes, halves, energy, h, n_steps, cap, keep):
         k3p = g1 * (c + h2 * k2y)
         k4y = dc + h * k3p
         k4p = g2 * (c + h * k3y)
-        c1 = c + h6 * (dc + 2.0 * (k2y + k3y) + k4y)
-        dc1 = dc + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+        c, dc = (c + h6 * (dc + 2.0 * (k2y + k3y) + k4y),
+                 dc + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
         k1p = g0 * s
         k2y = ds + h2 * k1p
         k2p = g1 * (s + h2 * ds)
@@ -88,12 +89,8 @@ def _march(nodes, halves, energy, h, n_steps, cap, keep):
         k3p = g1 * (s + h2 * k2y)
         k4y = ds + h * k3p
         k4p = g2 * (s + h * k3y)
-        s1 = s + h6 * (ds + 2.0 * (k2y + k3y) + k4y)
-        ds1 = ds + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        if not (abs(c1) <= cap and abs(dc1) <= cap and abs(s1) <= cap and abs(ds1) <= cap):
-            stored = j + 1
-            break
-        c, dc, s, ds = c1, dc1, s1, ds1
+        s, ds = (s + h6 * (ds + 2.0 * (k2y + k3y) + k4y),
+                 ds + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
         if keep:
             put_c(c)
             put_dc(dc)
@@ -101,30 +98,25 @@ def _march(nodes, halves, energy, h, n_steps, cap, keep):
             put_ds(ds)
     if keep:
         c, dc, s, ds = (np.frombuffer(a) for a in cols)
-    return [(c, dc), (s, ds)], stored, stored <= n_steps
+    return [(c, dc), (s, ds)], n_steps + 1, False
 
 
-def _march_endpoints(nodes, halves, energies, x0, h, n_steps, cap):
+def _march_endpoints(nodes, halves, energies, h, n_steps):
     # _march at every energy in lockstep, keeping only each energy's last
-    # state inside the cap. Every numpy operation is one of the scalar loop's,
-    # on the same operands in the same order, so the results match it bit for
-    # bit. a stacks (C, S) over (C', S'), so one in-place operation serves both
-    # columns and both components. An energy that leaves the cap drops out of
-    # the live set at that step. Returns lists (x, C, C', S, S', truncated).
+    # state. Every numpy operation is one of the scalar loop's, on the same
+    # operands in the same order, so the results match it bit for bit, inf
+    # and NaN included. a stacks (C, S) over (C', S'), so one in-place
+    # operation serves both columns and both components. Returns lists
+    # (C, C', S, S').
     m = len(energies)
     e2 = 2.0 * energies
     a = np.eye(2)[:, :, None].repeat(m, axis=2)
-    a_end = a.copy()
-    steps = np.full(m, n_steps)
-    live = np.arange(m)
     h2 = h * 0.5
     h6 = h / 6.0
     g0, g1, g2 = np.empty(m), np.empty(m), 2.0 * nodes[0] - e2
     k1, k2, k3, k4, t = (np.empty_like(a) for _ in range(5))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps):
-            if not live.size:
-                break
             g0, g2 = g2, g0
             np.subtract(2.0 * halves[j], e2, out=g1)
             np.subtract(2.0 * nodes[j + 1], e2, out=g2)
@@ -145,20 +137,9 @@ def _march_endpoints(nodes, halves, energies, x0, h, n_steps, cap):
             np.add(t, k4, out=t)
             np.multiply(h6, t, out=t)
             np.add(a, t, out=t)
-            # one cheap test per step; NaN fails it like an excess does
-            if not np.abs(t, out=k1).max() <= cap:
-                ok = (k1 <= cap).all(axis=(0, 1))
-                out = live[~ok]
-                a_end[:, :, out] = a[:, :, ~ok]
-                steps[out] = j
-                live = live[ok]
-                t, e2, g2 = t[:, :, ok], e2[ok], g2[ok]
-                g0, g1 = np.empty_like(g2), np.empty_like(g2)
-                a, k1, k2, k3, k4 = (np.empty_like(t) for _ in range(5))
             a, t = t, a
-    a_end[:, :, live] = a
-    (c, s), (dc, ds) = a_end.tolist()
-    return (x0 + h * steps).tolist(), c, dc, s, ds, (steps < n_steps).tolist()
+    (c, s), (dc, ds) = a.tolist()
+    return c, dc, s, ds
 
 
 def _mirrored(values):
@@ -168,20 +149,20 @@ def _mirrored(values):
 
 
 class Endpoints(NamedTuple):
-    """One energy's canonical pair at its two reached ends.
+    """One energy's canonical pair at the two ends of its grid.
 
-    left and right are (x, C, C', S, S') as Python floats. truncated is set
-    when either sweep left DEFAULT_CAP before its end.
+    left and right are (x, C, C', S, S') as Python floats, at grid.x_left
+    (-x_right for a reflected pair) and grid.x_right. A march that outgrows
+    the double range ends in inf or NaN, which the value functions flag.
     """
 
     energy: float
     left: tuple
     right: tuple
-    truncated: bool
 
 
 class CanonicalPair(NamedTuple):
-    """The canonical solutions C and S at every reached point of one grid.
+    """The canonical solutions C and S at every point of one grid.
 
     The arrays are grid ordered over the full logical line: a reflected pair
     (see canonical_pair) holds its mirrored left half too. v holds the
@@ -212,41 +193,40 @@ def canonical_pair(potential, energy, grid, samples=None):
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    right, nr, trunc = _march(*samples.right, energy, grid.h, grid.n_right, DEFAULT_CAP, True)
-    (c, dc), (s, ds) = right
-    v = samples.line[grid.n_left:grid.n_left + nr]
+    (c, dc), (s, ds) = _march(*samples.right, energy, grid.h, grid.n_right, True)[0]
+    v = samples.line
     reflected = _reflected(potential, grid)
-    nl = nr if reflected else 1
     if reflected:
         c, ds, v = (np.concatenate([a[:0:-1], a]) for a in (c, ds, v))
         dc, s = (np.concatenate([-a[:0:-1], a]) for a in (dc, s))
     elif grid.n_left:
-        left, nl, trunc_l = _march(*samples.left, energy, -grid.h, grid.n_left, DEFAULT_CAP, True)
-        trunc = trunc or trunc_l
+        left = _march(*samples.left, energy, -grid.h, grid.n_left, True)[0]
         c, dc, s, ds = (np.concatenate([la[:0:-1], ra])
                         for la, ra in zip((a for col in left for a in col), (c, dc, s, ds)))
-        v = samples.line[grid.n_left + 1 - nl:grid.n_left + nr]
-    x = grid.x0 + grid.h * np.arange(1 - nl, nr)
-    ends = [tuple(float(a[i]) for a in (x, c, dc, s, ds)) for i in (0, -1)]
+    # the len(c) grid points ending at x_right; ends at x_left/x_right as in _ends
+    x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(c), grid.n_right + 1)
+    ends = [(xe, *(float(a[i]) for a in (c, dc, s, ds)))
+            for xe, i in ((grid.x_left, 0), (grid.x_right, -1))]
     if reflected:
         # as canonical_ends builds it, signed zeros included
         ends[0] = _mirrored(ends[1])
-    return CanonicalPair(x, c, dc, s, ds, v, Endpoints(float(energy), *ends, trunc))
+    return CanonicalPair(x, c, dc, s, ds, v, Endpoints(float(energy), *ends))
 
 
 def _ends(potential, energies, grid, samples, side):
     # one Endpoints per energy; side(nodes_halves, h, n) marches one side and
-    # gives (x, C, C', S, S', truncated) at the sweep's end for each energy
+    # gives (C, C', S, S') at its end for each energy
     right = side(samples.right, grid.h, grid.n_right)
+    xl, xr = grid.x_left, grid.x_right
     if _reflected(potential, grid):
-        for energy, (*r, trunc) in zip(energies, right):
-            yield Endpoints(energy, _mirrored(r), tuple(r), trunc)
+        for energy, r in zip(energies, right):
+            r = (xr, *r)
+            yield Endpoints(energy, _mirrored(r), r)
         return
-    # without a left sweep the left end is the origin: a right sweep of no steps
-    left = (side(samples.left, -grid.h, grid.n_left) if grid.n_left
-            else side(samples.right, grid.h, 0))
-    for energy, (*lv, trunc_l), (*r, trunc_r) in zip(energies, left, right):
-        yield Endpoints(energy, tuple(lv), tuple(r), trunc_l or trunc_r)
+    # without a left sweep the left end is the origin: a march of no steps
+    left = side(samples.left, -grid.h, grid.n_left)
+    for energy, lv, r in zip(energies, left, right):
+        yield Endpoints(energy, (xl, *lv), (xr, *r))
 
 
 def canonical_ends(potential, energy, grid, samples):
@@ -258,8 +238,8 @@ def canonical_ends(potential, energy, grid, samples):
     energy = float(energy)
 
     def side(nodes_halves, h, n):
-        (c, s), stored, trunc = _march(*nodes_halves, energy, h, n, DEFAULT_CAP, False)
-        return [(grid.x0 + h * (stored - 1), *c, *s, trunc)]
+        (c, s), _, _ = _march(*nodes_halves, energy, h, n, False)
+        return [(*c, *s)]
 
     return next(_ends(potential, [energy], grid, samples, side))
 
@@ -273,6 +253,6 @@ def canonical_endpoints(potential, energies, grid, samples):
     energies = np.asarray(energies, dtype=float)
 
     def side(nodes_halves, h, n):
-        return zip(*_march_endpoints(*nodes_halves, energies, grid.x0, h, n, DEFAULT_CAP))
+        return zip(*_march_endpoints(*nodes_halves, energies, h, n))
 
     return _ends(potential, energies.tolist(), grid, samples, side)

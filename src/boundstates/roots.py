@@ -63,19 +63,22 @@ def _default_probes(lo, hi):
 def scan_brackets(char_fn, energy_range, n_probe=None):
     """Probe uniformly and collect sign-change brackets.
 
+    n_probe cells of equal width are probed at their n_probe + 1 edges.
     Flagged probes (poles, overflow, degenerate asymptotics) are skipped; a
     sign change spanning skipped probes is subdivided before acceptance.
     Returns brackets in energy order, pole-suspect ones included but marked.
+    A reversed range or fewer than one probe cell raises ValueError.
     """
     lo, hi = float(energy_range[0]), float(energy_range[1])
     if lo > hi:
         raise ValueError(f"energy range is reversed: {energy_range!r}")
-    if lo == hi:
-        return []
     if n_probe is None:
         n_probe = _default_probes(lo, hi)
-    n_probe = max(2, int(n_probe))
-    eps = np.linspace(lo, hi, n_probe + 1)
+    elif n_probe < 1:
+        raise ValueError(f"need at least one probe cell, got n_probe={n_probe!r}")
+    if lo == hi:
+        return []
+    eps = np.linspace(lo, hi, int(n_probe) + 1)
     evals = char_fn.evaluate_many(eps)
     ok = [i for i, ev in enumerate(evals) if ev.ok]
     if not ok:

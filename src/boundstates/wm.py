@@ -83,19 +83,13 @@ def wm_endpoint_data(ends, asymptotics):
         w_rc_rd=w_rc_rd)
 
 
-def _flagged(value, ends):
-    if ends.truncated or not math.isfinite(value):
-        return Evaluation(value, "overflow")
-    return Evaluation(value)
-
-
 def wm_value(problem, ends):
     """General WM determinant from one energy's Endpoints."""
     try:
         d = wm_endpoint_data(ends, problem.asymptotics)
     except DegenerateAsymptoticsError:
         return Evaluation(math.nan, "degenerate")
-    return _flagged(d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s, ends)
+    return Evaluation.of(d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s)
 
 
 def wm_value_symmetric(problem, ends, parity):
@@ -105,7 +99,7 @@ def wm_value_symmetric(problem, ends, parity):
     except DegenerateAsymptoticsError:
         return Evaluation(math.nan, "degenerate")
     value = d.w_rc_c if parity == "even" else d.w_rc_s
-    return _flagged(value, ends)
+    return Evaluation.of(value)
 
 
 def characteristic(problem, value, label):

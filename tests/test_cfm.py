@@ -79,8 +79,9 @@ def test_truncated_pair_flags_overflow():
     prob = Problem(slab, make_grid(0.0, 0.01, 0, 10000),
                    decay_model(-100.0, 100.0), energy_range=(-2.0, 0.0))
     ends = canonical_pair(slab, -1.0, prob.grid).ends
-    # the right sweep stopped short of x_right
-    assert ends.truncated and ends.right[0] < prob.grid.x_right
+    # the right sweep outgrew the double range and still reached x_right
+    assert ends.right[0] == prob.grid.x_right
+    assert not all(map(math.isfinite, ends.right[1:]))
     ev = cfm_value(prob, ends)
     assert not ev.ok
     assert ev.flag == "overflow"

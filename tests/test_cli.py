@@ -83,6 +83,15 @@ def test_solve_empty_window_is_a_solver_failure(capsys):
     assert "no bound states" in capsys.readouterr().err
 
 
+def test_solve_past_the_double_range_is_a_solver_failure(capsys):
+    # every march overflows; the quartic boundary members used to be read
+    # inside x_right, where math.exp raised OverflowError
+    code = run_cli(["solve", "--potential", "anharmonic", "--v2", "0", "--v4", "1",
+                    "--h", "0.01", "--nr", "1819", "--range", "0:20"])
+    assert code == 2
+    assert "no bound states found" in capsys.readouterr().err
+
+
 def test_solve_dump_writes_one_column_per_state(tmp_path, capsys):
     dump = tmp_path / "wf.csv"
     assert run_cli(["solve"] + PT25_SMALL + ["--dump", str(dump)]) == 0
@@ -262,6 +271,18 @@ def test_non_positive_probes_are_config_errors(command, probes, tmp_path, capsys
         out = capsys.readouterr()
         assert out.out == ""
         assert "probes" in out.err
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tolerances_are_config_errors(command, tol, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = %s\n" % tol)
+    for source in (["--tol", tol], ["--config", str(cfg)]):
+        assert run_cli([command, "--potential", "box", "--h", "0.01"] + source) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "tol" in out.err
 
 
 def test_missing_config_file_is_an_io_error(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
-from boundstates.core import PotentialSpec, make_grid, wronskian
+from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
 from boundstates.cfm import cfm_value, dirichlet_value
 from boundstates.integrate import (
     canonical_endpoints,
@@ -16,6 +16,7 @@ from boundstates.integrate import (
     canonical_pair,
     sample_potential,
 )
+from boundstates.potentials import decay_model
 from boundstates.roots import _default_probes, characteristic_for
 from boundstates.wm import wm_value, wm_value_symmetric
 
@@ -62,7 +63,7 @@ def test_halving_the_step_changes_little():
     for h in (0.01, 0.005):
         grid = make_grid(0.0, h, 0, int(round(5.0 / h)))
         pair = canonical_pair(PT25.potential, -1.0, grid)
-        assert not pair.ends.truncated
+        assert all(map(math.isfinite, pair.ends.left + pair.ends.right))
         results[h] = pair.c[-1]
     assert results[0.01] == pytest.approx(-108.51900692869377, rel=1e-12)
     rel = abs(results[0.01] - results[0.005]) / abs(results[0.005])
@@ -105,10 +106,14 @@ def test_overflow_truncates_and_flags():
     barrier = PotentialSpec(evaluate=lambda x: 25.0)
     grid = make_grid(0.0, 0.01, 0, 10000)
     pair = canonical_pair(barrier, -1.0, grid)
-    assert pair.ends.truncated
-    assert len(pair.c) < grid.n_right + 1
-    for a in (pair.x, pair.c, pair.dc, pair.s, pair.ds):
-        assert np.all(np.isfinite(a))
+    assert pair.x[-1] == pair.ends.right[0] == grid.x_right
+    assert len(pair.x) == len(pair.c) == grid.n_right + 1
+    # growth past the double range runs on as inf or NaN, never raises
+    assert not all(map(math.isfinite, pair.ends.right[1:]))
+    problem = Problem(barrier, grid, decay_model(grid.x_left, grid.x_right),
+                      energy_range=(-2.0, 0.0))
+    for value in (wm_value, cfm_value, dirichlet_value):
+        assert value(problem, pair.ends).flag == "overflow"
 
 
 # --- batched endpoint march -------------------------------------------------
@@ -172,9 +177,10 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
             assert [_bits(v) for v in got.left + got.right] == [
                 _bits(v) for v in pair.ends.left + pair.ends.right]
     if grid.n_right:
-        # the right sweep stopped short of x_right
+        # the right sweep outgrew the double range and still reached x_right
         ends = canonical_pair(SLAB, -40.0, grid).ends
-        assert ends.truncated and ends.right[0] < grid.x_right
+        assert ends.right[0] == grid.x_right
+        assert not all(map(math.isfinite, ends.right[1:]))
 
 
 def _pair_value(problem, method, energy):

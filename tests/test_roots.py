@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from boundstates import (
@@ -20,7 +21,7 @@ from boundstates import (
 )
 from boundstates.core import CharacteristicFunction, Evaluation, RefinementError
 from boundstates.integrate import sample_potential
-from boundstates.roots import RefinementWarning
+from boundstates.roots import RefinementWarning, _default_probes, characteristic_for
 
 
 def _plain(f):
@@ -85,6 +86,22 @@ def test_scan_range_validation():
     with pytest.raises(ValueError):
         scan_brackets(fn, (1.0, 0.0))
     assert scan_brackets(fn, (1.0, 1.0)) == []
+
+
+def test_scan_probes_as_many_cells_as_asked():
+    energies = []
+
+    def fn(e):
+        energies.append(e)
+        return Evaluation(e - 0.3)
+
+    char = CharacteristicFunction(fn, label="counted")
+    # one cell is its two edges, lo and hi
+    assert len(scan_brackets(char, (0.0, 1.0), 1)) == 1
+    assert energies == [0.0, 1.0]
+    for n_probe in (0, -2):
+        with pytest.raises(ValueError):
+            scan_brackets(char, (0.0, 1.0), n_probe)
 
 
 def test_refine_degenerate_bracket_returns_its_point():
@@ -172,6 +189,17 @@ def test_overflowing_probes_emit_no_numpy_warning(method):
         warnings.simplefilter("error", RuntimeWarning)
         results = find_eigenvalues(problem, method=method, n_probe=200)
     assert [r.energy for r in results] == pytest.approx(QUARTIC_LEVELS[method], abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["wm", "wm-even", "wm-odd", "cfm"])
+def test_probes_past_the_double_range_are_flagged_not_raised(method):
+    # the quartic's boundary members are anchored at x_right; every march
+    # reaches it, so none is read where math.exp would overflow
+    problem = anharmonic(0.0, 1.0, h=0.01, energy_max=1000.0)
+    fn = characteristic_for(problem, method)
+    evals = fn.evaluate_many(np.linspace(0.0, 20.0, _default_probes(0.0, 20.0) + 1))
+    assert len(evals) == 401
+    assert all(ev.ok or ev.flag == "overflow" for ev in evals)
 
 
 def _counting(problem):
