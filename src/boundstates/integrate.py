@@ -3,20 +3,19 @@
 Classical fixed-step RK4 on the first-order form of phi'' = 2(v - eps) phi.
 v does not depend on the energy, so it is sampled once per solve, on the grid
 points and the half-step points of each side, and every march reads those
-samples. The two canonical solutions C (start 1, 0) and S (start 0, 1) are
-marched in one sweep. `canonical_pair` keeps every sample over the full
-logical line, for eigenfunction assembly and saturation profiles.
-`canonical_ends` keeps only the end points of one energy, for refinement, and
-`canonical_endpoints` those of a vector of energies marched in lockstep, for
-scans. All three give each energy's end points as one `Endpoints` record,
-which every characteristic value function reads. Every march runs to the
-grid end: growth past the double range goes on as inf or NaN, and the value
-functions flag a value that is not finite as overflow.
+samples. An RK4 step is linear in the state, so one kernel marches the
+canonical solutions C (start 1, 0) and S (start 0, 1) at many energies as an
+ordered product of 2x2 step matrices. `canonical_pair` keeps every sample over
+the full logical line, for eigenfunction assembly and saturation profiles;
+`canonical_ends` keeps the end points of one energy, for refinement, and
+`canonical_endpoints` those of many, for scans. Each gives an energy's end
+points as the same `Endpoints` record, bit for bit, which every characteristic
+value function reads. Every march runs to the grid end: growth past the double
+range goes on as inf or NaN, which the value functions flag as overflow.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -25,13 +24,10 @@ import numpy as np
 class PotentialSamples(NamedTuple):
     """v(x) on one grid, sampled once per solve.
 
-    right and left each hold (nodes, halves) in march order, as lists of
-    Python floats: nodes[j] is v at x0 + j*h and halves[j] at the midpoint of
-    step j, with h negative on the left side. The float expressions are the
-    ones the march steps through, so a sample is bit for bit the v(x) call it
-    replaces. Lists, not arrays: indexing an array yields numpy scalars, whose
-    arithmetic is slower than plain floats and warns on overflow. line is v
-    at grid.points() as an array, which pairs slice for node counting.
+    right and left each hold (nodes, halves) in march order, as arrays:
+    nodes[j] is v at x0 + j*h and halves[j] at the midpoint of step j, with h
+    negative on the left side. line is v at grid.points(), which pairs slice
+    for node counting.
     """
 
     right: tuple
@@ -47,99 +43,103 @@ def sample_potential(potential, grid):
     def side(h, n):
         nodes = [float(v(x0))] + [float(v(x0 + j * h)) for j in range(1, n + 1)]
         halves = [float(v((x0 + j * h) + h * 0.5)) for j in range(n)]
-        return nodes, halves
+        return np.array(nodes), np.array(halves)
 
     right, left = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
-    return PotentialSamples(right, left, np.array(left[0][:0:-1] + right[0]))
+    return PotentialSamples(right, left, np.concatenate([left[0][:0:-1], right[0]]))
+
+
+# Steps per block, a power of two, in the bit-reversed order that makes each
+# level of a block's tree pair the second half of the block with the first;
+# and the bound on step x energy elements per array of one chunk.
+_BITS = 7
+_BLOCK = 1 << _BITS
+_BITREV = np.array([int(f"{k:0{_BITS}b}"[::-1], 2) for k in range(_BLOCK)])
+_CHUNK = 1 << 13
+
+
+def _mul(m, n):
+    # m @ n for 2x2 matrices indexed [row, column, ...], broadcast over the rest
+    return m[:, :1] * n[:1] + m[:, 1:] * n[1:]
+
+
+def _step_matrices(g0, g1, g2, e2, h, out):
+    # One RK4 step of (y, y') on y'' = g y, g = g0 - e2, g1 - e2, g2 - e2 at
+    # the step's start, midpoint and end: the stages applied to the columns
+    # (1, 0) and (0, 1), multiplied out into out, each entry as soon as its
+    # inputs exist, which keeps a chunk's working set small.
+    r = h * h / 6.0
+    g1 = g1 - e2
+    t = (0.25 * h * h) * g1
+    np.add(h, (h * r) * g1, out=out[0, 1])
+    g1 *= 2.0
+    g0 = g0 - e2
+    np.add(1.0, r * (g0 + g1 + g0 * t), out=out[0, 0])
+    g2 = g2 - e2
+    np.add(1.0, r * (g2 + g1 + g2 * t), out=out[1, 1])
+    g0 += g2
+    np.multiply(h / 6.0, g0 + 2.0 * g1 + 2.0 * t * g0, out=out[1, 0])
+
+
+def _propagate(nodes, halves, energies, h, n_steps, keep):
+    # The fundamental matrix Phi = [[C, S], [C', S']] of each energy (I at
+    # the start; h carries the direction sign) as the ordered product of its
+    # RK4 step matrices, padded at the start with identity steps to whole
+    # blocks. A block is reduced by a balanced pairwise tree, or with keep by
+    # a Hillis-Steele inclusive scan, whose last element is that tree; block
+    # products act on the running state in order, so the association depends
+    # on the step index alone, not on the chunking over steps and energies.
+    # Returns rows (C, C', S, S') over energies, with keep over samples first.
+    pad = -n_steps % _BLOCK
+    steps = np.arange(pad + n_steps).reshape(-1, _BLOCK)
+    steps = (steps if keep else steps[:, _BITREV]).ravel() - pad
+    i = np.maximum(steps, 0)
+    g0, g1, g2 = 2.0 * nodes[i, None], 2.0 * halves[i, None], 2.0 * nodes[i + 1, None]
+    width = max(1, min(len(energies), _CHUNK // _BLOCK))
+    span = max(1, _CHUNK // (width * _BLOCK)) * _BLOCK
+    # every chunk builds its step matrices in one buffer: fresh arrays of this
+    # size would be given back to the system and faulted in again each chunk
+    buf = np.empty((2, 2, min(span, pad + n_steps) * width))
+    out = np.empty((2, 2, n_steps + 1, len(energies)) if keep else (2, 2, len(energies)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e0 in range(0, len(energies), width):
+            e2 = 2.0 * energies[e0:e0 + width]
+            phi = np.eye(2)[:, :, None].repeat(len(e2), axis=2)
+            samples = [phi[:, :, None]]
+            for k0 in range(0, pad + n_steps, span):
+                k = slice(k0, k0 + span)
+                x = buf[:, :, :len(steps[k]) * len(e2)].reshape(2, 2, -1, len(e2))
+                _step_matrices(g0[k], g1[k], g2[k], e2, h, x)
+                x[:, :, steps[k] < 0] = np.eye(2)[:, :, None, None]
+                x = x.reshape(2, 2, -1, _BLOCK, len(e2))
+                if keep:
+                    for d in 1 << np.arange(_BITS):
+                        x[:, :, :, d:] = _mul(x[:, :, :, d:], x[:, :, :, :-d])
+                    q = x[:, :, :, -1]
+                else:
+                    for half in _BLOCK >> np.arange(1, _BITS + 1):
+                        x = _mul(x[:, :, :, half:], x[:, :, :, :half])
+                    q = x[:, :, :, 0]
+                starts = []
+                for b in range(q.shape[2]):
+                    starts.append(phi)
+                    phi = _mul(q[:, :, b], phi)
+                if keep:
+                    states = _mul(x, np.stack(starts, axis=2)[:, :, :, None])
+                    samples.append(states.reshape(2, 2, -1, len(e2)))
+            # with keep, the states after the identity steps are I again
+            out[..., e0:e0 + width] = (np.concatenate(samples, axis=2)[:, :, -n_steps - 1:]
+                                       if keep else phi)
+    return out.swapaxes(0, 1).reshape(4, *out.shape[2:])
 
 
 def _march(nodes, halves, energy, h, n_steps, keep):
-    # C from (1, 0) and S from (0, 1); h carries the direction sign. Both RK4
-    # updates are written out in plain floats, the hot path of every
-    # single-energy evaluation; float * and + run on into inf and NaN instead
-    # of raising. Returns the columns [(C, C'), (S, S')]: arrays of every
-    # state with keep, else the last state as floats. The stored-sample count
-    # and the False after it are read by bench/tracer.py, which counts
-    # column-steps from the second item.
-    c, dc, s, ds = 1.0, 0.0, 0.0, 1.0
-    if keep:
-        cols = [array("d", (v,)) for v in (c, dc, s, ds)]
-        put_c, put_dc, put_s, put_ds = (a.append for a in cols)
-    e2 = 2.0 * float(energy)
-    h2 = h * 0.5
-    h6 = h / 6.0
-    g2 = 2.0 * nodes[0] - e2
-    for j in range(n_steps):
-        g0 = g2
-        g1 = 2.0 * halves[j] - e2
-        g2 = 2.0 * nodes[j + 1] - e2
-        k1p = g0 * c
-        k2y = dc + h2 * k1p
-        k2p = g1 * (c + h2 * dc)
-        k3y = dc + h2 * k2p
-        k3p = g1 * (c + h2 * k2y)
-        k4y = dc + h * k3p
-        k4p = g2 * (c + h * k3y)
-        c, dc = (c + h6 * (dc + 2.0 * (k2y + k3y) + k4y),
-                 dc + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
-        k1p = g0 * s
-        k2y = ds + h2 * k1p
-        k2p = g1 * (s + h2 * ds)
-        k3y = ds + h2 * k2p
-        k3p = g1 * (s + h2 * k2y)
-        k4y = ds + h * k3p
-        k4p = g2 * (s + h * k3y)
-        s, ds = (s + h6 * (ds + 2.0 * (k2y + k3y) + k4y),
-                 ds + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
-        if keep:
-            put_c(c)
-            put_dc(dc)
-            put_s(s)
-            put_ds(ds)
-    if keep:
-        c, dc, s, ds = (np.frombuffer(a) for a in cols)
+    # _propagate at one energy: the columns [(C, C'), (S, S')], arrays of
+    # every state with keep, else the last state as floats; bench/tracer.py
+    # unpacks all three items and counts column-steps from the second.
+    rows = _propagate(nodes, halves, np.array([float(energy)]), h, n_steps, keep)[..., 0]
+    c, dc, s, ds = rows if keep else rows.tolist()
     return [(c, dc), (s, ds)], n_steps + 1, False
-
-
-def _march_endpoints(nodes, halves, energies, h, n_steps):
-    # _march at every energy in lockstep, keeping only each energy's last
-    # state. Every numpy operation is one of the scalar loop's, on the same
-    # operands in the same order, so the results match it bit for bit, inf
-    # and NaN included. a stacks (C, S) over (C', S'), so one in-place
-    # operation serves both columns and both components. Returns lists
-    # (C, C', S, S').
-    m = len(energies)
-    e2 = 2.0 * energies
-    a = np.eye(2)[:, :, None].repeat(m, axis=2)
-    h2 = h * 0.5
-    h6 = h / 6.0
-    g0, g1, g2 = np.empty(m), np.empty(m), 2.0 * nodes[0] - e2
-    k1, k2, k3, k4, t = (np.empty_like(a) for _ in range(5))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            g0, g2 = g2, g0
-            np.subtract(2.0 * halves[j], e2, out=g1)
-            np.subtract(2.0 * nodes[j + 1], e2, out=g2)
-            # stage k holds the scalar loop's (ky, kp): k1 = (p, g0 y), and a
-            # later stage reads t = a + step * previous as (g t[0], t[1])
-            k1[0] = a[1]
-            np.multiply(g0, a[0], out=k1[1])
-            for k_in, k_out, step, g in ((k1, k2, h2, g1), (k2, k3, h2, g1),
-                                         (k3, k4, h, g2)):
-                np.multiply(step, k_in, out=t)
-                np.add(a, t, out=t)
-                k_out[0] = t[1]
-                np.multiply(g, t[0], out=k_out[1])
-            # a + h6 (k1 + 2 (k2 + k3) + k4)
-            np.add(k2, k3, out=t)
-            np.multiply(2.0, t, out=t)
-            np.add(k1, t, out=t)
-            np.add(t, k4, out=t)
-            np.multiply(h6, t, out=t)
-            np.add(a, t, out=t)
-            a, t = t, a
-    (c, s), (dc, ds) = a.tolist()
-    return c, dc, s, ds
 
 
 def _mirrored(values):
@@ -245,7 +245,7 @@ def canonical_ends(potential, energy, grid, samples):
 
 
 def canonical_endpoints(potential, energies, grid, samples):
-    """Endpoint data of the canonical pair at many energies, marched in lockstep.
+    """Endpoint data of the canonical pair at many energies, marched together.
 
     Yields one Endpoints per energy, in order, equal bit for bit to
     canonical_ends at that energy. samples are sample_potential(potential, grid).
@@ -253,6 +253,6 @@ def canonical_endpoints(potential, energies, grid, samples):
     energies = np.asarray(energies, dtype=float)
 
     def side(nodes_halves, h, n):
-        return zip(*_march_endpoints(*nodes_halves, energies, h, n))
+        return _propagate(*nodes_halves, energies, h, n, False).T.tolist()
 
     return _ends(potential, energies.tolist(), grid, samples, side)

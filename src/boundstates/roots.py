@@ -65,7 +65,8 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
 
     n_probe cells of equal width are probed at their n_probe + 1 edges.
     Flagged probes (poles, overflow, degenerate asymptotics) are skipped; a
-    sign change spanning skipped probes is subdivided before acceptance.
+    sign change spanning skipped probes is subdivided before acceptance. An
+    exact zero on a window edge is a zero-width bracket.
     Returns brackets in energy order, pole-suspect ones included but marked.
     A reversed range or fewer than one probe cell raises ValueError.
     """
@@ -86,17 +87,22 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
                       RefinementWarning)
         return []
 
-    brackets = []
+    # an exact hit on a window edge lacks a neighbour on one side, so it is
+    # its own zero-width bracket
+    last = len(eps) - 1
+    edges = {i: Bracket(float(eps[i]), float(eps[i]), 0.0, 0.0) for i in (0, last)
+             if evals[i].ok and evals[i].value == 0.0}
+    brackets = [edges[0]] if 0 in edges else []
     for p in range(len(ok) - 1):
         a, b = ok[p], ok[p + 1]
         fa, fb = evals[a].value, evals[b].value
         if fa == 0.0:
             # exact hit: the neighbors straddle the root
-            if 0 < a and b < len(eps) and evals[a - 1].ok and (evals[a - 1].value < 0) != (fb < 0):
+            if 0 < a and evals[a - 1].ok and (evals[a - 1].value < 0) != (fb < 0):
                 brackets.append(Bracket(float(eps[a - 1]), float(eps[b]),
                                         evals[a - 1].value, fb))
             continue
-        if (fa < 0) == (fb < 0):
+        if (fa < 0) == (fb < 0) or b in edges:
             continue
         gap = b - a > 1
         f_prev = evals[ok[p - 1]].value if p > 0 else None
@@ -107,6 +113,8 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
             brackets.extend(_subdivide(char_fn, float(eps[a]), float(eps[b]), fa, fb))
         else:
             brackets.append(Bracket(float(eps[a]), float(eps[b]), fa, fb))
+    if last in edges:
+        brackets.append(edges[last])
     return brackets
 
 

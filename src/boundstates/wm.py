@@ -189,15 +189,14 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
     x, c, dc, s, ds, v, ends = pair
     psi = a2 * c + b2 * s
     dpsi = a2 * dc + b2 * ds
-    l2 = math.sqrt(_trapezoid(psi * psi, x))
-    if l2 == 0.0 or not math.isfinite(l2):
+    # divided by the largest antinode first, which fixes the overall sign and
+    # keeps a member grown far out on the grid from overflowing the norm
+    top = float(psi[np.argmax(np.abs(psi))])
+    if top == 0.0 or not math.isfinite(top):
         raise DegenerateRootError(f"eigenfunction norm degenerate at energy {ends.energy!r}")
-    sign = 1.0 if psi[np.argmax(np.abs(psi))] >= 0 else -1.0
-    scale = sign / l2
-    psi = psi * scale
-    dpsi = dpsi * scale
-    a2 = a2 * scale
-    b2 = b2 * scale
+    psi, dpsi, a2, b2 = (a / top for a in (psi, dpsi, a2, b2))
+    l2 = math.sqrt(_trapezoid(psi * psi, x))
+    psi, dpsi, a2, b2 = (a / l2 for a in (psi, dpsi, a2, b2))
 
     b1 = (a2 * d.w_lc_c + b2 * d.w_lc_s) / d.w_lc_ld
     b3 = (a2 * d.w_rc_c + b2 * d.w_rc_s) / d.w_rc_rd

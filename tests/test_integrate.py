@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
+from boundstates import integrate
 from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
 from boundstates.cfm import cfm_value, dirichlet_value
 from boundstates.integrate import (
@@ -244,3 +245,82 @@ def test_reflected_pair_is_mirrored_bit_for_bit(potential, grid, energies):
         for a in (pair.c, pair.ds, pair.v):
             assert a[:n].tobytes() == a[:n:-1].tobytes()
         assert pair.ends == canonical_ends(potential, energy, grid, samples)
+
+
+# --- the step-matrix kernel: independent of batch size and step count -------
+
+def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
+    # the default probes of the box are more energies than one chunk holds,
+    # and both of its sides are shorter than one block
+    lo, hi = BOX.energy_range
+    energies = np.linspace(lo, hi, _default_probes(lo, hi) + 1)
+    assert len(energies) == 1201 > integrate._CHUNK // integrate._BLOCK
+    assert max(BOX.grid.n_left, BOX.grid.n_right) < integrate._BLOCK
+    samples = sample_potential(BOX.potential, BOX.grid)
+    batch = list(canonical_endpoints(BOX.potential, energies, BOX.grid, samples))
+    single = [canonical_ends(BOX.potential, e, BOX.grid, samples) for e in energies]
+    assert batch == single
+    assert [_bits(v) for ends in batch for v in ends.left + ends.right] == [
+        _bits(v) for ends in single for v in ends.left + ends.right]
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(PT25.grid, id="500-steps"),
+    pytest.param(make_grid(0.3, 0.01, 37, 90), id="both-sides-short"),
+    pytest.param(make_grid(0.0, 0.01, 0, 10000), id="several-step-chunks"),
+])
+def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
+    block = integrate._BLOCK
+    assert grid.n_right % block or grid.n_left % block
+    energies = np.linspace(-2.4, 1.0, integrate._CHUNK // block + 3)
+    samples = sample_potential(PT25.potential, grid)
+    batch = canonical_endpoints(PT25.potential, energies, grid, samples)
+    for ends, e in zip(batch, energies):
+        pair = canonical_pair(PT25.potential, e, grid, samples)
+        for got in (ends, canonical_ends(PT25.potential, e, grid, samples)):
+            assert [_bits(v) for v in got.left + got.right] == [
+                _bits(v) for v in pair.ends.left + pair.ends.right]
+
+
+def _sequential_rk4(v, x0, h, n, energy):
+    # the classical RK4 march of (phi, phi') on phi'' = 2(v - eps) phi from
+    # (1, 0) and from (0, 1), one step after another in plain floats
+    cols = []
+    for y, p in ((1.0, 0.0), (0.0, 1.0)):
+        ys, ps = [y], [p]
+        for j in range(n):
+            x = x0 + j * h
+            g0, g1, g2 = (2.0 * (v(t) - energy) for t in (x, x + 0.5 * h, x + h))
+            k1y, k1p = p, g0 * y
+            k2y, k2p = p + 0.5 * h * k1p, g1 * (y + 0.5 * h * k1y)
+            k3y, k3p = p + 0.5 * h * k2p, g1 * (y + 0.5 * h * k2y)
+            k4y, k4p = p + h * k3p, g2 * (y + h * k3y)
+            y += h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            p += h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            ys.append(y)
+            ps.append(p)
+        cols.append((np.array(ys), np.array(ps)))
+    return cols
+
+
+@pytest.mark.parametrize("problem, energies", [
+    pytest.param(PT25, (-2.0, -0.75, 0.5), id="poschl-teller"),
+    pytest.param(QUARTIC, (0.5, 11.0, 60.0), id="anharmonic"),
+    pytest.param(RADIAL, (-5.0, -1.0, -0.1), id="radial"),
+])
+def test_the_pair_agrees_with_a_sequential_march(problem, energies):
+    # the kernel multiplies the step matrices in another order than a march
+    # that steps one point after the next; the two differ by roundoff only
+    grid, v = problem.grid, problem.potential.evaluate
+    for energy in energies:
+        pair = canonical_pair(problem.potential, energy, grid)
+        origin = len(pair.x) - 1 - grid.n_right
+        right = _sequential_rk4(v, grid.x0, grid.h, grid.n_right, energy)
+        left = _sequential_rk4(v, grid.x0, -grid.h, grid.n_left, energy)
+        for k, (c, dc) in enumerate(((pair.c, pair.dc), (pair.s, pair.ds))):
+            (ry, rp), (ly, lp) = right[k], left[k]
+            got = np.concatenate([c[origin:], dc[origin:], c[origin::-1][:len(ly)],
+                                  dc[origin::-1][:len(lp)]])
+            want = np.concatenate([ry, rp, ly, lp])
+            scale = np.max(np.abs(np.concatenate([c, dc])))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale

@@ -47,6 +47,21 @@ def test_scan_handles_an_exact_probe_zero():
         assert abs(refine_root(fn, b)) <= 1e-10
 
 
+@pytest.mark.parametrize("f, edge", [
+    pytest.param(lambda e: e - 1.0, 1.0, id="rising-at-lo"),
+    pytest.param(lambda e: 1.0 - e, 1.0, id="falling-at-lo"),
+    pytest.param(lambda e: 2.0 - e, 2.0, id="falling-at-hi"),
+    pytest.param(lambda e: e - 2.0, 2.0, id="rising-at-hi"),
+])
+def test_scan_keeps_an_exact_zero_on_a_window_edge(f, edge):
+    # a zero on the first probe has no left neighbour, and one on the last
+    # probe has no right neighbour: each comes back as a zero-width bracket
+    fn = _plain(f)
+    brackets = scan_brackets(fn, (1.0, 2.0), 10)
+    assert brackets == [Bracket(edge, edge, 0.0, 0.0)]
+    assert refine_root(fn, brackets[0]) == edge
+
+
 def test_scan_bridges_flagged_probes():
     def fn(e):
         if abs(e) < 1e-9:

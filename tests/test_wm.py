@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from boundstates import (
+    find_eigenvalues,
     infinite_well,
     make_grid,
     poschl_teller,
@@ -114,6 +115,24 @@ def test_eigenfunction_assembly_first_excited():
     assert res.parity == "odd"
     assert res.node_count == 1
     assert np.allclose(res.psi, -res.psi[::-1], atol=1e-7)
+
+
+@pytest.mark.parametrize("method, levels, raised_at", [
+    pytest.param("wm-even", (-8.0, -2.0), -2.0, id="wm-even"),
+    pytest.param("wm-odd", (-4.5, -0.5), -4.5, id="wm-odd"),
+])
+def test_a_member_grown_past_the_norm_range_still_assembles(method, levels, raised_at):
+    # on x_right = 200 the even member C reaches 5e156 at the level -2, so
+    # psi squared overflows unless psi is scaled down first; which levels
+    # the scan loses to overflowing probes is another matter
+    results = find_eigenvalues(poschl_teller(10.0, h=0.01, x_right=200.0), method=method)
+    energies = [r.energy for r in results]
+    assert min(abs(e - raised_at) for e in energies) < 1e-6
+    assert all(min(abs(e - level) for level in levels) < 1e-6 for e in energies)
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    for r in results:
+        assert trapz(r.psi ** 2, r.x) == pytest.approx(1.0, rel=1e-12)
+        assert r.psi[np.argmax(np.abs(r.psi))] > 0
 
 
 def test_node_count_interior_crossings_only():
