@@ -7,11 +7,12 @@ samples. An RK4 step is linear in the state, so one kernel marches the
 canonical solutions C (start 1, 0) and S (start 0, 1) at many energies as an
 ordered product of 2x2 step matrices. `canonical_pair` keeps every sample over
 the full logical line, for eigenfunction assembly and saturation profiles;
-`canonical_ends` keeps the end points of one energy, for refinement, and
-`canonical_endpoints` those of many, for scans. Each gives an energy's end
-points as the same `Endpoints` record, bit for bit, which every characteristic
-value function reads. Every march runs to the grid end: growth past the double
-range goes on as inf or NaN, which the value functions flag as overflow.
+`canonical_endpoints` keeps only the end points, for a batch of energies: a
+scan's probes, or refinement's single energy as a batch of one. Both give an
+energy's end points as the same `Endpoints` record, bit for bit, which every
+characteristic value function reads. Every march runs to the grid end: growth
+past the double range goes on as inf or NaN, which the value functions flag as
+overflow.
 """
 
 from __future__ import annotations
@@ -133,19 +134,12 @@ def _propagate(nodes, halves, energies, h, n_steps, keep):
     return out.swapaxes(0, 1).reshape(4, *out.shape[2:])
 
 
-def _march(nodes, halves, energy, h, n_steps, keep):
-    # _propagate at one energy: the columns [(C, C'), (S, S')], arrays of
-    # every state with keep, else the last state as floats; bench/tracer.py
-    # unpacks all three items and counts column-steps from the second.
-    rows = _propagate(nodes, halves, np.array([float(energy)]), h, n_steps, keep)[..., 0]
-    c, dc, s, ds = rows if keep else rows.tolist()
+def _march(nodes, halves, energy, h, n_steps):
+    # _propagate at one energy, every state kept: the columns [(C, C'),
+    # (S, S')]; bench/tracer.py unpacks all three items and counts
+    # column-steps from the second.
+    c, dc, s, ds = _propagate(nodes, halves, np.array([float(energy)]), h, n_steps, True)[..., 0]
     return [(c, dc), (s, ds)], n_steps + 1, False
-
-
-def _mirrored(values):
-    # the left end of a reflected pair: C(-x) = C(x), S(-x) = -S(x)
-    x, c, dc, s, ds = values
-    return -x, c, -dc, -s, ds
 
 
 class Endpoints(NamedTuple):
@@ -182,6 +176,14 @@ def _reflected(potential, grid):
     return grid.n_left == 0 and potential.parity_invariant and grid.x0 == 0.0
 
 
+def _endpoints(energy, grid, reflected, left, right):
+    # one energy's Endpoints from (C, C', S, S') at the end of each sweep; a
+    # reflected pair's left end mirrors its right: C(-x) = C(x), S(-x) = -S(x)
+    xr, (c, dc, s, ds) = grid.x_right, right
+    left = (-xr, c, -dc, -s, ds) if reflected else (grid.x_left, *left)
+    return Endpoints(energy, left, (xr, c, dc, s, ds))
+
+
 def canonical_pair(potential, energy, grid, samples=None):
     """Build the canonical pair for one energy, keeping every sample.
 
@@ -193,66 +195,35 @@ def canonical_pair(potential, energy, grid, samples=None):
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    (c, dc), (s, ds) = _march(*samples.right, energy, grid.h, grid.n_right, True)[0]
+    (c, dc), (s, ds) = _march(*samples.right, energy, grid.h, grid.n_right)[0]
     v = samples.line
     reflected = _reflected(potential, grid)
     if reflected:
         c, ds, v = (np.concatenate([a[:0:-1], a]) for a in (c, ds, v))
         dc, s = (np.concatenate([-a[:0:-1], a]) for a in (dc, s))
     elif grid.n_left:
-        left = _march(*samples.left, energy, -grid.h, grid.n_left, True)[0]
+        left = _march(*samples.left, energy, -grid.h, grid.n_left)[0]
         c, dc, s, ds = (np.concatenate([la[:0:-1], ra])
                         for la, ra in zip((a for col in left for a in col), (c, dc, s, ds)))
-    # the len(c) grid points ending at x_right; ends at x_left/x_right as in _ends
+    # the len(c) grid points ending at x_right
     x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(c), grid.n_right + 1)
-    ends = [(xe, *(float(a[i]) for a in (c, dc, s, ds)))
-            for xe, i in ((grid.x_left, 0), (grid.x_right, -1))]
-    if reflected:
-        # as canonical_ends builds it, signed zeros included
-        ends[0] = _mirrored(ends[1])
-    return CanonicalPair(x, c, dc, s, ds, v, Endpoints(float(energy), *ends))
-
-
-def _ends(potential, energies, grid, samples, side):
-    # one Endpoints per energy; side(nodes_halves, h, n) marches one side and
-    # gives (C, C', S, S') at its end for each energy
-    right = side(samples.right, grid.h, grid.n_right)
-    xl, xr = grid.x_left, grid.x_right
-    if _reflected(potential, grid):
-        for energy, r in zip(energies, right):
-            r = (xr, *r)
-            yield Endpoints(energy, _mirrored(r), r)
-        return
-    # without a left sweep the left end is the origin: a march of no steps
-    left = side(samples.left, -grid.h, grid.n_left)
-    for energy, lv, r in zip(energies, left, right):
-        yield Endpoints(energy, (xl, *lv), (xr, *r))
-
-
-def canonical_ends(potential, energy, grid, samples):
-    """Endpoints of the canonical pair at one energy, keeping no per-step arrays.
-
-    Equal bit for bit to canonical_pair(...).ends at that energy. samples
-    are sample_potential(potential, grid).
-    """
-    energy = float(energy)
-
-    def side(nodes_halves, h, n):
-        (c, s), _, _ = _march(*nodes_halves, energy, h, n, False)
-        return [(*c, *s)]
-
-    return next(_ends(potential, [energy], grid, samples, side))
+    left, right = ([float(a[i]) for a in (c, dc, s, ds)] for i in (0, -1))
+    return CanonicalPair(x, c, dc, s, ds, v, _endpoints(float(energy), grid, reflected, left, right))
 
 
 def canonical_endpoints(potential, energies, grid, samples):
-    """Endpoint data of the canonical pair at many energies, marched together.
+    """Endpoints of the canonical pair at each of many energies, marched together.
 
-    Yields one Endpoints per energy, in order, equal bit for bit to
-    canonical_ends at that energy. samples are sample_potential(potential, grid).
+    Returns one Endpoints per energy, in order, each equal bit for bit to
+    canonical_pair(...).ends at that energy whatever else the batch holds.
+    samples are sample_potential(potential, grid).
     """
     energies = np.asarray(energies, dtype=float)
-
-    def side(nodes_halves, h, n):
-        return _propagate(*nodes_halves, energies, h, n, False).T.tolist()
-
-    return _ends(potential, energies.tolist(), grid, samples, side)
+    reflected = _reflected(potential, grid)
+    right = _propagate(*samples.right, energies, grid.h, grid.n_right, False).T.tolist()
+    # a reflected pair mirrors its right end; otherwise, without a left sweep
+    # the left end is the origin, a march of no steps
+    left = right if reflected else (
+        _propagate(*samples.left, energies, -grid.h, grid.n_left, False).T.tolist())
+    return [_endpoints(e, grid, reflected, lv, rv)
+            for e, lv, rv in zip(energies.tolist(), left, right)]

@@ -10,6 +10,7 @@ aborts the bracket as a pole.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cfm import cfm_characteristic, cfm_l_ratios, dirichlet_determinant
-from .core import RefinementError
+from .core import RefinementError, SolverError
 from .integrate import canonical_pair
 from .wm import (
     assemble_eigenresult,
@@ -65,8 +66,10 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
 
     n_probe cells of equal width are probed at their n_probe + 1 edges.
     Flagged probes (poles, overflow, degenerate asymptotics) are skipped; a
-    sign change spanning skipped probes is subdivided before acceptance. An
-    exact zero on a window edge is a zero-width bracket.
+    sign change spanning skipped probes is subdivided before acceptance, and
+    a run of two or more flagged probes, which covers a whole cell, gives a
+    RefinementWarning naming its span. An exact zero on a window edge is a
+    zero-width bracket.
     Returns brackets in energy order, pole-suspect ones included but marked.
     A reversed range or fewer than one probe cell raises ValueError.
     """
@@ -81,10 +84,17 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
         return []
     eps = np.linspace(lo, hi, int(n_probe) + 1)
     evals = char_fn.evaluate_many(eps)
+    # a run of flagged probes that spans a whole cell hides any level in it
+    start = 0
+    for good, run in itertools.groupby(ev.ok for ev in evals):
+        n = len(list(run))
+        if not good and n > 1:
+            warnings.warn(f"every probe from {eps[start]:.9g} to {eps[start + n - 1]:.9g} "
+                          "was flagged; levels in that span are not bracketed",
+                          RefinementWarning)
+        start += n
     ok = [i for i, ev in enumerate(evals) if ev.ok]
     if not ok:
-        warnings.warn("every probe evaluation was flagged; nothing to bracket",
-                      RefinementWarning)
         return []
 
     # an exact hit on a window edge lacks a neighbour on one side, so it is
@@ -233,7 +243,8 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
 
     Returns:
         EigenResults sorted by energy and indexed by position. Brackets that
-        fail to refine are reported as RefinementWarnings, not errors.
+        fail to refine and levels that fail to assemble are reported as
+        RefinementWarnings, not errors.
     """
     char_fn = characteristic_for(problem, method)
     # v does not depend on the energy: assembly marches through the samples
@@ -255,10 +266,14 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
         roots.append(root)
     roots.sort()
     results = []
-    for i, root in enumerate(roots):
-        if method == "cfm":
-            res = _assemble_cfm(problem, root, samples)
-        else:
-            res = wm_eigenfunction(problem, root, samples)
-        results.append(replace(res, index=i))
+    for root in roots:
+        try:
+            if method == "cfm":
+                res = _assemble_cfm(problem, root, samples)
+            else:
+                res = wm_eigenfunction(problem, root, samples)
+        except SolverError as exc:
+            warnings.warn(f"level at {root:.9g} dropped: {exc}", RefinementWarning)
+            continue
+        results.append(replace(res, index=len(results)))
     return results

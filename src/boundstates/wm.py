@@ -26,7 +26,7 @@ from .core import (
     Evaluation,
     wronskian,
 )
-from .integrate import canonical_endpoints, canonical_ends, canonical_pair, sample_potential
+from .integrate import canonical_endpoints, canonical_pair, sample_potential
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -106,22 +106,19 @@ def characteristic(problem, value, label):
     """CharacteristicFunction of a per-endpoint value function.
 
     Shared by every method. value(problem, ends) maps one energy's Endpoints
-    to an Evaluation. v is sampled here, once; evaluate() marches one energy
-    with canonical_ends and evaluate_many() a batch with canonical_endpoints,
-    both endpoint-only and through these samples, which the function keeps as
-    .samples.
+    to an Evaluation. v is sampled here, once, and kept as .samples;
+    evaluate_many() marches its batch endpoint-only with canonical_endpoints
+    through these samples, and evaluate() is a batch of one.
     """
     pot, grid = problem.potential, problem.grid
     samples = sample_potential(pot, grid)
-
-    def one(energy):
-        return value(problem, canonical_ends(pot, energy, grid, samples))
 
     def many(energies):
         return [value(problem, ends)
                 for ends in canonical_endpoints(pot, energies, grid, samples)]
 
-    return CharacteristicFunction(one, label=label, many=many, samples=samples)
+    return CharacteristicFunction(lambda e: many(np.array([e]))[0], label=label,
+                                  many=many, samples=samples)
 
 
 def wm_characteristic(problem):
@@ -187,6 +184,12 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
     boundary Wronskians d, the wm_endpoint_data of pair.ends.
     """
     x, c, dc, s, ds, v, ends = pair
+    # a pair grown past the double range would turn psi into NaN, with numpy
+    # warnings on the way
+    if not (math.isfinite(a2) and math.isfinite(b2)
+            and all(np.isfinite(a).all() for a in (c, dc, s, ds))):
+        raise DegenerateRootError(
+            f"canonical pair or coefficients not finite at energy {ends.energy!r}")
     psi = a2 * c + b2 * s
     dpsi = a2 * dc + b2 * ds
     # divided by the largest antinode first, which fixes the overall sign and

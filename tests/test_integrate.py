@@ -13,7 +13,6 @@ from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
 from boundstates.cfm import cfm_value, dirichlet_value
 from boundstates.integrate import (
     canonical_endpoints,
-    canonical_ends,
     canonical_pair,
     sample_potential,
 )
@@ -172,8 +171,8 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
     batch = canonical_endpoints(SLAB, energies, grid, samples)
     for ends, e in zip(batch, energies):
         pair = canonical_pair(SLAB, e, grid)
-        # the lockstep batch and the single-energy endpoint march
-        for got in (ends, canonical_ends(SLAB, e, grid, samples)):
+        # the batch and a batch of one
+        for got in (ends, canonical_endpoints(SLAB, [e], grid, samples)[0]):
             assert got == pair.ends
             assert [_bits(v) for v in got.left + got.right] == [
                 _bits(v) for v in pair.ends.left + pair.ends.right]
@@ -244,7 +243,7 @@ def test_reflected_pair_is_mirrored_bit_for_bit(potential, grid, energies):
             assert (-a[:n]).tobytes() == a[:n:-1].tobytes()
         for a in (pair.c, pair.ds, pair.v):
             assert a[:n].tobytes() == a[:n:-1].tobytes()
-        assert pair.ends == canonical_ends(potential, energy, grid, samples)
+        assert pair.ends == canonical_endpoints(potential, [energy], grid, samples)[0]
 
 
 # --- the step-matrix kernel: independent of batch size and step count -------
@@ -257,8 +256,8 @@ def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
     assert len(energies) == 1201 > integrate._CHUNK // integrate._BLOCK
     assert max(BOX.grid.n_left, BOX.grid.n_right) < integrate._BLOCK
     samples = sample_potential(BOX.potential, BOX.grid)
-    batch = list(canonical_endpoints(BOX.potential, energies, BOX.grid, samples))
-    single = [canonical_ends(BOX.potential, e, BOX.grid, samples) for e in energies]
+    batch = canonical_endpoints(BOX.potential, energies, BOX.grid, samples)
+    single = [canonical_endpoints(BOX.potential, [e], BOX.grid, samples)[0] for e in energies]
     assert batch == single
     assert [_bits(v) for ends in batch for v in ends.left + ends.right] == [
         _bits(v) for ends in single for v in ends.left + ends.right]
@@ -277,7 +276,7 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
     batch = canonical_endpoints(PT25.potential, energies, grid, samples)
     for ends, e in zip(batch, energies):
         pair = canonical_pair(PT25.potential, e, grid, samples)
-        for got in (ends, canonical_ends(PT25.potential, e, grid, samples)):
+        for got in (ends, canonical_endpoints(PT25.potential, [e], grid, samples)[0]):
             assert [_bits(v) for v in got.left + got.right] == [
                 _bits(v) for v in pair.ends.left + pair.ends.right]
 

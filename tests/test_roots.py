@@ -16,6 +16,7 @@ from boundstates import (
     infinite_well,
     poschl_teller,
     poschl_teller_exact_energies,
+    radial,
     refine_root,
     scan_brackets,
 )
@@ -94,6 +95,37 @@ def test_scan_warns_when_everything_is_flagged():
                                 label="dead")
     with pytest.warns(RefinementWarning):
         assert scan_brackets(fn, (0.0, 1.0), 10) == []
+
+
+@pytest.mark.parametrize("flagged, spans", [
+    pytest.param({3}, [], id="lone-probe"),
+    pytest.param({0}, [], id="lone-edge-probe"),
+    pytest.param({0, 1}, [(0.0, 0.1)], id="run-at-lo"),
+    pytest.param({4, 5, 6}, [(0.4, 0.6)], id="inner-run"),
+    pytest.param({9, 10}, [(0.9, 1.0)], id="run-at-hi"),
+    pytest.param({0, 1, 5, 9, 10}, [(0.0, 0.1), (0.9, 1.0)], id="two-runs"),
+])
+def test_scan_warns_about_each_run_of_flagged_probes_covering_a_cell(flagged, spans):
+    # a cell with both ends flagged is blind; a lone flagged probe is not
+    def fn(e):
+        return Evaluation(math.nan, "overflow") if round(10 * e) in flagged else Evaluation(e - 0.55)
+
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        scan_brackets(CharacteristicFunction(fn, label="runs"), (0.0, 1.0), 10)
+    messages = [str(w.message) for w in record if w.category is RefinementWarning]
+    assert len(messages) == len(spans)
+    for message, (a, b) in zip(messages, spans):
+        assert f"every probe from {a:.9g} to {b:.9g} was flagged" in message
+
+
+def test_a_level_inside_a_flagged_run_is_not_lost_quietly():
+    # wm-even overflows at every probe from -10 to -6.35 on this grid, and the
+    # even level -8 lies there
+    problem = poschl_teller(10.0, h=0.01, x_right=200.0)
+    with pytest.warns(RefinementWarning, match=r"every probe from -10 to -6\.35 was flagged"):
+        results = find_eigenvalues(problem, method="wm-even")
+    assert [r.energy for r in results] == pytest.approx([-2.0], abs=1e-6)
 
 
 def test_scan_range_validation():
@@ -239,3 +271,66 @@ def test_a_solve_samples_the_potential_once(method):
     results = find_eigenvalues(problem, method=method)
     assert results
     assert calls[0] == once
+
+
+@pytest.mark.parametrize("method, dropped", [
+    pytest.param("wm-even", ["108.758121"], id="wm-even"),
+    pytest.param("wm-odd", ["103.321137", "114.263952"], id="wm-odd"),
+])
+def test_a_level_that_fails_to_assemble_is_dropped_not_fatal(method, dropped):
+    # the pair outgrows the double range at these roots; every other level of
+    # the solve still comes back, without a numpy warning
+    problem = anharmonic(0.0, 1.0, h=0.005, energy_max=200.0)
+    with pytest.warns(RefinementWarning) as record:
+        results = find_eigenvalues(problem, method=method)
+    messages = [str(w.message) for w in record if w.category is RefinementWarning]
+    for energy in dropped:
+        assert any(m.startswith(f"level at {energy} dropped") for m in messages)
+    assert len(results) == 7
+    assert [r.index for r in results] == list(range(7))
+    assert all(abs(r.energy - float(e)) > 1.0 for r in results for e in dropped)
+
+
+# --- node counts against spectral position ----------------------------------
+
+NODE_PROBLEMS = {
+    "poschl-teller": poschl_teller(10.0, h=0.01, x_right=12.0),
+    "box": infinite_well(x0=0.4, h=0.01, energy_max=60.0),
+    "anharmonic": anharmonic(2.0, 0.5),
+    "radial": radial(lambda r: -10.0 * math.exp(-r)),
+    "quartic": anharmonic(0.0, 1.0, h=0.01, energy_max=100.0),
+    "double-well": anharmonic(-5.0, 1.0, h=0.005),
+}
+
+
+def _defect(problem, method, reason):
+    return pytest.param(problem, method, id=f"{problem}-{method}",
+                        marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+OVERFLOW = "levels lost to overflow: the lowest level found is not the ground state"
+DOUBLET = "the ground doublet lies inside one probe cell and is missed"
+
+
+@pytest.mark.parametrize("problem, method", [
+    *(pytest.param(p, m, id=f"{p}-{m}")
+      for p in ("poschl-teller", "box", "anharmonic", "radial") for m in ("wm", "cfm")),
+    pytest.param("box", "dirichlet", id="box-dirichlet"),
+    _defect("quartic", "wm", OVERFLOW),
+    _defect("quartic", "cfm", OVERFLOW),
+    _defect("double-well", "wm", DOUBLET),
+    _defect("double-well", "cfm", DOUBLET),
+])
+def test_node_count_matches_spectral_position(problem, method):
+    # position only: an energy off the true level but in the right order passes
+    results = find_eigenvalues(NODE_PROBLEMS[problem], method=method)
+    assert len(results) >= 2
+    assert [r.node_count for r in results] == [r.index for r in results]
+
+
+@pytest.mark.parametrize("problem", ["poschl-teller", "anharmonic", "quartic", "double-well"])
+@pytest.mark.parametrize("parity, offset", [("even", 0), ("odd", 1)])
+def test_parity_node_counts_interleave(problem, parity, offset):
+    results = find_eigenvalues(NODE_PROBLEMS[problem], method=f"wm-{parity}")
+    assert len(results) >= 2
+    assert [r.node_count for r in results] == [2 * r.index + offset for r in results]
