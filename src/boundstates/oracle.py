@@ -2,10 +2,11 @@
 
 Two families: finite-difference routes for the box (a closed-form dispersion
 and a direct shooting solve of the same recurrence, which must agree to
-rounding), and a bisection shooting reference for any catalog problem. The
-shooting code deliberately duplicates its integrator instead of importing the
+rounding), and a shooting reference for any catalog problem. The shooting
+code deliberately duplicates its integrator instead of importing the
 production one, so the two never share a bug; only the Wronskian primitive is
-reused.
+reused. Both families close their sign-change brackets with one root finder,
+Illinois regula falsi.
 """
 
 from __future__ import annotations
@@ -55,20 +56,34 @@ def fd_box_recurrence_vector(N, energy):
     return np.array(_recurrence_sweep(N, energy))
 
 
-def _bisect(f, lo, hi, flo, tol):
-    # plain bisection of a sign change of f on [lo, hi], f(lo) = flo, until
-    # the bracket is narrower than tol or after 200 halvings
+def _illinois(f, lo, hi, flo, fhi, tol):
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a sign change
+    # of f over [lo, hi], with f(lo) = flo and f(hi) = fhi. Each step takes
+    # the false position, or the midpoint where rounding puts that on or
+    # outside the bracket. When the same end is kept twice in a row, its
+    # stored value is halved, so the false position crosses the root and the
+    # bracket closes from both sides. Stops when the bracket is narrower than
+    # tol, on an exact zero, or after 200 steps.
+    kept = None
     for _ in range(200):
         if hi - lo < tol:
             break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (flo < 0):
+            lo, flo = x, fx
+            if kept == "hi":
+                fhi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, fhi = x, fx
+            if kept == "lo":
+                flo *= 0.5
+            kept = "lo"
     return 0.5 * (lo + hi)
 
 
@@ -79,7 +94,8 @@ def fd_box_recurrence_eigenvalues(N, n_max):
     phi_0 = phi_N = 0 live on the even one, whose modes fold at n = N/2
     (eps_n and eps_{N-n} are exactly degenerate), so only n <= N/2 - 1 are
     resolvable. No dispersion formula enters: brackets come from scanning
-    phi_N(eps) over the lattice band and bisecting its sign changes.
+    phi_N(eps) over the lattice band and closing its sign changes by
+    Illinois regula falsi.
     """
     if N % 2 or N < 4:
         raise ValueError(f"need an even lattice with N >= 4, got {N!r}")
@@ -101,7 +117,7 @@ def fd_box_recurrence_eigenvalues(N, n_max):
         fa, fb = vals[i], vals[i + 1]
         if (fa < 0) == (fb < 0):
             continue
-        roots.append(_bisect(phi_end, probes[i], probes[i + 1], fa, 1e-11))
+        roots.append(_illinois(phi_end, probes[i], probes[i + 1], fa, fb, 1e-11))
     if len(roots) < n_max:
         raise RuntimeError(f"found only {len(roots)} of {n_max} recurrence eigenvalues")
     return roots
@@ -134,14 +150,19 @@ def _rk4(y, p, e2, nodes, halves, h):
 
 def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
                        tol=1e-10):
-    """Bound-state energies by plain bisection shooting on a denser grid.
+    """Bound-state energies by shooting on a denser grid.
 
     Integrates rightward from the left boundary with the convergent-member
-    start and bisects on the sign of W(R_c, phi) at the right end. Runs at
+    start and finds the sign changes of W(R_c, phi) at the right end. Runs at
     grid.h / dense_factor. Symmetric half-grid problems are shot across the
     full reflected span. v is sampled once per call, at the 2 n + 1 points
-    the march reads; the probe energies are marched together as one array,
-    and each bisection midpoint alone.
+    the march reads; the probe energies are marched together as one array.
+    Each probe cell with a sign change is closed to a width below tol by
+    Illinois regula falsi, whose iterates are marched alone: the mismatch is
+    smooth in the energy, so false position converges superlinearly, and the
+    Illinois halving keeps one stale end from stalling it, at about 8 marches
+    per root against about 31 for bisection. A reversed range or fewer than
+    one probe cell raises ValueError.
     """
     grid = problem.grid
     h = grid.h / dense_factor
@@ -168,8 +189,12 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
         return closing(energy, *_rk4(y, p, 2.0 * energy, nodes, halves, h))
 
     lo, hi = energy_range if energy_range is not None else problem.energy_range
+    if lo > hi:
+        raise ValueError(f"energy range is reversed: {(lo, hi)!r}")
     if n_probe is None:
         n_probe = max(40, math.ceil(8.0 * (hi - lo)))
+    elif n_probe < 1:
+        raise ValueError(f"need at least one probe cell, got n_probe={n_probe!r}")
     probes = np.linspace(lo, hi, n_probe + 1).tolist()
     y0, p0 = np.array([asym.left_convergent(e, x_start) for e in probes]).T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +216,7 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
             continue
         if (fa < 0) == (fb < 0):
             continue
-        roots.append(_bisect(mismatch, probes[i], probes[i + 1], fa, tol))
+        roots.append(_illinois(mismatch, probes[i], probes[i + 1], fa, fb, tol))
     return roots
 
 

@@ -70,6 +70,15 @@ def test_recurrence_shooting_matches_the_dispersion_formula():
         assert abs(root - fd_box_dispersion(n, 1.0 / N)) <= 1e-10
 
 
+def test_recurrence_shooting_matches_the_dispersion_formula_on_a_fine_lattice():
+    N = 100
+    roots = fd_box_recurrence_eigenvalues(N, 25)
+    assert len(roots) == 25
+    for n, root in enumerate(roots, start=1):
+        exact = fd_box_dispersion(n, 1.0 / N)
+        assert abs(root - exact) <= 1e-9 * exact
+
+
 def test_recurrence_eigenvalue_validation():
     with pytest.raises(ValueError):
         fd_box_recurrence_eigenvalues(13, 3)
@@ -152,19 +161,31 @@ def _per_energy_shooting(problem, energy_range, n_probe, closing=wronskian,
             continue
         if (fa < 0) == (fb < 0):
             continue
-        blo, bhi, flo = float(probes[i]), float(probes[i + 1]), fa
+        # Illinois regula falsi: false position, the midpoint where that is
+        # not strictly inside, and the kept end's value halved on its second
+        # keep in a row
+        blo, bhi, flo, fhi = float(probes[i]), float(probes[i + 1]), fa, fb
+        kept = None
         for _ in range(200):
             if bhi - blo < tol:
                 break
-            mid = 0.5 * (blo + bhi)
-            fm = mismatch(mid)
-            if fm == 0.0:
-                blo = bhi = mid
+            x = bhi - fhi * (bhi - blo) / (fhi - flo)
+            if not blo < x < bhi:
+                x = 0.5 * (blo + bhi)
+            fx = mismatch(x)
+            if fx == 0.0:
+                blo = bhi = x
                 break
-            if (fm < 0) == (flo < 0):
-                blo, flo = mid, fm
+            if (fx < 0) == (flo < 0):
+                blo, flo = x, fx
+                if kept == "hi":
+                    fhi *= 0.5
+                kept = "hi"
             else:
-                bhi = mid
+                bhi, fhi = x, fx
+                if kept == "lo":
+                    flo *= 0.5
+                kept = "lo"
         roots.append(0.5 * (blo + bhi))
     return roots
 
@@ -186,7 +207,7 @@ SHOOTING_CASES = {
 @pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
 def test_shooting_reference_matches_the_per_energy_loop_bit_for_bit(case, monkeypatch):
     # Roots depend on the mismatch only through its sign, so the closing
-    # Wronskians are recorded as well: every probe and bisection midpoint
+    # Wronskians are recorded as well: every probe and root-finder iterate
     # must end its march on the same bits as the per-energy loop.
     make, window, n_probe, n_levels = SHOOTING_CASES[case]
     problem = make()
@@ -204,6 +225,34 @@ def test_shooting_reference_matches_the_per_energy_loop_bit_for_bit(case, monkey
     assert [r.hex() for r in roots] == [r.hex() for r in expected]
     assert len(batched) > n_probe
     assert batched == closings
+
+
+def test_shooting_reference_needs_few_marches_per_root(monkeypatch):
+    # every closing past the probe lattice is one root-finder march; plain
+    # bisection from a 1/16-wide cell to the 1e-10 width takes 30 per root
+    closings = []
+
+    def recording(*args):
+        closings.append(args)
+        return wronskian(*args)
+
+    monkeypatch.setattr(oracle, "wronskian", recording)
+    n_probe = 40
+    roots = shooting_reference(poschl_teller(2.5, h=0.01, x_right=5.0), (-2.5, 0.0),
+                               n_probe=n_probe)
+    assert len(roots) == 2
+    assert len(closings) - (n_probe + 1) <= 10 * len(roots)
+
+
+@pytest.mark.parametrize("window, n_probe, match", [
+    ((0.0, -2.5), 10, "energy range is reversed"),
+    ((-2.5, 0.0), 0, "need at least one probe cell"),
+    ((-2.5, 0.0), -3, "need at least one probe cell"),
+], ids=["reversed", "no-cell", "negative-cells"])
+def test_shooting_reference_rejects_a_reversed_range_or_no_probe_cell(window, n_probe, match):
+    problem = poschl_teller(2.5, h=0.02, x_right=5.0)
+    with pytest.raises(ValueError, match=match):
+        shooting_reference(problem, window, n_probe=n_probe)
 
 
 def test_overflowing_shooting_probes_emit_no_numpy_warning():

@@ -334,3 +334,14 @@ def test_parity_node_counts_interleave(problem, parity, offset):
     results = find_eigenvalues(NODE_PROBLEMS[problem], method=f"wm-{parity}")
     assert len(results) >= 2
     assert [r.node_count for r in results] == [2 * r.index + offset for r in results]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: with x0 = 0.5 the odd box state is ∝ S, so both endpoint "
+    "ratios C/S have a pole at its root and cfm drops 19.739 without a warning"))
+def test_cfm_returns_every_box_level_with_a_centred_origin():
+    problem = infinite_well(h=0.01, energy_max=60.0)
+    wm = [r.energy for r in find_eigenvalues(problem, method="wm")]
+    cfm = [r.energy for r in find_eigenvalues(problem, method="cfm")]
+    assert len(wm) == 3
+    assert cfm == pytest.approx(wm, abs=1e-8)
