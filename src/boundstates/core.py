@@ -190,9 +190,9 @@ class CharacteristicFunction:
     evaluate() returns the flagged form; plain calls collapse flagged
     evaluations to NaN. evaluate_many() gives evaluate() at each of many
     energies; `many`, when given, computes that list for a numpy vector of
-    energies in one batch, and must match evaluate() at each energy. The
-    package's own functions make fn `many` of a batch of one, so refinement
-    evaluates batches of one. samples are the potential samples the
+    energies in one batch, and must match evaluate() at each energy. Scans
+    and refinement call evaluate_many(): refinement evaluates one candidate
+    per open bracket in each batch. samples are the potential samples the
     evaluations march through, if any, so that eigenfunction assembly can
     reuse them.
     """

@@ -8,7 +8,7 @@ canonical solutions C (start 1, 0) and S (start 0, 1) at many energies as an
 ordered product of 2x2 step matrices. `canonical_pair` keeps every sample over
 the full logical line, for eigenfunction assembly and saturation profiles;
 `canonical_endpoints` keeps only the end points, for a batch of energies: a
-scan's probes, or refinement's single energy as a batch of one. Both give an
+scan's probes, or one candidate per open bracket in a refinement step. Both give an
 energy's end points as the same `Endpoints` record, bit for bit, which every
 characteristic value function reads. Every march runs to the grid end: growth
 past the double range goes on as inf or NaN, which the value functions flag as

@@ -6,6 +6,12 @@ probes close in; a pole grows it. Sign changes whose flanks grow toward the
 crossing are subdivided tenfold and judged by that zoom trend. Refinement
 adds a second guard: |F| running away past 1e3 times its bracket-entry scale
 aborts the bracket as a pole.
+
+Refinement runs every bracket of a solve in lockstep: each iteration
+evaluates all open brackets' candidates in one batch, so a solve marches once
+per iteration rather than once per bracket per iteration. Each bracket keeps
+the iterates it would have alone, and a batch gives every energy the same
+bits as a batch of one, so the roots do not depend on what else is refined.
 """
 
 from __future__ import annotations
@@ -56,6 +62,11 @@ class Bracket:
     pole_suspect: bool = False
 
 
+def _values(char_fn, energies):
+    # F at each energy in one batch, flagged evaluations as NaN
+    return [ev.value if ev.ok else math.nan for ev in char_fn.evaluate_many(energies)]
+
+
 def _default_probes(lo, hi):
     # 200 probes per 10 units of energy, clamped to something usable
     return int(min(20000, max(40, math.ceil(20.0 * (hi - lo)))))
@@ -68,8 +79,9 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     Flagged probes (poles, overflow, degenerate asymptotics) are skipped; a
     sign change spanning skipped probes is subdivided before acceptance, and
     a run of two or more flagged probes, which covers a whole cell, gives a
-    RefinementWarning naming its span. An exact zero on a window edge is a
-    zero-width bracket.
+    RefinementWarning naming its span. An exact zero on a probe is bracketed
+    by its nearest unflagged neighbours on each side, or is a zero-width
+    bracket when one side has none (a zero on a window edge).
     Returns brackets in energy order, pole-suspect ones included but marked.
     A reversed range or fewer than one probe cell raises ValueError.
     """
@@ -83,65 +95,64 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     if lo == hi:
         return []
     eps = np.linspace(lo, hi, int(n_probe) + 1)
-    evals = char_fn.evaluate_many(eps)
+    values = _values(char_fn, eps)
     # a run of flagged probes that spans a whole cell hides any level in it
     start = 0
-    for good, run in itertools.groupby(ev.ok for ev in evals):
+    for good, run in itertools.groupby(not math.isnan(v) for v in values):
         n = len(list(run))
         if not good and n > 1:
             warnings.warn(f"every probe from {eps[start]:.9g} to {eps[start + n - 1]:.9g} "
                           "was flagged; levels in that span are not bracketed",
                           RefinementWarning)
         start += n
-    ok = [i for i, ev in enumerate(evals) if ev.ok]
-    if not ok:
-        return []
-
-    # an exact hit on a window edge lacks a neighbour on one side, so it is
-    # its own zero-width bracket
-    last = len(eps) - 1
-    edges = {i: Bracket(float(eps[i]), float(eps[i]), 0.0, 0.0) for i in (0, last)
-             if evals[i].ok and evals[i].value == 0.0}
-    brackets = [edges[0]] if 0 in edges else []
-    for p in range(len(ok) - 1):
-        a, b = ok[p], ok[p + 1]
-        fa, fb = evals[a].value, evals[b].value
-        if fa == 0.0:
-            # exact hit: the neighbors straddle the root
-            if 0 < a and evals[a - 1].ok and (evals[a - 1].value < 0) != (fb < 0):
-                brackets.append(Bracket(float(eps[a - 1]), float(eps[b]),
-                                        evals[a - 1].value, fb))
-            continue
-        if (fa < 0) == (fb < 0) or b in edges:
+    ok = [i for i, v in enumerate(values) if not math.isnan(v)]
+    brackets = []
+    for p, q in _sign_changes(values, ok):
+        a, b = ok[p], ok[q]
+        fa, fb = values[a], values[b]
+        if q != p + 1:
+            # an exact hit, bracketed by its neighbours or by itself
+            brackets.append(Bracket(float(eps[a]), float(eps[b]), fa, fb))
             continue
         gap = b - a > 1
-        f_prev = evals[ok[p - 1]].value if p > 0 else None
-        f_next = evals[ok[p + 2]].value if p + 2 < len(ok) else None
+        f_prev = values[ok[p - 1]] if p > 0 else None
+        f_next = values[ok[q + 1]] if q + 1 < len(ok) else None
         growing = (f_prev is not None and abs(fa) > SUSPECT_GROWTH * abs(f_prev)
                    and f_next is not None and abs(fb) > SUSPECT_GROWTH * abs(f_next))
         if gap or growing:
             brackets.extend(_subdivide(char_fn, float(eps[a]), float(eps[b]), fa, fb))
         else:
             brackets.append(Bracket(float(eps[a]), float(eps[b]), fa, fb))
-    if last in edges:
-        brackets.append(edges[last])
     return brackets
+
+
+def _sign_changes(values, ok):
+    # (p, q) positions in ok of each sign change of values, in energy order.
+    # A zero has no sign: it is bracketed by its nearest unflagged neighbours
+    # when they straddle it, and by itself (p == q) when it lacks one
+    for p, i in enumerate(ok):
+        if values[i] == 0.0:
+            if p == 0 or p == len(ok) - 1:
+                yield p, p
+            elif (values[ok[p - 1]] < 0) != (values[ok[p + 1]] < 0):
+                yield p - 1, p + 1
+        elif p + 1 < len(ok):
+            fj = values[ok[p + 1]]
+            if fj != 0.0 and (values[i] < 0) != (fj < 0):
+                yield p, p + 1
 
 
 def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi):
     # zoom in tenfold and judge each inner sign change by whether the
     # crossing-adjacent magnitudes grew (pole) or shrank (root)
     sub = np.linspace(e_lo, e_hi, 11)
-    inner = char_fn.evaluate_many(sub[1:-1])
-    vals = [f_lo] + [ev.value if ev.ok else math.nan for ev in inner] + [f_hi]
+    vals = [f_lo] + _values(char_fn, sub[1:-1]) + [f_hi]
     outer_floor = min(abs(f_lo), abs(f_hi))
-    out = []
     idx = [i for i, v in enumerate(vals) if not math.isnan(v)]
-    for q in range(len(idx) - 1):
-        i, j = idx[q], idx[q + 1]
+    out = []
+    for p, q in _sign_changes(vals, idx):
+        i, j = idx[p], idx[q]
         fi, fj = vals[i], vals[j]
-        if fi == 0.0 or (fi < 0) == (fj < 0):
-            continue
         suspect = min(abs(fi), abs(fj)) > outer_floor
         out.append(Bracket(float(sub[i]), float(sub[j]), fi, fj, pole_suspect=suspect))
     return out
@@ -150,47 +161,93 @@ def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi):
 def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     """Shrink a bracket to a root by secant steps inside a bisection cage.
 
-    A secant candidate is used when it lands strictly inside the current
-    bracket; otherwise the midpoint is. Converges when the bracket is
-    narrower than tol_e or |F| falls below 1e-12 of its entry scale.
+    A secant candidate is used on even iterations when it lands strictly
+    inside the current bracket; otherwise the midpoint is, and a flagged
+    secant candidate is retried at the midpoint. Converges when the bracket
+    is narrower than tol_e or |F| falls below 1e-12 of its entry scale.
+    This is the lockstep refinement of find_eigenvalues run on one bracket.
 
     Raises:
         RefinementError: on iteration runoff, on flagged evaluations at the
             midpoint, or when |F| runs away (bracketed pole).
     """
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = bracket.f_lo, bracket.f_hi
-    if hi == lo:
-        return lo
-    fscale = max(abs(flo), abs(fhi))
-    for it in range(max_iter):
-        if hi - lo < tol_e:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        cand = mid
-        if it % 2 == 0 and fhi != flo:
-            sec = (lo * fhi - hi * flo) / (fhi - flo)
-            if lo < sec < hi:
-                cand = sec
-        f = char_fn(cand)
-        if math.isnan(f) and cand != mid:
-            cand = mid
-            f = char_fn(cand)
+    (out,) = _refine_lockstep(char_fn, [bracket], tol_e, max_iter)
+    if isinstance(out, RefinementError):
+        raise out
+    return out
+
+
+class _Refinement:
+    """One bracket's state inside the lockstep loop."""
+
+    def __init__(self, bracket):
+        self.lo, self.hi = bracket.lo, bracket.hi
+        self.flo, self.fhi = bracket.f_lo, bracket.f_hi
+        self.fscale = max(abs(self.flo), abs(self.fhi))
+
+    @property
+    def mid(self):
+        return 0.5 * (self.lo + self.hi)
+
+    def candidate(self, it):
+        if it % 2 == 0 and self.fhi != self.flo:
+            sec = (self.lo * self.fhi - self.hi * self.flo) / (self.fhi - self.flo)
+            if self.lo < sec < self.hi:
+                return sec
+        return self.mid
+
+    def update(self, cand, f):
+        """Take F(cand) into the bracket.
+
+        Returns the root once converged, the RefinementError that drops the
+        bracket, or None while it stays open.
+        """
         if math.isnan(f):
-            raise RefinementError(
-                f"flagged evaluation at {cand!r} inside bracket", lo, hi)
-        if abs(f) > RUNAWAY_FACTOR * fscale:
-            raise RefinementError(
-                f"|F| ran away at {cand!r}; bracket straddles a pole", lo, hi)
+            return RefinementError(
+                f"flagged evaluation at {cand!r} inside bracket", self.lo, self.hi)
+        if abs(f) > RUNAWAY_FACTOR * self.fscale:
+            return RefinementError(
+                f"|F| ran away at {cand!r}; bracket straddles a pole", self.lo, self.hi)
         if f == 0.0:
             return cand
-        if (f < 0) == (flo < 0):
-            lo, flo = cand, f
+        if (f < 0) == (self.flo < 0):
+            self.lo, self.flo = cand, f
         else:
-            hi, fhi = cand, f
-        if abs(f) < 1e-12 * fscale:
+            self.hi, self.fhi = cand, f
+        if abs(f) < 1e-12 * self.fscale:
             return cand
-    raise RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
+        return None
+
+
+def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
+    # refine_root on every bracket at once: each iteration evaluates every
+    # open bracket's candidate in one batch, then retries flagged secant
+    # candidates at their midpoints in a second. Each bracket keeps its own
+    # iterates, and a batch gives each energy the bits it gets alone.
+    # Returns each bracket's root, or the RefinementError that dropped it.
+    out = [br.lo for br in brackets]  # a zero-width bracket is its own root
+    live = {k: _Refinement(br) for k, br in enumerate(brackets) if br.hi != br.lo}
+    for it in range(max_iter):
+        for k, r in list(live.items()):
+            if r.hi - r.lo < tol_e:
+                out[k] = r.mid
+                del live[k]
+        if not live:
+            break
+        cands = {k: r.candidate(it) for k, r in live.items()}
+        fs = dict(zip(cands, _values(char_fn, list(cands.values()))))
+        retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid]
+        if retry:
+            for k, f in zip(retry, _values(char_fn, [live[k].mid for k in retry])):
+                cands[k], fs[k] = live[k].mid, f
+        for k in cands:
+            done = live[k].update(cands[k], fs[k])
+            if done is not None:
+                out[k] = done
+                del live[k]
+    for k, r in live.items():
+        out[k] = RefinementError(f"no convergence in {max_iter} iterations", r.lo, r.hi)
+    return out
 
 
 def characteristic_for(problem, method):
@@ -251,15 +308,12 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
     # every evaluation of char_fn read
     samples = char_fn.samples
     window = energy_range if energy_range is not None else problem.energy_range
+    brackets = [br for br in scan_brackets(char_fn, window, n_probe) if not br.pole_suspect]
     roots = []
-    for br in scan_brackets(char_fn, window, n_probe):
-        if br.pole_suspect:
-            continue
-        try:
-            root = refine_root(char_fn, br, tol_e=tol_e, max_iter=max_iter)
-        except RefinementError as exc:
+    for br, root in zip(brackets, _refine_lockstep(char_fn, brackets, tol_e, max_iter)):
+        if isinstance(root, RefinementError):
             warnings.warn(
-                f"bracket [{br.lo:.9g}, {br.hi:.9g}] dropped: {exc}", RefinementWarning)
+                f"bracket [{br.lo:.9g}, {br.hi:.9g}] dropped: {root}", RefinementWarning)
             continue
         if roots and abs(root - roots[-1]) <= 10.0 * tol_e:
             continue

@@ -108,7 +108,8 @@ def characteristic(problem, value, label):
     Shared by every method. value(problem, ends) maps one energy's Endpoints
     to an Evaluation. v is sampled here, once, and kept as .samples;
     evaluate_many() marches its batch endpoint-only with canonical_endpoints
-    through these samples, and evaluate() is a batch of one.
+    through these samples; scans and lockstep refinement both evaluate
+    through it, and evaluate() is evaluate_many() of one energy.
     """
     pot, grid = problem.potential, problem.grid
     samples = sample_potential(pot, grid)

@@ -20,9 +20,16 @@ from boundstates import (
     refine_root,
     scan_brackets,
 )
+from boundstates import wm
 from boundstates.core import CharacteristicFunction, Evaluation, RefinementError
 from boundstates.integrate import sample_potential
-from boundstates.roots import RefinementWarning, _default_probes, characteristic_for
+from boundstates.roots import (
+    RefinementWarning,
+    _default_probes,
+    _refine_lockstep,
+    _subdivide,
+    characteristic_for,
+)
 
 
 def _plain(f):
@@ -46,6 +53,44 @@ def test_scan_handles_an_exact_probe_zero():
     assert brackets
     for b in brackets:
         assert abs(refine_root(fn, b)) <= 1e-10
+
+
+def _flagged_at(f, flagged):
+    # f, with the probes in `flagged` flagged as overflow
+    def fn(e):
+        return Evaluation(math.nan, "overflow") if e in flagged else Evaluation(f(e))
+    return CharacteristicFunction(fn, label="flagged")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+@pytest.mark.parametrize("flagged", [(), (-0.5,)], ids=["clean", "left-flagged"])
+def test_an_exact_probe_zero_is_one_bracket_whichever_way_f_crosses(sign, flagged):
+    # the zero's nearest unflagged neighbours bracket it; a zero has no sign,
+    # so neither pair that holds it is a sign change of its own
+    fn = _flagged_at(lambda e: sign * e, flagged)
+    brackets = scan_brackets(fn, (-1.0, 1.0), 4)
+    assert len(brackets) == 1
+    assert brackets[0].lo < 0.0 < brackets[0].hi
+    assert abs(refine_root(fn, brackets[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+def test_an_exact_zero_with_no_unflagged_neighbour_is_its_own_bracket(sign):
+    # every probe left of the zero is flagged, as on a window edge
+    fn = _flagged_at(lambda e: sign * e, (-1.0, -0.5))
+    with pytest.warns(RefinementWarning, match="every probe from -1 to -0.5"):
+        brackets = scan_brackets(fn, (-1.0, 1.0), 4)
+    assert brackets == [Bracket(0.0, 0.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+def test_subdivide_brackets_an_exact_zero_whichever_way_f_crosses(sign):
+    # the tenfold zoom of (-1, 1) probes 0 exactly
+    fn = _plain(lambda e: sign * e)
+    brackets = _subdivide(fn, -1.0, 1.0, -sign, sign)
+    assert len(brackets) == 1
+    assert brackets[0].lo < 0.0 < brackets[0].hi
+    assert not brackets[0].pole_suspect
 
 
 @pytest.mark.parametrize("f, edge", [
@@ -154,6 +199,158 @@ def test_scan_probes_as_many_cells_as_asked():
 def test_refine_degenerate_bracket_returns_its_point():
     fn = _plain(lambda e: e - 2.0)
     assert refine_root(fn, Bracket(2.0, 2.0, 0.0, 0.0)) == 2.0
+
+
+def _one_by_one(char_fn, brackets, **kwargs):
+    # refine_root on each bracket alone: its root or the error that dropped it
+    out = []
+    for br in brackets:
+        try:
+            out.append(refine_root(char_fn, br, **kwargs))
+        except RefinementError as exc:
+            out.append(exc)
+    return out
+
+
+def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
+    # the reference: one bracket's secant-in-bisection loop, evaluating one
+    # energy at a time through char_fn(e)
+    lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
+    if hi == lo:
+        return lo
+    fscale = max(abs(flo), abs(fhi))
+    for it in range(max_iter):
+        if hi - lo < tol_e:
+            return 0.5 * (lo + hi)
+        mid = cand = 0.5 * (lo + hi)
+        if it % 2 == 0 and fhi != flo:
+            sec = (lo * fhi - hi * flo) / (fhi - flo)
+            if lo < sec < hi:
+                cand = sec
+        f = char_fn(cand)
+        if math.isnan(f) and cand != mid:
+            cand = mid
+            f = char_fn(cand)
+        if math.isnan(f):
+            return RefinementError(f"flagged evaluation at {cand!r} inside bracket", lo, hi)
+        if abs(f) > 1e3 * fscale:
+            return RefinementError(
+                f"|F| ran away at {cand!r}; bracket straddles a pole", lo, hi)
+        if f == 0.0:
+            return cand
+        if (f < 0) == (flo < 0):
+            lo, flo = cand, f
+        else:
+            hi, fhi = cand, f
+        if abs(f) < 1e-12 * fscale:
+            return cand
+    return RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
+
+
+def _outcome(out):
+    # a root's bits, or an error's text and best bracket
+    if isinstance(out, RefinementError):
+        return ("error", str(out), out.lo, out.hi)
+    return ("root", float(out).hex())
+
+
+def _mixed(e):
+    # a converging cubic, a pole at 3, a flagged region holding both the
+    # secant candidate and the midpoint of [5, 6], and one holding only the
+    # first secant candidate of [6.5, 8]
+    if 5.2 < e < 5.6 or 7.02 < e < 7.05:
+        return Evaluation(math.nan, "overflow")
+    if e < 2.0:
+        return Evaluation((e - 1.1) ** 3 + 0.001 * (e - 1.1))
+    if e < 4.0:
+        return Evaluation(1.0 / (e - 3.0)) if e != 3.0 else Evaluation(math.nan, "pole")
+    if e < 6.2:
+        return Evaluation(e - 5.4)
+    return Evaluation(e * e - 50.0)
+
+
+MIXED_BRACKETS = [
+    Bracket(0.4, 1.7, _mixed(0.4).value, _mixed(1.7).value),
+    Bracket(2.6, 3.7, _mixed(2.6).value, _mixed(3.7).value),
+    Bracket(4.0, 4.0, 0.0, 0.0),
+    Bracket(5.0, 6.0, _mixed(5.0).value, _mixed(6.0).value),
+    Bracket(6.5, 8.0, _mixed(6.5).value, _mixed(8.0).value),
+]
+
+
+@pytest.mark.parametrize("max_iter, kinds", [
+    pytest.param(200, ["root", "ran away", "root", "flagged evaluation", "root"], id="converging"),
+    pytest.param(6, ["no convergence", "ran away", "root", "flagged evaluation",
+                     "no convergence"], id="runs-out"),
+])
+def test_lockstep_refinement_equals_one_bracket_at_a_time_on_failures(max_iter, kinds):
+    # brackets that fail leave the batch early; the rest go on unchanged
+    fn = CharacteristicFunction(_mixed, label="mixed")
+    together = [_outcome(o) for o in _refine_lockstep(fn, MIXED_BRACKETS, 1e-10, max_iter)]
+    assert together == [_outcome(o) for o in _one_by_one(fn, MIXED_BRACKETS, max_iter=max_iter)]
+    assert together == [_outcome(_scalar_refine(fn, b, max_iter=max_iter)) for b in MIXED_BRACKETS]
+    for (status, text, *_), kind in zip(together, kinds):
+        assert status == "root" if kind == "root" else kind in text
+
+
+LOCKSTEP_SOLVES = {
+    "quartic-cfm": (anharmonic(0.0, 1.0, h=0.01, energy_max=100.0), "cfm", (0.0, 100.0), 200),
+    "box-dirichlet": (infinite_well(x0=0.5, h=0.002, energy_max=60.0), "dirichlet",
+                      (0.0, 60.0), None),
+}
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_SOLVES)
+def test_lockstep_refinement_equals_one_bracket_at_a_time(name):
+    problem, method, window, n_probe = LOCKSTEP_SOLVES[name]
+    fn = characteristic_for(problem, method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RefinementWarning)
+        brackets = [b for b in scan_brackets(fn, window, n_probe) if not b.pole_suspect]
+    assert len(brackets) == {"quartic-cfm": 8, "box-dirichlet": 3}[name]
+    together = _refine_lockstep(fn, brackets, 1e-10, 200)
+    assert [_outcome(o) for o in together] == [_outcome(o) for o in _one_by_one(fn, brackets)]
+    assert [_outcome(o) for o in together] == [_outcome(_scalar_refine(fn, b)) for b in brackets]
+    assert not any(isinstance(o, RefinementError) for o in together)
+
+
+def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
+    # eleven iterations refine the lowest quartic bracket and drop the other
+    # seven; the warnings name them as one-at-a-time refinement would
+    problem, method, window, n_probe = LOCKSTEP_SOLVES["quartic-cfm"]
+    fn = characteristic_for(problem, method)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        brackets = [b for b in scan_brackets(fn, window, n_probe) if not b.pole_suspect]
+        alone = _one_by_one(fn, brackets, max_iter=11)
+    expected = [str(w.message) for w in record] + [
+        f"bracket [{b.lo:.9g}, {b.hi:.9g}] dropped: {o}"
+        for b, o in zip(brackets, alone) if isinstance(o, RefinementError)]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        results = find_eigenvalues(problem, method, window, n_probe, max_iter=11)
+    assert [str(w.message) for w in record if w.category is RefinementWarning] == expected
+    assert len(expected) == 8
+    assert [r.energy for r in results] == [a for a in alone if not isinstance(a, RefinementError)]
+
+
+def test_quartic_refinement_marches_once_per_iteration(monkeypatch):
+    # one batched march per lockstep iteration over all 8 brackets, not one
+    # per bracket per iteration (103 marches)
+    calls = [0]
+    march = wm.canonical_endpoints
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(wm, "canonical_endpoints", counted)
+    problem = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RefinementWarning)
+        results = find_eigenvalues(problem, "cfm", (0.0, 100.0), 200)
+    assert len(results) == 8
+    assert calls[0] <= 20
 
 
 @pytest.mark.parametrize("x0", [0.125, 0.4])
