@@ -373,9 +373,9 @@ def cmd_solve(args):
             _fail(EXIT_SOLVER, "nothing to dump: no eigenstates found")
         dump = ["# boundstates solve eigenfunctions",
                 "x," + ",".join("psi_%d" % r.index for r in results)]
-        x = results[0].x
-        for j in range(len(x)):
-            dump.append(",".join([_fmt(x[j])] + [_fmt(r.psi[j]) for r in results]))
+        row = ",".join(["%.17g"] * (1 + len(results)))
+        dump += [row % tuple(cells) for cells in
+                 np.column_stack([results[0].x] + [r.psi for r in results]).tolist()]
         _emit(dump, args.dump)
 
     if not results:

@@ -42,9 +42,12 @@ def sample_potential(potential, grid):
     x0 = grid.x0
 
     def side(h, n):
-        nodes = [float(v(x0))] + [float(v(x0 + j * h)) for j in range(1, n + 1)]
-        halves = [float(v((x0 + j * h) + h * 0.5)) for j in range(n)]
-        return np.array(nodes), np.array(halves)
+        # the float operations of a per-point loop, x0 + j*h and
+        # (x0 + j*h) + h*0.5, with v called on Python floats in the same order
+        points = x0 + np.arange(n + 1) * h
+        nodes = np.fromiter(map(v, points.tolist()), float, n + 1)
+        halves = np.fromiter(map(v, (points[:-1] + h * 0.5).tolist()), float, n)
+        return nodes, halves
 
     right, left = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
     return PotentialSamples(right, left, np.concatenate([left[0][:0:-1], right[0]]))

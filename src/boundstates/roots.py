@@ -7,11 +7,14 @@ crossing are subdivided tenfold and judged by that zoom trend. Refinement
 adds a second guard: |F| running away past 1e3 times its bracket-entry scale
 aborts the bracket as a pole.
 
-Refinement runs every bracket of a solve in lockstep: each iteration
-evaluates all open brackets' candidates in one batch, so a solve marches once
-per iteration rather than once per bracket per iteration. Each bracket keeps
-the iterates it would have alone, and a batch gives every energy the same
-bits as a batch of one, so the roots do not depend on what else is refined.
+Refinement is Anderson-Bjorck false position: between its poles F is smooth,
+so the false position closes a bracket in a few steps, and scaling the value
+at an end kept twice in a row keeps both ends moving. It runs every bracket
+of a solve in lockstep: each iteration evaluates all open brackets'
+candidates in one batch, so a solve marches once per iteration rather than
+once per bracket per iteration. Each bracket keeps the iterates it would have
+alone, and a batch gives every energy the same bits as a batch of one, so
+the roots do not depend on what else is refined.
 """
 
 from __future__ import annotations
@@ -159,12 +162,14 @@ def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi):
 
 
 def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
-    """Shrink a bracket to a root by secant steps inside a bisection cage.
+    """Shrink a bracket to a root by Anderson-Bjorck false position.
 
-    A secant candidate is used on even iterations when it lands strictly
-    inside the current bracket; otherwise the midpoint is, and a flagged
-    secant candidate is retried at the midpoint. Converges when the bracket
-    is narrower than tol_e or |F| falls below 1e-12 of its entry scale.
+    Each iteration takes the false position of the stored end values when it
+    lands strictly inside the current bracket, and the midpoint otherwise; a
+    flagged false position is retried at the midpoint. When an end is kept
+    twice in a row, its stored value is scaled down (Anderson & Bjorck, BIT
+    13, 1973). Converges when the bracket is narrower than tol_e or |F| falls
+    below 1e-12 of its entry scale.
     This is the lockstep refinement of find_eigenvalues run on one bracket.
 
     Raises:
@@ -178,22 +183,28 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
 
 
 class _Refinement:
-    """One bracket's state inside the lockstep loop."""
+    """One bracket's state inside the lockstep loop.
+
+    flo and fhi are the stored end values that the false position reads;
+    Anderson-Bjorck scaling shrinks the one at an end that is kept twice in a
+    row. The true F decides every stopping and dropping test.
+    """
 
     def __init__(self, bracket):
         self.lo, self.hi = bracket.lo, bracket.hi
         self.flo, self.fhi = bracket.f_lo, bracket.f_hi
         self.fscale = max(abs(self.flo), abs(self.fhi))
+        self.kept = None
 
     @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
 
-    def candidate(self, it):
-        if it % 2 == 0 and self.fhi != self.flo:
-            sec = (self.lo * self.fhi - self.hi * self.flo) / (self.fhi - self.flo)
-            if self.lo < sec < self.hi:
-                return sec
+    def candidate(self):
+        if self.fhi != self.flo:
+            x = self.hi - self.fhi * (self.hi - self.lo) / (self.fhi - self.flo)
+            if self.lo < x < self.hi:
+                return x
         return self.mid
 
     def update(self, cand, f):
@@ -211,30 +222,41 @@ class _Refinement:
         if f == 0.0:
             return cand
         if (f < 0) == (self.flo < 0):
-            self.lo, self.flo = cand, f
+            if self.kept == "hi":
+                self.fhi *= _ab_factor(f, self.flo)
+            self.lo, self.flo, self.kept = cand, f, "hi"
         else:
-            self.hi, self.fhi = cand, f
+            if self.kept == "lo":
+                self.flo *= _ab_factor(f, self.fhi)
+            self.hi, self.fhi, self.kept = cand, f, "lo"
         if abs(f) < 1e-12 * self.fscale:
             return cand
         return None
 
 
+def _ab_factor(f, f_replaced):
+    # Anderson & Bjorck (BIT 13, 1973): the kept end's stored value is scaled
+    # by 1 - F(c)/F(replaced end), or halved where that is not positive
+    m = 1.0 - f / f_replaced
+    return m if m > 0.0 else 0.5
+
+
 def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
     # refine_root on every bracket at once: each iteration evaluates every
-    # open bracket's candidate in one batch, then retries flagged secant
-    # candidates at their midpoints in a second. Each bracket keeps its own
+    # open bracket's candidate in one batch, then retries flagged false
+    # positions at their midpoints in a second. Each bracket keeps its own
     # iterates, and a batch gives each energy the bits it gets alone.
     # Returns each bracket's root, or the RefinementError that dropped it.
     out = [br.lo for br in brackets]  # a zero-width bracket is its own root
     live = {k: _Refinement(br) for k, br in enumerate(brackets) if br.hi != br.lo}
-    for it in range(max_iter):
+    for _ in range(max_iter):
         for k, r in list(live.items()):
             if r.hi - r.lo < tol_e:
                 out[k] = r.mid
                 del live[k]
         if not live:
             break
-        cands = {k: r.candidate(it) for k, r in live.items()}
+        cands = {k: r.candidate() for k, r in live.items()}
         fs = dict(zip(cands, _values(char_fn, list(cands.values()))))
         retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid]
         if retry:

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from boundstates import box_characteristic_analytic
+from boundstates import box_characteristic_analytic, find_eigenvalues
+from boundstates import cli
 from boundstates.cli import compile_expr, main
 
 PT10 = ["--potential", "poschl-teller", "--v0", "10", "--h", "0.005", "--nr", "2400"]
@@ -100,6 +101,24 @@ def test_solve_dump_writes_one_column_per_state(tmp_path, capsys):
     assert lines[1] == "x,psi_0,psi_1"
     # reflected half grid of 500 steps spans 1001 samples
     assert len(lines) == 2 + 1001
+
+
+def test_solve_dump_cells_are_the_result_samples(tmp_path, capsys, monkeypatch):
+    # every cell is "%.17g" of the solved x or psi sample in its row
+    solved = []
+
+    def recorded(*args, **kwargs):
+        solved.extend(find_eigenvalues(*args, **kwargs))
+        return solved
+
+    monkeypatch.setattr(cli, "find_eigenvalues", recorded)
+    dump = tmp_path / "wf.csv"
+    assert run_cli(["solve"] + PT25_SMALL + ["--dump", str(dump)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in dump.read_text().splitlines()[2:]]
+    assert len(solved) == 2
+    assert rows == [["%.17g" % a[j] for a in [solved[0].x] + [r.psi for r in solved]]
+                    for j in range(len(solved[0].x))]
 
 
 def test_scan_symmetric_layout_and_zero_energy_flags(capsys):

@@ -11,6 +11,7 @@ from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates import integrate
 from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
 from boundstates.cfm import cfm_value, dirichlet_value
+from boundstates.cli import compile_expr
 from boundstates.integrate import (
     canonical_endpoints,
     canonical_pair,
@@ -224,6 +225,44 @@ def test_reflected_pair_reads_the_potential_it_would_evaluate(problem):
     direct = np.array([problem.potential.evaluate(xi) for xi in pair.x])
     assert np.array_equal(pair.v, direct)
 
+
+def _looped_samples(v, grid):
+    # sample_potential as a per-point loop: v at x0 + j*h and at the step
+    # midpoints (x0 + j*h) + h*0.5, one call at a time, right side first
+    x0 = grid.x0
+
+    def side(h, n):
+        nodes = [float(v(x0))] + [float(v(x0 + j * h)) for j in range(1, n + 1)]
+        halves = [float(v((x0 + j * h) + h * 0.5)) for j in range(n)]
+        return np.array(nodes), np.array(halves)
+
+    return side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
+
+
+@pytest.mark.parametrize("potential, grid", [
+    pytest.param(PT25.potential, PT25.grid, id="poschl-teller-reflected"),
+    pytest.param(BOX.potential, BOX.grid, id="box-two-sided"),
+    pytest.param(RADIAL.potential, RADIAL.grid, id="radial-left-side"),
+    pytest.param(PotentialSpec(evaluate=compile_expr("-2*exp(-x*x)", "x")),
+                 make_grid(0.3, 0.01, 250, 300), id="inline-expr"),
+])
+def test_potential_samples_equal_a_per_point_loop_bit_for_bit(potential, grid):
+    # the same points, the same calls in the same order, each with a Python float
+    calls, looped_calls = [], []
+
+    def recorded(log):
+        def v(x):
+            log.append(x)
+            return potential.evaluate(x)
+        return v
+
+    samples = sample_potential(dataclasses.replace(potential, evaluate=recorded(calls)), grid)
+    right, left = _looped_samples(recorded(looped_calls), grid)
+    for got, want in zip(samples.right + samples.left, right + left):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert samples.line.tobytes() == np.concatenate([left[0][:0:-1], right[0]]).tobytes()
+    assert all(type(x) is float for x in calls)
+    assert [_bits(x) for x in calls] == [_bits(x) for x in looped_calls]
 
 
 @pytest.mark.parametrize("potential, grid, energies", [

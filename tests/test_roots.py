@@ -213,20 +213,22 @@ def _one_by_one(char_fn, brackets, **kwargs):
 
 
 def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
-    # the reference: one bracket's secant-in-bisection loop, evaluating one
-    # energy at a time through char_fn(e)
+    # the reference: one bracket's Anderson-Bjorck false position, evaluating
+    # one energy at a time through char_fn(e). flo and fhi are the stored
+    # values the false position reads; the true F decides every test
     lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if hi == lo:
         return lo
     fscale = max(abs(flo), abs(fhi))
-    for it in range(max_iter):
+    kept = None
+    for _ in range(max_iter):
         if hi - lo < tol_e:
             return 0.5 * (lo + hi)
         mid = cand = 0.5 * (lo + hi)
-        if it % 2 == 0 and fhi != flo:
-            sec = (lo * fhi - hi * flo) / (fhi - flo)
-            if lo < sec < hi:
-                cand = sec
+        if fhi != flo:
+            x = hi - fhi * (hi - lo) / (fhi - flo)
+            if lo < x < hi:
+                cand = x
         f = char_fn(cand)
         if math.isnan(f) and cand != mid:
             cand = mid
@@ -239,9 +241,15 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
         if f == 0.0:
             return cand
         if (f < 0) == (flo < 0):
-            lo, flo = cand, f
+            if kept == "hi":
+                m = 1.0 - f / flo
+                fhi *= m if m > 0.0 else 0.5
+            lo, flo, kept = cand, f, "hi"
         else:
-            hi, fhi = cand, f
+            if kept == "lo":
+                m = 1.0 - f / fhi
+                flo *= m if m > 0.0 else 0.5
+            hi, fhi, kept = cand, f, "lo"
         if abs(f) < 1e-12 * fscale:
             return cand
     return RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
@@ -256,8 +264,8 @@ def _outcome(out):
 
 def _mixed(e):
     # a converging cubic, a pole at 3, a flagged region holding both the
-    # secant candidate and the midpoint of [5, 6], and one holding only the
-    # first secant candidate of [6.5, 8]
+    # false position and the midpoint of [5, 6], and one holding only the
+    # first false position of [6.5, 8]
     if 5.2 < e < 5.6 or 7.02 < e < 7.05:
         return Evaluation(math.nan, "overflow")
     if e < 2.0:
@@ -280,8 +288,8 @@ MIXED_BRACKETS = [
 
 @pytest.mark.parametrize("max_iter, kinds", [
     pytest.param(200, ["root", "ran away", "root", "flagged evaluation", "root"], id="converging"),
-    pytest.param(6, ["no convergence", "ran away", "root", "flagged evaluation",
-                     "no convergence"], id="runs-out"),
+    pytest.param(6, ["no convergence", "no convergence", "root", "flagged evaluation",
+                     "root"], id="runs-out"),
 ])
 def test_lockstep_refinement_equals_one_bracket_at_a_time_on_failures(max_iter, kinds):
     # brackets that fail leave the batch early; the rest go on unchanged
@@ -315,28 +323,30 @@ def test_lockstep_refinement_equals_one_bracket_at_a_time(name):
 
 
 def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
-    # eleven iterations refine the lowest quartic bracket and drop the other
-    # seven; the warnings name them as one-at-a-time refinement would
-    problem, method, window, n_probe = LOCKSTEP_SOLVES["quartic-cfm"]
+    # over 300 probes, four iterations refine the second and seventh quartic
+    # brackets and drop the other six; the warnings name them as
+    # one-at-a-time refinement would
+    problem, method, window, _ = LOCKSTEP_SOLVES["quartic-cfm"]
     fn = characteristic_for(problem, method)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        brackets = [b for b in scan_brackets(fn, window, n_probe) if not b.pole_suspect]
-        alone = _one_by_one(fn, brackets, max_iter=11)
+        brackets = [b for b in scan_brackets(fn, window, 300) if not b.pole_suspect]
+        alone = _one_by_one(fn, brackets, max_iter=4)
+    dropped = [isinstance(o, RefinementError) for o in alone]
+    assert dropped == [True, False, True, True, True, True, False, True]
     expected = [str(w.message) for w in record] + [
         f"bracket [{b.lo:.9g}, {b.hi:.9g}] dropped: {o}"
         for b, o in zip(brackets, alone) if isinstance(o, RefinementError)]
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        results = find_eigenvalues(problem, method, window, n_probe, max_iter=11)
+        results = find_eigenvalues(problem, method, window, 300, max_iter=4)
     assert [str(w.message) for w in record if w.category is RefinementWarning] == expected
-    assert len(expected) == 8
+    assert len(expected) == 7
     assert [r.energy for r in results] == [a for a in alone if not isinstance(a, RefinementError)]
 
 
-def test_quartic_refinement_marches_once_per_iteration(monkeypatch):
-    # one batched march per lockstep iteration over all 8 brackets, not one
-    # per bracket per iteration (103 marches)
+def _counted_marches(monkeypatch):
+    # calls[0] counts the batched endpoint marches the characteristics make
     calls = [0]
     march = wm.canonical_endpoints
 
@@ -345,12 +355,35 @@ def test_quartic_refinement_marches_once_per_iteration(monkeypatch):
         return march(*args, **kwargs)
 
     monkeypatch.setattr(wm, "canonical_endpoints", counted)
+    return calls
+
+
+def test_quartic_refinement_marches_once_per_iteration(monkeypatch):
+    # the scan, then one batched march per lockstep iteration over all 8
+    # brackets: 6 marches
+    calls = _counted_marches(monkeypatch)
     problem = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RefinementWarning)
         results = find_eigenvalues(problem, "cfm", (0.0, 100.0), 200)
     assert len(results) == 8
-    assert calls[0] <= 20
+    assert calls[0] <= 7
+
+
+@pytest.mark.parametrize("problem, method, window, n_probe, levels, most", [
+    # the scan and 3 lockstep iterations: 4 marches
+    pytest.param(infinite_well(x0=0.5, h=0.002, energy_max=60.0), "dirichlet", (0.0, 60.0),
+                 None, 3, 5, id="box-dirichlet"),
+    # 7 marches
+    pytest.param(radial(lambda r: -10.0 * math.exp(-r), h=0.005), "wm", (-10.0, 0.0),
+                 200, 2, 8, id="radial-wm"),
+])
+def test_false_position_refinement_takes_few_marches(monkeypatch, problem, method, window,
+                                                     n_probe, levels, most):
+    calls = _counted_marches(monkeypatch)
+    results = find_eigenvalues(problem, method, window, n_probe)
+    assert len(results) == levels
+    assert calls[0] <= most
 
 
 @pytest.mark.parametrize("x0", [0.125, 0.4])
