@@ -9,9 +9,7 @@ approach their shared limit.
 from .cfm import (
     SaturationProfile,
     box_characteristic_analytic,
-    cfm_characteristic,
     cfm_l_ratios,
-    dirichlet_determinant,
     saturation_profile,
 )
 from .core import (
@@ -42,14 +40,15 @@ from .potentials import (
     poschl_teller_exact_energies,
     radial,
 )
-from .roots import Bracket, find_eigenvalues, refine_root, scan_brackets
-from .wm import (
-    WmEndpointData,
-    wm_characteristic,
-    wm_characteristic_symmetric,
-    wm_eigenfunction,
-    wm_endpoint_data,
+from .roots import (
+    Bracket,
+    characteristic_for,
+    dirichlet_determinant,
+    find_eigenvalues,
+    refine_root,
+    scan_brackets,
 )
+from .wm import WmEndpointData, wm_eigenfunction, wm_endpoint_data
 
 __version__ = "0.1.0"
 
@@ -58,12 +57,11 @@ __all__ = [
     "EigenResult", "Evaluation", "Grid", "PotentialSpec", "Problem",
     "SaturationProfile", "SolverError", "WmEndpointData",
     "anharmonic", "box_characteristic_analytic", "box_exact_energy",
-    "canonical_pair", "cfm_characteristic", "cfm_l_ratios",
+    "canonical_pair", "cfm_l_ratios", "characteristic_for",
     "convergence_orders", "dirichlet_determinant", "fd_box_dispersion",
     "fd_box_recurrence_eigenvalues", "find_eigenvalues", "infinite_well",
     "make_grid", "poschl_teller", "poschl_teller_critical_strengths",
     "poschl_teller_exact_energies", "radial", "refine_root",
     "saturation_profile", "scan_brackets", "shooting_reference",
-    "wm_characteristic", "wm_characteristic_symmetric", "wm_eigenfunction",
-    "wm_endpoint_data", "wronskian",
+    "wm_eigenfunction", "wm_endpoint_data", "wronskian",
 ]

@@ -6,7 +6,8 @@ states sit where F = l+ - l- vanishes. For parity invariant potentials with
 x0 = 0 the two endpoint ratios collapse into one and the eigenvalues are the
 roots of the plain product C(x_right) * S(x_right): the C factor carries the
 even levels, the S factor the odd ones, and no ratio poles get in the way.
-The value functions read one energy's integrate.Endpoints, as WM's do.
+The value functions read one energy's integrate.Endpoints, as WM's do, and
+roots.characteristic_for turns them into characteristic functions.
 
 The saturation profile quantifies how fast each representation reaches its
 large-x limit; the Wronskian ratio W(C, R_c)/W(S, R_c) and the value ratio
@@ -20,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ASYMPTOTIC_LIMIT,
-    HARD_DIRICHLET,
-    Evaluation,
-    SolverError,
-    wronskian,
-)
+from .core import ASYMPTOTIC_LIMIT, Evaluation, SolverError, wronskian
 from .integrate import canonical_pair
-from .wm import characteristic
 
 # denominators at or below this magnitude are reported as poles
 POLE_FLOOR = 1e-300
@@ -71,28 +65,11 @@ def cfm_value(problem, ends):
     return Evaluation(l_plus.value - l_minus.value)
 
 
-def cfm_characteristic(problem):
-    """Characteristic function for the canonical-function route.
-
-    Symmetric problems use the pole-free product form C(x_right)*S(x_right);
-    everything else uses the endpoint-ratio difference l+ - l-.
-    """
-    return characteristic(problem, cfm_value, "cfm")
-
-
 def dirichlet_value(problem, ends):
     """Two-wall determinant from one energy's Endpoints."""
     _, cl, _, sl, _ = ends.left
     _, cr, _, sr, _ = ends.right
     return Evaluation.of(cl * sr - cr * sl)
-
-
-def dirichlet_determinant(problem):
-    """Characteristic function C(xL) S(xR) - C(xR) S(xL) for boxed problems."""
-    asym = problem.asymptotics
-    if asym.left_kind != HARD_DIRICHLET or asym.right_kind != HARD_DIRICHLET:
-        raise ValueError("the two-wall determinant needs hard walls on both sides")
-    return characteristic(problem, dirichlet_value, "dirichlet")
 
 
 def box_characteristic_analytic(energy, x0):

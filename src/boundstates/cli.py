@@ -147,8 +147,8 @@ def _parse_bool(text):
     raise ValueError("expected a boolean, got %r" % text)
 
 
-def read_config_file(path):
-    """Parse a flat ``key = value`` file into typed option values."""
+def read_config_file(path, keys=_FILE_KEYS):
+    """Parse a flat ``key = value`` file; keys maps each allowed key to its converter."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -164,9 +164,9 @@ def read_config_file(path):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _FILE_KEYS:
+        if key not in keys:
             _fail(EXIT_CONFIG, "%s:%d: unknown key %r" % (path, lineno, key))
-        conv = _FILE_KEYS[key]
+        conv = keys[key]
         try:
             values[key] = _parse_bool(text) if conv is None else conv(text)
         except (ValueError, argparse.ArgumentTypeError):
@@ -175,9 +175,11 @@ def read_config_file(path):
 
 
 def _merge_config(args):
-    # precedence: command line > config file > built-in defaults
+    # precedence: command line > config file > built-in defaults. dump is a
+    # key only where the command has the --dump flag
     if args.config:
-        for key, value in read_config_file(args.config).items():
+        keys = {k: conv for k, conv in _FILE_KEYS.items() if k != "dump" or "dump" in args}
+        for key, value in read_config_file(args.config, keys).items():
             dest = "energy_range" if key == "range" else key
             if getattr(args, dest, None) is None:
                 setattr(args, dest, value)
@@ -506,23 +508,27 @@ _COMMANDS = {"solve": cmd_solve, "scan": cmd_scan,
              "saturate": cmd_saturate, "oracle": cmd_oracle}
 
 
+def _fold_values(parser, argv):
+    # argparse reads a value such as "-1e-1" or "-10:0" as a flag (only "-12"
+    # and "-1.5" pass as negative numbers): fold it into --option=value form
+    # after any flag that takes a value, unless it is an option string itself
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {s: a.nargs for p in sub.choices.values()
+               for s, a in p._option_string_actions.items()}
+    folded = []
+    for token in argv:
+        if (folded and options.get(folded[-1], 0) != 0
+                and token.startswith("-") and token not in options):
+            folded[-1] += "=" + token
+        else:
+            folded.append(token)
+    return folded
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # "--range -10:0" and "--expr -2*exp(-x*x)" confuse argparse (the value
-    # looks like a flag but not like a plain negative number); fold such
-    # pairs into --option=value form
-    folded = []
-    i = 0
-    while i < len(argv):
-        if (argv[i] in ("--range", "--expr") and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            folded.append(argv[i] + "=" + argv[i + 1])
-            i += 2
-        else:
-            folded.append(argv[i])
-            i += 1
     parser = build_parser()
-    args = parser.parse_args(folded)
+    args = parser.parse_args(_fold_values(parser, argv))
     if args.command is None:
         parser.print_usage(sys.stderr)
         _fail(EXIT_CONFIG, "boundstates: error: a command is required")

@@ -16,10 +16,9 @@ import warnings
 
 import numpy as np
 
-from .cfm import dirichlet_determinant
 from .core import wronskian
 from .potentials import infinite_well
-from .roots import refine_root, scan_brackets
+from .roots import dirichlet_determinant, refine_root, scan_brackets
 
 
 def fd_box_dispersion(n, h):

@@ -39,27 +39,16 @@ def decay_model(x_left, x_right):
     left side reversed. Valid for energies below 0.
     """
 
-    def left_conv(e, x):
-        k = _decay_constant(e)
-        w = math.exp(k * (x - x_left))
-        return w, k * w
+    def member(anchor, sign):
+        # sign +1: grows with x; -1: decays
+        def fn(e, x):
+            k = sign * _decay_constant(e)
+            w = math.exp(k * (x - anchor))
+            return w, k * w
+        return fn
 
-    def left_div(e, x):
-        k = _decay_constant(e)
-        w = math.exp(-k * (x - x_left))
-        return w, -k * w
-
-    def right_conv(e, x):
-        k = _decay_constant(e)
-        w = math.exp(-k * (x - x_right))
-        return w, -k * w
-
-    def right_div(e, x):
-        k = _decay_constant(e)
-        w = math.exp(k * (x - x_right))
-        return w, k * w
-
-    return AsymptoticModel(left_conv, left_div, right_conv, right_div,
+    return AsymptoticModel(member(x_left, +1.0), member(x_left, -1.0),
+                           member(x_right, -1.0), member(x_right, +1.0),
                            requires_negative_energy=True)
 
 

@@ -1,4 +1,8 @@
-"""Bracket scanning and root refinement for characteristic functions.
+"""The method table, bracket scanning and root refinement.
+
+One table maps each method name to its value function of one energy's
+Endpoints (from wm.py and cfm.py) and to the check that a problem admits it;
+characteristic_for builds every characteristic function from it.
 
 Endpoint-ratio characteristics change sign at poles as well as at roots, so
 the scanner has to tell the two apart. A simple zero shrinks |F| as the
@@ -19,6 +23,7 @@ the roots do not depend on what else is refined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -26,18 +31,39 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cfm import cfm_characteristic, cfm_l_ratios, dirichlet_determinant
-from .core import RefinementError, SolverError
-from .integrate import canonical_pair
+from .cfm import cfm_l_ratios, cfm_value, dirichlet_value
+from .core import HARD_DIRICHLET, CharacteristicFunction, RefinementError, SolverError
+from .integrate import canonical_endpoints, canonical_pair, sample_potential
 from .wm import (
     assemble_eigenresult,
-    wm_characteristic,
-    wm_characteristic_symmetric,
     wm_eigenfunction,
     wm_endpoint_data,
+    wm_value,
+    wm_value_symmetric,
 )
 
-METHODS = ("wm", "wm-even", "wm-odd", "cfm", "dirichlet")
+
+def _symmetric(problem):
+    if not problem.symmetric:
+        raise ValueError("even/odd splitting needs a parity invariant potential with x0 = 0")
+
+
+def _hard_walls(problem):
+    asym = problem.asymptotics
+    if asym.left_kind != HARD_DIRICHLET or asym.right_kind != HARD_DIRICHLET:
+        raise ValueError("the two-wall determinant needs hard walls on both sides")
+
+
+# method -> (value of one energy's Endpoints, check that raises ValueError on
+# a problem the method does not apply to, or None)
+_METHODS = {
+    "wm": (wm_value, None),
+    "wm-even": (functools.partial(wm_value_symmetric, parity="even"), _symmetric),
+    "wm-odd": (functools.partial(wm_value_symmetric, parity="odd"), _symmetric),
+    "cfm": (cfm_value, None),
+    "dirichlet": (dirichlet_value, _hard_walls),
+}
+METHODS = tuple(_METHODS)
 
 # flank growth that makes a sign change worth a closer look
 SUSPECT_GROWTH = 2.0
@@ -273,18 +299,34 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
 
 
 def characteristic_for(problem, method):
-    """Dispatch a method name to its characteristic function."""
-    if method == "wm":
-        return wm_characteristic(problem)
-    if method == "wm-even":
-        return wm_characteristic_symmetric(problem, "even")
-    if method == "wm-odd":
-        return wm_characteristic_symmetric(problem, "odd")
-    if method == "cfm":
-        return cfm_characteristic(problem)
-    if method == "dirichlet":
-        return dirichlet_determinant(problem)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """CharacteristicFunction of a method in the table, labelled by its name.
+
+    v is sampled once and kept as .samples. evaluate_many() marches a batch
+    endpoint-only through them and applies the method's value function;
+    evaluate() is evaluate_many() of one energy.
+
+    Raises:
+        ValueError: for an unknown method, or a problem it does not apply to.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    value, check = _METHODS[method]
+    if check is not None:
+        check(problem)
+    pot, grid = problem.potential, problem.grid
+    samples = sample_potential(pot, grid)
+
+    def many(energies):
+        return [value(problem, ends)
+                for ends in canonical_endpoints(pot, energies, grid, samples)]
+
+    return CharacteristicFunction(lambda e: many(np.array([e]))[0], label=method,
+                                  many=many, samples=samples)
+
+
+def dirichlet_determinant(problem):
+    """Characteristic function C(xL) S(xR) - C(xR) S(xL) for boxed problems."""
+    return characteristic_for(problem, "dirichlet")
 
 
 def _assemble_cfm(problem, root, samples):

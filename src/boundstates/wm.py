@@ -9,6 +9,9 @@ Its zeros are the bound-state energies. For parity invariant potentials with
 x0 = 0 the condition splits: W(R_c, C)+ = 0 picks the even levels and
 W(R_c, S)+ = 0 the odd ones. With hard walls the same determinant reduces
 exactly to C(x_left) S(x_right) - C(x_right) S(x_left).
+
+It holds the value functions and the eigenfunction assembly every method
+shares; roots.characteristic_for builds the characteristic functions.
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CharacteristicFunction,
     DegenerateAsymptoticsError,
     DegenerateRootError,
     EigenResult,
     Evaluation,
     wronskian,
 )
-from .integrate import canonical_endpoints, canonical_pair, sample_potential
+from .integrate import canonical_pair
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -100,47 +102,6 @@ def wm_value_symmetric(problem, ends, parity):
         return Evaluation(math.nan, "degenerate")
     value = d.w_rc_c if parity == "even" else d.w_rc_s
     return Evaluation.of(value)
-
-
-def characteristic(problem, value, label):
-    """CharacteristicFunction of a per-endpoint value function.
-
-    Shared by every method. value(problem, ends) maps one energy's Endpoints
-    to an Evaluation. v is sampled here, once, and kept as .samples;
-    evaluate_many() marches its batch endpoint-only with canonical_endpoints
-    through these samples; scans and lockstep refinement both evaluate
-    through it, and evaluate() is evaluate_many() of one energy.
-    """
-    pot, grid = problem.potential, problem.grid
-    samples = sample_potential(pot, grid)
-
-    def many(energies):
-        return [value(problem, ends)
-                for ends in canonical_endpoints(pot, energies, grid, samples)]
-
-    return CharacteristicFunction(lambda e: many(np.array([e]))[0], label=label,
-                                  many=many, samples=samples)
-
-
-def wm_characteristic(problem):
-    """Characteristic function for the general two-sided determinant.
-
-    Each evaluation costs one canonical-pair integration over the grid.
-    """
-    return characteristic(problem, wm_value, "wm")
-
-
-def wm_characteristic_symmetric(problem, parity):
-    """Even or odd characteristic function; symmetric problems only."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not problem.symmetric:
-        raise ValueError("even/odd splitting needs a parity invariant potential with x0 = 0")
-
-    def value(problem, ends):
-        return wm_value_symmetric(problem, ends, parity)
-
-    return characteristic(problem, value, f"wm-{parity}")
 
 
 def wm_eigenfunction(problem, root, samples=None):

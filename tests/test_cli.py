@@ -280,6 +280,38 @@ def test_config_file_values_meet_the_flags_choices(command, text, line, tmp_path
     assert ":%d: bad value for" % line in out.err
 
 
+@pytest.mark.parametrize("command", ["scan", "saturate", "oracle"])
+def test_config_file_dump_key_is_unknown_outside_solve(command, tmp_path, capsys):
+    # --dump exists on solve alone, and the key used to be ignored silently
+    dump = tmp_path / "wf.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("v0 = 2.5\nh = 0.01\nnr = 500\nenergy = -1\nprobes = 40\n"
+                   "dump = %s\n" % dump)
+    assert run_cli([command, "--potential", "poschl-teller", "--config", str(cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert ":6: unknown key 'dump'" in out.err
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("exponent_form, plain_form", [
+    pytest.param(["saturate"] + PT25_SMALL + ["--energy", "-1e0"],
+                 ["saturate"] + PT25_SMALL + ["--energy=-1"], id="energy"),
+    pytest.param(["solve", "--potential", "anharmonic", "--v2", "-5e0", "--v4", "1"],
+                 ["solve", "--potential", "anharmonic", "--v2", "-5", "--v4", "1"], id="v2"),
+])
+def test_negative_values_in_exponent_form_are_values(exponent_form, plain_form, capsys):
+    # argparse reads only "-12" and "-1.5" as negative numbers; "-1e0" after
+    # a flag that takes a value is that flag's value all the same
+    runs = []
+    for argv in (exponent_form, plain_form):
+        code = run_cli(argv)
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
 @pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
 @pytest.mark.parametrize("probes", ["0", "-3"])
 def test_non_positive_probes_are_config_errors(command, probes, tmp_path, capsys):

@@ -20,10 +20,11 @@ from boundstates import (
     refine_root,
     scan_brackets,
 )
-from boundstates import wm
+from boundstates import roots
 from boundstates.core import CharacteristicFunction, Evaluation, RefinementError
 from boundstates.integrate import sample_potential
 from boundstates.roots import (
+    METHODS,
     RefinementWarning,
     _default_probes,
     _refine_lockstep,
@@ -348,13 +349,13 @@ def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
 def _counted_marches(monkeypatch):
     # calls[0] counts the batched endpoint marches the characteristics make
     calls = [0]
-    march = wm.canonical_endpoints
+    march = roots.canonical_endpoints
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return march(*args, **kwargs)
 
-    monkeypatch.setattr(wm, "canonical_endpoints", counted)
+    monkeypatch.setattr(roots, "canonical_endpoints", counted)
     return calls
 
 
@@ -448,6 +449,32 @@ def test_unknown_method_is_rejected():
     prob = poschl_teller(2.5)
     with pytest.raises(ValueError):
         find_eigenvalues(prob, method="secret")
+
+
+# the methods each catalog problem admits: parity splitting needs a symmetric
+# problem, the two-wall determinant hard walls on both sides
+ADMITTED = {
+    "poschl-teller": (poschl_teller(2.5, h=0.01, x_right=5.0), {"wm", "wm-even", "wm-odd", "cfm"}),
+    "anharmonic": (anharmonic(0.0, 1.0, h=0.01, energy_max=10.0),
+                   {"wm", "wm-even", "wm-odd", "cfm"}),
+    "box-x0-0.25": (infinite_well(x0=0.25, h=0.005), {"wm", "cfm", "dirichlet"}),
+    "radial": (radial(lambda r: -1.0 / r, l=0, h=0.01, r_max=10.0), {"wm", "cfm"}),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", ADMITTED)
+def test_each_method_builds_on_the_catalog_problems_it_admits(name, method):
+    problem, admitted = ADMITTED[name]
+    if method not in admitted:
+        with pytest.raises(ValueError):
+            characteristic_for(problem, method)
+        return
+    fn = characteristic_for(problem, method)
+    assert fn.label == method
+    energy = 0.5 * sum(problem.energy_range)
+    ev = fn.evaluate(energy)
+    assert ev.ok and ev == fn.evaluate_many([energy])[0]
 
 
 # the levels these runs return; quartic overflow loses the rest (wm finds 3

@@ -4,6 +4,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import boundstates
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "boundstates"
 
@@ -46,3 +48,7 @@ def test_every_name_the_bench_tracer_rebinds_exists():
         assert t.missing == []
     finally:
         t.uninstall()
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in boundstates.__all__ if not hasattr(boundstates, name)] == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from boundstates import (
+    characteristic_for,
     find_eigenvalues,
     infinite_well,
     make_grid,
@@ -14,8 +15,6 @@ from boundstates import (
     radial,
     refine_root,
     scan_brackets,
-    wm_characteristic,
-    wm_characteristic_symmetric,
     wm_eigenfunction,
     wm_endpoint_data,
 )
@@ -73,22 +72,22 @@ def test_zero_energy_flags_degenerate_asymptotics():
     ev = wm_value(PT, ends)
     assert not ev.ok
     assert ev.flag == "degenerate"
-    assert math.isnan(wm_characteristic(PT)(0.0))
+    assert math.isnan(characteristic_for(PT, "wm")(0.0))
 
 
 def test_symmetric_characteristic_rejects_bad_parity():
     with pytest.raises(ValueError):
-        wm_characteristic_symmetric(PT, "both")
+        characteristic_for(PT, "wm-both")
 
 
 def test_symmetric_characteristic_needs_symmetry():
     box = infinite_well(x0=0.25, h=0.005)
     with pytest.raises(ValueError):
-        wm_characteristic_symmetric(box, "even")
+        characteristic_for(box, "wm-even")
 
 
 def _pt_root(parity):
-    fn = wm_characteristic_symmetric(PT_WIDE, parity)
+    fn = characteristic_for(PT_WIDE, f"wm-{parity}")
     brackets = [b for b in scan_brackets(fn, (-2.5, -0.01), 60) if not b.pole_suspect]
     assert len(brackets) == 1
     return refine_root(fn, brackets[0])
