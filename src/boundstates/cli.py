@@ -72,7 +72,7 @@ def _add_common(p):
     p.add_argument("--h", type=float, help="grid step")
     p.add_argument("--nl", type=int, help="steps left of the origin")
     p.add_argument("--nr", type=int, help="steps right of the origin")
-    p.add_argument("--range", dest="energy_range", metavar="LO:HI")
+    p.add_argument("--range", dest="energy_range", metavar="LO:HI", type=_parse_range)
     p.add_argument("--probes", type=_positive_int,
                    help="probe count: scan prints N rows, solve and oracle probe N cells")
     p.add_argument("--tol", type=_positive_float, help="energy tolerance / band width")
@@ -121,23 +121,6 @@ def _positive_float(text):
     return value
 
 
-def _one_of(choices):
-    # a config file's potential or method, held to the flag's choices
-    def conv(text):
-        if text not in choices:
-            raise ValueError(text)
-        return text
-    return conv
-
-
-_FILE_KEYS = {
-    "potential": _one_of(POTENTIALS), "method": _one_of(METHODS), "expr": str,
-    "out": str, "dump": str, "range": str, "v0": float, "v2": float,
-    "v4": float, "x0": float, "h": float, "tol": _positive_float, "energy": float,
-    "l": int, "nl": int, "nr": int, "probes": _positive_int, "parity": None,
-}
-
-
 def _parse_bool(text):
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -147,8 +130,10 @@ def _parse_bool(text):
     raise ValueError("expected a boolean, got %r" % text)
 
 
-def read_config_file(path, keys=_FILE_KEYS):
-    """Parse a flat ``key = value`` file; keys maps each allowed key to its converter."""
+def read_config_file(path, parser):
+    """Parse a flat ``key = value`` file; a key is a long flag of parser without ``--``."""
+    actions = {s[2:]: a for s, a in parser._option_string_actions.items()
+               if s.startswith("--") and s not in ("--help", "--config")}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -164,36 +149,43 @@ def read_config_file(path, keys=_FILE_KEYS):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in keys:
+        if key not in actions:
             _fail(EXIT_CONFIG, "%s:%d: unknown key %r" % (path, lineno, key))
-        conv = keys[key]
+        action = actions[key]
         try:
-            values[key] = _parse_bool(text) if conv is None else conv(text)
+            if action.nargs == 0:
+                value = _parse_bool(text)
+            else:
+                value = (action.type or str)(text)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(text)
         except (ValueError, argparse.ArgumentTypeError):
             _fail(EXIT_CONFIG, "%s:%d: bad value for %s: %r" % (path, lineno, key, text))
+        values[action.dest] = value
     return values
 
 
-def _merge_config(args):
-    # precedence: command line > config file > built-in defaults. dump is a
-    # key only where the command has the --dump flag
+def _merge_config(args, parser):
+    # precedence: command line > config file > built-in defaults
     if args.config:
-        keys = {k: conv for k, conv in _FILE_KEYS.items() if k != "dump" or "dump" in args}
-        for key, value in read_config_file(args.config, keys).items():
-            dest = "energy_range" if key == "range" else key
-            if getattr(args, dest, None) is None:
+        for dest, value in read_config_file(args.config, parser).items():
+            if getattr(args, dest) is None:
                 setattr(args, dest, value)
-    return args
 
 
 def _parse_range(text):
+    # the --range type, for config files too; an empty range leaves the window unset
+    if not text:
+        return None
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
-        raise ValueError("expected LO:HI, got %r" % text)
-    lo = float(lo_text)
-    hi = float(hi_text)
+        raise argparse.ArgumentTypeError("expected LO:HI, got %r" % text)
+    try:
+        lo, hi = float(lo_text), float(hi_text)
+    except ValueError:
+        lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise ValueError("bad energy range %r" % text)
+        raise argparse.ArgumentTypeError("bad energy range %r" % text)
     return lo, hi
 
 
@@ -229,7 +221,7 @@ def build_problem(args, command):
     pot = args.potential
     if pot is None:
         raise ValueError("--potential is required")
-    rng = _parse_range(args.energy_range) if args.energy_range else None
+    rng = args.energy_range
 
     if pot == "box":
         # the oracle route sweeps the N = 1/h recurrence, so keep its
@@ -289,23 +281,21 @@ def build_problem(args, command):
 def _solve_window(args, command):
     """Build the problem and solve the requested window.
 
-    Returns (problem, method, rng, results, exact): rng is the --range
-    window or None, and exact the closed-form levels in the solved window
-    when the problem has them. Refinement warnings print and do not stop.
+    Returns (problem, method, results, exact), exact being the window's closed-form
+    levels or None. Refinement warnings print and do not stop.
     """
     problem = build_problem(args, command)
     method = args.method or ("dirichlet" if args.potential == "box" else "wm")
-    rng = _parse_range(args.energy_range) if args.energy_range else None
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        results = find_eigenvalues(problem, method=method, energy_range=rng,
+        results = find_eigenvalues(problem, method=method, energy_range=args.energy_range,
                                    n_probe=args.probes,
                                    tol_e=1e-10 if args.tol is None else args.tol)
     exact = None
     if problem.exact_spectrum is not None:
-        lo, hi = rng or problem.energy_range
+        lo, hi = args.energy_range or problem.energy_range
         exact = problem.exact_spectrum(lo, hi)
-    return problem, method, rng, results, exact
+    return problem, method, results, exact
 
 
 # --- output helpers -----------------------------------------------------
@@ -355,10 +345,10 @@ def _cells(values):
 # --- subcommands ---------------------------------------------------------
 
 def cmd_solve(args):
-    problem, method, rng, results, exact = _solve_window(args, "solve")
+    problem, method, results, exact = _solve_window(args, "solve")
     extra = [("method", method)]
-    if rng:
-        extra.append(("range", "%s:%s" % (_fmt(rng[0]), _fmt(rng[1]))))
+    if args.energy_range:
+        extra.append(("range", ":".join(map(_fmt, args.energy_range))))
     lines = _preamble("solve", args, problem, extra)
     lines.append("index,parity,energy,residual,nodes,exact_error")
     for i, res in enumerate(results):
@@ -387,41 +377,33 @@ def cmd_solve(args):
 
 def cmd_scan(args):
     problem = build_problem(args, "scan")
-    lo, hi = (_parse_range(args.energy_range) if args.energy_range
-              else problem.energy_range)
+    lo, hi = args.energy_range or problem.energy_range
     n = args.probes if args.probes is not None else _default_probes(lo, hi)
 
+    # each column looks its value function up when called: bench/tracer.py rebinds them
     symmetric = problem.symmetric
-    is_box = args.potential == "box"
     if symmetric:
-        header = "epsilon,F_wm_even,F_wm_odd,F_cfm,ratio_c_over_s,ratio_s_over_c,flags"
-    elif is_box:
-        header = "epsilon,F_wm,F_cfm,F_box_analytic,flags"
+        columns = {"F_wm_even": lambda ends: wm_value_symmetric(problem, ends, "even"),
+                   "F_wm_odd": lambda ends: wm_value_symmetric(problem, ends, "odd")}
     else:
-        header = "epsilon,F_wm,F_cfm,flags"
+        columns = {"F_wm": lambda ends: wm_value(problem, ends)}
+    columns["F_cfm"] = lambda ends: cfm_value(problem, ends)
+    if symmetric:
+        columns["ratio_c_over_s"] = lambda ends: endpoint_ratio(ends.right[1], ends.right[3])
+        columns["ratio_s_over_c"] = lambda ends: endpoint_ratio(ends.right[3], ends.right[1])
+    elif args.potential == "box":
+        columns["F_box_analytic"] = lambda ends: _box_analytic(ends.energy, problem.grid.x0)
 
     lines = _preamble("scan", args, problem,
                       [("range", "%s:%s" % (_fmt(lo), _fmt(hi))), ("probes", n)])
-    lines.append(header)
+    lines.append(",".join(["epsilon", *columns, "flags"]))
     if hi > lo:
         # one batched march gives the endpoint data every column of a row reads
         pot, grid = problem.potential, problem.grid
         for ends in canonical_endpoints(pot, np.linspace(lo, hi, n), grid,
                                         sample_potential(pot, grid)):
-            e = ends.energy
-            if symmetric:
-                values = [("F_wm_even", wm_value_symmetric(problem, ends, "even")),
-                          ("F_wm_odd", wm_value_symmetric(problem, ends, "odd")),
-                          ("F_cfm", cfm_value(problem, ends))]
-                _, c, _, s, _ = ends.right
-                values += [("ratio_c_over_s", endpoint_ratio(c, s)),
-                           ("ratio_s_over_c", endpoint_ratio(s, c))]
-            else:
-                values = [("F_wm", wm_value(problem, ends)),
-                          ("F_cfm", cfm_value(problem, ends))]
-                if is_box:
-                    values.append(("F_box_analytic", _box_analytic(e, grid.x0)))
-            lines.append(_fmt(e) + "," + _cells(values))
+            values = [(name, column(ends)) for name, column in columns.items()]
+            lines.append(_fmt(ends.energy) + "," + _cells(values))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -463,7 +445,7 @@ def cmd_saturate(args):
 
 def cmd_oracle(args):
     is_box = args.potential == "box"
-    problem, method, rng, engine, exact = _solve_window(args, "oracle")
+    problem, method, engine, exact = _solve_window(args, "oracle")
     energies = [r.energy for r in engine]
 
     if is_box:
@@ -473,7 +455,7 @@ def cmd_oracle(args):
         n_max = min(len(energies), N // 2 - 1)
         reference = fd_box_recurrence_eigenvalues(N, n_max) if n_max >= 1 else []
     else:
-        reference = shooting_reference(problem, energy_range=rng,
+        reference = shooting_reference(problem, energy_range=args.energy_range,
                                        n_probe=args.probes)
 
     extra = [("method", method),
@@ -508,16 +490,26 @@ _COMMANDS = {"solve": cmd_solve, "scan": cmd_scan,
              "saturate": cmd_saturate, "oracle": cmd_oracle}
 
 
+def _commands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def _fold_values(parser, argv):
     # argparse reads a value such as "-1e-1" or "-10:0" as a flag (only "-12"
     # and "-1.5" pass as negative numbers): fold it into --option=value form
     # after any flag that takes a value, unless it is an option string itself
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {s: a.nargs for p in sub.choices.values()
+    options = {s: a.nargs for p in _commands(parser).values()
                for s, a in p._option_string_actions.items()}
+
+    def resolve(token):
+        # a unique prefix of a long flag names that flag, as argparse reads it
+        matches = [s for s in options if s.startswith(token)]
+        return matches[0] if token.startswith("--") and len(matches) == 1 else token
+
     folded = []
     for token in argv:
-        if (folded and options.get(folded[-1], 0) != 0
+        if (folded and options.get(resolve(folded[-1]), 0) != 0
                 and token.startswith("-") and token not in options):
             folded[-1] += "=" + token
         else:
@@ -532,7 +524,7 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         _fail(EXIT_CONFIG, "boundstates: error: a command is required")
-    _merge_config(args)
+    _merge_config(args, _commands(parser)[args.command])
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

@@ -312,6 +312,45 @@ def test_negative_values_in_exponent_form_are_values(exponent_form, plain_form, 
     assert runs[0][0] == 0
 
 
+@pytest.mark.parametrize("prefix_form, full_form", [
+    pytest.param(["saturate"] + PT25_SMALL + ["--ener", "-1e-1"],
+                 ["saturate"] + PT25_SMALL + ["--energy=-1e-1"], id="energy"),
+    pytest.param(["solve"] + PT25_SMALL + ["--ran", "-2:-1"],
+                 ["solve"] + PT25_SMALL + ["--range=-2:-1"], id="range"),
+])
+def test_a_unique_flag_prefix_takes_a_negative_value(prefix_form, full_form, capsys):
+    # argparse reads a unique prefix of a long flag as that flag, so the
+    # negative value after it is the flag's value too
+    runs = []
+    for argv in (prefix_form, full_form):
+        code = run_cli(argv)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
+def test_an_ambiguous_flag_prefix_is_a_config_error(capsys):
+    assert run_cli(["saturate"] + PT25_SMALL + ["--e", "-1e-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "ambiguous option: --e" in out.err
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
+def test_config_keys_are_the_commands_long_flags(command, tmp_path, monkeypatch, capsys):
+    # every long flag but --help and --config is a key, with no second table;
+    # without a potential each run stops before it writes anything
+    monkeypatch.chdir(tmp_path)
+    parser = cli._commands(cli.build_parser())[command]
+    flags = [s[2:] for s in parser._option_string_actions if s.startswith("--")]
+    cfg = tmp_path / "run.cfg"
+    for key in flags + ["energy_range", "banana"]:
+        cfg.write_text("%s = 1\n" % key)
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        is_key = key in flags and key not in ("help", "config")
+        assert ("unknown key" in capsys.readouterr().err) != is_key, key
+
+
 @pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
 @pytest.mark.parametrize("probes", ["0", "-3"])
 def test_non_positive_probes_are_config_errors(command, probes, tmp_path, capsys):
@@ -347,6 +386,16 @@ def test_bad_energy_ranges_are_config_errors(rng, capsys):
     code = run_cli(["scan", "--potential", "box", "--h", "0.01", "--range", rng])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
+def test_config_file_bad_range_names_the_line(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("potential = box\nh = 0.01\nrange = 5:1\n")
+    assert run_cli([command, "--config", str(cfg)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert ":3: bad value for range: '5:1'" in out.err
 
 
 def test_negative_range_values_survive_argument_parsing(capsys):

@@ -202,6 +202,17 @@ def test_refine_degenerate_bracket_returns_its_point():
     assert refine_root(fn, Bracket(2.0, 2.0, 0.0, 0.0)) == 2.0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: the stop |F| < 1e-12 of the entry |F| fires where F is "
+    "flat while the bracket is still wide, and returns 0.0999189"))
+def test_refinement_reaches_a_root_where_f_is_flat():
+    def f(e):
+        return (e - 0.1) ** 3
+
+    root = refine_root(_plain(f), Bracket(0.0, 1.0, f(0.0), f(1.0)), tol_e=1e-14)
+    assert abs(root - 0.1) <= 1e-10
+
+
 def _one_by_one(char_fn, brackets, **kwargs):
     # refine_root on each bracket alone: its root or the error that dropped it
     out = []
