@@ -498,7 +498,7 @@ def _commands(parser):
 def _fold_values(parser, argv):
     # argparse reads a value such as "-1e-1" or "-10:0" as a flag (only "-12"
     # and "-1.5" pass as negative numbers): fold it into --option=value form
-    # after any flag that takes a value, unless it is an option string itself
+    # after any flag that takes a value, unless it names a flag itself
     options = {s: a.nargs for p in _commands(parser).values()
                for s, a in p._option_string_actions.items()}
 
@@ -510,7 +510,7 @@ def _fold_values(parser, argv):
     folded = []
     for token in argv:
         if (folded and options.get(resolve(folded[-1]), 0) != 0
-                and token.startswith("-") and token not in options):
+                and token.startswith("-") and resolve(token) not in options):
             folded[-1] += "=" + token
         else:
             folded.append(token)

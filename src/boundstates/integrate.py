@@ -2,17 +2,27 @@
 
 Classical fixed-step RK4 on the first-order form of phi'' = 2(v - eps) phi.
 v does not depend on the energy, so it is sampled once per solve, on the grid
-points and the half-step points of each side, and every march reads those
-samples. An RK4 step is linear in the state, so one kernel marches the
-canonical solutions C (start 1, 0) and S (start 0, 1) at many energies as an
-ordered product of 2x2 step matrices. `canonical_pair` keeps every sample over
-the full logical line, for eigenfunction assembly and saturation profiles;
-`canonical_endpoints` keeps only the end points, for a batch of energies: a
-scan's probes, or one candidate per open bracket in a refinement step. Both give an
-energy's end points as the same `Endpoints` record, bit for bit, which every
-characteristic value function reads. Every march runs to the grid end: growth
-past the double range goes on as inf or NaN, which the value functions flag as
-overflow.
+points and the half-step points of each side. An RK4 step is linear in the
+state, so a march of the canonical solutions C (start 1, 0) and S (start 0, 1)
+is an ordered product of 2x2 step matrices, and each step matrix is a
+quadratic polynomial in s = 2*eps whose coefficients depend on v alone.
+sample_potential multiplies the steps in pairs once per solve, into one
+PairTable of quartic polynomials per side. Every march then evaluates each
+pair's matrix at its energies by Horner's rule and multiplies half as many
+matrices as there are steps, with no arithmetic on v.
+
+`canonical_pair` keeps every sample over the full logical line, for
+eigenfunction assembly and saturation profiles; `canonical_endpoints` keeps
+only the end points, for a batch of energies: a scan's probes, or one
+candidate per open bracket in a refinement step. Both give an energy's end
+points as the same `Endpoints` record, bit for bit, which every
+characteristic value function reads: a pair's matrix is evaluated
+elementwise, and the products are associated by pair index alone, whatever
+the batch. Bits are given up against a march that steps one point after the
+next, which multiplies in another order, and against the RK4 stages, which
+round otherwise than their polynomial form: both differ in the last digits.
+Every march runs to the grid end: growth past the double range goes on as
+inf or NaN, which the value functions flag as overflow.
 """
 
 from __future__ import annotations
@@ -22,22 +32,104 @@ from typing import NamedTuple
 import numpy as np
 
 
+class PairTable(NamedTuple):
+    """One side's RK4 steps as polynomials in s = 2*eps, built once per solve.
+
+    A step's matrix, which maps (phi, phi') at its start to its end, is a
+    polynomial of degree 2 in s whose coefficients depend on v alone. Steps
+    2j and 2j+1 form pair j, after an identity step at the start when the
+    count is odd, and identity pairs at the start fill whole blocks. pairs[d]
+    holds the coefficient of s**d of each pair's matrix, d = 0..4, indexed
+    [row, column, pair] with each block in the bit-reversed order the
+    endpoint tree reads; firsts[d], d = 0..2, holds step 2j of each pair in
+    the same order, for the states inside pairs.
+    """
+
+    pairs: np.ndarray
+    firsts: np.ndarray
+    n_steps: int
+
+
 class PotentialSamples(NamedTuple):
     """v(x) on one grid, sampled once per solve.
 
     right and left each hold (nodes, halves) in march order, as arrays:
     nodes[j] is v at x0 + j*h and halves[j] at the midpoint of step j, with h
     negative on the left side. line is v at grid.points(), which pairs slice
-    for node counting.
+    for node counting. tables holds the right and left sides' PairTables.
     """
 
     right: tuple
     left: tuple
     line: np.ndarray
+    tables: tuple
+
+
+# Pairs per block, a power of two, in the bit-reversed order that makes each
+# level of a block's tree pair the second half of the block with the first;
+# and the bound on pair x energy elements per array of one chunk.
+_BITS = 7
+_BLOCK = 1 << _BITS
+_BITREV = np.array([int(f"{k:0{_BITS}b}"[::-1], 2) for k in range(_BLOCK)])
+_CHUNK = 1 << 14
+
+
+def _mul(m, n):
+    # m @ n for 2x2 matrices indexed [row, column, ...], broadcast over the rest
+    out = m[:, :1] * n[:1]
+    out += m[:, 1:] * n[1:]
+    return out
+
+
+def _steps(nodes, halves, h, k):
+    # RK4 step k of (y, y') on y'' = (G - s) y multiplied out, with G = 2v at
+    # the step's start, midpoint and end (ga, gm, gb), r = h^2/6 and
+    # t = h^2/4: the coefficients of s^0, s^1, s^2, indexed
+    # [power, row, column, k]. A step k < 0 is the identity.
+    i = np.maximum(k, 0)
+    ga, gm, gb = 2.0 * nodes[i], 2.0 * halves[i], 2.0 * nodes[i + 1]
+    r, t = h * h / 6.0, h * h / 4.0
+    out = np.empty((3, 2, 2, len(k)))
+    out[0, 0, 0] = 1.0 + r * (ga + 2.0 * gm + t * ga * gm)
+    out[0, 0, 1] = h + (h * r) * gm
+    out[0, 1, 0] = h / 6.0 * (ga + gb + 4.0 * gm + 2.0 * t * gm * (ga + gb))
+    out[0, 1, 1] = 1.0 + r * (gb + 2.0 * gm + t * gb * gm)
+    out[1, 0, 0] = -r * (3.0 + t * (ga + gm))
+    out[1, 0, 1] = -h * r
+    out[1, 1, 0] = -h / 6.0 * (6.0 + 2.0 * t * (ga + gb + 2.0 * gm))
+    out[1, 1, 1] = -r * (3.0 + t * (gb + gm))
+    out[2, 0, 0] = out[2, 1, 1] = r * t
+    out[2, 0, 1] = 0.0
+    out[2, 1, 0] = 2.0 / 3.0 * h * t
+    identity = k < 0
+    out[..., identity] = 0.0
+    out[0, 0, 0, identity] = out[0, 1, 1, identity] = 1.0
+    return out
+
+
+def _table(nodes, halves, h):
+    # pair j at each table position, in each block's bit-reversed order after
+    # the identity pairs, and its steps 2j - odd and 2j + 1 - odd
+    n = len(halves)
+    n_pairs = (n + 1) // 2
+    pad = -n_pairs % _BLOCK
+    j = np.arange(pad + n_pairs).reshape(-1, _BLOCK)[:, _BITREV].ravel() - pad
+    first = np.where(j < 0, -1, 2 * j - n % 2)
+    firsts = _steps(nodes, halves, h, first)
+    second = _steps(nodes, halves, h, np.where(j < 0, -1, first + 1))
+    # the product of two polynomials in s convolves their coefficients
+    pairs = np.zeros((5, 2, 2, len(j)))
+    term, part = np.empty((2, 2, 2, len(j)))
+    for a in range(3):
+        for b in range(3):
+            np.multiply(second[b][:, :1], firsts[a][:1], out=term)
+            term += np.multiply(second[b][:, 1:], firsts[a][1:], out=part)
+            pairs[a + b] += term
+    return PairTable(pairs, firsts, n)
 
 
 def sample_potential(potential, grid):
-    """Sample potential.evaluate on both sides of the grid."""
+    """Sample potential.evaluate on both sides of the grid and build their PairTables."""
     v = potential.evaluate
     x0 = grid.x0
 
@@ -50,99 +142,81 @@ def sample_potential(potential, grid):
         return nodes, halves
 
     right, left = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
-    return PotentialSamples(right, left, np.concatenate([left[0][:0:-1], right[0]]))
+    return PotentialSamples(right, left, np.concatenate([left[0][:0:-1], right[0]]),
+                            (_table(*right, grid.h), _table(*left, -grid.h)))
 
 
-# Steps per block, a power of two, in the bit-reversed order that makes each
-# level of a block's tree pair the second half of the block with the first;
-# and the bound on step x energy elements per array of one chunk.
-_BITS = 7
-_BLOCK = 1 << _BITS
-_BITREV = np.array([int(f"{k:0{_BITS}b}"[::-1], 2) for k in range(_BLOCK)])
-_CHUNK = 1 << 13
+def _horner(coefs, s):
+    # sum over d of coefs[d] * s**d, coefs [degree, row, column, pair], s over
+    # energies: entries [row, column, energy, pair]
+    out = coefs[-1][:, :, None] * s[:, None]
+    out += coefs[-2][:, :, None]
+    for c in coefs[-3::-1]:
+        out *= s[:, None]
+        out += c[:, :, None]
+    return out
 
 
-def _mul(m, n):
-    # m @ n for 2x2 matrices indexed [row, column, ...], broadcast over the rest
-    return m[:, :1] * n[:1] + m[:, 1:] * n[1:]
-
-
-def _step_matrices(g0, g1, g2, e2, h, out):
-    # One RK4 step of (y, y') on y'' = g y, g = g0 - e2, g1 - e2, g2 - e2 at
-    # the step's start, midpoint and end: the stages applied to the columns
-    # (1, 0) and (0, 1), multiplied out into out, each entry as soon as its
-    # inputs exist, which keeps a chunk's working set small.
-    r = h * h / 6.0
-    g1 = g1 - e2
-    t = (0.25 * h * h) * g1
-    np.add(h, (h * r) * g1, out=out[0, 1])
-    g1 *= 2.0
-    g0 = g0 - e2
-    np.add(1.0, r * (g0 + g1 + g0 * t), out=out[0, 0])
-    g2 = g2 - e2
-    np.add(1.0, r * (g2 + g1 + g2 * t), out=out[1, 1])
-    g0 += g2
-    np.multiply(h / 6.0, g0 + 2.0 * g1 + 2.0 * t * g0, out=out[1, 0])
-
-
-def _propagate(nodes, halves, energies, h, n_steps, keep):
+def _propagate(table, energies, keep):
     # The fundamental matrix Phi = [[C, S], [C', S']] of each energy (I at
-    # the start; h carries the direction sign) as the ordered product of its
-    # RK4 step matrices, padded at the start with identity steps to whole
-    # blocks. A block is reduced by a balanced pairwise tree, or with keep by
-    # a Hillis-Steele inclusive scan, whose last element is that tree; block
-    # products act on the running state in order, so the association depends
-    # on the step index alone, not on the chunking over steps and energies.
-    # Returns rows (C, C', S, S') over energies, with keep over samples first.
-    pad = -n_steps % _BLOCK
-    steps = np.arange(pad + n_steps).reshape(-1, _BLOCK)
-    steps = (steps if keep else steps[:, _BITREV]).ravel() - pad
-    i = np.maximum(steps, 0)
-    g0, g1, g2 = 2.0 * nodes[i, None], 2.0 * halves[i, None], 2.0 * nodes[i + 1, None]
-    width = max(1, min(len(energies), _CHUNK // _BLOCK))
+    # the start) as the ordered product of its pair matrices, each evaluated
+    # from the table. A block is reduced by a balanced pairwise tree, or with
+    # keep by a Hillis-Steele inclusive scan, whose last element is that
+    # tree; block products act on the running state in order, so the
+    # association depends on the pair index alone, not on the chunking over
+    # pairs and energies. Returns Phi indexed [row, column, energy]; with
+    # keep, [row, column, energy, state] over the start and the states after
+    # each step, the identity ones included: pair j ends at state 2j + 2,
+    # and its first step, applied to the state before, gives state 2j + 1.
+    n_pairs = table.pairs.shape[-1]
+    # energies split into equal groups, pairs into blocks of a chunk
+    groups = max(1, -(-len(energies) * _BLOCK // _CHUNK))
+    width = max(1, -(-len(energies) // groups))
     span = max(1, _CHUNK // (width * _BLOCK)) * _BLOCK
-    # every chunk builds its step matrices in one buffer: fresh arrays of this
-    # size would be given back to the system and faulted in again each chunk
-    buf = np.empty((2, 2, min(span, pad + n_steps) * width))
-    out = np.empty((2, 2, n_steps + 1, len(energies)) if keep else (2, 2, len(energies)))
+    out = np.empty((2, 2, len(energies), 2 * n_pairs + 1) if keep else (2, 2, len(energies)))
     with np.errstate(over="ignore", invalid="ignore"):
         for e0 in range(0, len(energies), width):
-            e2 = 2.0 * energies[e0:e0 + width]
-            phi = np.eye(2)[:, :, None].repeat(len(e2), axis=2)
-            samples = [phi[:, :, None]]
-            for k0 in range(0, pad + n_steps, span):
+            e = slice(e0, e0 + width)
+            s = 2.0 * energies[e]
+            phi = np.eye(2)[:, :, None].repeat(len(s), axis=2)
+            if keep:
+                out[:, :, e, 0] = phi
+            for k0 in range(0, n_pairs, span):
                 k = slice(k0, k0 + span)
-                x = buf[:, :, :len(steps[k]) * len(e2)].reshape(2, 2, -1, len(e2))
-                _step_matrices(g0[k], g1[k], g2[k], e2, h, x)
-                x[:, :, steps[k] < 0] = np.eye(2)[:, :, None, None]
-                x = x.reshape(2, 2, -1, _BLOCK, len(e2))
+                x = _horner(table.pairs[..., k], s).reshape(2, 2, len(s), -1, _BLOCK)
                 if keep:
+                    x = x[..., _BITREV]
                     for d in 1 << np.arange(_BITS):
-                        x[:, :, :, d:] = _mul(x[:, :, :, d:], x[:, :, :, :-d])
-                    q = x[:, :, :, -1]
+                        x[..., d:] = _mul(x[..., d:], x[..., :-d])
+                    q = x[..., -1]
                 else:
                     for half in _BLOCK >> np.arange(1, _BITS + 1):
-                        x = _mul(x[:, :, :, half:], x[:, :, :, :half])
-                    q = x[:, :, :, 0]
+                        x = _mul(x[..., half:], x[..., :half])
+                    q = x[..., 0]
                 starts = []
-                for b in range(q.shape[2]):
+                for b in range(q.shape[3]):
                     starts.append(phi)
-                    phi = _mul(q[:, :, b], phi)
+                    phi = _mul(q[..., b], phi)
                 if keep:
-                    states = _mul(x, np.stack(starts, axis=2)[:, :, :, None])
-                    samples.append(states.reshape(2, 2, -1, len(e2)))
-            # with keep, the states after the identity steps are I again
-            out[..., e0:e0 + width] = (np.concatenate(samples, axis=2)[:, :, -n_steps - 1:]
-                                       if keep else phi)
-    return out.swapaxes(0, 1).reshape(4, *out.shape[2:])
+                    starts = np.stack(starts, axis=3)[..., None]
+                    states = out[:, :, e, 2 * k0 + 1:2 * (k0 + x.shape[3] * _BLOCK) + 1]
+                    states = states.reshape(*x.shape, 2)
+                    states[..., 1] = _mul(x, starts)
+                    before = np.concatenate([starts, states[..., :-1, 1]], axis=4)
+                    firsts = _horner(table.firsts[..., k], s).reshape(x.shape)[..., _BITREV]
+                    states[..., 0] = _mul(firsts, before)
+            if not keep:
+                out[..., e] = phi
+    return out
 
 
-def _march(nodes, halves, energy, h, n_steps):
+def _march(table, energy):
     # _propagate at one energy, every state kept: the columns [(C, C'),
-    # (S, S')]; bench/tracer.py unpacks all three items and counts
-    # column-steps from the second.
-    c, dc, s, ds = _propagate(nodes, halves, np.array([float(energy)]), h, n_steps, True)[..., 0]
-    return [(c, dc), (s, ds)], n_steps + 1, False
+    # (S, S')] over the last n_steps + 1 states, those of the grid; the
+    # states before them follow identity steps and are I. bench/tracer.py
+    # unpacks all three items and counts column-steps from the second.
+    phi = _propagate(table, np.array([float(energy)]), True)[:, :, 0, -table.n_steps - 1:]
+    return [(phi[0, 0], phi[1, 0]), (phi[0, 1], phi[1, 1])], table.n_steps + 1, False
 
 
 class Endpoints(NamedTuple):
@@ -198,20 +272,25 @@ def canonical_pair(potential, energy, grid, samples=None):
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    (c, dc), (s, ds) = _march(*samples.right, energy, grid.h, grid.n_right)[0]
+    (c, dc), (s, ds) = _march(samples.tables[0], energy)[0]
     v = samples.line
     reflected = _reflected(potential, grid)
     if reflected:
         c, ds, v = (np.concatenate([a[:0:-1], a]) for a in (c, ds, v))
         dc, s = (np.concatenate([-a[:0:-1], a]) for a in (dc, s))
     elif grid.n_left:
-        left = _march(*samples.left, energy, -grid.h, grid.n_left)[0]
+        left = _march(samples.tables[1], energy)[0]
         c, dc, s, ds = (np.concatenate([la[:0:-1], ra])
                         for la, ra in zip((a for col in left for a in col), (c, dc, s, ds)))
     # the len(c) grid points ending at x_right
     x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(c), grid.n_right + 1)
     left, right = ([float(a[i]) for a in (c, dc, s, ds)] for i in (0, -1))
     return CanonicalPair(x, c, dc, s, ds, v, _endpoints(float(energy), grid, reflected, left, right))
+
+
+def _rows(phi):
+    # (C, C', S, S') of each energy, as Python floats
+    return phi.swapaxes(0, 1).reshape(4, -1).T.tolist()
 
 
 def canonical_endpoints(potential, energies, grid, samples):
@@ -223,10 +302,10 @@ def canonical_endpoints(potential, energies, grid, samples):
     """
     energies = np.asarray(energies, dtype=float)
     reflected = _reflected(potential, grid)
-    right = _propagate(*samples.right, energies, grid.h, grid.n_right, False).T.tolist()
+    right = _rows(_propagate(samples.tables[0], energies, False))
     # a reflected pair mirrors its right end; otherwise, without a left sweep
     # the left end is the origin, a march of no steps
     left = right if reflected else (
-        _propagate(*samples.left, energies, -grid.h, grid.n_left, False).T.tolist())
+        _rows(_propagate(samples.tables[1], energies, False)))
     return [_endpoints(e, grid, reflected, lv, rv)
             for e, lv, rv in zip(energies.tolist(), left, right)]

@@ -50,6 +50,18 @@ def _recurrence_sweep(N, energy):
     return samples
 
 
+def _recurrence_ends(N, energies):
+    # the last sample of _recurrence_sweep at each energy, marched as one
+    # array: the same operations elementwise, so the same bits
+    h = 1.0 / N
+    a = 2.0 - 8.0 * h * h * energies
+    prev, cur = np.zeros_like(a), np.ones_like(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(N // 2 - 1):
+            prev, cur = cur, a * cur - prev
+    return cur
+
+
 def fd_box_recurrence_vector(N, energy):
     """Even-sublattice samples (j = 0, 2, ..., N) of the recurrence at one energy."""
     return np.array(_recurrence_sweep(N, energy))
@@ -93,8 +105,8 @@ def fd_box_recurrence_eigenvalues(N, n_max):
     phi_0 = phi_N = 0 live on the even one, whose modes fold at n = N/2
     (eps_n and eps_{N-n} are exactly degenerate), so only n <= N/2 - 1 are
     resolvable. No dispersion formula enters: brackets come from scanning
-    phi_N(eps) over the lattice band and closing its sign changes by
-    Illinois regula falsi.
+    phi_N(eps) over the lattice band, every probe in one array sweep, and
+    closing its sign changes by Illinois regula falsi, one energy at a time.
     """
     if N % 2 or N < 4:
         raise ValueError(f"need an even lattice with N >= 4, got {N!r}")
@@ -108,7 +120,7 @@ def fd_box_recurrence_eigenvalues(N, n_max):
     # level gaps bottom out near 1.5 pi^2 at the fold; keep probes finer
     n_probe = max(400, math.ceil(N * N / 25))
     probes = np.linspace(0.0, band, n_probe + 1)
-    vals = [phi_end(e) for e in probes]
+    vals = _recurrence_ends(N, probes).tolist()
     roots = []
     for i in range(len(probes) - 1):
         if len(roots) >= n_max:

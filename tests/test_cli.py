@@ -336,6 +336,17 @@ def test_an_ambiguous_flag_prefix_is_a_config_error(capsys):
     assert "ambiguous option: --e" in out.err
 
 
+def test_a_flag_prefix_is_never_the_value_of_the_flag_before_it(capsys):
+    # "--v0 --ener -1" leaves --v0 without a value, as "--v0 --energy -1" does
+    runs = []
+    for flag in ("--ener", "--energy"):
+        code = run_cli(["saturate", "--potential", "poschl-teller", "--v0", flag, "-1"])
+        runs.append((code, capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != 0
+    assert "argument --v0: expected one argument" in runs[0][1]
+
+
 @pytest.mark.parametrize("command", ["solve", "scan", "saturate", "oracle"])
 def test_config_keys_are_the_commands_long_flags(command, tmp_path, monkeypatch, capsys):
     # every long flag but --help and --config is a key, with no second table;

@@ -124,6 +124,9 @@ def _bits(value):
 
 
 PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
+# an odd step count, reflected; and two short odd sides about an off-centre origin
+PT25_ODD = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 0, 505))
+PT25_SHORT = dataclasses.replace(PT25, grid=make_grid(0.3, 0.01, 37, 91))
 QUARTIC = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
 BOX = infinite_well(x0=0.49, h=0.01, energy_max=60.0)
 RADIAL = radial(lambda r: -10.0 * math.exp(-r), h=0.01)
@@ -137,6 +140,9 @@ BATCH_CASES = [
     pytest.param(PT25, "cfm", id="poschl-teller-0-cfm"),
     pytest.param(PT25_TWO_SIDED, "wm", id="poschl-teller-500-wm"),
     pytest.param(PT25_TWO_SIDED, "cfm", id="poschl-teller-500-cfm"),
+    pytest.param(PT25_ODD, "wm", id="poschl-teller-0-505-wm"),
+    pytest.param(PT25_SHORT, "wm", id="poschl-teller-37-91-wm"),
+    pytest.param(PT25_SHORT, "cfm", id="poschl-teller-37-91-cfm"),
     pytest.param(BOX, "dirichlet", id="box-49-dirichlet"),
     pytest.param(QUARTIC, "wm", id="anharmonic-0-wm"),
     pytest.param(QUARTIC, "cfm", id="anharmonic-0-cfm"),
@@ -267,6 +273,7 @@ def test_potential_samples_equal_a_per_point_loop_bit_for_bit(potential, grid):
 
 @pytest.mark.parametrize("potential, grid, energies", [
     pytest.param(PT25.potential, PT25.grid, (-2.0, -0.5, 0.0), id="poschl-teller"),
+    pytest.param(PT25.potential, PT25_ODD.grid, (-2.0, -0.5, 0.0), id="poschl-teller-505-steps"),
     pytest.param(QUARTIC.potential, QUARTIC.grid, (0.5, 50.0), id="anharmonic"),
     # sweeps that stop short of x_right, at different steps
     pytest.param(SLAB, make_grid(0.0, 0.01, 0, 10000), (-40.0, -1.0), id="truncating-slab"),
@@ -305,6 +312,8 @@ def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
 @pytest.mark.parametrize("grid", [
     pytest.param(PT25.grid, id="500-steps"),
     pytest.param(make_grid(0.3, 0.01, 37, 90), id="both-sides-short"),
+    pytest.param(PT25_ODD.grid, id="505-steps"),
+    pytest.param(PT25_SHORT.grid, id="both-sides-short-and-odd"),
     pytest.param(make_grid(0.0, 0.01, 0, 10000), id="several-step-chunks"),
 ])
 def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
@@ -345,6 +354,8 @@ def _sequential_rk4(v, x0, h, n, energy):
     pytest.param(PT25, (-2.0, -0.75, 0.5), id="poschl-teller"),
     pytest.param(QUARTIC, (0.5, 11.0, 60.0), id="anharmonic"),
     pytest.param(RADIAL, (-5.0, -1.0, -0.1), id="radial"),
+    pytest.param(PT25_ODD, (-2.0, -0.75, 0.5), id="poschl-teller-505-steps"),
+    pytest.param(PT25_SHORT, (-2.0, -0.75, 0.5), id="poschl-teller-37-91"),
 ])
 def test_the_pair_agrees_with_a_sequential_march(problem, energies):
     # the kernel multiplies the step matrices in another order than a march
@@ -362,3 +373,44 @@ def test_the_pair_agrees_with_a_sequential_march(problem, energies):
             want = np.concatenate([ry, rp, ly, lp])
             scale = np.max(np.abs(np.concatenate([c, dc])))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _step_matrix(g0, g1, g2, h):
+    # one RK4 step of (y, y') on y'' = g y, g = g0, g1, g2 at the step's start,
+    # midpoint and end: the stages applied to the columns (1, 0) and (0, 1),
+    # multiplied out
+    r = h * h / 6.0
+    t = 0.25 * h * h * g1
+    return np.array([[1.0 + r * (g0 + 2.0 * g1 + g0 * t), h + h * r * g1],
+                     [h / 6.0 * (g0 + g2 + 4.0 * g1 + 2.0 * t * (g0 + g2)),
+                      1.0 + r * (g2 + 2.0 * g1 + g2 * t)]])
+
+
+@pytest.mark.parametrize("grid", [PT25.grid, PT25_ODD.grid, PT25_SHORT.grid])
+def test_the_step_tables_are_products_of_rk4_step_matrices(grid):
+    samples = sample_potential(PT25.potential, grid)
+    sides = zip((samples.right, samples.left), samples.tables, (grid.h, -grid.h))
+    for (nodes, halves), table, h in sides:
+        n = len(halves)
+        assert table.n_steps == n and (n or table.pairs.size == table.firsts.size == 0)
+        block = integrate._BLOCK
+        # table positions in pair order: each block is stored bit-reversed
+        order = (np.arange(table.pairs.shape[-1]).reshape(-1, block)[:, integrate._BITREV]
+                 .ravel())
+        for energy in (-2.4, -0.3, 1.5):
+            g = 2.0 * (nodes - energy), 2.0 * (halves - energy)
+            # the steps in march order, after an identity step when n is odd
+            steps = [np.eye(2)] * (n % 2) + [
+                _step_matrix(g[0][j], g[1][j], g[0][j + 1], h) for j in range(n)]
+            firsts, seconds = (np.array(a).reshape(-1, 2, 2) for a in (steps[0::2], steps[1::2]))
+            s = 2.0 * energy
+            for coefs, want in ((table.pairs, seconds @ firsts), (table.firsts, firsts)):
+                got = sum(c * s ** d for d, c in enumerate(coefs))[:, :, order]
+                pad = got.shape[-1] - len(want)
+                # identity pairs fill the first block
+                assert (got[:, :, :pad] == np.eye(2)[:, :, None]).all()
+                # an entry's scale is the size of the terms its polynomial
+                # sums, which an entry smaller than them (g near 0) cancels
+                scale = sum(np.abs(c * s ** d) for d, c in enumerate(coefs))[:, :, order]
+                err = np.abs(got[:, :, pad:] - want.transpose(1, 2, 0))
+                assert (err <= 1e-14 * scale[:, :, pad:]).all()

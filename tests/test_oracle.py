@@ -79,6 +79,24 @@ def test_recurrence_shooting_matches_the_dispersion_formula_on_a_fine_lattice():
         assert abs(root - exact) <= 1e-9 * exact
 
 
+@pytest.mark.parametrize("N", [100, 400])
+def test_the_recurrence_scan_equals_per_energy_sweeps_bit_for_bit(N):
+    # the scan's probes, as fd_box_recurrence_eigenvalues lays them out
+    probes = np.linspace(0.0, 0.5 * N * N, max(400, math.ceil(N * N / 25)) + 1)
+    single = [oracle._recurrence_sweep(N, e)[-1] for e in probes]
+    batch = oracle._recurrence_ends(N, probes).tolist()
+    assert [float(v).hex() for v in batch] == [float(v).hex() for v in single]
+    # the roots of a scan that sweeps one probe at a time
+    n_max = min(N // 2 - 1, 60)
+    roots = []
+    for lo, hi, fa, fb in zip(probes, probes[1:], single, single[1:]):
+        if len(roots) < n_max and (fa < 0) != (fb < 0):
+            roots.append(oracle._illinois(lambda e: oracle._recurrence_sweep(N, e)[-1],
+                                          lo, hi, fa, fb, 1e-11))
+    assert [float(r).hex() for r in fd_box_recurrence_eigenvalues(N, n_max)] == [
+        float(r).hex() for r in roots]
+
+
 def test_recurrence_eigenvalue_validation():
     with pytest.raises(ValueError):
         fd_box_recurrence_eigenvalues(13, 3)
