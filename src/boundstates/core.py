@@ -223,7 +223,10 @@ class CharacteristicFunction:
 class EigenResult:
     """One bound state.
 
-    psi = a2*C + b2*S on the sampled points, normalized to unit L2 norm.
+    psi = a2*C + b2*S on the sampled points, normalized to unit L2 norm, with
+    the sign that makes a2 = psi(x0) positive; where |a2| is at most
+    wm.PARITY_RATIO times |b2|, the parity tag's test for an odd state, the
+    sign makes b2 = psi'(x0) positive instead.
     b1 and b3 are the divergent-member admixtures extracted at the left and
     right boundary; at a well-converged root both sit near zero. residual is
     a scale-free smallness measure of the quantization condition at the

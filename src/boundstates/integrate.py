@@ -7,9 +7,10 @@ state, so a march of the canonical solutions C (start 1, 0) and S (start 0, 1)
 is an ordered product of 2x2 step matrices, and each step matrix is a
 quadratic polynomial in s = 2*eps whose coefficients depend on v alone.
 sample_potential multiplies the steps in pairs once per solve, into one
-PairTable of quartic polynomials per side. Every march then evaluates each
-pair's matrix at its energies by Horner's rule and multiplies half as many
-matrices as there are steps, with no arithmetic on v.
+PairTable of quartic polynomials per side, stored in march order. Every march
+then evaluates each pair's matrix at its energies by Horner's rule and
+multiplies half as many matrices as there are steps, with no arithmetic on v:
+neighbours first, in a tree over each block of pairs, then block after block.
 
 `canonical_pair` keeps every sample over the full logical line, for
 eigenfunction assembly and saturation profiles; `canonical_endpoints` keeps
@@ -18,9 +19,10 @@ candidate per open bracket in a refinement step. Both give an energy's end
 points as the same `Endpoints` record, bit for bit, which every
 characteristic value function reads: a pair's matrix is evaluated
 elementwise, and the products are associated by pair index alone, whatever
-the batch. Bits are given up against a march that steps one point after the
-next, which multiplies in another order, and against the RK4 stages, which
-round otherwise than their polynomial form: both differ in the last digits.
+the batch; the scan that keeps every state ends each block in the same tree.
+Bits are given up against a march that steps one point after the next, which
+multiplies in another order, and against the RK4 stages, which round
+otherwise than their polynomial form: both differ in the last digits.
 Every march runs to the grid end: growth past the double range goes on as
 inf or NaN, which the value functions flag as overflow.
 """
@@ -37,12 +39,11 @@ class PairTable(NamedTuple):
 
     A step's matrix, which maps (phi, phi') at its start to its end, is a
     polynomial of degree 2 in s whose coefficients depend on v alone. Steps
-    2j and 2j+1 form pair j, after an identity step at the start when the
-    count is odd, and identity pairs at the start fill whole blocks. pairs[d]
-    holds the coefficient of s**d of each pair's matrix, d = 0..4, indexed
-    [row, column, pair] with each block in the bit-reversed order the
-    endpoint tree reads; firsts[d], d = 0..2, holds step 2j of each pair in
-    the same order, for the states inside pairs.
+    are stored in march order after identity steps: one when the count is
+    odd, and pairs of them until the pairs fill whole blocks. Pair j is
+    steps 2j and 2j + 1; pairs[d] holds the coefficient of s**d of each
+    pair's matrix, d = 0..4, indexed [row, column, pair], and firsts[d],
+    d = 0..2, step 2j of each pair, for the states inside pairs.
     """
 
     pairs: np.ndarray
@@ -53,24 +54,18 @@ class PairTable(NamedTuple):
 class PotentialSamples(NamedTuple):
     """v(x) on one grid, sampled once per solve.
 
-    right and left each hold (nodes, halves) in march order, as arrays:
-    nodes[j] is v at x0 + j*h and halves[j] at the midpoint of step j, with h
-    negative on the left side. line is v at grid.points(), which pairs slice
-    for node counting. tables holds the right and left sides' PairTables.
+    line is v at grid.points(), which pairs slice for node counting. tables
+    holds the right and left sides' PairTables.
     """
 
-    right: tuple
-    left: tuple
     line: np.ndarray
     tables: tuple
 
 
-# Pairs per block, a power of two, in the bit-reversed order that makes each
-# level of a block's tree pair the second half of the block with the first;
-# and the bound on pair x energy elements per array of one chunk.
+# Pairs per block, a power of two, and the bound on pair x energy elements
+# per array of one chunk.
 _BITS = 7
 _BLOCK = 1 << _BITS
-_BITREV = np.array([int(f"{k:0{_BITS}b}"[::-1], 2) for k in range(_BLOCK)])
 _CHUNK = 1 << 14
 
 
@@ -81,45 +76,38 @@ def _mul(m, n):
     return out
 
 
-def _steps(nodes, halves, h, k):
-    # RK4 step k of (y, y') on y'' = (G - s) y multiplied out, with G = 2v at
-    # the step's start, midpoint and end (ga, gm, gb), r = h^2/6 and
-    # t = h^2/4: the coefficients of s^0, s^1, s^2, indexed
-    # [power, row, column, k]. A step k < 0 is the identity.
-    i = np.maximum(k, 0)
-    ga, gm, gb = 2.0 * nodes[i], 2.0 * halves[i], 2.0 * nodes[i + 1]
+def _steps(nodes, halves, h, pad):
+    # every RK4 step of (y, y') on y'' = (G - s) y multiplied out, after pad
+    # identity steps, with G = 2v at the step's start, midpoint and end (ga,
+    # gm, gb), r = h^2/6 and t = h^2/4: the coefficients of s^0, s^1, s^2,
+    # indexed [power, row, column, step]
+    ga, gm, gb = 2.0 * nodes[:-1], 2.0 * halves, 2.0 * nodes[1:]
     r, t = h * h / 6.0, h * h / 4.0
-    out = np.empty((3, 2, 2, len(k)))
-    out[0, 0, 0] = 1.0 + r * (ga + 2.0 * gm + t * ga * gm)
-    out[0, 0, 1] = h + (h * r) * gm
-    out[0, 1, 0] = h / 6.0 * (ga + gb + 4.0 * gm + 2.0 * t * gm * (ga + gb))
-    out[0, 1, 1] = 1.0 + r * (gb + 2.0 * gm + t * gb * gm)
-    out[1, 0, 0] = -r * (3.0 + t * (ga + gm))
-    out[1, 0, 1] = -h * r
-    out[1, 1, 0] = -h / 6.0 * (6.0 + 2.0 * t * (ga + gb + 2.0 * gm))
-    out[1, 1, 1] = -r * (3.0 + t * (gb + gm))
-    out[2, 0, 0] = out[2, 1, 1] = r * t
-    out[2, 0, 1] = 0.0
-    out[2, 1, 0] = 2.0 / 3.0 * h * t
-    identity = k < 0
-    out[..., identity] = 0.0
-    out[0, 0, 0, identity] = out[0, 1, 1, identity] = 1.0
+    out = np.zeros((3, 2, 2, pad + len(halves)))
+    out[0, 0, 0, :pad] = out[0, 1, 1, :pad] = 1.0
+    step = out[..., pad:]
+    step[0, 0, 0] = 1.0 + r * (ga + 2.0 * gm + t * ga * gm)
+    step[0, 0, 1] = h + (h * r) * gm
+    step[0, 1, 0] = h / 6.0 * (ga + gb + 4.0 * gm + 2.0 * t * gm * (ga + gb))
+    step[0, 1, 1] = 1.0 + r * (gb + 2.0 * gm + t * gb * gm)
+    step[1, 0, 0] = -r * (3.0 + t * (ga + gm))
+    step[1, 0, 1] = -h * r
+    step[1, 1, 0] = -h / 6.0 * (6.0 + 2.0 * t * (ga + gb + 2.0 * gm))
+    step[1, 1, 1] = -r * (3.0 + t * (gb + gm))
+    step[2, 0, 0] = step[2, 1, 1] = r * t
+    step[2, 1, 0] = 2.0 / 3.0 * h * t
     return out
 
 
 def _table(nodes, halves, h):
-    # pair j at each table position, in each block's bit-reversed order after
-    # the identity pairs, and its steps 2j - odd and 2j + 1 - odd
+    # identity steps first, one for an odd count and pairs of them to whole
+    # blocks; the table keeps a copy of the first steps alone
     n = len(halves)
-    n_pairs = (n + 1) // 2
-    pad = -n_pairs % _BLOCK
-    j = np.arange(pad + n_pairs).reshape(-1, _BLOCK)[:, _BITREV].ravel() - pad
-    first = np.where(j < 0, -1, 2 * j - n % 2)
-    firsts = _steps(nodes, halves, h, first)
-    second = _steps(nodes, halves, h, np.where(j < 0, -1, first + 1))
+    steps = _steps(nodes, halves, h, 2 * (-n // 2 % _BLOCK) + n % 2)
+    firsts, second = steps[..., 0::2].copy(), steps[..., 1::2]
     # the product of two polynomials in s convolves their coefficients
-    pairs = np.zeros((5, 2, 2, len(j)))
-    term, part = np.empty((2, 2, 2, len(j)))
+    pairs = np.zeros((5, 2, 2, firsts.shape[-1]))
+    term, part = np.empty((2, 2, 2, firsts.shape[-1]))
     for a in range(3):
         for b in range(3):
             np.multiply(second[b][:, :1], firsts[a][:1], out=term)
@@ -139,11 +127,10 @@ def sample_potential(potential, grid):
         points = x0 + np.arange(n + 1) * h
         nodes = np.fromiter(map(v, points.tolist()), float, n + 1)
         halves = np.fromiter(map(v, (points[:-1] + h * 0.5).tolist()), float, n)
-        return nodes, halves
+        return nodes, _table(nodes, halves, h)
 
-    right, left = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
-    return PotentialSamples(right, left, np.concatenate([left[0][:0:-1], right[0]]),
-                            (_table(*right, grid.h), _table(*left, -grid.h)))
+    (right, rtable), (left, ltable) = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
+    return PotentialSamples(np.concatenate([left[:0:-1], right]), (rtable, ltable))
 
 
 def _horner(coefs, s):
@@ -160,14 +147,15 @@ def _horner(coefs, s):
 def _propagate(table, energies, keep):
     # The fundamental matrix Phi = [[C, S], [C', S']] of each energy (I at
     # the start) as the ordered product of its pair matrices, each evaluated
-    # from the table. A block is reduced by a balanced pairwise tree, or with
-    # keep by a Hillis-Steele inclusive scan, whose last element is that
-    # tree; block products act on the running state in order, so the
-    # association depends on the pair index alone, not on the chunking over
-    # pairs and energies. Returns Phi indexed [row, column, energy]; with
-    # keep, [row, column, energy, state] over the start and the states after
-    # each step, the identity ones included: pair j ends at state 2j + 2,
-    # and its first step, applied to the state before, gives state 2j + 1.
+    # from the table, in march order. A block is reduced by a tree that
+    # multiplies neighbours, or with keep by a Hillis-Steele inclusive scan,
+    # whose last element is that tree; block products act on the running
+    # state in order, so the association depends on the pair index alone,
+    # not on the chunking over pairs and energies. Returns Phi indexed
+    # [row, column, energy]; with keep, [row, column, energy, state] over the
+    # start and the states after each step, the identity ones included: pair
+    # j ends at state 2j + 2, and its first step, applied to the state
+    # before, gives state 2j + 1.
     n_pairs = table.pairs.shape[-1]
     # energies split into equal groups, pairs into blocks of a chunk
     groups = max(1, -(-len(energies) * _BLOCK // _CHUNK))
@@ -185,13 +173,12 @@ def _propagate(table, energies, keep):
                 k = slice(k0, k0 + span)
                 x = _horner(table.pairs[..., k], s).reshape(2, 2, len(s), -1, _BLOCK)
                 if keep:
-                    x = x[..., _BITREV]
                     for d in 1 << np.arange(_BITS):
                         x[..., d:] = _mul(x[..., d:], x[..., :-d])
                     q = x[..., -1]
                 else:
-                    for half in _BLOCK >> np.arange(1, _BITS + 1):
-                        x = _mul(x[..., half:], x[..., :half])
+                    for _ in range(_BITS):
+                        x = _mul(x[..., 1::2], x[..., ::2])
                     q = x[..., 0]
                 starts = []
                 for b in range(q.shape[3]):
@@ -203,7 +190,7 @@ def _propagate(table, energies, keep):
                     states = states.reshape(*x.shape, 2)
                     states[..., 1] = _mul(x, starts)
                     before = np.concatenate([starts, states[..., :-1, 1]], axis=4)
-                    firsts = _horner(table.firsts[..., k], s).reshape(x.shape)[..., _BITREV]
+                    firsts = _horner(table.firsts[..., k], s).reshape(x.shape)
                     states[..., 0] = _mul(firsts, before)
             if not keep:
                 out[..., e] = phi
@@ -278,7 +265,8 @@ def canonical_pair(potential, energy, grid, samples=None):
     if reflected:
         c, ds, v = (np.concatenate([a[:0:-1], a]) for a in (c, ds, v))
         dc, s = (np.concatenate([-a[:0:-1], a]) for a in (dc, s))
-    elif grid.n_left:
+    else:
+        # a grid without a left side marches no steps there and gets I
         left = _march(samples.tables[1], energy)[0]
         c, dc, s, ds = (np.concatenate([la[:0:-1], ra])
                         for la, ra in zip((a for col in left for a in col), (c, dc, s, ds)))

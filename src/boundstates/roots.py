@@ -359,7 +359,7 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
         problem: the assembled Problem.
         method: one of wm, wm-even, wm-odd, cfm, dirichlet.
         energy_range: scan window; defaults to problem.energy_range.
-        n_probe: probe count; defaults to 200 per 10 units of energy.
+        n_probe: probe cells; defaults to 200 per 10 units of energy.
         tol_e: refinement width tolerance.
 
     Returns:

@@ -142,8 +142,8 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
 
     Shared by the WM nullspace path and the endpoint-ratio path. Samples are
     L2 normalized by the trapezoid rule, the overall sign is fixed by the
-    largest antinode, and the divergent admixtures b1, b3 are read off the
-    boundary Wronskians d, the wm_endpoint_data of pair.ends.
+    coefficients (see EigenResult), and the divergent admixtures b1, b3 are
+    read off the boundary Wronskians d, the wm_endpoint_data of pair.ends.
     """
     x, c, dc, s, ds, v, ends = pair
     # a pair grown past the double range would turn psi into NaN, with numpy
@@ -154,11 +154,14 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
             f"canonical pair or coefficients not finite at energy {ends.energy!r}")
     psi = a2 * c + b2 * s
     dpsi = a2 * dc + b2 * ds
-    # divided by the largest antinode first, which fixes the overall sign and
-    # keeps a member grown far out on the grid from overflowing the norm
+    # divided by the largest antinode first, which keeps a member grown far
+    # out on the grid from overflowing the norm, and signed so that
+    # a2 = psi(x0) > 0, or b2 = psi'(x0) > 0 where a2 is below the parity
+    # threshold: the two mirror antinodes of an odd level tie up to roundoff
     top = float(psi[np.argmax(np.abs(psi))])
     if top == 0.0 or not math.isfinite(top):
         raise DegenerateRootError(f"eigenfunction norm degenerate at energy {ends.energy!r}")
+    top = math.copysign(top, b2 if abs(a2) <= PARITY_RATIO * abs(b2) else a2)
     psi, dpsi, a2, b2 = (a / top for a in (psi, dpsi, a2, b2))
     l2 = math.sqrt(_trapezoid(psi * psi, x))
     psi, dpsi, a2, b2 = (a / l2 for a in (psi, dpsi, a2, b2))

@@ -132,6 +132,10 @@ BOX = infinite_well(x0=0.49, h=0.01, energy_max=60.0)
 RADIAL = radial(lambda r: -10.0 * math.exp(-r), h=0.01)
 # solutions pass the cap mid-sweep, at different steps for different energies
 SLAB = PotentialSpec(evaluate=lambda x: 25.0 + math.cos(x), parity_invariant=True)
+# a tilted well on a grid with no left side, neither reflected nor two-sided
+TILTED = dataclasses.replace(
+    PT25, potential=PotentialSpec(evaluate=lambda x: -2.5 / math.cosh(x) ** 2 + 0.1 * x),
+    grid=make_grid(0.3, 0.01, 0, 300))
 # each id reads problem-n_left-method
 BATCH_CASES = [
     pytest.param(PT25, "wm", id="poschl-teller-0-wm"),
@@ -207,6 +211,8 @@ def _pair_value(problem, method, energy):
     pytest.param(QUARTIC, "wm", id="anharmonic-wm"),
     pytest.param(QUARTIC, "cfm", id="anharmonic-cfm"),
     pytest.param(RADIAL, "cfm", id="radial-cfm"),
+    pytest.param(TILTED, "wm", id="tilted-no-left-side-wm"),
+    pytest.param(TILTED, "cfm", id="tilted-no-left-side-cfm"),
 ])
 def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, method):
     # evaluate() marches endpoint-only; it must read what the stored pair reads
@@ -264,8 +270,11 @@ def test_potential_samples_equal_a_per_point_loop_bit_for_bit(potential, grid):
 
     samples = sample_potential(dataclasses.replace(potential, evaluate=recorded(calls)), grid)
     right, left = _looped_samples(recorded(looped_calls), grid)
-    for got, want in zip(samples.right + samples.left, right + left):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the half-step samples are kept only in the step tables
+    for table, (nodes, halves), h in zip(samples.tables, (right, left), (grid.h, -grid.h)):
+        want = integrate._table(nodes, halves, h)
+        assert table.pairs.tobytes() == want.pairs.tobytes()
+        assert table.firsts.tobytes() == want.firsts.tobytes()
     assert samples.line.tobytes() == np.concatenate([left[0][:0:-1], right[0]]).tobytes()
     assert all(type(x) is float for x in calls)
     assert [_bits(x) for x in calls] == [_bits(x) for x in looped_calls]
@@ -315,6 +324,9 @@ def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
     pytest.param(PT25_ODD.grid, id="505-steps"),
     pytest.param(PT25_SHORT.grid, id="both-sides-short-and-odd"),
     pytest.param(make_grid(0.0, 0.01, 0, 10000), id="several-step-chunks"),
+    # a step either side of two whole blocks of pairs
+    pytest.param(make_grid(0.0, 0.01, 0, 255), id="255-steps"),
+    pytest.param(make_grid(0.0, 0.01, 0, 257), id="257-steps"),
 ])
 def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
     block = integrate._BLOCK
@@ -356,6 +368,7 @@ def _sequential_rk4(v, x0, h, n, energy):
     pytest.param(RADIAL, (-5.0, -1.0, -0.1), id="radial"),
     pytest.param(PT25_ODD, (-2.0, -0.75, 0.5), id="poschl-teller-505-steps"),
     pytest.param(PT25_SHORT, (-2.0, -0.75, 0.5), id="poschl-teller-37-91"),
+    pytest.param(TILTED, (-2.0, -0.75, 0.5), id="tilted-no-left-side"),
 ])
 def test_the_pair_agrees_with_a_sequential_march(problem, energies):
     # the kernel multiplies the step matrices in another order than a march
@@ -386,17 +399,18 @@ def _step_matrix(g0, g1, g2, h):
                       1.0 + r * (g2 + 2.0 * g1 + g2 * t)]])
 
 
-@pytest.mark.parametrize("grid", [PT25.grid, PT25_ODD.grid, PT25_SHORT.grid])
+@pytest.mark.parametrize("grid", [
+    PT25.grid, PT25_ODD.grid, PT25_SHORT.grid,
+    # a side that fills two blocks of pairs, and a step either side of it
+    *(pytest.param(make_grid(0.0, 0.01, 0, n), id=f"{n}-steps") for n in (255, 256, 257)),
+])
 def test_the_step_tables_are_products_of_rk4_step_matrices(grid):
     samples = sample_potential(PT25.potential, grid)
-    sides = zip((samples.right, samples.left), samples.tables, (grid.h, -grid.h))
-    for (nodes, halves), table, h in sides:
+    looped = _looped_samples(PT25.potential.evaluate, grid)
+    for (nodes, halves), table, h in zip(looped, samples.tables, (grid.h, -grid.h)):
         n = len(halves)
         assert table.n_steps == n and (n or table.pairs.size == table.firsts.size == 0)
-        block = integrate._BLOCK
-        # table positions in pair order: each block is stored bit-reversed
-        order = (np.arange(table.pairs.shape[-1]).reshape(-1, block)[:, integrate._BITREV]
-                 .ravel())
+        assert table.pairs.shape[-1] % integrate._BLOCK == 0
         for energy in (-2.4, -0.3, 1.5):
             g = 2.0 * (nodes - energy), 2.0 * (halves - energy)
             # the steps in march order, after an identity step when n is odd
@@ -405,12 +419,12 @@ def test_the_step_tables_are_products_of_rk4_step_matrices(grid):
             firsts, seconds = (np.array(a).reshape(-1, 2, 2) for a in (steps[0::2], steps[1::2]))
             s = 2.0 * energy
             for coefs, want in ((table.pairs, seconds @ firsts), (table.firsts, firsts)):
-                got = sum(c * s ** d for d, c in enumerate(coefs))[:, :, order]
+                got = sum(c * s ** d for d, c in enumerate(coefs))
                 pad = got.shape[-1] - len(want)
                 # identity pairs fill the first block
                 assert (got[:, :, :pad] == np.eye(2)[:, :, None]).all()
                 # an entry's scale is the size of the terms its polynomial
                 # sums, which an entry smaller than them (g near 0) cancels
-                scale = sum(np.abs(c * s ** d) for d, c in enumerate(coefs))[:, :, order]
+                scale = sum(np.abs(c * s ** d) for d, c in enumerate(coefs))
                 err = np.abs(got[:, :, pad:] - want.transpose(1, 2, 0))
                 assert (err <= 1e-14 * scale[:, :, pad:]).all()

@@ -131,7 +131,25 @@ def test_a_member_grown_past_the_norm_range_still_assembles(method, levels, rais
     trapz = getattr(np, "trapezoid", None) or np.trapz
     for r in results:
         assert trapz(r.psi ** 2, r.x) == pytest.approx(1.0, rel=1e-12)
-        assert r.psi[np.argmax(np.abs(r.psi))] > 0
+        # psi(x0) = a2 > 0 for an even level, psi'(x0) = b2 > 0 for an odd one
+        assert (r.b2 if method == "wm-odd" else r.a2) > 0
+
+
+def test_the_sign_of_an_odd_level_does_not_follow_roundoff():
+    # the two mirror antinodes of an odd level tie up to a2 * C, a roundoff
+    # admixture, so the larger of them picks no sign
+    problem = poschl_teller(10.0, h=0.001, x_right=9.9)
+    root = min((r.energy for r in find_eigenvalues(problem, method="wm", n_probe=40)),
+               key=lambda e: abs(e + 0.5))
+    ref = wm_eigenfunction(problem, root)
+    assert ref.parity == "odd" and ref.b2 > 0
+    for direction in (-math.inf, math.inf):
+        energy = root
+        for _ in range(3):
+            energy = math.nextafter(energy, direction)
+            res = wm_eigenfunction(problem, energy)
+            assert res.b2 > 0
+            assert np.max(np.abs(res.psi - ref.psi)) < 1e-9
 
 
 def test_node_count_interior_crossings_only():
