@@ -5,8 +5,10 @@ and a direct shooting solve of the same recurrence, which must agree to
 rounding), and a shooting reference for any catalog problem. The shooting
 code deliberately duplicates its integrator instead of importing the
 production one, so the two never share a bug; only the Wronskian primitive is
-reused. Both families close their sign-change brackets with one root finder,
-Illinois regula falsi.
+reused. Its march multiplies out blocks of RK4 step matrices built by its own
+RK4 step, with none of the production kernel's pair tables or polynomials in
+the energy. Both families close their sign-change brackets with one root
+finder, Illinois regula falsi.
 """
 
 from __future__ import annotations
@@ -73,18 +75,21 @@ def _illinois(f, lo, hi, flo, fhi, tol):
     # the false position, or the midpoint where rounding puts that on or
     # outside the bracket. When the same end is kept twice in a row, its
     # stored value is halved, so the false position crosses the root and the
-    # bracket closes from both sides. Stops when the bracket is narrower than
-    # tol, on an exact zero, or after 200 steps.
+    # bracket closes from both sides. Returns the midpoint once the bracket is
+    # narrower than tol, or an exact zero. Returns None where an iterate's f
+    # is not finite or 200 steps leave the bracket wider: no root is known.
     kept = None
     for _ in range(200):
         if hi - lo < tol:
-            break
+            return 0.5 * (lo + hi)
         x = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         fx = f(x)
         if fx == 0.0:
             return x
+        if not math.isfinite(fx):
+            return None
         if (fx < 0) == (flo < 0):
             lo, flo = x, fx
             if kept == "hi":
@@ -95,7 +100,7 @@ def _illinois(f, lo, hi, flo, fhi, tol):
             if kept == "lo":
                 flo *= 0.5
             kept = "lo"
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) if hi - lo < tol else None
 
 
 def fd_box_recurrence_eigenvalues(N, n_max):
@@ -128,34 +133,81 @@ def fd_box_recurrence_eigenvalues(N, n_max):
         fa, fb = vals[i], vals[i + 1]
         if (fa < 0) == (fb < 0):
             continue
-        roots.append(_illinois(phi_end, probes[i], probes[i + 1], fa, fb, 1e-11))
+        root = _illinois(phi_end, probes[i], probes[i + 1], fa, fb, 1e-11)
+        if root is not None:
+            roots.append(root)
     if len(roots) < n_max:
         raise RuntimeError(f"found only {len(roots)} of {n_max} recurrence eigenvalues")
     return roots
 
 
-def _rk4(y, p, e2, nodes, halves, h):
-    # Classical RK4 on phi'' = (2 v - 2 eps) phi from (y, p), where nodes[j]
-    # and halves[j] hold 2 v at the j-th point and the midpoint of step j.
-    # y, p and e2 are floats for one energy or equal-length arrays for a
-    # batch; each operation acts elementwise in the same order either way, so
-    # an energy's result has the same bits in both.
+# steps per block product: a power of two, so the pairwise tree halves evenly
+_BLOCK = 1024
+# energies marched together, so a block's arrays stay at 64 KB (8 x 1024 floats)
+_CHUNK = 8
+
+
+def _rk4_step(y, p, g0, g1, g2, h):
+    # one classical RK4 step of phi'' = g phi from (y, p), where g0, g1 and
+    # g2 hold g at the step's start, midpoint and end
     h2 = h * 0.5
     h6 = h / 6.0
-    g2 = nodes[0] - e2
-    for j in range(len(halves)):
-        g0 = g2
-        g1 = halves[j] - e2
-        g2 = nodes[j + 1] - e2
-        k1p = g0 * y
-        k2y = p + h2 * k1p
-        k2p = g1 * (y + h2 * p)
-        k3y = p + h2 * k2p
-        k3p = g1 * (y + h2 * k2y)
-        k4y = p + h * k3p
-        k4p = g2 * (y + h * k3y)
-        y = y + h6 * (p + 2.0 * (k2y + k3y) + k4y)
-        p = p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
+    k1p = g0 * y
+    k2y = p + h2 * k1p
+    k2p = g1 * (y + h2 * p)
+    k3y = p + h2 * k2p
+    k3p = g1 * (y + h2 * k2y)
+    k4y = p + h * k3p
+    k4p = g2 * (y + h * k3y)
+    return (y + h6 * (p + 2.0 * (k2y + k3y) + k4y),
+            p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
+
+
+def _block_product(a, b, c, d):
+    # the ordered product of the 2x2 matrices [[a, b], [c, d]] along the last
+    # axis, later steps on the left, by multiplying neighbours pairwise
+    while a.shape[-1] > 1:
+        a0, a1 = a[..., 0::2], a[..., 1::2]
+        b0, b1 = b[..., 0::2], b[..., 1::2]
+        c0, c1 = c[..., 0::2], c[..., 1::2]
+        d0, d1 = d[..., 0::2], d[..., 1::2]
+        a, b, c, d = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+                      c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+    return a[..., 0], b[..., 0], c[..., 0], d[..., 0]
+
+
+def _rk4(y, p, e2, nodes, halves, h):
+    # Classical RK4 on phi'' = (2 v - 2 eps) phi from (y, p), equal-length
+    # sequences, for the energies e2 = 2 eps, where the arrays nodes[j] and
+    # halves[j] hold 2 v at the j-th point and the midpoint of step j. Each
+    # step's matrix is _rk4_step on the unit states; each block of _BLOCK
+    # steps, the last padded by identity steps, is multiplied out and applied
+    # to (y, p), for _CHUNK energies at a time. Every association follows
+    # from the step index alone, so an energy ends on the same bits in any
+    # batch.
+    y = np.array(y, dtype=float)
+    p = np.array(p, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    n = len(halves)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, len(e2), _CHUNK):
+            rows = slice(first, first + _CHUNK)
+            e2c = e2[rows, None]
+            for start in range(0, n, _BLOCK):
+                stop = min(start + _BLOCK, n)
+                g0 = nodes[start:stop] - e2c
+                g1 = halves[start:stop] - e2c
+                g2 = nodes[start + 1:stop + 1] - e2c
+                a, c = _rk4_step(1.0, 0.0, g0, g1, g2, h)
+                b, d = _rk4_step(0.0, 1.0, g0, g1, g2, h)
+                if stop - start < _BLOCK:
+                    # one buffer: np.pad took longer than the block itself
+                    full = np.zeros((4, len(e2c), _BLOCK))
+                    full[[0, 3], :, stop - start:] = 1.0
+                    full[:, :, :stop - start] = a, b, c, d
+                    a, b, c, d = full
+                a, b, c, d = _block_product(a, b, c, d)
+                y[rows], p[rows] = a * y[rows] + b * p[rows], c * y[rows] + d * p[rows]
     return y, p
 
 
@@ -167,13 +219,21 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     start and finds the sign changes of W(R_c, phi) at the right end. Runs at
     grid.h / dense_factor. Symmetric half-grid problems are shot across the
     full reflected span. v is sampled once per call, at the 2 n + 1 points
-    the march reads; the probe energies are marched together as one array.
-    Each probe cell with a sign change is closed to a width below tol by
-    Illinois regula falsi, whose iterates are marched alone: the mismatch is
-    smooth in the energy, so false position converges superlinearly, and the
-    Illinois halving keeps one stale end from stalling it, at about 8 marches
-    per root against about 31 for bisection. A reversed range or fewer than
-    one probe cell raises ValueError.
+    the march reads. The march takes RK4 steps 1024 at a time: each step's
+    2x2 matrix is the RK4 step applied to the unit states, and a block's
+    matrices are multiplied out pairwise and applied to the state, so only
+    the state can overflow, never an RK4 stage. The probe energies are
+    marched 8 at a time, each on the same bits as when marched alone. An
+    exact zero on a probe is one root where its neighbours straddle it or on
+    a window edge, as in scan_brackets. Each probe cell with a sign change is
+    closed to a width below tol by Illinois regula falsi, whose iterates are
+    marched alone: the mismatch is smooth in the energy, so false position
+    converges superlinearly, and the Illinois halving keeps one stale end
+    from stalling it, at about 8 marches per root against about 31 for
+    bisection. A UserWarning counts the probe marches that end non-finite,
+    and the brackets dropped where an iterate's march does or 200 steps do
+    not close it. A reversed range or fewer than one probe cell raises
+    ValueError.
     """
     grid = problem.grid
     h = grid.h / dense_factor
@@ -188,8 +248,8 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     asym = problem.asymptotics
     # 2 v at the march's points, in the float expressions a per-step call
     # would use: the point x_start + j*h and the midpoint (x_start + j*h) + h/2
-    nodes = [2.0 * v(x_start)] + [2.0 * v(x_start + j * h) for j in range(1, n + 1)]
-    halves = [2.0 * v((x_start + j * h) + h * 0.5) for j in range(n)]
+    nodes = np.array([2.0 * v(x_start)] + [2.0 * v(x_start + j * h) for j in range(1, n + 1)])
+    halves = np.array([2.0 * v((x_start + j * h) + h * 0.5) for j in range(n)])
 
     def closing(energy, y, p):
         rcv, rcd = asym.right_convergent(energy, x_end)
@@ -197,7 +257,8 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
 
     def mismatch(energy):
         y, p = asym.left_convergent(energy, x_start)
-        return closing(energy, *_rk4(y, p, 2.0 * energy, nodes, halves, h))
+        ys, ps = _rk4([y], [p], [2.0 * energy], nodes, halves, h)
+        return closing(energy, float(ys[0]), float(ps[0]))
 
     lo, hi = energy_range if energy_range is not None else problem.energy_range
     if lo > hi:
@@ -208,8 +269,7 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
         raise ValueError(f"need at least one probe cell, got n_probe={n_probe!r}")
     probes = np.linspace(lo, hi, n_probe + 1).tolist()
     y0, p0 = np.array([asym.left_convergent(e, x_start) for e in probes]).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        ys, ps = _rk4(y0, p0, 2.0 * np.array(probes), nodes, halves, h)
+    ys, ps = _rk4(y0, p0, 2.0 * np.array(probes), nodes, halves, h)
     vals = [closing(e, y, p) for e, y, p in zip(probes, ys.tolist(), ps.tolist())]
     lost = sum(not math.isfinite(f) for f in vals)
     if lost:
@@ -218,17 +278,30 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
                       "ended non-finite; levels next to them are lost",
                       UserWarning, stacklevel=2)
     roots = []
-    for i in range(len(probes) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if not (math.isfinite(fa) and math.isfinite(fb)):
-            continue
+    dropped = 0
+    last = len(vals) - 1
+    for i, fa in enumerate(vals):
         if fa == 0.0:
-            roots.append(probes[i])
-            continue
-        if (fa < 0) == (fb < 0):
-            continue
-        roots.append(_illinois(mismatch, probes[i], probes[i + 1], fa, fb, tol))
+            # a zero has no sign: as in scan_brackets, it is one root on a
+            # window edge or where its neighbours straddle it
+            if i == 0 or i == last or _straddle(vals[i - 1], vals[i + 1]):
+                roots.append(probes[i])
+        elif i < last and vals[i + 1] != 0.0 and _straddle(fa, vals[i + 1]):
+            root = _illinois(mismatch, probes[i], probes[i + 1], fa, vals[i + 1], tol)
+            if root is None:
+                dropped += 1
+            else:
+                roots.append(root)
+    if dropped:
+        warnings.warn(f"shooting_reference: {dropped} bracket(s) dropped, where a "
+                      "root-finder march ended non-finite or 200 steps did not "
+                      "close it; levels there are lost", UserWarning, stacklevel=2)
     return roots
+
+
+def _straddle(fa, fb):
+    # fa and fb are finite and of opposite signs
+    return math.isfinite(fa) and math.isfinite(fb) and (fa < 0) != (fb < 0)
 
 
 def convergence_orders(h_values=(0.02, 0.01, 0.005)):

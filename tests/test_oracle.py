@@ -212,37 +212,121 @@ def _quartic():
     return anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
 
 
+def _box(n_steps):
+    # a unit box marched in exactly n_steps steps at dense_factor=1
+    return infinite_well(x0=(n_steps // 2) / n_steps, h=1.0 / n_steps, energy_max=50.0)
+
+
+# (problem, window, probe cells, levels, dense_factor). The marches take 3200,
+# 400 (shorter than one block), 4000 and 1023-1025 steps, against the
+# oracle's blocks of 1024; the last three probe 7, 8 and 9 energies, against
+# its chunks of 8
 SHOOTING_CASES = {
-    "poschl-teller": (lambda: poschl_teller(2.5, h=0.02, x_right=8.0), (-2.4, -0.01), 30, 2),
-    "box": (lambda: infinite_well(x0=0.4, h=0.01, energy_max=50.0), (1.0, 50.0), 60, 3),
+    "poschl-teller": (lambda: poschl_teller(2.5, h=0.02, x_right=8.0), (-2.4, -0.01), 30, 2, 4),
+    "box": (lambda: infinite_well(x0=0.4, h=0.01, energy_max=50.0), (1.0, 50.0), 60, 3, 4),
     "hydrogen": (lambda: radial(lambda r: -1.0 / r, l=0, h=0.02, r_max=20.0),
-                 (-0.6, -0.1), 20, 2),
-    # every probe overflows, so no bracket survives
-    "quartic": (_quartic, (0.0, 100.0), 40, 0),
+                 (-0.6, -0.1), 20, 2, 4),
+    "box-1023": (lambda: _box(1023), (1.0, 50.0), 6, 3, 1),
+    "box-1024": (lambda: _box(1024), (1.0, 50.0), 7, 3, 1),
+    "box-1025": (lambda: _box(1025), (1.0, 50.0), 8, 3, 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
-def test_shooting_reference_matches_the_per_energy_loop_bit_for_bit(case, monkeypatch):
-    # Roots depend on the mismatch only through its sign, so the closing
-    # Wronskians are recorded as well: every probe and root-finder iterate
-    # must end its march on the same bits as the per-energy loop.
-    make, window, n_probe, n_levels = SHOOTING_CASES[case]
-    problem = make()
-    closings = []
+def test_every_oracle_march_ends_on_the_bits_of_a_batch_of_one(case, monkeypatch):
+    # the probe lattice is marched as one batch and each root-finder iterate
+    # alone; an energy must end on the same bits either way
+    make, window, n_probe, n_levels, dense = SHOOTING_CASES[case]
+    march = oracle._rk4
+    calls = []
 
-    def recording(*args):
-        closings.append(tuple(float(a).hex() for a in args))
-        return wronskian(*args)
+    def recording(y, p, e2, *grid):
+        ends = march(y, p, e2, *grid)
+        calls.append((y, p, e2, grid, ends))
+        return ends
 
-    monkeypatch.setattr(oracle, "wronskian", recording)
-    roots = shooting_reference(problem, window, n_probe=n_probe)
-    batched, closings[:] = closings[:], []
-    expected = _per_energy_shooting(problem, window, n_probe, closing=recording)
+    monkeypatch.setattr(oracle, "_rk4", recording)
+    roots = shooting_reference(make(), window, n_probe=n_probe, dense_factor=dense)
     assert len(roots) == n_levels
-    assert [r.hex() for r in roots] == [r.hex() for r in expected]
-    assert len(batched) > n_probe
-    assert batched == closings
+    assert [len(e2) for *_, e2, _, _ in calls] == [n_probe + 1] + [1] * (len(calls) - 1)
+    assert len(calls) > 1
+    for y, p, e2, grid, ends in calls:
+        for i in range(len(e2)):
+            alone = march([y[i]], [p[i]], [e2[i]], *grid)
+            assert [float(a[0]).hex() for a in alone] == [float(b[i]).hex() for b in ends]
+
+
+@pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
+def test_shooting_reference_agrees_with_the_stepwise_loop(case, monkeypatch):
+    # The block product associates the RK4 arithmetic by blocks, the loop
+    # step by step, so they agree to rounding, not bit for bit. Roots are
+    # compared, and so are the probe closings, since roots see the mismatch
+    # only through its sign. Both close to 1e-13: at the default 1e-10 the
+    # two root finders can stop at different steps, 3.6e-11 apart on box-1023.
+    make, window, n_probe, n_levels, dense = SHOOTING_CASES[case]
+    problem = make()
+    closings, expected_closings = [], []
+
+    def recording(into):
+        def closing(*args):
+            into.append(wronskian(*args))
+            return into[-1]
+        return closing
+
+    monkeypatch.setattr(oracle, "wronskian", recording(closings))
+    roots = shooting_reference(problem, window, n_probe=n_probe, dense_factor=dense, tol=1e-13)
+    expected = _per_energy_shooting(problem, window, n_probe, closing=recording(expected_closings),
+                                    dense_factor=dense, tol=1e-13)
+    assert len(roots) == len(expected) == n_levels
+    assert max(abs(r - e) for r, e in zip(roots, expected)) <= 1e-12
+    probes, expected_probes = closings[:n_probe + 1], expected_closings[:n_probe + 1]
+    scale = max(abs(c) for c in expected_probes)
+    assert max(abs(a - b) for a, b in zip(probes, expected_probes)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [0, 4, 9, 10, 18, 26, 27, 29, 30])
+def test_an_exact_zero_on_a_probe_is_one_root_where_it_brackets_a_level(k, monkeypatch):
+    # Probes 0-9 and 27-30 of this lattice are positive, 10-26 negative. A
+    # zero on probe k has no sign: it is one root, as scan_brackets counts
+    # it, where its neighbours straddle it (k = 9, 10, 26, 27) or on a
+    # window edge (k = 0, 30), and no root between probes of one sign.
+    calls = [0]
+
+    def zero_on_probe_k(*args):
+        calls[0] += 1
+        return 0.0 if calls[0] == k + 1 else wronskian(*args)
+
+    monkeypatch.setattr(oracle, "wronskian", zero_on_probe_k)
+    make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
+    roots = shooting_reference(make(), window, n_probe=n_probe)
+    cell = (window[1] - window[0]) / n_probe
+    assert len(roots) == n_levels + (k in (0, n_probe))
+    for level in poschl_teller_exact_energies(2.5):
+        assert sum(abs(r - level) < cell for r in roots) == 1
+
+
+@pytest.mark.parametrize("f, tol", [
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 1e-10),
+    # a step with no zero closes to adjacent floats, never below tol = 0
+    (lambda x: -1.0 if x < 0.5 else 1.0, 0.0),
+], ids=["non-finite-iterate", "steps-run-out"])
+def test_the_root_finder_returns_no_root_it_did_not_close(f, tol):
+    assert oracle._illinois(f, 0.0, 1.0, f(0.0), f(1.0), tol) is None
+
+
+def test_shooting_reference_warns_when_a_bracket_is_dropped(monkeypatch):
+    # every root-finder march past the probe lattice ends non-finite, so both
+    # brackets are dropped and said to be, not closed on a midpoint
+    make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
+    calls = [0]
+
+    def nan_past_the_probes(*args):
+        calls[0] += 1
+        return wronskian(*args) if calls[0] <= n_probe + 1 else math.nan
+
+    monkeypatch.setattr(oracle, "wronskian", nan_past_the_probes)
+    with pytest.warns(UserWarning, match=f"{n_levels} bracket\\(s\\) dropped"):
+        assert shooting_reference(make(), window, n_probe=n_probe) == []
 
 
 def test_shooting_reference_needs_few_marches_per_root(monkeypatch):
@@ -273,18 +357,59 @@ def test_shooting_reference_rejects_a_reversed_range_or_no_probe_cell(window, n_
         shooting_reference(problem, window, n_probe=n_probe)
 
 
-def test_overflowing_shooting_probes_emit_no_numpy_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert shooting_reference(_quartic(), (0.0, 100.0)) == []
+@pytest.fixture(scope="module")
+def quartic_shooting():
+    # the quartic E <= 100 at h = 0.01: most probe marches overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        roots = shooting_reference(_quartic(), (0.0, 100.0))
+    return roots, caught
 
 
-def test_shooting_reference_warns_when_probes_end_non_finite():
+def _fd_levels(problem, window):
+    # the levels of -psi''/2 + v psi between walls at the grid ends, by the
+    # second-difference tridiagonal, Richardson-extrapolated over two steps
+    from scipy.linalg import eigh_tridiagonal
+
+    x_lo, x_hi = problem.grid.x_left, problem.grid.x_right
+    if problem.symmetric:
+        x_lo = -x_hi
+    fd = []
+    for step in (0.01, 0.005):
+        n = int(round((x_hi - x_lo) / step))
+        x = x_lo + step * np.arange(1, n)
+        diag = 1.0 / step ** 2 + np.array([problem.potential.evaluate(xi) for xi in x])
+        off = np.full(n - 2, -0.5 / step ** 2)
+        fd.append(eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
+                                   select_range=(window[0] - 1.0, window[1] + 1.0)))
+    coarse, fine = fd
+    assert len(coarse) == len(fine)
+    return [float(e) for e in (4.0 * fine - coarse) / 3.0 if window[0] <= e <= window[1]]
+
+
+def test_overflowing_shooting_probes_emit_no_numpy_warning(quartic_shooting):
+    _, caught = quartic_shooting
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_quartic_shooting_roots_are_distinct_fd_levels(quartic_shooting):
+    # within the census tolerance of 5e-3, each root is its own FD level
+    roots, _ = quartic_shooting
+    levels = _fd_levels(_quartic(), (0.0, 100.0))
+    nearest = [min(range(len(levels)), key=lambda j: abs(levels[j] - r)) for r in roots]
+    assert roots
+    assert len(set(nearest)) == len(roots)
+    assert all(abs(levels[j] - r) <= 5e-3 for j, r in zip(nearest, roots))
+
+
+def test_shooting_reference_warns_when_probes_end_non_finite(quartic_shooting):
     # a non-finite probe leaves its cells unbracketed, so levels there are
     # lost; the count must be reported, and a clean lattice stays silent
-    with pytest.warns(UserWarning, match="800 of 801 probe marches"):
-        assert shooting_reference(_quartic(), (0.0, 100.0)) == []
-    make, window, n_probe, n_levels = SHOOTING_CASES["poschl-teller"]
+    _, caught = quartic_shooting
+    assert [str(w.message) for w in caught if w.category is UserWarning] == [
+        "shooting_reference: 729 of 801 probe marches ended non-finite; "
+        "levels next to them are lost"]
+    make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert len(shooting_reference(make(), window, n_probe=n_probe)) == n_levels
