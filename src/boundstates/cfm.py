@@ -1,13 +1,11 @@
 """Canonical-function quantization.
 
-Instead of boundary Wronskians, this route watches the endpoint ratios of the
-canonical pair: l- = C/S at the left end and l+ = C/S at the right end. Bound
-states sit where F = l+ - l- vanishes. For parity invariant potentials with
-x0 = 0 the two endpoint ratios collapse into one and the eigenvalues are the
-roots of the plain product C(x_right) * S(x_right): the C factor carries the
-even levels, the S factor the odd ones, and no ratio poles get in the way.
-The value functions read one energy's integrate.Endpoints, as WM's do, and
-roots.characteristic_for turns them into characteristic functions.
+CFM's condition l+ = l-, where l = C/S at each grid end, is C_L S_R - C_R S_L
+= 0: the determinant of the rows (C_L, S_L) and (C_R, S_R), the Wronskians of
+C and S with a wall solution (value 0, slope -1) at each end. So CFM is WM's
+row rule (wm.py) with wall references, with no ratio poles; on a reflected
+grid its F has the sign and the zeros of C_R S_R. A half line's regular
+origin (REGULAR_ORIGIN), where psi goes as r^(l+1), takes WM's row instead.
 
 The saturation profile quantifies how fast each representation reaches its
 large-x limit; the Wronskian ratio W(C, R_c)/W(S, R_c) and the value ratio
@@ -21,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASYMPTOTIC_LIMIT, Evaluation, SolverError, wronskian
+from .core import ASYMPTOTIC_LIMIT, REGULAR_ORIGIN, Evaluation, SolverError, wronskian
 from .integrate import canonical_pair
+from .wm import boundary_value
 
 # denominators at or below this magnitude are reported as poles
 POLE_FLOOR = 1e-300
@@ -52,24 +51,19 @@ def endpoint_ratio(num, den):
     return Evaluation(num / den)
 
 
+def cfm_rows(problem, ends):
+    """CFM's rows (C_L, S_L) and (C_R, S_R); a REGULAR_ORIGIN left side takes WM's row."""
+    xl, cl, dcl, sl, dsl = ends.left
+    asym = problem.asymptotics
+    if asym.left_kind == REGULAR_ORIGIN:
+        lcv, lcd = asym.left_convergent(ends.energy, xl)
+        cl, sl = wronskian(lcv, lcd, cl, dcl), wronskian(lcv, lcd, sl, dsl)
+    return (cl, sl), ends.right[1::2]
+
+
 def cfm_value(problem, ends):
     """CFM characteristic value from one energy's Endpoints."""
-    if problem.symmetric:
-        _, cr, _, sr, _ = ends.right
-        return Evaluation.of(cr * sr)
-    l_minus, l_plus = cfm_l_ratios(ends)
-    if not l_minus.ok or not l_plus.ok:
-        # an end that outgrew the double range outranks a pole at the other
-        overflow = "overflow" in (l_minus.flag, l_plus.flag)
-        return Evaluation(math.nan, "overflow" if overflow else l_minus.flag or l_plus.flag)
-    return Evaluation(l_plus.value - l_minus.value)
-
-
-def dirichlet_value(problem, ends):
-    """Two-wall determinant from one energy's Endpoints."""
-    _, cl, _, sl, _ = ends.left
-    _, cr, _, sr, _ = ends.right
-    return Evaluation.of(cl * sr - cr * sl)
+    return boundary_value(cfm_rows, problem, ends)
 
 
 def box_characteristic_analytic(energy, x0):

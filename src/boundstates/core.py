@@ -16,6 +16,8 @@ import numpy as np
 
 ASYMPTOTIC_LIMIT = "asymptotic-limit"
 HARD_DIRICHLET = "hard-dirichlet"
+# a half line's origin side, where the regular solution goes as r^(l+1)
+REGULAR_ORIGIN = "regular-origin"
 
 # (energy, x) -> (value, derivative) of one boundary reference solution
 BoundaryFunc = Callable[[float, float], tuple[float, float]]
@@ -178,11 +180,6 @@ class Evaluation:
     def ok(self):
         return self.flag is None and math.isfinite(self.value)
 
-    @classmethod
-    def of(cls, value):
-        """value as an Evaluation, flagged "overflow" when it is not finite."""
-        return cls(value) if math.isfinite(value) else cls(value, "overflow")
-
 
 class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.
@@ -229,8 +226,8 @@ class EigenResult:
     sign makes b2 = psi'(x0) positive instead.
     b1 and b3 are the divergent-member admixtures extracted at the left and
     right boundary; at a well-converged root both sit near zero. residual is
-    a scale-free smallness measure of the quantization condition at the
-    accepted energy (normalized boundary determinant or endpoint-ratio gap).
+    |F| of the method's two boundary rows at the accepted energy, the sine of
+    the angle between them (see wm.py).
     """
 
     energy: float

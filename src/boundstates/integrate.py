@@ -12,14 +12,14 @@ then evaluates each pair's matrix at its energies by Horner's rule and
 multiplies half as many matrices as there are steps, with no arithmetic on v:
 neighbours first, in a tree over each block of pairs, then block after block.
 
-`canonical_pair` keeps every sample over the full logical line, for
-eigenfunction assembly and saturation profiles; `canonical_endpoints` keeps
-only the end points, for a batch of energies: a scan's probes, or one
+`canonical_pairs` keeps every sample over the full logical line for a batch
+of energies, every level of a solve (`canonical_pair` is a batch of one);
+`canonical_endpoints` keeps only the end points, for a scan's probes or one
 candidate per open bracket in a refinement step. Both give an energy's end
-points as the same `Endpoints` record, bit for bit, which every
-characteristic value function reads: a pair's matrix is evaluated
-elementwise, and the products are associated by pair index alone, whatever
-the batch; the scan that keeps every state ends each block in the same tree.
+points as the same `Endpoints` record, bit for bit, whatever the batch: a
+pair's matrix is evaluated elementwise, and the products are associated by
+pair index alone; the scan that keeps every state ends each block in the
+same tree.
 Bits are given up against a march that steps one point after the next, which
 multiplies in another order, and against the RK4 stages, which round
 otherwise than their polynomial form: both differ in the last digits.
@@ -161,7 +161,9 @@ def _propagate(table, energies, keep):
     groups = max(1, -(-len(energies) * _BLOCK // _CHUNK))
     width = max(1, -(-len(energies) // groups))
     span = max(1, _CHUNK // (width * _BLOCK)) * _BLOCK
-    out = np.empty((2, 2, len(energies), 2 * n_pairs + 1) if keep else (2, 2, len(energies)))
+    # kept states are stored [energy, column, row, state], each energy's together
+    out = (np.empty((len(energies), 2, 2, 2 * n_pairs + 1)).transpose(2, 1, 0, 3) if keep
+           else np.empty((2, 2, len(energies))))
     with np.errstate(over="ignore", invalid="ignore"):
         for e0 in range(0, len(energies), width):
             e = slice(e0, e0 + width)
@@ -197,13 +199,13 @@ def _propagate(table, energies, keep):
     return out
 
 
-def _march(table, energy):
-    # _propagate at one energy, every state kept: the columns [(C, C'),
-    # (S, S')] over the last n_steps + 1 states, those of the grid; the
-    # states before them follow identity steps and are I. bench/tracer.py
-    # unpacks all three items and counts column-steps from the second.
-    phi = _propagate(table, np.array([float(energy)]), True)[:, :, 0, -table.n_steps - 1:]
-    return [(phi[0, 0], phi[1, 0]), (phi[0, 1], phi[1, 1])], table.n_steps + 1, False
+def _march(table, energies):
+    # _propagate with every state kept: the columns (C, C') and (S, S') of
+    # each energy in turn, [column, value or derivative, state] over the last
+    # n_steps + 1 states, those of the grid (the states before them are I).
+    # bench/tracer.py unpacks all three items and counts column-steps.
+    phi = _propagate(table, energies, True)[..., -table.n_steps - 1:]
+    return phi.transpose(2, 1, 0, 3).reshape(-1, 2, table.n_steps + 1), table.n_steps + 1, False
 
 
 class Endpoints(NamedTuple):
@@ -248,6 +250,37 @@ def _endpoints(energy, grid, reflected, left, right):
     return Endpoints(energy, left, (xr, c, dc, s, ds))
 
 
+def canonical_pairs(potential, energies, grid, samples):
+    """The canonical pair of each of many energies, every sample kept, marched together.
+
+    Yields one CanonicalPair per energy, in order, each equal bit for bit to
+    canonical_pair at that energy whatever else the batch holds. samples are
+    sample_potential(potential, grid).
+    """
+    energies = np.asarray(energies, dtype=float)
+    reflected = _reflected(potential, grid)
+
+    def side(table):
+        # [energy, column, value or derivative, state] from the origin out
+        return _march(table, energies)[0].reshape(len(energies), 2, 2, -1)
+
+    right = side(samples.tables[0])
+    left = right if reflected else side(samples.tables[1])
+    v = np.concatenate([samples.line[:0:-1], samples.line]) if reflected else samples.line
+    x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(v), grid.n_right + 1)
+    for energy, lk, rk in zip(energies.tolist(), left, right):
+        ends = _endpoints(energy, grid, reflected, *(a[..., -1].ravel().tolist() for a in (lk, rk)))
+        # the left side from x_left in, without the origin; mirrored, C and
+        # S' are even and C' and S odd
+        lk = lk[..., :0:-1]
+        if reflected:
+            lk = lk.copy()
+            np.negative(lk[0, 1], out=lk[0, 1])
+            np.negative(lk[1, 0], out=lk[1, 0])
+        (c, dc), (s, ds) = np.concatenate([lk, rk], axis=-1)
+        yield CanonicalPair(x, c, dc, s, ds, v, ends)
+
+
 def canonical_pair(potential, energy, grid, samples=None):
     """Build the canonical pair for one energy, keeping every sample.
 
@@ -255,30 +288,12 @@ def canonical_pair(potential, energy, grid, samples=None):
     line from x0 = 0, only the rightward sweep runs and the pair is
     reflected: its left half is the mirror image of the right, with C, S'
     and v even and x, C' and S odd. samples are the solve's PotentialSamples
-    of this potential on this grid; without them v is sampled here.
+    of this potential on this grid; without them v is sampled here. This is
+    canonical_pairs of a batch of one.
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    (c, dc), (s, ds) = _march(samples.tables[0], energy)[0]
-    v = samples.line
-    reflected = _reflected(potential, grid)
-    if reflected:
-        c, ds, v = (np.concatenate([a[:0:-1], a]) for a in (c, ds, v))
-        dc, s = (np.concatenate([-a[:0:-1], a]) for a in (dc, s))
-    else:
-        # a grid without a left side marches no steps there and gets I
-        left = _march(samples.tables[1], energy)[0]
-        c, dc, s, ds = (np.concatenate([la[:0:-1], ra])
-                        for la, ra in zip((a for col in left for a in col), (c, dc, s, ds)))
-    # the len(c) grid points ending at x_right
-    x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(c), grid.n_right + 1)
-    left, right = ([float(a[i]) for a in (c, dc, s, ds)] for i in (0, -1))
-    return CanonicalPair(x, c, dc, s, ds, v, _endpoints(float(energy), grid, reflected, left, right))
-
-
-def _rows(phi):
-    # (C, C', S, S') of each energy, as Python floats
-    return phi.swapaxes(0, 1).reshape(4, -1).T.tolist()
+    return next(canonical_pairs(potential, [energy], grid, samples))
 
 
 def canonical_endpoints(potential, energies, grid, samples):
@@ -290,10 +305,14 @@ def canonical_endpoints(potential, energies, grid, samples):
     """
     energies = np.asarray(energies, dtype=float)
     reflected = _reflected(potential, grid)
-    right = _rows(_propagate(samples.tables[0], energies, False))
+
+    def side(table):
+        # (C, C', S, S') of each energy, as Python floats
+        return _propagate(table, energies, False).swapaxes(0, 1).reshape(4, -1).T.tolist()
+
     # a reflected pair mirrors its right end; otherwise, without a left sweep
     # the left end is the origin, a march of no steps
-    left = right if reflected else (
-        _rows(_propagate(samples.tables[1], energies, False)))
+    right = side(samples.tables[0])
+    left = right if reflected else side(samples.tables[1])
     return [_endpoints(e, grid, reflected, lv, rv)
             for e, lv, rv in zip(energies.tolist(), left, right)]

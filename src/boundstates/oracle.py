@@ -317,7 +317,7 @@ def convergence_orders(h_values=(0.02, 0.01, 0.005)):
     for h in h_values:
         prob = infinite_well(x0=0.5, h=h, energy_max=10.0)
         fn = dirichlet_determinant(prob)
-        brackets = [b for b in scan_brackets(fn, (1.0, 10.0), 90) if not b.pole_suspect]
+        brackets = scan_brackets(fn, (1.0, 10.0), 90)
         root = refine_root(fn, brackets[0], tol_e=1e-13)
         rk_err.append(abs(root - continuum))
 

@@ -11,6 +11,7 @@ import math
 
 from .core import (
     HARD_DIRICHLET,
+    REGULAR_ORIGIN,
     AsymptoticModel,
     PotentialSpec,
     Problem,
@@ -97,7 +98,7 @@ def quartic_decay_model(v4, x_left, x_right):
 
 
 def radial_model(l, r_right):
-    """Origin power laws r^(l+1), r^-l paired with an exponential far side."""
+    """Origin power laws r^(l+1), r^-l (a REGULAR_ORIGIN side) and an exponential far side."""
     decay = decay_model(0.0, r_right)
 
     def origin_conv(e, r):
@@ -110,7 +111,7 @@ def radial_model(l, r_right):
 
     return AsymptoticModel(origin_conv, origin_div,
                            decay.right_convergent, decay.right_divergent,
-                           requires_negative_energy=True)
+                           left_kind=REGULAR_ORIGIN, requires_negative_energy=True)
 
 
 def box_exact_energy(n):

@@ -1,15 +1,16 @@
 """The method table, bracket scanning and root refinement.
 
-One table maps each method name to its value function of one energy's
-Endpoints (from wm.py and cfm.py) and to the check that a problem admits it;
-characteristic_for builds every characteristic function from it.
+One table maps each method name to its two boundary rows (wm.py, cfm.py),
+the entry of the right row a parity method reads, and the check that a
+problem admits it. characteristic_for builds every characteristic function
+from it, each the scale-free F of wm.boundary_value, and find_eigenvalues
+assembles the levels of a solve from one kept march over its roots.
 
-Endpoint-ratio characteristics change sign at poles as well as at roots, so
-the scanner has to tell the two apart. A simple zero shrinks |F| as the
+No built-in F has poles, but a caller's function may: an endpoint ratio
+changes sign at poles as well as at roots. A simple zero shrinks |F| as the
 probes close in; a pole grows it. Sign changes whose flanks grow toward the
-crossing are subdivided tenfold and judged by that zoom trend. Refinement
-adds a second guard: |F| running away past 1e3 times its bracket-entry scale
-aborts the bracket as a pole.
+crossing are subdivided tenfold and judged by that zoom trend, and
+refinement aborts a bracket whose |F| runs past 1e3 times its entry scale.
 
 Refinement is Anderson-Bjorck false position: between its poles F is smooth,
 so the false position closes a bracket in a few steps, and scaling the value
@@ -23,7 +24,6 @@ the roots do not depend on what else is refined.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -31,16 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cfm import cfm_l_ratios, cfm_value, dirichlet_value
+from .cfm import cfm_rows
 from .core import HARD_DIRICHLET, CharacteristicFunction, RefinementError, SolverError
-from .integrate import canonical_endpoints, canonical_pair, sample_potential
-from .wm import (
-    assemble_eigenresult,
-    wm_eigenfunction,
-    wm_endpoint_data,
-    wm_value,
-    wm_value_symmetric,
-)
+from .integrate import canonical_endpoints, canonical_pair, canonical_pairs, sample_potential
+from .wm import assemble_eigenresult, boundary_value, wm_eigenfunction, wm_rows
 
 
 def _symmetric(problem):
@@ -54,14 +48,14 @@ def _hard_walls(problem):
         raise ValueError("the two-wall determinant needs hard walls on both sides")
 
 
-# method -> (value of one energy's Endpoints, check that raises ValueError on
-# a problem the method does not apply to, or None)
+# method -> (rows of one energy's Endpoints, the entry of r_R a parity method
+# reads or None, check that raises ValueError on a problem it does not fit)
 _METHODS = {
-    "wm": (wm_value, None),
-    "wm-even": (functools.partial(wm_value_symmetric, parity="even"), _symmetric),
-    "wm-odd": (functools.partial(wm_value_symmetric, parity="odd"), _symmetric),
-    "cfm": (cfm_value, None),
-    "dirichlet": (dirichlet_value, _hard_walls),
+    "wm": (wm_rows, None, None),
+    "wm-even": (wm_rows, 0, _symmetric),
+    "wm-odd": (wm_rows, 1, _symmetric),
+    "cfm": (cfm_rows, None, None),
+    "dirichlet": (cfm_rows, None, _hard_walls),
 }
 METHODS = tuple(_METHODS)
 
@@ -80,8 +74,8 @@ class RefinementWarning(UserWarning):
 class Bracket:
     """A sign change of the characteristic function.
 
-    pole_suspect marks sign changes the zoom test attributed to a pole;
-    they are kept for reporting but skipped by find_eigenvalues.
+    pole_suspect marks sign changes the zoom test attributed to a pole; no
+    built-in method has poles, so find_eigenvalues refines every bracket.
     """
 
     lo: float
@@ -302,22 +296,22 @@ def characteristic_for(problem, method):
     """CharacteristicFunction of a method in the table, labelled by its name.
 
     v is sampled once and kept as .samples. evaluate_many() marches a batch
-    endpoint-only through them and applies the method's value function;
-    evaluate() is evaluate_many() of one energy.
+    endpoint-only through them and takes F of the method's rows at each
+    energy; evaluate() is evaluate_many() of one energy.
 
     Raises:
         ValueError: for an unknown method, or a problem it does not apply to.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    value, check = _METHODS[method]
+    rows, entry, check = _METHODS[method]
     if check is not None:
         check(problem)
     pot, grid = problem.potential, problem.grid
     samples = sample_potential(pot, grid)
 
     def many(energies):
-        return [value(problem, ends)
+        return [boundary_value(rows, problem, ends, entry)
                 for ends in canonical_endpoints(pot, energies, grid, samples)]
 
     return CharacteristicFunction(lambda e: many(np.array([e]))[0], label=method,
@@ -325,30 +319,15 @@ def characteristic_for(problem, method):
 
 
 def dirichlet_determinant(problem):
-    """Characteristic function C(xL) S(xR) - C(xR) S(xL) for boxed problems."""
+    """Characteristic function of the wall rows (C_L, S_L) and (C_R, S_R) for boxed problems."""
     return characteristic_for(problem, "dirichlet")
 
 
-def _assemble_cfm(problem, root, samples):
-    # coefficient choice straight from the endpoint data: phi = C - l S for
-    # the ratio form, the vanishing factor alone for the symmetric product
-    pair = canonical_pair(problem.potential, root, problem.grid, samples=samples)
-    if problem.symmetric:
-        _, cr, _, sr, _ = pair.ends.right
-        a2, b2 = (1.0, 0.0) if abs(cr) <= abs(sr) else (0.0, 1.0)
-        residual = abs(cr * sr) / max(cr * cr + sr * sr, 1e-300)
-    else:
-        l_minus, l_plus = cfm_l_ratios(pair.ends)
-        ls = [r.value for r in (l_minus, l_plus) if r.ok]
-        if not ls:
-            raise RefinementError(f"endpoint ratios undefined at root {root!r}")
-        l = sum(ls) / len(ls)
-        nrm = math.hypot(1.0, l)
-        a2, b2 = 1.0 / nrm, -l / nrm
-        residual = (abs(ls[-1] - ls[0]) / max(1.0, *map(abs, ls))
-                    if len(ls) == 2 else math.nan)
-    return assemble_eigenresult(problem, pair, wm_endpoint_data(pair.ends, problem.asymptotics),
-                                a2, b2, residual)
+def _assemble_cfm(problem, root, pair=None):
+    # wm_eigenfunction with CFM's rows
+    if pair is None:
+        pair = canonical_pair(problem.potential, root, problem.grid)
+    return assemble_eigenresult(problem, cfm_rows, pair)
 
 
 def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
@@ -368,11 +347,8 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
         RefinementWarnings, not errors.
     """
     char_fn = characteristic_for(problem, method)
-    # v does not depend on the energy: assembly marches through the samples
-    # every evaluation of char_fn read
-    samples = char_fn.samples
     window = energy_range if energy_range is not None else problem.energy_range
-    brackets = [br for br in scan_brackets(char_fn, window, n_probe) if not br.pole_suspect]
+    brackets = scan_brackets(char_fn, window, n_probe)
     roots = []
     for br, root in zip(brackets, _refine_lockstep(char_fn, brackets, tol_e, max_iter)):
         if isinstance(root, RefinementError):
@@ -383,13 +359,13 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
             continue
         roots.append(root)
     roots.sort()
+    assemble = _assemble_cfm if _METHODS[method][0] is cfm_rows else wm_eigenfunction
+    # every level's pair from one march through the samples the scan read
+    pairs = canonical_pairs(problem.potential, roots, problem.grid, char_fn.samples)
     results = []
-    for root in roots:
+    for root, pair in zip(roots, pairs):
         try:
-            if method == "cfm":
-                res = _assemble_cfm(problem, root, samples)
-            else:
-                res = wm_eigenfunction(problem, root, samples)
+            res = assemble(problem, root, pair)
         except SolverError as exc:
             warnings.warn(f"level at {root:.9g} dropped: {exc}", RefinementWarning)
             continue

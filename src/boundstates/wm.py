@@ -1,17 +1,18 @@
-"""Wronskian-method quantization.
+"""Wronskian-method quantization, and the boundary-row rule every method shares.
 
-The characteristic function is built from boundary Wronskians of the canonical
-pair against the asymptotic reference solutions:
+A bound state psi = a2 C + b2 S meets each boundary condition through a row,
+the Wronskians of a reference solution with C and S at that grid end, so the
+levels are the energies where the two rows are parallel. WM's references are
+the asymptotic convergent members: r_L = (W(L_c, C), W(L_c, S)) at x_left
+and r_R = (W(R_c, C), W(R_c, S)) at x_right. CFM's (cfm.py) are wall
+solutions, whose rows WM's equal on hard walls.
 
-    F(eps) = W(L_c, C)- * W(R_c, S)+  -  W(R_c, C)+ * W(L_c, S)-
-
-Its zeros are the bound-state energies. For parity invariant potentials with
-x0 = 0 the condition splits: W(R_c, C)+ = 0 picks the even levels and
-W(R_c, S)+ = 0 the odd ones. With hard walls the same determinant reduces
-exactly to C(x_left) S(x_right) - C(x_right) S(x_left).
-
-It holds the value functions and the eigenfunction assembly every method
-shares; roots.characteristic_for builds the characteristic functions.
+F divides each row by its larger entry and takes det(r_L, r_R) / (|r_L| |r_R|),
+the sine of the angle between them: no poles, no overflow while the rows are
+finite, and every bit kept when one side's pair is scaled by a power of two.
+On a reflected grid F factors into the entries of r_R, W(R_c, C) for the even
+levels and W(R_c, S) for the odd ones; wm-even and wm-odd read one entry of
+r_R / |r_R|. Every level is assembled from the null direction of its rows.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .core import (
     wronskian,
 )
 from .integrate import canonical_pair
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 # parity tagging: the smaller canonical coefficient must be this far below
 # the larger one before a state is called pure even or pure odd
@@ -85,86 +84,99 @@ def wm_endpoint_data(ends, asymptotics):
         w_rc_rd=w_rc_rd)
 
 
-def wm_value(problem, ends):
-    """General WM determinant from one energy's Endpoints."""
+def wm_rows(problem, ends):
+    """WM's rows (W(L_c,C), W(L_c,S)) and (W(R_c,C), W(R_c,S)); raises as wm_endpoint_data."""
+    d = wm_endpoint_data(ends, problem.asymptotics)
+    return (d.w_lc_c, d.w_lc_s), (d.w_rc_c, d.w_rc_s)
+
+
+def _scaled(a, b):
+    # (a, b) over its larger entry, and the squared length of that
+    m = max(abs(a), abs(b))
+    a, b = a / m, b / m
+    return a, b, a * a + b * b
+
+
+def boundary_value(rows, problem, ends, entry=None):
+    """F of one energy's Endpoints from a method's rows(problem, ends), as an Evaluation.
+
+    With entry, the parity factor: that entry of r_R / |r_R|. Flagged "overflow"
+    where a row is not finite, "degenerate" where it or an asymptotic pair is.
+    """
     try:
-        d = wm_endpoint_data(ends, problem.asymptotics)
+        row_l, row_r = rows(problem, ends)
     except DegenerateAsymptoticsError:
         return Evaluation(math.nan, "degenerate")
-    return Evaluation.of(d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s)
+    for a, b in (row_l, row_r) if entry is None else (row_r,):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return Evaluation(math.nan, "overflow")
+        if a == 0.0 and b == 0.0:
+            return Evaluation(math.nan, "degenerate")
+    ar, br, nr = _scaled(*row_r)
+    if entry is not None:
+        return Evaluation((ar, br)[entry] / math.sqrt(nr))
+    al, bl, nl = _scaled(*row_l)
+    return Evaluation((al * br - ar * bl) / math.sqrt(nl * nr))
+
+
+def wm_value(problem, ends):
+    """WM characteristic value from one energy's Endpoints."""
+    return boundary_value(wm_rows, problem, ends)
 
 
 def wm_value_symmetric(problem, ends, parity):
-    """Single-Wronskian form for parity invariant problems, from Endpoints."""
-    try:
-        d = wm_endpoint_data(ends, problem.asymptotics)
-    except DegenerateAsymptoticsError:
-        return Evaluation(math.nan, "degenerate")
-    value = d.w_rc_c if parity == "even" else d.w_rc_s
-    return Evaluation.of(value)
+    """WM parity factor, W(R_c, C) or W(R_c, S) over |r_R|, from one energy's Endpoints."""
+    return boundary_value(wm_rows, problem, ends, ("even", "odd").index(parity))
 
 
-def wm_eigenfunction(problem, root, samples=None):
-    """Assemble the normalized eigenfunction at an accepted root.
+def wm_eigenfunction(problem, root, pair=None):
+    """Assemble the normalized eigenfunction at an accepted root from WM's rows.
 
-    The coefficient direction (a2, b2) is the nullspace of the boundary rows
-    (W(L_c,C), W(L_c,S)) and (W(R_c,C), W(R_c,S)), taken from whichever row
-    is better conditioned.
-
-    samples are the solve's PotentialSamples (its characteristic function's
-    .samples); without them canonical_pair samples v.
-
-    Returns:
-        EigenResult whose index is set to the node count (they agree for a
-        true n-th level; callers re-index by spectral position).
+    pair is the canonical pair at root, else one is marched. The index is the
+    node count; callers re-index by spectral position.
     """
-    pair = canonical_pair(problem.potential, root, problem.grid, samples=samples)
-    d = wm_endpoint_data(pair.ends, problem.asymptotics)
-    row_l = (d.w_lc_c, d.w_lc_s)
-    row_r = (d.w_rc_c, d.w_rc_s)
-    norm_l = math.hypot(*row_l)
-    norm_r = math.hypot(*row_r)
-    if max(norm_l, norm_r) < 1e-14:
-        raise DegenerateRootError(
-            f"all boundary Wronskians vanish at energy {root!r}; no direction to pick")
-    row = row_l if norm_l >= norm_r else row_r
-    nrm = math.hypot(*row)
-    a2, b2 = row[1] / nrm, -row[0] / nrm
-    # normalized by the row norms the determinant is the sine of the angle
-    # between the boundary rows, a scale-free closeness-to-singular measure
-    det = d.w_lc_c * d.w_rc_s - d.w_rc_c * d.w_lc_s
-    residual = abs(det) / max(norm_l * norm_r, 1e-300)
-    return assemble_eigenresult(problem, pair, d, a2, b2, residual)
+    if pair is None:
+        pair = canonical_pair(problem.potential, root, problem.grid)
+    return assemble_eigenresult(problem, wm_rows, pair)
 
 
-def assemble_eigenresult(problem, pair, d, a2, b2, residual):
-    """Build a normalized EigenResult from a coefficient direction.
+def assemble_eigenresult(problem, rows, pair):
+    """Build a normalized EigenResult from a method's boundary rows.
 
-    Shared by the WM nullspace path and the endpoint-ratio path. Samples are
-    L2 normalized by the trapezoid rule, the overall sign is fixed by the
+    The coefficient direction (a2, b2) is the null direction of the better
+    conditioned row, the one with the larger entry. Samples are L2
+    normalized by the trapezoid rule, the overall sign is fixed by the
     coefficients (see EigenResult), and the divergent admixtures b1, b3 are
-    read off the boundary Wronskians d, the wm_endpoint_data of pair.ends.
+    read off the boundary Wronskians of wm_endpoint_data.
     """
     x, c, dc, s, ds, v, ends = pair
-    # a pair grown past the double range would turn psi into NaN, with numpy
-    # warnings on the way
-    if not (math.isfinite(a2) and math.isfinite(b2)
-            and all(np.isfinite(a).all() for a in (c, dc, s, ds))):
+    d = wm_endpoint_data(ends, problem.asymptotics)
+    f = boundary_value(rows, problem, ends)
+    if not f.ok:
+        raise DegenerateRootError(f"boundary rows {f.flag} at energy {ends.energy!r}")
+    a, b, n = _scaled(*max(rows(problem, ends), key=lambda r: max(abs(r[0]), abs(r[1]))))
+    a2, b2 = b / math.sqrt(n), -a / math.sqrt(n)
+    # a pair grown past the double range turns psi into inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = a2 * c + b2 * s
+        dpsi = a2 * dc + b2 * ds
+    if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
         raise DegenerateRootError(
             f"canonical pair or coefficients not finite at energy {ends.energy!r}")
-    psi = a2 * c + b2 * s
-    dpsi = a2 * dc + b2 * ds
     # divided by the largest antinode first, which keeps a member grown far
     # out on the grid from overflowing the norm, and signed so that
     # a2 = psi(x0) > 0, or b2 = psi'(x0) > 0 where a2 is below the parity
     # threshold: the two mirror antinodes of an odd level tie up to roundoff
     top = float(psi[np.argmax(np.abs(psi))])
-    if top == 0.0 or not math.isfinite(top):
+    if top == 0.0:
         raise DegenerateRootError(f"eigenfunction norm degenerate at energy {ends.energy!r}")
     top = math.copysign(top, b2 if abs(a2) <= PARITY_RATIO * abs(b2) else a2)
-    psi, dpsi, a2, b2 = (a / top for a in (psi, dpsi, a2, b2))
-    l2 = math.sqrt(_trapezoid(psi * psi, x))
-    psi, dpsi, a2, b2 = (a / l2 for a in (psi, dpsi, a2, b2))
+    psi /= top
+    # L2 norm by the trapezoid rule on the uniform grid
+    norm = math.sqrt(problem.grid.h * (np.sum(psi * psi) - 0.5 * (psi[0] ** 2 + psi[-1] ** 2)))
+    psi /= norm
+    dpsi /= top * norm
+    a2, b2 = a2 / (top * norm), b2 / (top * norm)
 
     b1 = (a2 * d.w_lc_c + b2 * d.w_lc_s) / d.w_lc_ld
     b3 = (a2 * d.w_rc_c + b2 * d.w_rc_s) / d.w_rc_rd
@@ -173,7 +185,7 @@ def assemble_eigenresult(problem, pair, d, a2, b2, residual):
     parity = _parity_tag(problem, a2, b2)
     return EigenResult(
         energy=ends.energy, index=node_count, parity=parity,
-        residual=abs(residual), node_count=node_count,
+        residual=abs(f.value), node_count=node_count,
         x=x, psi=psi, dpsi=dpsi, a2=a2, b2=b2, b1=b1, b3=b3)
 
 

@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from boundstates import (
+    CharacteristicFunction,
+    Evaluation,
     PotentialSpec,
     Problem,
     box_characteristic_analytic,
     box_exact_energy,
     cfm_l_ratios,
     dirichlet_determinant,
+    find_eigenvalues,
     infinite_well,
     make_grid,
     poschl_teller,
     radial,
+    refine_root,
     saturation_profile,
+    scan_brackets,
 )
 from boundstates.cfm import cfm_value, endpoint_ratio
 from boundstates.integrate import canonical_pair
@@ -56,12 +61,23 @@ def test_analytic_box_changes_sign_at_each_level(n):
     assert abs(at.value) < 1e-8
 
 
-def test_symmetric_cfm_is_the_endpoint_product():
-    ends = canonical_pair(PT.potential, -1.0, PT.grid).ends
-    _, cr, _, sr, _ = ends.right
-    ev = cfm_value(PT, ends)
-    assert ev.ok
-    assert ev.value == cr * sr
+def test_symmetric_cfm_has_the_sign_and_zeros_of_the_endpoint_product():
+    # the reflected rows are (C_R, -S_R) and (C_R, S_R): F = 2 C_R S_R / |r_R|^2
+    def product(e):
+        _, cr, _, sr, _ = canonical_pair(PT.potential, e, PT.grid).ends.right
+        return cr * sr, cr * cr + sr * sr
+
+    for e in np.linspace(-2.45, -0.05, 25).tolist():
+        ev = cfm_value(PT, canonical_pair(PT.potential, e, PT.grid).ends)
+        p, norm = product(e)
+        assert ev.ok
+        assert (ev.value < 0) == (p < 0)
+        assert ev.value == pytest.approx(2.0 * p / norm, rel=1e-14)
+    raw = CharacteristicFunction(lambda e: Evaluation(product(e)[0]), label="C_R S_R")
+    zeros = [refine_root(raw, b) for b in scan_brackets(raw, PT.energy_range, 50)]
+    levels = [r.energy for r in find_eigenvalues(PT, method="cfm", n_probe=50)]
+    assert len(zeros) == 2
+    assert levels == pytest.approx(zeros, abs=1e-9)
 
 
 def test_endpoint_ratio_flags_a_zero_denominator():

@@ -10,11 +10,12 @@ import pytest
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates import integrate
 from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
-from boundstates.cfm import cfm_value, dirichlet_value
+from boundstates.cfm import cfm_value
 from boundstates.cli import compile_expr
 from boundstates.integrate import (
     canonical_endpoints,
     canonical_pair,
+    canonical_pairs,
     sample_potential,
 )
 from boundstates.potentials import decay_model
@@ -113,7 +114,7 @@ def test_overflow_truncates_and_flags():
     assert not all(map(math.isfinite, pair.ends.right[1:]))
     problem = Problem(barrier, grid, decay_model(grid.x_left, grid.x_right),
                       energy_range=(-2.0, 0.0))
-    for value in (wm_value, cfm_value, dirichlet_value):
+    for value in (wm_value, cfm_value):
         assert value(problem, pair.ends).flag == "overflow"
 
 
@@ -128,6 +129,8 @@ PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
 PT25_ODD = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 0, 505))
 PT25_SHORT = dataclasses.replace(PT25, grid=make_grid(0.3, 0.01, 37, 91))
 QUARTIC = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
+# the pairs themselves leave the double range below E = 119 on this grid
+QUARTIC_FINE = anharmonic(0.0, 1.0, h=0.005, energy_max=200.0)
 BOX = infinite_well(x0=0.49, h=0.01, energy_max=60.0)
 RADIAL = radial(lambda r: -10.0 * math.exp(-r), h=0.01)
 # solutions pass the cap mid-sweep, at different steps for different energies
@@ -150,6 +153,7 @@ BATCH_CASES = [
     pytest.param(BOX, "dirichlet", id="box-49-dirichlet"),
     pytest.param(QUARTIC, "wm", id="anharmonic-0-wm"),
     pytest.param(QUARTIC, "cfm", id="anharmonic-0-cfm"),
+    pytest.param(QUARTIC_FINE, "wm", id="anharmonic-0-fine-wm"),
     pytest.param(RADIAL, "wm", id="radial-90-wm"),
     pytest.param(RADIAL, "cfm", id="radial-90-cfm"),
 ]
@@ -165,6 +169,9 @@ def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method)
     assert [ev.flag for ev in batch] == [ev.flag for ev in scalar]
     assert [_bits(ev.value) for ev in batch] == [_bits(ev.value) for ev in scalar]
     if problem is QUARTIC:
+        # the pairs stay finite, and so does every scale-free value
+        assert all(ev.ok for ev in scalar)
+    if problem is QUARTIC_FINE:
         assert any(ev.flag == "overflow" for ev in scalar)
     assert fn.evaluate_many([]) == []
     assert fn.evaluate_many(eps[7:8]) == [fn.evaluate(eps[7])]
@@ -198,7 +205,8 @@ def _pair_value(problem, method, energy):
     ends = canonical_pair(problem.potential, energy, problem.grid).ends
     if method in ("wm-even", "wm-odd"):
         return wm_value_symmetric(problem, ends, method[3:])
-    value = {"wm": wm_value, "cfm": cfm_value, "dirichlet": dirichlet_value}[method]
+    # dirichlet is cfm's rows with a hard-wall check
+    value = {"wm": wm_value, "cfm": cfm_value, "dirichlet": cfm_value}[method]
     return value(problem, ends)
 
 
@@ -210,6 +218,8 @@ def _pair_value(problem, method, energy):
     pytest.param(BOX, "dirichlet", id="box-dirichlet"),
     pytest.param(QUARTIC, "wm", id="anharmonic-wm"),
     pytest.param(QUARTIC, "cfm", id="anharmonic-cfm"),
+    pytest.param(QUARTIC_FINE, "wm", id="anharmonic-fine-wm"),
+    pytest.param(QUARTIC_FINE, "cfm", id="anharmonic-fine-cfm"),
     pytest.param(RADIAL, "cfm", id="radial-cfm"),
     pytest.param(TILTED, "wm", id="tilted-no-left-side-wm"),
     pytest.param(TILTED, "cfm", id="tilted-no-left-side-cfm"),
@@ -224,6 +234,8 @@ def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, meth
     assert [ev.flag for ev in ends] == [ev.flag for ev in pairs]
     assert [_bits(ev.value) for ev in ends] == [_bits(ev.value) for ev in pairs]
     if problem is QUARTIC:
+        assert all(ev.ok for ev in ends)
+    if problem is QUARTIC_FINE:
         assert any(ev.flag == "overflow" for ev in ends)
         assert any(ev.flag is None for ev in ends)
 
@@ -339,6 +351,23 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
         for got in (ends, canonical_endpoints(PT25.potential, [e], grid, samples)[0]):
             assert [_bits(v) for v in got.left + got.right] == [
                 _bits(v) for v in pair.ends.left + pair.ends.right]
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(PT25.grid, id="reflected"),
+    pytest.param(PT25_SHORT.grid, id="both-sides-short-and-odd"),
+    pytest.param(make_grid(0.3, 0.01, 0, 257), id="no-left-side"),
+])
+def test_kept_pairs_of_a_batch_equal_the_pair_of_each_energy_bit_for_bit(grid):
+    # more energies than one chunk holds, every sample kept
+    energies = np.linspace(-2.4, 1.0, integrate._CHUNK // integrate._BLOCK + 3)
+    samples = sample_potential(PT25.potential, grid)
+    kept = list(canonical_pairs(PT25.potential, energies, grid, samples))
+    assert len(kept) == len(energies)
+    for many, e in zip(kept, energies):
+        pair = canonical_pair(PT25.potential, e, grid, samples)
+        assert [a.tobytes() for a in many[:6]] == [a.tobytes() for a in pair[:6]]
+        assert many.ends == pair.ends
 
 
 def _sequential_rk4(v, x0, h, n, energy):

@@ -1,10 +1,13 @@
 """Boundary-Wronskian quantization: identities, flags, eigenfunction assembly."""
 
 import dataclasses
+import functools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from boundstates import (
     characteristic_for,
@@ -18,9 +21,16 @@ from boundstates import (
     wm_eigenfunction,
     wm_endpoint_data,
 )
-from boundstates.cfm import dirichlet_value
-from boundstates.integrate import canonical_pair
-from boundstates.wm import _count_nodes, _parity_tag, wm_value, wm_value_symmetric
+from boundstates.cfm import cfm_value
+from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
+from boundstates.roots import _METHODS
+from boundstates.wm import (
+    _count_nodes,
+    _parity_tag,
+    boundary_value,
+    wm_value,
+    wm_value_symmetric,
+)
 
 PT = poschl_teller(2.5, h=0.01, x_right=5.0)
 PT_WIDE = poschl_teller(2.5, h=0.01, x_right=10.0)
@@ -30,12 +40,13 @@ PT_TWO_SIDED = dataclasses.replace(PT, grid=make_grid(0.0, 0.01, 500, 500))
 
 @pytest.mark.parametrize("energy", [3.0, 10.0, 30.0, 55.0])
 def test_hard_wall_determinant_reduces_to_dirichlet(energy):
+    # W(wall, C) = C at a wall of slope -1, so WM's rows are the wall rows
     prob = infinite_well(x0=0.25, h=0.005, energy_max=60.0)
     ends = canonical_pair(prob.potential, energy, prob.grid).ends
     wm = wm_value(prob, ends)
-    di = dirichlet_value(prob, ends)
+    di = characteristic_for(prob, "dirichlet").evaluate(energy)
     assert wm.ok and di.ok
-    assert wm.value == pytest.approx(di.value, rel=1e-10, abs=1e-12)
+    assert wm == di == cfm_value(prob, ends)
 
 
 @pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
@@ -65,6 +76,41 @@ def test_full_determinant_factors_into_parity_pieces(energy):
     even2 = wm_value_symmetric(PT_TWO_SIDED, ends2, "even").value
     odd2 = wm_value_symmetric(PT_TWO_SIDED, ends2, "odd").value
     assert full2 == pytest.approx(-2.0 * even2 * odd2, rel=1e-9)
+
+
+SCALE_PROBLEMS = {
+    "poschl-teller": PT,
+    "box": infinite_well(x0=0.25, h=0.005, energy_max=60.0),
+    "radial": radial(lambda r: -10.0 * math.exp(-r), h=0.01),
+}
+# every method, each on a catalog problem it admits
+SCALE_CASES = ([("poschl-teller", m) for m in ("wm", "wm-even", "wm-odd", "cfm")]
+               + [("box", m) for m in ("wm", "cfm", "dirichlet")]
+               + [("radial", m) for m in ("wm", "cfm")])
+
+
+@functools.cache
+def _scale_ends(name):
+    # end points at seven energies inside the problem's window
+    problem = SCALE_PROBLEMS[name]
+    energies = np.linspace(*problem.energy_range, 9)[1:-1]
+    return canonical_endpoints(problem.potential, energies, problem.grid,
+                               sample_potential(problem.potential, problem.grid))
+
+
+@given(st.sampled_from(SCALE_CASES), st.integers(0, 6), st.integers(-500, 500),
+       st.sampled_from(["left", "right"]))
+def test_scaling_one_side_by_a_power_of_two_keeps_every_value_bit_for_bit(case, i, k, side):
+    name, method = case
+    problem = SCALE_PROBLEMS[name]
+    rows, entry, _ = _METHODS[method]
+    ends = _scale_ends(name)[i]
+    x, *phi = getattr(ends, side)
+    scaled = ends._replace(**{side: (x, *(math.ldexp(v, k) for v in phi))})
+    want = boundary_value(rows, problem, ends, entry)
+    got = boundary_value(rows, problem, scaled, entry)
+    assert want.ok and got.ok
+    assert struct.pack("<d", got.value) == struct.pack("<d", want.value)
 
 
 def test_zero_energy_flags_degenerate_asymptotics():
