@@ -48,14 +48,14 @@ from .roots import (
     refine_root,
     scan_brackets,
 )
-from .wm import WmEndpointData, wm_eigenfunction, wm_endpoint_data
+from .wm import wm_eigenfunction, wm_rows
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticModel", "Bracket", "CanonicalPair", "CharacteristicFunction",
     "EigenResult", "Evaluation", "Grid", "PotentialSpec", "Problem",
-    "SaturationProfile", "SolverError", "WmEndpointData",
+    "SaturationProfile", "SolverError",
     "anharmonic", "box_characteristic_analytic", "box_exact_energy",
     "canonical_pair", "cfm_l_ratios", "characteristic_for",
     "convergence_orders", "dirichlet_determinant", "fd_box_dispersion",
@@ -63,5 +63,5 @@ __all__ = [
     "make_grid", "poschl_teller", "poschl_teller_critical_strengths",
     "poschl_teller_exact_energies", "radial", "refine_root",
     "saturation_profile", "scan_brackets", "shooting_reference",
-    "wm_eigenfunction", "wm_endpoint_data", "wronskian",
+    "wm_eigenfunction", "wm_rows", "wronskian",
 ]

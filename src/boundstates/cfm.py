@@ -3,13 +3,15 @@
 CFM's condition l+ = l-, where l = C/S at each grid end, is C_L S_R - C_R S_L
 = 0: the determinant of the rows (C_L, S_L) and (C_R, S_R), the Wronskians of
 C and S with a wall solution (value 0, slope -1) at each end. So CFM is WM's
-row rule (wm.py) with wall references, with no ratio poles; on a reflected
-grid its F has the sign and the zeros of C_R S_R. A half line's regular
-origin (REGULAR_ORIGIN), where psi goes as r^(l+1), takes WM's row instead.
+determinant (wm.py) with wall references, with no ratio poles; on a reflected
+grid its F has the sign and the zeros of C_R S_R. The wall rows are (C, S)
+as read, not wm.row's 0 * C' + C, NaN once C' has overflowed and C has not.
+A half line's regular origin (REGULAR_ORIGIN), where psi goes as r^(l+1),
+takes the wm.row of its origin reference instead.
 
 The saturation profile quantifies how fast each representation reaches its
-large-x limit; the Wronskian ratio W(C, R_c)/W(S, R_c) and the value ratio
-C/S share the limit but approach it at different rates.
+large-x limit; the Wronskian ratio W(C, R_c)/W(S, R_c) (wm.row along x) and
+the value ratio C/S share the limit but approach it at different rates.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASYMPTOTIC_LIMIT, REGULAR_ORIGIN, Evaluation, SolverError, wronskian
+from .core import ASYMPTOTIC_LIMIT, REGULAR_ORIGIN, Evaluation, SolverError
 from .integrate import canonical_pair
-from .wm import boundary_value
+from .wm import boundary_value, row
 
 # denominators at or below this magnitude are reported as poles
 POLE_FLOOR = 1e-300
@@ -53,12 +55,10 @@ def endpoint_ratio(num, den):
 
 def cfm_rows(problem, ends):
     """CFM's rows (C_L, S_L) and (C_R, S_R); a REGULAR_ORIGIN left side takes WM's row."""
-    xl, cl, dcl, sl, dsl = ends.left
     asym = problem.asymptotics
     if asym.left_kind == REGULAR_ORIGIN:
-        lcv, lcd = asym.left_convergent(ends.energy, xl)
-        cl, sl = wronskian(lcv, lcd, cl, dcl), wronskian(lcv, lcd, sl, dsl)
-    return (cl, sl), ends.right[1::2]
+        return row(asym.left_convergent(ends.energy, ends.left[0]), ends.left), ends.right[1::2]
+    return ends.left[1::2], ends.right[1::2]
 
 
 def cfm_value(problem, ends):
@@ -144,13 +144,12 @@ def saturation_profile(problem, energy, tol=1e-6):
         raise ValueError("saturation profiling needs a decaying right boundary model")
     pair = canonical_pair(problem.potential, energy, problem.grid)
     keep = pair.x >= problem.grid.x0
-    x = pair.x[keep]
-    c, dc = pair.c[keep], pair.dc[keep]
-    s, ds = pair.s[keep], pair.ds[keep]
+    # (x, C, C', S, S') from the origin out
+    end = tuple(a[keep] for a in pair[:5])
+    x, c, _, s, _ = end
 
-    rcv, rcd = np.array([asym.right_convergent(energy, xi) for xi in x.tolist()]).T
-    w_rc_c = wronskian(rcv, rcd, c, dc)
-    w_rc_s = wronskian(rcv, rcd, s, ds)
+    rc = np.array([asym.right_convergent(energy, xi) for xi in x.tolist()]).T
+    w_rc_c, w_rc_s = row(rc, end)
     wm_ratio = _ratio_rows(w_rc_c, w_rc_s)
     cfm_ratio = _ratio_rows(c, s)
 

@@ -64,11 +64,6 @@ def _recurrence_ends(N, energies):
     return cur
 
 
-def fd_box_recurrence_vector(N, energy):
-    """Even-sublattice samples (j = 0, 2, ..., N) of the recurrence at one energy."""
-    return np.array(_recurrence_sweep(N, energy))
-
-
 def _illinois(f, lo, hi, flo, fhi, tol):
     # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a sign change
     # of f over [lo, hi], with f(lo) = flo and f(hi) = fhi. Each step takes

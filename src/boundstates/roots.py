@@ -33,6 +33,8 @@ import numpy as np
 
 from .cfm import cfm_rows
 from .core import HARD_DIRICHLET, CharacteristicFunction, RefinementError, SolverError
+# canonical_pair is not called here, but bench/tracer.py counts pairs by
+# rebinding it in this module
 from .integrate import canonical_endpoints, canonical_pair, canonical_pairs, sample_potential
 from .wm import assemble_eigenresult, boundary_value, wm_eigenfunction, wm_rows
 
@@ -323,10 +325,8 @@ def dirichlet_determinant(problem):
     return characteristic_for(problem, "dirichlet")
 
 
-def _assemble_cfm(problem, root, pair=None):
-    # wm_eigenfunction with CFM's rows
-    if pair is None:
-        pair = canonical_pair(problem.potential, root, problem.grid)
+def _assemble_cfm(problem, root, pair):
+    # wm_eigenfunction with CFM's rows, from the pair at root
     return assemble_eigenresult(problem, cfm_rows, pair)
 
 

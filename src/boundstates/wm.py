@@ -1,24 +1,23 @@
 """Wronskian-method quantization, and the boundary-row rule every method shares.
 
 A bound state psi = a2 C + b2 S meets each boundary condition through a row,
-the Wronskians of a reference solution with C and S at that grid end, so the
-levels are the energies where the two rows are parallel. WM's references are
-the asymptotic convergent members: r_L = (W(L_c, C), W(L_c, S)) at x_left
-and r_R = (W(R_c, C), W(R_c, S)) at x_right. CFM's (cfm.py) are wall
-solutions, whose rows WM's equal on hard walls.
+row(ref, end) = (W(ref, C), W(ref, S)) of a reference solution at that grid
+end, so the levels are the energies where the two rows are parallel. WM's
+references are the asymptotic convergent members L_c at x_left and R_c at
+x_right, read by references; their rows r_L and r_R are wm_rows. CFM's
+(cfm.py) are wall solutions, whose rows WM's equal on hard walls.
 
 F divides each row by its larger entry and takes det(r_L, r_R) / (|r_L| |r_R|),
 the sine of the angle between them: no poles, no overflow while the rows are
 finite, and every bit kept when one side's pair is scaled by a power of two.
 On a reflected grid F factors into the entries of r_R, W(R_c, C) for the even
 levels and W(R_c, S) for the odd ones; wm-even and wm-odd read one entry of
-r_R / |r_R|. Every level is assembled from the null direction of its rows.
+r_R / |r_R|. Every level is assembled from its method's rows, read once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,56 +37,41 @@ PARITY_RATIO = 1e-6
 NODE_FLOOR = 1e-7
 
 
-@dataclass(frozen=True)
-class WmEndpointData:
-    """Boundary Wronskians of the canonical pair at one energy.
+def row(ref, end):
+    """(W(ref, C), W(ref, S)) of a reference (value, slope) at a pair end (x, C, C', S, S').
 
-    w_lc_ld and w_rc_rd are the asymptotic pairs' own Wronskians, kept for
-    linear-independence checks and for coefficient extraction.
+    Elementwise: end is an Endpoints side of floats or a CanonicalPair's first five arrays.
     """
-
-    w_lc_c: float
-    w_lc_s: float
-    w_lc_ld: float
-    w_rc_c: float
-    w_rc_s: float
-    w_rc_rd: float
+    v, d = ref
+    _, c, dc, s, ds = end
+    return wronskian(v, d, c, dc), wronskian(v, d, s, ds)
 
 
-def wm_endpoint_data(ends, asymptotics):
-    """Evaluate the six boundary Wronskians from one energy's Endpoints.
+def references(problem, ends):
+    """(L_c, W(L_c, L_d)) and (R_c, W(R_c, R_d)): each convergent member at its grid end.
 
     Raises:
         DegenerateAsymptoticsError: when a boundary pair's own Wronskian
             vanishes or is not finite, naming the side.
     """
-    xl, cl, dcl, sl, dsl = ends.left
-    xr, cr, dcr, sr, dsr = ends.right
-    e = ends.energy
-    lcv, lcd = asymptotics.left_convergent(e, xl)
-    ldv, ldd = asymptotics.left_divergent(e, xl)
-    rcv, rcd = asymptotics.right_convergent(e, xr)
-    rdv, rdd = asymptotics.right_divergent(e, xr)
-    w_lc_ld = wronskian(lcv, lcd, ldv, ldd)
-    w_rc_rd = wronskian(rcv, rcd, rdv, rdd)
-    for side, w in (("left", w_lc_ld), ("right", w_rc_rd)):
+    asym, e = problem.asymptotics, ends.energy
+    xl, xr = ends.left[0], ends.right[0]
+    lc = asym.left_convergent(e, xl)
+    w_l = wronskian(*lc, *asym.left_divergent(e, xl))
+    rc = asym.right_convergent(e, xr)
+    w_r = wronskian(*rc, *asym.right_divergent(e, xr))
+    for side, w in (("left", w_l), ("right", w_r)):
         if not math.isfinite(w) or w == 0.0:
             raise DegenerateAsymptoticsError(
                 f"asymptotic pair degenerate at the {side} endpoint "
                 f"(pair Wronskian {w!r} at energy {e!r})")
-    return WmEndpointData(
-        w_lc_c=wronskian(lcv, lcd, cl, dcl),
-        w_lc_s=wronskian(lcv, lcd, sl, dsl),
-        w_lc_ld=w_lc_ld,
-        w_rc_c=wronskian(rcv, rcd, cr, dcr),
-        w_rc_s=wronskian(rcv, rcd, sr, dsr),
-        w_rc_rd=w_rc_rd)
+    return (lc, w_l), (rc, w_r)
 
 
 def wm_rows(problem, ends):
-    """WM's rows (W(L_c,C), W(L_c,S)) and (W(R_c,C), W(R_c,S)); raises as wm_endpoint_data."""
-    d = wm_endpoint_data(ends, problem.asymptotics)
-    return (d.w_lc_c, d.w_lc_s), (d.w_rc_c, d.w_rc_s)
+    """WM's rows, the rows of the references L_c and R_c; raises as references."""
+    (lc, _), (rc, _) = references(problem, ends)
+    return row(lc, ends.left), row(rc, ends.right)
 
 
 def _scaled(a, b):
@@ -107,6 +91,11 @@ def boundary_value(rows, problem, ends, entry=None):
         row_l, row_r = rows(problem, ends)
     except DegenerateAsymptoticsError:
         return Evaluation(math.nan, "degenerate")
+    return _sine(row_l, row_r, entry)
+
+
+def _sine(row_l, row_r, entry=None):
+    # boundary_value of rows in hand: each row is checked, left first
     for a, b in (row_l, row_r) if entry is None else (row_r,):
         if not (math.isfinite(a) and math.isfinite(b)):
             return Evaluation(math.nan, "overflow")
@@ -141,20 +130,22 @@ def wm_eigenfunction(problem, root, pair=None):
 
 
 def assemble_eigenresult(problem, rows, pair):
-    """Build a normalized EigenResult from a method's boundary rows.
+    """Build a normalized EigenResult from a method's boundary rows, evaluated once.
 
-    The coefficient direction (a2, b2) is the null direction of the better
-    conditioned row, the one with the larger entry. Samples are L2
-    normalized by the trapezoid rule, the overall sign is fixed by the
-    coefficients (see EigenResult), and the divergent admixtures b1, b3 are
-    read off the boundary Wronskians of wm_endpoint_data.
+    F and the coefficient direction (a2, b2) come from the method's rows: the
+    null direction of the better conditioned row, the one with the larger
+    entry. Samples are L2 normalized by the trapezoid rule, and the overall
+    sign is fixed by the coefficients (see EigenResult). The divergent
+    admixtures are b1 = (a2 W(L_c, C) + b2 W(L_c, S)) / W(L_c, L_d) and b3
+    likewise on the right, from the rows of the references.
     """
     x, c, dc, s, ds, v, ends = pair
-    d = wm_endpoint_data(ends, problem.asymptotics)
-    f = boundary_value(rows, problem, ends)
+    (lc, w_l), (rc, w_r) = references(problem, ends)
+    row_l, row_r = rows(problem, ends)
+    f = _sine(row_l, row_r)
     if not f.ok:
         raise DegenerateRootError(f"boundary rows {f.flag} at energy {ends.energy!r}")
-    a, b, n = _scaled(*max(rows(problem, ends), key=lambda r: max(abs(r[0]), abs(r[1]))))
+    a, b, n = _scaled(*max((row_l, row_r), key=lambda r: max(abs(r[0]), abs(r[1]))))
     a2, b2 = b / math.sqrt(n), -a / math.sqrt(n)
     # a pair grown past the double range turns psi into inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,8 +169,9 @@ def assemble_eigenresult(problem, rows, pair):
     dpsi /= top * norm
     a2, b2 = a2 / (top * norm), b2 / (top * norm)
 
-    b1 = (a2 * d.w_lc_c + b2 * d.w_lc_s) / d.w_lc_ld
-    b3 = (a2 * d.w_rc_c + b2 * d.w_rc_s) / d.w_rc_rd
+    (lc_c, lc_s), (rc_c, rc_s) = row(lc, ends.left), row(rc, ends.right)
+    b1 = (a2 * lc_c + b2 * lc_s) / w_l
+    b3 = (a2 * rc_c + b2 * rc_s) / w_r
 
     node_count = _count_nodes(psi, v, ends.energy)
     parity = _parity_tag(problem, a2, b2)

@@ -32,7 +32,7 @@ from boundstates import (
     saturation_profile,
     scan_brackets,
     shooting_reference,
-    wm_endpoint_data,
+    wm_rows,
     wronskian,
 )
 from boundstates.cfm import endpoint_ratio
@@ -274,11 +274,11 @@ def test_criterion_8_property_suite(pt10_census):
         problem = dataclasses.replace(base, grid=make_grid(0.0, h, half, half))
         for e in energies:
             ends = canonical_pair(problem.potential, e, problem.grid).ends
-            d = wm_endpoint_data(ends, problem.asymptotics)
+            (lc_c, lc_s), (rc_c, rc_s) = wm_rows(problem, ends)
             worst_parity = max(
                 worst_parity,
-                abs(d.w_lc_c + d.w_rc_c) / max(abs(d.w_lc_c), abs(d.w_rc_c)),
-                abs(d.w_lc_s - d.w_rc_s) / max(abs(d.w_lc_s), abs(d.w_rc_s)))
+                abs(lc_c + rc_c) / max(abs(lc_c), abs(rc_c)),
+                abs(lc_s - rc_s) / max(abs(lc_s), abs(rc_s)))
 
     # ratio representation invariance at the right endpoint
     worst_ratio = 0.0

@@ -227,6 +227,29 @@ def test_oracle_box_compares_routes_and_reports_orders(capsys):
     assert 3.5 < orders["rk4_order"] < 4.5
 
 
+def test_oracle_off_the_box_shoots_for_its_reference(capsys):
+    assert run_cli(["oracle", "--potential", "poschl-teller", "--v0", "2.5",
+                    "--h", "0.02", "--nr", "250"]) == 0
+    meta, header, rows = parse_csv(capsys.readouterr().out)
+    assert "# reference = shooting" in meta
+    assert len(rows) == 2
+    for row in rows:
+        assert row[1] and row[2]
+        assert abs(float(row[1]) - float(row[2])) <= 2e-8
+
+
+def test_solve_radial_takes_an_inner_expression(capsys):
+    assert run_cli(["solve", "--potential", "radial", "--expr", "-10*exp(-r)",
+                    "--h", "0.01"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert [round(float(r[2]), 5) for r in rows] == [-3.29379, -0.70259]
+
+
+def test_solve_radial_without_an_expression_is_a_config_error(capsys):
+    assert run_cli(["solve", "--potential", "radial", "--h", "0.01"]) == 1
+    assert "radial needs --expr" in capsys.readouterr().err
+
+
 def test_config_file_fills_gaps_but_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boundstates import (
+    anharmonic,
     characteristic_for,
     find_eigenvalues,
     infinite_well,
@@ -19,9 +20,10 @@ from boundstates import (
     refine_root,
     scan_brackets,
     wm_eigenfunction,
-    wm_endpoint_data,
+    wm_rows,
 )
 from boundstates.cfm import cfm_value
+from boundstates.core import DegenerateRootError
 from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
 from boundstates.roots import _METHODS
 from boundstates.wm import (
@@ -54,9 +56,9 @@ def test_reflection_ties_left_wronskians_to_right_ones(energy):
     # a grid with a left side is marched leftward, never reflected
     assert PT_TWO_SIDED.grid.n_left == 500
     pair = canonical_pair(PT_TWO_SIDED.potential, energy, PT_TWO_SIDED.grid)
-    d = wm_endpoint_data(pair.ends, PT_TWO_SIDED.asymptotics)
-    assert d.w_lc_c == pytest.approx(-d.w_rc_c, rel=1e-9, abs=1e-12)
-    assert d.w_lc_s == pytest.approx(d.w_rc_s, rel=1e-9, abs=1e-12)
+    (lc_c, lc_s), (rc_c, rc_s) = wm_rows(PT_TWO_SIDED, pair.ends)
+    assert lc_c == pytest.approx(-rc_c, rel=1e-9, abs=1e-12)
+    assert lc_s == pytest.approx(rc_s, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
@@ -119,6 +121,37 @@ def test_zero_energy_flags_degenerate_asymptotics():
     assert not ev.ok
     assert ev.flag == "degenerate"
     assert math.isnan(characteristic_for(PT, "wm")(0.0))
+
+
+@pytest.mark.parametrize("method", ["cfm", "dirichlet"])
+def test_a_zero_wall_row_is_flagged_degenerate_left_first(method):
+    box = SCALE_PROBLEMS["box"]
+    rows, entry, _ = _METHODS[method]
+    ends = canonical_pair(box.potential, 10.0, box.grid).ends
+    assert boundary_value(rows, box, ends, entry).ok
+
+    def zero(end):
+        x, _, dc, _, ds = end
+        return (x, 0.0, dc, 0.0, ds)
+
+    def blown(end):
+        x, _, dc, _, ds = end
+        return (x, math.inf, dc, 1.0, ds)
+
+    for left, right, flag in ((ends.left, zero(ends.right), "degenerate"),
+                              (zero(ends.left), ends.right, "degenerate"),
+                              (zero(ends.left), blown(ends.right), "degenerate"),
+                              (blown(ends.left), zero(ends.right), "overflow")):
+        ev = boundary_value(rows, box, ends._replace(left=left, right=right), entry)
+        assert math.isnan(ev.value) and ev.flag == flag
+
+
+def test_assembly_names_the_energy_whose_rows_are_flagged():
+    # the quartic's pairs at h = 0.005 out to E = 200 overflow at every level
+    # below 119.84, so the rows at its ground state are not finite
+    problem = anharmonic(0.0, 1.0, h=0.005, energy_max=200.0)
+    with pytest.raises(DegenerateRootError, match=r"rows overflow at energy 0\.667986"):
+        wm_eigenfunction(problem, 0.667986)
 
 
 def test_symmetric_characteristic_rejects_bad_parity():
