@@ -7,20 +7,20 @@ code deliberately duplicates its integrator instead of importing the
 production one, so the two never share a bug; only the Wronskian primitive is
 reused. Its march multiplies out blocks of RK4 step matrices built by its own
 RK4 step, with none of the production kernel's pair tables or polynomials in
-the energy. Both families close their sign-change brackets with one root
-finder, Illinois regula falsi.
+the energy. Both families are CharacteristicFunctions of their own marches,
+scanned by the solver's scan_brackets and closed by its lockstep roots(): a
+root finder has no integrator to share a bug with, so one serves all.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .core import wronskian
+from .core import CharacteristicFunction, Evaluation, wronskian
 from .potentials import infinite_well
-from .roots import dirichlet_determinant, refine_root, scan_brackets
+from .roots import _window, dirichlet_determinant, roots, scan_brackets
 
 
 def fd_box_dispersion(n, h):
@@ -39,22 +39,11 @@ def fd_box_dispersion(n, h):
     return (1.0 - math.cos(2.0 * math.pi * n * h)) / (4.0 * h * h)
 
 
-def _recurrence_sweep(N, energy):
-    # stride-2 recurrence phi_{j+2} = (2 - 8 h^2 eps) phi_j - phi_{j-2} on the
-    # even sublattice, started phi_0 = 0, phi_2 = 1
-    h = 1.0 / N
-    a = 2.0 - 8.0 * h * h * energy
-    prev, cur = 0.0, 1.0
-    samples = [prev, cur]
-    for _ in range(N // 2 - 1):
-        prev, cur = cur, a * cur - prev
-        samples.append(cur)
-    return samples
-
-
 def _recurrence_ends(N, energies):
-    # the last sample of _recurrence_sweep at each energy, marched as one
-    # array: the same operations elementwise, so the same bits
+    # phi_N at each energy of the stride-2 recurrence
+    # phi_{j+2} = (2 - 8 h^2 eps) phi_j - phi_{j-2} on the even sublattice,
+    # started phi_0 = 0, phi_2 = 1, marched as one array: the operations are
+    # elementwise, so an energy ends on the same bits in any batch
     h = 1.0 / N
     a = 2.0 - 8.0 * h * h * energies
     prev, cur = np.zeros_like(a), np.ones_like(a)
@@ -64,76 +53,34 @@ def _recurrence_ends(N, energies):
     return cur
 
 
-def _illinois(f, lo, hi, flo, fhi, tol):
-    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a sign change
-    # of f over [lo, hi], with f(lo) = flo and f(hi) = fhi. Each step takes
-    # the false position, or the midpoint where rounding puts that on or
-    # outside the bracket. When the same end is kept twice in a row, its
-    # stored value is halved, so the false position crosses the root and the
-    # bracket closes from both sides. Returns the midpoint once the bracket is
-    # narrower than tol, or an exact zero. Returns None where an iterate's f
-    # is not finite or 200 steps leave the bracket wider: no root is known.
-    kept = None
-    for _ in range(200):
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if not math.isfinite(fx):
-            return None
-        if (fx < 0) == (flo < 0):
-            lo, flo = x, fx
-            if kept == "hi":
-                fhi *= 0.5
-            kept = "hi"
-        else:
-            hi, fhi = x, fx
-            if kept == "lo":
-                flo *= 0.5
-            kept = "lo"
-    return 0.5 * (lo + hi) if hi - lo < tol else None
-
-
 def fd_box_recurrence_eigenvalues(N, n_max):
     """First n_max Dirichlet eigenvalues of the stride-2 recurrence by shooting.
 
     The recurrence decouples into two sublattices; the Dirichlet conditions
     phi_0 = phi_N = 0 live on the even one, whose modes fold at n = N/2
     (eps_n and eps_{N-n} are exactly degenerate), so only n <= N/2 - 1 are
-    resolvable. No dispersion formula enters: brackets come from scanning
-    phi_N(eps) over the lattice band, every probe in one array sweep, and
-    closing its sign changes by Illinois regula falsi, one energy at a time.
+    resolvable. No dispersion formula enters: phi_N(eps) is scanned over the
+    lattice band by scan_brackets, every probe in one array sweep, and the
+    first n_max sign changes are closed by roots(), every iterate of an
+    iteration in one sweep.
     """
     if N % 2 or N < 4:
         raise ValueError(f"need an even lattice with N >= 4, got {N!r}")
     if n_max != int(n_max) or not 1 <= n_max <= N // 2 - 1:
         raise ValueError(f"resolvable modes are 1 <= n <= N/2 - 1 = {N // 2 - 1}, got {n_max!r}")
 
-    def phi_end(energy):
-        return _recurrence_sweep(N, energy)[-1]
+    def many(energies):
+        return [Evaluation(v) for v in _recurrence_ends(N, energies).tolist()]
 
+    phi_end = CharacteristicFunction(lambda e: many(np.array([e]))[0], label="fd", many=many)
     band = 0.5 * N * N  # 1 / (2 h^2), the top of the lattice dispersion
     # level gaps bottom out near 1.5 pi^2 at the fold; keep probes finer
     n_probe = max(400, math.ceil(N * N / 25))
-    probes = np.linspace(0.0, band, n_probe + 1)
-    vals = _recurrence_ends(N, probes).tolist()
-    roots = []
-    for i in range(len(probes) - 1):
-        if len(roots) >= n_max:
-            break
-        fa, fb = vals[i], vals[i + 1]
-        if (fa < 0) == (fb < 0):
-            continue
-        root = _illinois(phi_end, probes[i], probes[i + 1], fa, fb, 1e-11)
-        if root is not None:
-            roots.append(root)
-    if len(roots) < n_max:
-        raise RuntimeError(f"found only {len(roots)} of {n_max} recurrence eigenvalues")
-    return roots
+    brackets = scan_brackets(phi_end, (0.0, band), n_probe)
+    found = roots(phi_end, brackets[:n_max], tol_e=1e-11)
+    if len(found) < n_max:
+        raise RuntimeError(f"found only {len(found)} of {n_max} recurrence eigenvalues")
+    return found
 
 
 # steps per block product: a power of two, so the pairwise tree halves evenly
@@ -212,24 +159,25 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
 
     Integrates rightward from the left boundary with the convergent-member
     start and finds the sign changes of W(R_c, phi) at the right end. Runs at
-    grid.h / dense_factor. Symmetric half-grid problems are shot across the
-    full reflected span. v is sampled once per call, at the 2 n + 1 points
-    the march reads. The march takes RK4 steps 1024 at a time: each step's
-    2x2 matrix is the RK4 step applied to the unit states, and a block's
-    matrices are multiplied out pairwise and applied to the state, so only
-    the state can overflow, never an RK4 stage. The probe energies are
-    marched 8 at a time, each on the same bits as when marched alone. An
-    exact zero on a probe is one root where its neighbours straddle it or on
-    a window edge, as in scan_brackets. Each probe cell with a sign change is
-    closed to a width below tol by Illinois regula falsi, whose iterates are
-    marched alone: the mismatch is smooth in the energy, so false position
-    converges superlinearly, and the Illinois halving keeps one stale end
-    from stalling it, at about 8 marches per root against about 31 for
-    bisection. A UserWarning counts the probe marches that end non-finite,
-    and the brackets dropped where an iterate's march does or 200 steps do
-    not close it. A reversed range or fewer than one probe cell raises
-    ValueError.
+    grid.h / dense_factor, a positive integer. Symmetric half-grid problems
+    are shot across the full reflected span. v is sampled once per call, at
+    the 2 n + 1 points the march reads. The march takes RK4 steps 1024 at a
+    time: each step's 2x2 matrix is the RK4 step applied to the unit states,
+    and a block's matrices are multiplied out pairwise and applied to the
+    state, so only the state can overflow, never an RK4 stage. Energies are
+    marched 8 at a time, each on the same bits as when marched alone, and
+    the closings are taken in Python floats, so a march that overflows is a
+    flagged value and raises no numpy warning. The mismatch goes through the
+    solver's scan_brackets (n_probe cells, by default 8 per unit of energy)
+    and roots(), which closes every bracket to tol in lockstep: each
+    refinement iteration marches all open brackets' iterates as one batch.
+    Flagged probe runs and dropped brackets are RefinementWarnings. A
+    non-finite or reversed range, fewer than one probe cell or a dense_factor
+    that is not a positive integer raises ValueError.
     """
+    if dense_factor != int(dense_factor) or dense_factor < 1:
+        raise ValueError(f"dense_factor must be a positive integer, got {dense_factor!r}")
+    dense_factor = int(dense_factor)
     grid = problem.grid
     h = grid.h / dense_factor
     if problem.symmetric:
@@ -246,57 +194,19 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     nodes = np.array([2.0 * v(x_start)] + [2.0 * v(x_start + j * h) for j in range(1, n + 1)])
     halves = np.array([2.0 * v((x_start + j * h) + h * 0.5) for j in range(n)])
 
-    def closing(energy, y, p):
-        rcv, rcd = asym.right_convergent(energy, x_end)
-        return wronskian(rcv, rcd, y, p)
+    def many(energies):
+        es = energies.tolist()
+        y0, p0 = np.array([asym.left_convergent(e, x_start) for e in es]).T
+        ys, ps = _rk4(y0, p0, 2.0 * energies, nodes, halves, h)
+        return [Evaluation(wronskian(*asym.right_convergent(e, x_end), y, p))
+                for e, y, p in zip(es, ys.tolist(), ps.tolist())]
 
-    def mismatch(energy):
-        y, p = asym.left_convergent(energy, x_start)
-        ys, ps = _rk4([y], [p], [2.0 * energy], nodes, halves, h)
-        return closing(energy, float(ys[0]), float(ps[0]))
-
-    lo, hi = energy_range if energy_range is not None else problem.energy_range
-    if lo > hi:
-        raise ValueError(f"energy range is reversed: {(lo, hi)!r}")
+    mismatch = CharacteristicFunction(lambda e: many(np.array([e]))[0], label="shooting",
+                                      many=many)
+    lo, hi = _window(energy_range if energy_range is not None else problem.energy_range)
     if n_probe is None:
         n_probe = max(40, math.ceil(8.0 * (hi - lo)))
-    elif n_probe < 1:
-        raise ValueError(f"need at least one probe cell, got n_probe={n_probe!r}")
-    probes = np.linspace(lo, hi, n_probe + 1).tolist()
-    y0, p0 = np.array([asym.left_convergent(e, x_start) for e in probes]).T
-    ys, ps = _rk4(y0, p0, 2.0 * np.array(probes), nodes, halves, h)
-    vals = [closing(e, y, p) for e, y, p in zip(probes, ys.tolist(), ps.tolist())]
-    lost = sum(not math.isfinite(f) for f in vals)
-    if lost:
-        # a level in a cell with a non-finite end cannot be bracketed
-        warnings.warn(f"shooting_reference: {lost} of {len(vals)} probe marches "
-                      "ended non-finite; levels next to them are lost",
-                      UserWarning, stacklevel=2)
-    roots = []
-    dropped = 0
-    last = len(vals) - 1
-    for i, fa in enumerate(vals):
-        if fa == 0.0:
-            # a zero has no sign: as in scan_brackets, it is one root on a
-            # window edge or where its neighbours straddle it
-            if i == 0 or i == last or _straddle(vals[i - 1], vals[i + 1]):
-                roots.append(probes[i])
-        elif i < last and vals[i + 1] != 0.0 and _straddle(fa, vals[i + 1]):
-            root = _illinois(mismatch, probes[i], probes[i + 1], fa, vals[i + 1], tol)
-            if root is None:
-                dropped += 1
-            else:
-                roots.append(root)
-    if dropped:
-        warnings.warn(f"shooting_reference: {dropped} bracket(s) dropped, where a "
-                      "root-finder march ended non-finite or 200 steps did not "
-                      "close it; levels there are lost", UserWarning, stacklevel=2)
-    return roots
-
-
-def _straddle(fa, fb):
-    # fa and fb are finite and of opposite signs
-    return math.isfinite(fa) and math.isfinite(fb) and (fa < 0) != (fb < 0)
+    return roots(mismatch, scan_brackets(mismatch, (lo, hi), n_probe), tol_e=tol)
 
 
 def convergence_orders(h_values=(0.02, 0.01, 0.005)):
@@ -312,8 +222,7 @@ def convergence_orders(h_values=(0.02, 0.01, 0.005)):
     for h in h_values:
         prob = infinite_well(x0=0.5, h=h, energy_max=10.0)
         fn = dirichlet_determinant(prob)
-        brackets = scan_brackets(fn, (1.0, 10.0), 90)
-        root = refine_root(fn, brackets[0], tol_e=1e-13)
+        root = roots(fn, scan_brackets(fn, (1.0, 10.0), 90), tol_e=1e-13)[0]
         rk_err.append(abs(root - continuum))
 
     def slope(errors):

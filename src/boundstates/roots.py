@@ -14,12 +14,14 @@ refinement aborts a bracket whose |F| runs past 1e3 times its entry scale.
 
 Refinement is Anderson-Bjorck false position: between its poles F is smooth,
 so the false position closes a bracket in a few steps, and scaling the value
-at an end kept twice in a row keeps both ends moving. It runs every bracket
-of a solve in lockstep: each iteration evaluates all open brackets'
-candidates in one batch, so a solve marches once per iteration rather than
-once per bracket per iteration. Each bracket keeps the iterates it would have
-alone, and a batch gives every energy the same bits as a batch of one, so
-the roots do not depend on what else is refined.
+at an end kept twice in a row keeps both ends moving. A small |F| ends it
+only where F changes sign within tol_e, so a flat F does not stop it short.
+roots() runs every bracket of a solve in lockstep: each iteration evaluates
+all open brackets' candidates in one batch, so a solve marches once per
+iteration rather than once per bracket per iteration. Each bracket keeps the
+iterates it would have alone, and a batch gives every energy the same bits
+as a batch of one, so the roots do not depend on what else is refined. The
+solver and the oracles all close their brackets through roots().
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ def _default_probes(lo, hi):
     return int(min(20000, max(40, math.ceil(20.0 * (hi - lo)))))
 
 
+def _window(energy_range):
+    # the (lo, hi) of a scan window, which must be finite and in order
+    lo, hi = float(energy_range[0]), float(energy_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"energy window must be finite, got {energy_range!r}")
+    if lo > hi:
+        raise ValueError(f"energy range is reversed: {energy_range!r}")
+    return lo, hi
+
+
 def scan_brackets(char_fn, energy_range, n_probe=None):
     """Probe uniformly and collect sign-change brackets.
 
@@ -108,11 +120,10 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     by its nearest unflagged neighbours on each side, or is a zero-width
     bracket when one side has none (a zero on a window edge).
     Returns brackets in energy order, pole-suspect ones included but marked.
-    A reversed range or fewer than one probe cell raises ValueError.
+    A non-finite or reversed range, or fewer than one probe cell, raises
+    ValueError.
     """
-    lo, hi = float(energy_range[0]), float(energy_range[1])
-    if lo > hi:
-        raise ValueError(f"energy range is reversed: {energy_range!r}")
+    lo, hi = _window(energy_range)
     if n_probe is None:
         n_probe = _default_probes(lo, hi)
     elif n_probe < 1:
@@ -190,9 +201,15 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     lands strictly inside the current bracket, and the midpoint otherwise; a
     flagged false position is retried at the midpoint. When an end is kept
     twice in a row, its stored value is scaled down (Anderson & Bjorck, BIT
-    13, 1973). Converges when the bracket is narrower than tol_e or |F| falls
-    below 1e-12 of its entry scale.
-    This is the lockstep refinement of find_eigenvalues run on one bracket.
+    13, 1973). Converges when the bracket is narrower than tol_e, on an exact
+    zero, or at an iterate where |F| is below 1e-12 of its entry scale and F
+    changes sign within tol_e of it (Brent's tolerance step): the next
+    iteration evaluates the point tol_e past it on its open side. A sign
+    change, a zero or a flagged value there, or an open side narrower than
+    tol_e, returns the iterate. The same sign there means F is flat and the
+    root lies further in: the bracket moves to that point, bisects once and
+    resumes false position.
+    This is the lockstep refinement of roots() run on one bracket.
 
     Raises:
         RefinementError: on iteration runoff, on flagged evaluations at the
@@ -209,21 +226,28 @@ class _Refinement:
 
     flo and fhi are the stored end values that the false position reads;
     Anderson-Bjorck scaling shrinks the one at an end that is kept twice in a
-    row. The true F decides every stopping and dropping test.
+    row. The true F decides every stopping and dropping test. settled is the
+    end where |F| fell below the stop, while the point tol_e past it is
+    checked; bisect makes the next candidate the midpoint.
     """
 
-    def __init__(self, bracket):
+    def __init__(self, bracket, tol_e):
         self.lo, self.hi = bracket.lo, bracket.hi
         self.flo, self.fhi = bracket.f_lo, bracket.f_hi
         self.fscale = max(abs(self.flo), abs(self.fhi))
+        self.tol_e = tol_e
         self.kept = None
+        self.settled = None
+        self.bisect = False
 
     @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
 
     def candidate(self):
-        if self.fhi != self.flo:
+        if self.settled is not None:
+            return self.settled + (self.tol_e if self.settled == self.lo else -self.tol_e)
+        if self.fhi != self.flo and not self.bisect:
             x = self.hi - self.fhi * (self.hi - self.lo) / (self.fhi - self.flo)
             if self.lo < x < self.hi:
                 return x
@@ -235,6 +259,9 @@ class _Refinement:
         Returns the root once converged, the RefinementError that drops the
         bracket, or None while it stays open.
         """
+        if self.settled is not None:
+            return self._check(cand, f)
+        self.bisect = False
         if math.isnan(f):
             return RefinementError(
                 f"flagged evaluation at {cand!r} inside bracket", self.lo, self.hi)
@@ -252,7 +279,25 @@ class _Refinement:
                 self.flo *= _ab_factor(f, self.fhi)
             self.hi, self.fhi, self.kept = cand, f, "lo"
         if abs(f) < 1e-12 * self.fscale:
-            return cand
+            # cand is an end now, so the bracket is its open side
+            if self.hi - self.lo < self.tol_e:
+                return cand
+            self.settled = cand
+        return None
+
+    def _check(self, cand, f):
+        # F at the point tol_e past the settled end: a sign change, a zero or
+        # a flag there ends at that end; the same sign means F is flat and
+        # the root lies further in, so the bracket moves there and bisects
+        settled, self.settled = self.settled, None
+        at_lo = settled == self.lo
+        if math.isnan(f) or f == 0.0 or (f < 0) != ((self.flo if at_lo else self.fhi) < 0):
+            return settled
+        if at_lo:
+            self.lo, self.flo = cand, f
+        else:
+            self.hi, self.fhi = cand, f
+        self.kept, self.bisect = None, True
         return None
 
 
@@ -266,11 +311,12 @@ def _ab_factor(f, f_replaced):
 def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
     # refine_root on every bracket at once: each iteration evaluates every
     # open bracket's candidate in one batch, then retries flagged false
-    # positions at their midpoints in a second. Each bracket keeps its own
-    # iterates, and a batch gives each energy the bits it gets alone.
+    # positions (not the checks past a settled end) at their midpoints in a
+    # second. Each bracket keeps its own iterates, and a batch gives each
+    # energy the bits it gets alone.
     # Returns each bracket's root, or the RefinementError that dropped it.
     out = [br.lo for br in brackets]  # a zero-width bracket is its own root
-    live = {k: _Refinement(br) for k, br in enumerate(brackets) if br.hi != br.lo}
+    live = {k: _Refinement(br, tol_e) for k, br in enumerate(brackets) if br.hi != br.lo}
     for _ in range(max_iter):
         for k, r in list(live.items()):
             if r.hi - r.lo < tol_e:
@@ -280,7 +326,8 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
             break
         cands = {k: r.candidate() for k, r in live.items()}
         fs = dict(zip(cands, _values(char_fn, list(cands.values()))))
-        retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid]
+        retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid
+                 and live[k].settled is None]
         if retry:
             for k, f in zip(retry, _values(char_fn, [live[k].mid for k in retry])):
                 cands[k], fs[k] = live[k].mid, f
@@ -292,6 +339,25 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
     for k, r in live.items():
         out[k] = RefinementError(f"no convergence in {max_iter} iterations", r.lo, r.hi)
     return out
+
+
+def roots(char_fn, brackets, tol_e=1e-10, max_iter=200):
+    """The roots of char_fn that brackets hold, refined in lockstep and sorted.
+
+    A bracket that fails to refine is dropped with a RefinementWarning naming
+    it. A root within 10 tol_e of the one kept before it, in bracket order,
+    is the same level bracketed twice and is dropped.
+    """
+    found = []
+    for br, root in zip(brackets, _refine_lockstep(char_fn, brackets, tol_e, max_iter)):
+        if isinstance(root, RefinementError):
+            warnings.warn(
+                f"bracket [{br.lo:.9g}, {br.hi:.9g}] dropped: {root}", RefinementWarning)
+            continue
+        if found and abs(root - found[-1]) <= 10.0 * tol_e:
+            continue
+        found.append(root)
+    return sorted(found)
 
 
 def characteristic_for(problem, method):
@@ -348,22 +414,12 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
     """
     char_fn = characteristic_for(problem, method)
     window = energy_range if energy_range is not None else problem.energy_range
-    brackets = scan_brackets(char_fn, window, n_probe)
-    roots = []
-    for br, root in zip(brackets, _refine_lockstep(char_fn, brackets, tol_e, max_iter)):
-        if isinstance(root, RefinementError):
-            warnings.warn(
-                f"bracket [{br.lo:.9g}, {br.hi:.9g}] dropped: {root}", RefinementWarning)
-            continue
-        if roots and abs(root - roots[-1]) <= 10.0 * tol_e:
-            continue
-        roots.append(root)
-    roots.sort()
+    energies = roots(char_fn, scan_brackets(char_fn, window, n_probe), tol_e, max_iter)
     assemble = _assemble_cfm if _METHODS[method][0] is cfm_rows else wm_eigenfunction
     # every level's pair from one march through the samples the scan read
-    pairs = canonical_pairs(problem.potential, roots, problem.grid, char_fn.samples)
+    pairs = canonical_pairs(problem.potential, energies, problem.grid, char_fn.samples)
     results = []
-    for root, pair in zip(roots, pairs):
+    for root, pair in zip(energies, pairs):
         try:
             res = assemble(problem, root, pair)
         except SolverError as exc:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boundstates import (
+    Bracket,
     anharmonic,
     box_exact_energy,
     fd_box_dispersion,
@@ -18,9 +19,11 @@ from boundstates import (
     poschl_teller,
     poschl_teller_exact_energies,
     radial,
+    refine_root,
     shooting_reference,
 )
-from boundstates.core import wronskian
+from boundstates.core import CharacteristicFunction, Evaluation, RefinementError, wronskian
+from boundstates.roots import RefinementWarning
 
 CONTINUUM_GROUND = 0.5 * math.pi ** 2
 
@@ -57,10 +60,16 @@ def test_dispersion_validation():
 
 def test_recurrence_vector_closes_at_a_dispersion_eigenvalue():
     N = 50
+    energy = fd_box_dispersion(3, 1.0 / N)
     # even-sublattice samples (j = 0, 2, ..., N) of the recurrence
-    vec = np.array(oracle._recurrence_sweep(N, fd_box_dispersion(3, 1.0 / N)))
-    assert vec[0] == 0.0
+    # phi_{j+2} = (2 - 8 h^2 eps) phi_j - phi_{j-2}
+    a = 2.0 - 8.0 * energy / N ** 2
+    vec = [0.0, 1.0]
+    for _ in range(N // 2 - 1):
+        vec.append(a * vec[-1] - vec[-2])
+    vec = np.array(vec)
     assert abs(vec[-1]) <= 1e-9 * np.max(np.abs(vec))
+    assert oracle._recurrence_ends(N, np.array([energy]))[0] == vec[-1]
 
 
 def test_recurrence_shooting_matches_the_dispersion_formula():
@@ -80,21 +89,25 @@ def test_recurrence_shooting_matches_the_dispersion_formula_on_a_fine_lattice():
 
 
 @pytest.mark.parametrize("N", [100, 400])
-def test_the_recurrence_scan_equals_per_energy_sweeps_bit_for_bit(N):
+def test_the_recurrence_scan_equals_per_energy_sweeps_bit_for_bit(N, monkeypatch):
     # the scan's probes, as fd_box_recurrence_eigenvalues lays them out
     probes = np.linspace(0.0, 0.5 * N * N, max(400, math.ceil(N * N / 25)) + 1)
-    single = [oracle._recurrence_sweep(N, e)[-1] for e in probes]
-    batch = oracle._recurrence_ends(N, probes).tolist()
-    assert [float(v).hex() for v in batch] == [float(v).hex() for v in single]
-    # the roots of a scan that sweeps one probe at a time
     n_max = min(N // 2 - 1, 60)
-    roots = []
-    for lo, hi, fa, fb in zip(probes, probes[1:], single, single[1:]):
-        if len(roots) < n_max and (fa < 0) != (fb < 0):
-            roots.append(oracle._illinois(lambda e: oracle._recurrence_sweep(N, e)[-1],
-                                          lo, hi, fa, fb, 1e-11))
-    assert [float(r).hex() for r in fd_box_recurrence_eigenvalues(N, n_max)] == [
-        float(r).hex() for r in roots]
+    batch = oracle._recurrence_ends(N, probes).tolist()
+    roots = fd_box_recurrence_eigenvalues(N, n_max)
+    # the same solve with every energy swept in a batch of one
+    ends = oracle._recurrence_ends
+    single = []
+
+    def one_at_a_time(n, energies):
+        out = np.array([ends(n, np.array([e]))[0] for e in energies])
+        single.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(oracle, "_recurrence_ends", one_at_a_time)
+    alone = fd_box_recurrence_eigenvalues(N, n_max)
+    assert [float(v).hex() for v in batch] == [float(v).hex() for v in single[:len(probes)]]
+    assert [float(r).hex() for r in roots] == [float(r).hex() for r in alone]
 
 
 def test_recurrence_eigenvalue_validation():
@@ -234,8 +247,9 @@ SHOOTING_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
 def test_every_oracle_march_ends_on_the_bits_of_a_batch_of_one(case, monkeypatch):
-    # the probe lattice is marched as one batch and each root-finder iterate
-    # alone; an energy must end on the same bits either way
+    # the probe lattice is marched as one batch and the iterates of the open
+    # brackets as one batch per refinement iteration; an energy must end on
+    # the same bits in any of them as alone
     make, window, n_probe, n_levels, dense = SHOOTING_CASES[case]
     march = oracle._rk4
     calls = []
@@ -248,12 +262,37 @@ def test_every_oracle_march_ends_on_the_bits_of_a_batch_of_one(case, monkeypatch
     monkeypatch.setattr(oracle, "_rk4", recording)
     roots = shooting_reference(make(), window, n_probe=n_probe, dense_factor=dense)
     assert len(roots) == n_levels
-    assert [len(e2) for *_, e2, _, _ in calls] == [n_probe + 1] + [1] * (len(calls) - 1)
-    assert len(calls) > 1
+    assert [len(e2) for *_, e2, _, _ in calls[:2]] == [n_probe + 1, n_levels]
+    assert all(len(e2) <= n_levels for *_, e2, _, _ in calls[1:])
     for y, p, e2, grid, ends in calls:
         for i in range(len(e2)):
             alone = march([y[i]], [p[i]], [e2[i]], *grid)
             assert [float(a[0]).hex() for a in alone] == [float(b[i]).hex() for b in ends]
+
+
+@pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
+def test_each_refinement_iteration_marches_every_open_bracket_together(case, monkeypatch):
+    # after the probe batch, each march holds one iterate of every bracket
+    # still open, in bracket order, and a closed bracket is not marched again
+    make, window, n_probe, n_levels, dense = SHOOTING_CASES[case]
+    march = oracle._rk4
+    batches = []
+
+    def recording(y, p, e2, *grid):
+        batches.append([0.5 * e for e in e2])
+        return march(y, p, e2, *grid)
+
+    monkeypatch.setattr(oracle, "_rk4", recording)
+    roots = shooting_reference(make(), window, n_probe=n_probe, dense_factor=dense)
+    assert len(roots) == n_levels
+    assert len(batches[0]) == n_probe + 1
+    # each iterate lies in its bracket, a probe cell holding one root
+    held = [[min(range(n_levels), key=lambda k: abs(roots[k] - e)) for e in batch]
+            for batch in batches[1:]]
+    assert held[0] == list(range(n_levels))
+    for now, then in zip(held, held[1:]):
+        assert now == sorted(set(now))
+        assert set(then) <= set(now)
 
 
 @pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
@@ -311,12 +350,14 @@ def test_an_exact_zero_on_a_probe_is_one_root_where_it_brackets_a_level(k, monke
     (lambda x: -1.0 if x < 0.5 else 1.0, 0.0),
 ], ids=["non-finite-iterate", "steps-run-out"])
 def test_the_root_finder_returns_no_root_it_did_not_close(f, tol):
-    assert oracle._illinois(f, 0.0, 1.0, f(0.0), f(1.0), tol) is None
+    fn = CharacteristicFunction(lambda e: Evaluation(f(e)), label="synthetic")
+    with pytest.raises(RefinementError):
+        refine_root(fn, Bracket(0.0, 1.0, f(0.0), f(1.0)), tol_e=tol)
 
 
 def test_shooting_reference_warns_when_a_bracket_is_dropped(monkeypatch):
     # every root-finder march past the probe lattice ends non-finite, so both
-    # brackets are dropped and said to be, not closed on a midpoint
+    # brackets are dropped and each is said to be, not closed on a midpoint
     make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
     calls = [0]
 
@@ -325,12 +366,15 @@ def test_shooting_reference_warns_when_a_bracket_is_dropped(monkeypatch):
         return wronskian(*args) if calls[0] <= n_probe + 1 else math.nan
 
     monkeypatch.setattr(oracle, "wronskian", nan_past_the_probes)
-    with pytest.warns(UserWarning, match=f"{n_levels} bracket\\(s\\) dropped"):
+    with pytest.warns(RefinementWarning) as record:
         assert shooting_reference(make(), window, n_probe=n_probe) == []
+    messages = [str(w.message) for w in record]
+    assert len(messages) == n_levels
+    assert all("dropped: flagged evaluation" in m for m in messages)
 
 
 def test_shooting_reference_needs_few_marches_per_root(monkeypatch):
-    # every closing past the probe lattice is one root-finder march; plain
+    # every closing past the probe lattice is one root-finder iterate; plain
     # bisection from a 1/16-wide cell to the 1e-10 width takes 30 per root
     closings = []
 
@@ -346,11 +390,21 @@ def test_shooting_reference_needs_few_marches_per_root(monkeypatch):
     assert len(closings) - (n_probe + 1) <= 10 * len(roots)
 
 
+@pytest.mark.parametrize("dense_factor", [-1, 0, 2.5])
+def test_shooting_reference_rejects_a_dense_factor_that_is_not_a_positive_integer(dense_factor):
+    problem = poschl_teller(2.5, h=0.02, x_right=5.0)
+    with pytest.raises(ValueError, match="dense_factor must be a positive integer"):
+        shooting_reference(problem, (-2.5, 0.0), n_probe=10, dense_factor=dense_factor)
+
+
 @pytest.mark.parametrize("window, n_probe, match", [
+    ((-2.5, math.inf), None, "energy window must be finite"),
+    ((-2.5, math.inf), 10, "energy window must be finite"),
+    ((math.nan, 0.0), 10, "energy window must be finite"),
     ((0.0, -2.5), 10, "energy range is reversed"),
     ((-2.5, 0.0), 0, "need at least one probe cell"),
     ((-2.5, 0.0), -3, "need at least one probe cell"),
-], ids=["reversed", "no-cell", "negative-cells"])
+], ids=["infinite", "infinite-10-cells", "nan", "reversed", "no-cell", "negative-cells"])
 def test_shooting_reference_rejects_a_reversed_range_or_no_probe_cell(window, n_probe, match):
     problem = poschl_teller(2.5, h=0.02, x_right=5.0)
     with pytest.raises(ValueError, match=match):
@@ -403,12 +457,13 @@ def test_quartic_shooting_roots_are_distinct_fd_levels(quartic_shooting):
 
 
 def test_shooting_reference_warns_when_probes_end_non_finite(quartic_shooting):
-    # a non-finite probe leaves its cells unbracketed, so levels there are
-    # lost; the count must be reported, and a clean lattice stays silent
+    # a run of non-finite probes leaves its cells unbracketed, so levels
+    # there are lost; each run must be reported, and a clean lattice stays
+    # silent
     _, caught = quartic_shooting
-    assert [str(w.message) for w in caught if w.category is UserWarning] == [
-        "shooting_reference: 729 of 801 probe marches ended non-finite; "
-        "levels next to them are lost"]
+    assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == [
+        f"every probe from {a} to {b} was flagged; levels in that span are not bracketed"
+        for a, b in (("0", "87.25"), ("87.75", "91.375"))]
     make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -187,6 +187,18 @@ def test_scan_range_validation():
     assert scan_brackets(fn, (1.0, 1.0)) == []
 
 
+@pytest.mark.parametrize("window", [(-2.5, math.inf), (-math.inf, 0.0), (math.nan, 0.0)],
+                         ids=["inf-hi", "inf-lo", "nan"])
+@pytest.mark.parametrize("n_probe", [None, 10])
+def test_a_non_finite_window_is_rejected_by_name(window, n_probe):
+    fn = _plain(lambda e: e)
+    with pytest.raises(ValueError, match="energy window must be finite"):
+        scan_brackets(fn, window, n_probe)
+    with pytest.raises(ValueError, match="energy window must be finite"):
+        find_eigenvalues(poschl_teller(2.5, h=0.02, x_right=5.0), energy_range=window,
+                         n_probe=n_probe)
+
+
 def test_scan_probes_as_many_cells_as_asked():
     energies = []
 
@@ -208,15 +220,17 @@ def test_refine_degenerate_bracket_returns_its_point():
     assert refine_root(fn, Bracket(2.0, 2.0, 0.0, 0.0)) == 2.0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: the stop |F| < 1e-12 of the entry |F| fires where F is "
-    "flat while the bracket is still wide, and returns 0.0999189"))
-def test_refinement_reaches_a_root_where_f_is_flat():
+@pytest.mark.parametrize("power", [3, 5])
+def test_refinement_reaches_a_root_where_f_is_flat(power):
+    # |F| falls below 1e-12 of its entry scale up to 1e-4 (cube) or 4e-3
+    # (fifth power) from the root, where the bracket is still wide
     def f(e):
-        return (e - 0.1) ** 3
+        return (e - 0.1) ** power
 
-    root = refine_root(_plain(f), Bracket(0.0, 1.0, f(0.0), f(1.0)), tol_e=1e-14)
+    fn, bracket = _plain(f), Bracket(0.0, 1.0, f(0.0), f(1.0))
+    root = refine_root(fn, bracket, tol_e=1e-14)
     assert abs(root - 0.1) <= 1e-10
+    assert _outcome(root) == _outcome(_scalar_refine(fn, bracket, tol_e=1e-14))
 
 
 def _one_by_one(char_fn, brackets, **kwargs):
@@ -233,17 +247,35 @@ def _one_by_one(char_fn, brackets, **kwargs):
 def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
     # the reference: one bracket's Anderson-Bjorck false position, evaluating
     # one energy at a time through char_fn(e). flo and fhi are the stored
-    # values the false position reads; the true F decides every test
+    # values the false position reads; the true F decides every test. Where
+    # |F| falls below the stop at an end, the next iteration checks the
+    # point tol_e past it: the same sign there moves that end to it and
+    # makes the iteration after a bisection
     lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if hi == lo:
         return lo
     fscale = max(abs(flo), abs(fhi))
     kept = None
+    settled = None
+    bisect = False
     for _ in range(max_iter):
         if hi - lo < tol_e:
             return 0.5 * (lo + hi)
+        if settled is not None:
+            at_lo = settled == lo
+            x = settled + tol_e if at_lo else settled - tol_e
+            f = char_fn(x)
+            f_end = flo if at_lo else fhi
+            if math.isnan(f) or f == 0.0 or (f < 0) != (f_end < 0):
+                return settled
+            if at_lo:
+                lo, flo = x, f
+            else:
+                hi, fhi = x, f
+            settled, kept, bisect = None, None, True
+            continue
         mid = cand = 0.5 * (lo + hi)
-        if fhi != flo:
+        if fhi != flo and not bisect:
             x = hi - fhi * (hi - lo) / (fhi - flo)
             if lo < x < hi:
                 cand = x
@@ -251,6 +283,7 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
         if math.isnan(f) and cand != mid:
             cand = mid
             f = char_fn(cand)
+        bisect = False
         if math.isnan(f):
             return RefinementError(f"flagged evaluation at {cand!r} inside bracket", lo, hi)
         if abs(f) > 1e3 * fscale:
@@ -269,7 +302,9 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
                 flo *= m if m > 0.0 else 0.5
             hi, fhi, kept = cand, f, "lo"
         if abs(f) < 1e-12 * fscale:
-            return cand
+            if hi - lo < tol_e:
+                return cand
+            settled = cand
     return RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
 
 
@@ -341,8 +376,8 @@ def test_lockstep_refinement_equals_one_bracket_at_a_time(name):
 
 
 def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
-    # over 300 probes, four iterations refine 18 of the 25 quartic brackets
-    # and drop the other seven; the warnings name them as one-at-a-time
+    # over 300 probes, four iterations refine 8 of the 25 quartic brackets
+    # and drop the other 17; the warnings name them as one-at-a-time
     # refinement would
     problem, method, window, _ = LOCKSTEP_SOLVES["quartic-cfm"]
     fn = characteristic_for(problem, method)
@@ -352,7 +387,7 @@ def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
         alone = _one_by_one(fn, brackets, max_iter=4)
     dropped = [k for k, o in enumerate(alone) if isinstance(o, RefinementError)]
     assert len(alone) == 25
-    assert dropped == [4, 6, 8, 12, 16, 20, 22]
+    assert dropped == [1, 2, 4, 5, 6, 7, 8, 10, 12, 13, 14, 15, 16, 18, 20, 22, 24]
     expected = [str(w.message) for w in record] + [
         f"bracket [{b.lo:.9g}, {b.hi:.9g}] dropped: {o}"
         for b, o in zip(brackets, alone) if isinstance(o, RefinementError)]
@@ -360,7 +395,7 @@ def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
         warnings.simplefilter("always")
         results = find_eigenvalues(problem, method, window, 300, max_iter=4)
     assert [str(w.message) for w in record if w.category is RefinementWarning] == expected
-    assert len(expected) == 7
+    assert len(expected) == 17
     assert [r.energy for r in results] == [a for a in alone if not isinstance(a, RefinementError)]
 
 
@@ -379,12 +414,12 @@ def _counted_marches(monkeypatch):
 
 def test_quartic_refinement_marches_once_per_iteration(monkeypatch):
     # the scan, then one batched march per lockstep iteration over all 25
-    # brackets: 7 marches
+    # brackets, the last checking the stops: 8 marches
     calls = _counted_marches(monkeypatch)
     problem = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
     results = find_eigenvalues(problem, "cfm", (0.0, 100.0), 200)
     assert len(results) == 25
-    assert calls[0] <= 7
+    assert calls[0] <= 8
 
 
 @pytest.mark.parametrize("problem, method, window, n_probe, levels, most", [
