@@ -3,8 +3,8 @@
 CFM's condition l+ = l-, where l = C/S at each grid end, is C_L S_R - C_R S_L
 = 0: the determinant of the rows (C_L, S_L) and (C_R, S_R), the Wronskians of
 C and S with a wall solution (value 0, slope -1) at each end. So CFM is WM's
-determinant (wm.py) with wall references, with no ratio poles; on a reflected
-grid its F has the sign and the zeros of C_R S_R. The wall rows are (C, S)
+determinant (wm.py) with wall references, with no ratio poles; on a symmetric
+problem its factors are C_R and S_R over |(C_R, S_R)|. The wall rows are (C, S)
 as read, not wm.row's 0 * C' + C, NaN once C' has overflowed and C has not.
 A half line's regular origin (REGULAR_ORIGIN), where psi goes as r^(l+1),
 takes the wm.row of its origin reference instead.

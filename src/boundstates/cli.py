@@ -269,6 +269,8 @@ def build_problem(args, command):
     symmetric = bool(args.parity)
     nr = args.nr if args.nr is not None else 500
     nl = args.nl if args.nl is not None else (0 if symmetric else nr)
+    if symmetric and nl not in (0, nr):
+        raise ValueError(f"--parity needs --nl 0 or --nl equal to --nr ({nr}), got {nl}")
     grid = make_grid(0.0, h, nl, nr)
     spec = PotentialSpec(evaluate=v, parity_invariant=symmetric)
     if rng is None:

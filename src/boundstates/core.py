@@ -161,8 +161,9 @@ class Problem:
 
     @property
     def symmetric(self):
-        """True when the even/odd machinery applies."""
-        return self.potential.parity_invariant and self.grid.x0 == 0.0
+        """True when the even/odd machinery applies: v even, x0 = 0, a half or mirrored grid."""
+        g = self.grid
+        return self.potential.parity_invariant and g.x0 == 0.0 and g.n_left in (0, g.n_right)
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,9 @@ class Evaluation:
 class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.
 
-    evaluate() returns the flagged form; plain calls collapse flagged
-    evaluations to NaN. evaluate_many() gives evaluate() at each of many
+    evaluate() returns the flagged form, an Evaluation or a tuple of them, one
+    per factor (roots.py); plain calls collapse a flagged Evaluation to NaN.
+    evaluate_many() gives evaluate() at each of many
     energies; `many`, when given, computes that list for a numpy vector of
     energies in one batch, and must match evaluate() at each energy. Scans
     and refinement call evaluate_many(): refinement evaluates one candidate

@@ -158,10 +158,10 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     """Bound-state energies by shooting on a denser grid.
 
     Integrates rightward from the left boundary with the convergent-member
-    start and finds the sign changes of W(R_c, phi) at the right end. Runs at
-    grid.h / dense_factor, a positive integer. Symmetric half-grid problems
-    are shot across the full reflected span. v is sampled once per call, at
-    the 2 n + 1 points the march reads. The march takes RK4 steps 1024 at a
+    start and finds the sign changes of W(R_c, phi) at the right end, at
+    grid.h / dense_factor (a positive integer) across the solver's span,
+    [-x_right, x_right] on a symmetric problem. v is sampled once per call,
+    at the 2 n + 1 points the march reads. The march takes RK4 steps 1024 at a
     time: each step's 2x2 matrix is the RK4 step applied to the unit states,
     and a block's matrices are multiplied out pairwise and applied to the
     state, so only the state can overflow, never an RK4 stage. Energies are
@@ -180,12 +180,9 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     dense_factor = int(dense_factor)
     grid = problem.grid
     h = grid.h / dense_factor
-    if problem.symmetric:
-        x_start = -grid.x_right
-        n = 2 * dense_factor * grid.n_right
-    else:
-        x_start = grid.x_left
-        n = dense_factor * (grid.n_left + grid.n_right)
+    n_left = grid.n_right if problem.symmetric else grid.n_left
+    x_start = grid.x0 - n_left * grid.h
+    n = dense_factor * (n_left + grid.n_right)
     x_end = x_start + n * h
     v = problem.potential.evaluate
     asym = problem.asymptotics

@@ -1,10 +1,15 @@
 """The method table, bracket scanning and root refinement.
 
 One table maps each method name to its two boundary rows (wm.py, cfm.py),
-the entry of the right row a parity method reads, and the check that a
+the parity factors it reads on a symmetric problem, and the check that a
 problem admits it. characteristic_for builds every characteristic function
 from it, each the scale-free F of wm.boundary_value, and find_eigenvalues
 assembles the levels of a solve from one kept march over its roots.
+
+On a symmetric problem a method's value is its parity factors (see
+characteristic_for). Their product, the determinant, changes sign twice at an
+even and an odd level inside one probe cell, where each factor changes sign
+once; so the scan brackets each factor, and each Bracket carries its factor.
 
 No built-in F has poles, but a caller's function may: an endpoint ratio
 changes sign at poles as well as at roots. A simple zero shrinks |F| as the
@@ -12,16 +17,13 @@ probes close in; a pole grows it. Sign changes whose flanks grow toward the
 crossing are subdivided tenfold and judged by that zoom trend, and
 refinement aborts a bracket whose |F| runs past 1e3 times its entry scale.
 
-Refinement is Anderson-Bjorck false position: between its poles F is smooth,
-so the false position closes a bracket in a few steps, and scaling the value
-at an end kept twice in a row keeps both ends moving. A small |F| ends it
-only where F changes sign within tol_e, so a flat F does not stop it short.
-roots() runs every bracket of a solve in lockstep: each iteration evaluates
-all open brackets' candidates in one batch, so a solve marches once per
-iteration rather than once per bracket per iteration. Each bracket keeps the
-iterates it would have alone, and a batch gives every energy the same bits
-as a batch of one, so the roots do not depend on what else is refined. The
-solver and the oracles all close their brackets through roots().
+Refinement is Anderson-Bjorck false position (refine_root), closing a
+bracket of smooth F in a few steps. roots() runs every bracket of a solve, of
+either factor, in lockstep: each iteration evaluates all open brackets'
+candidates in one batch, so a solve marches once per iteration. Each bracket
+keeps the iterates it would have alone, and a batch gives every energy the
+same bits as a batch of one, so the roots do not depend on what else is
+refined. The solver and the oracles all close their brackets through roots().
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .wm import assemble_eigenresult, boundary_value, wm_eigenfunction, wm_rows
 
 def _symmetric(problem):
     if not problem.symmetric:
-        raise ValueError("even/odd splitting needs a parity invariant potential with x0 = 0")
+        raise ValueError("even/odd splitting needs a parity invariant potential on a half or "
+                         f"mirrored grid about x0 = 0, got {problem.grid}")
 
 
 def _hard_walls(problem):
@@ -52,14 +55,14 @@ def _hard_walls(problem):
         raise ValueError("the two-wall determinant needs hard walls on both sides")
 
 
-# method -> (rows of one energy's Endpoints, the entry of r_R a parity method
-# reads or None, check that raises ValueError on a problem it does not fit)
+# method -> (rows of one energy's Endpoints, the parity factors it reads on a
+# symmetric problem, 0 even and 1 odd, check that raises ValueError on a problem it does not fit)
 _METHODS = {
-    "wm": (wm_rows, None, None),
-    "wm-even": (wm_rows, 0, _symmetric),
-    "wm-odd": (wm_rows, 1, _symmetric),
-    "cfm": (cfm_rows, None, None),
-    "dirichlet": (cfm_rows, None, _hard_walls),
+    "wm": (wm_rows, (0, 1), None),
+    "wm-even": (wm_rows, (0,), _symmetric),
+    "wm-odd": (wm_rows, (1,), _symmetric),
+    "cfm": (cfm_rows, (0, 1), None),
+    "dirichlet": (cfm_rows, (0, 1), _hard_walls),
 }
 METHODS = tuple(_METHODS)
 
@@ -80,6 +83,7 @@ class Bracket:
 
     pole_suspect marks sign changes the zoom test attributed to a pole; no
     built-in method has poles, so find_eigenvalues refines every bracket.
+    factor indexes the value's factor tuple (0 where it does not factor).
     """
 
     lo: float
@@ -87,11 +91,13 @@ class Bracket:
     f_lo: float
     f_hi: float
     pole_suspect: bool = False
+    factor: int = 0
 
 
 def _values(char_fn, energies):
-    # F at each energy in one batch, flagged evaluations as NaN
-    return [ev.value if ev.ok else math.nan for ev in char_fn.evaluate_many(energies)]
+    # each energy's factors (F alone where it does not factor), flagged ones NaN
+    return [tuple(ev.value if ev.ok else math.nan for ev in evs) if isinstance(evs, tuple)
+            else (evs.value if evs.ok else math.nan,) for evs in char_fn.evaluate_many(energies)]
 
 
 def _default_probes(lo, hi):
@@ -110,16 +116,16 @@ def _window(energy_range):
 
 
 def scan_brackets(char_fn, energy_range, n_probe=None):
-    """Probe uniformly and collect sign-change brackets.
+    """Probe uniformly and collect sign-change brackets, factor by factor.
 
     n_probe cells of equal width are probed at their n_probe + 1 edges.
     Flagged probes (poles, overflow, degenerate asymptotics) are skipped; a
     sign change spanning skipped probes is subdivided before acceptance, and
-    a run of two or more flagged probes, which covers a whole cell, gives a
+    a run of two or more flagged probes, which covers a whole cell, gives one
     RefinementWarning naming its span. An exact zero on a probe is bracketed
     by its nearest unflagged neighbours on each side, or is a zero-width
-    bracket when one side has none (a zero on a window edge).
-    Returns brackets in energy order, pole-suspect ones included but marked.
+    bracket when one side has none (a zero on a window edge). Returns every
+    factor's brackets in energy order, pole-suspect ones included but marked.
     A non-finite or reversed range, or fewer than one probe cell, raises
     ValueError.
     """
@@ -131,35 +137,32 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     if lo == hi:
         return []
     eps = np.linspace(lo, hi, int(n_probe) + 1)
-    values = _values(char_fn, eps)
+    rows = _values(char_fn, eps)
     # a run of flagged probes that spans a whole cell hides any level in it
     start = 0
-    for good, run in itertools.groupby(not math.isnan(v) for v in values):
+    for good, run in itertools.groupby(not any(map(math.isnan, row)) for row in rows):
         n = len(list(run))
         if not good and n > 1:
             warnings.warn(f"every probe from {eps[start]:.9g} to {eps[start + n - 1]:.9g} "
                           "was flagged; levels in that span are not bracketed",
                           RefinementWarning)
         start += n
-    ok = [i for i, v in enumerate(values) if not math.isnan(v)]
     brackets = []
-    for p, q in _sign_changes(values, ok):
-        a, b = ok[p], ok[q]
-        fa, fb = values[a], values[b]
-        if q != p + 1:
-            # an exact hit, bracketed by its neighbours or by itself
-            brackets.append(Bracket(float(eps[a]), float(eps[b]), fa, fb))
-            continue
-        gap = b - a > 1
-        f_prev = values[ok[p - 1]] if p > 0 else None
-        f_next = values[ok[q + 1]] if q + 1 < len(ok) else None
-        growing = (f_prev is not None and abs(fa) > SUSPECT_GROWTH * abs(f_prev)
-                   and f_next is not None and abs(fb) > SUSPECT_GROWTH * abs(f_next))
-        if gap or growing:
-            brackets.extend(_subdivide(char_fn, float(eps[a]), float(eps[b]), fa, fb))
-        else:
-            brackets.append(Bracket(float(eps[a]), float(eps[b]), fa, fb))
-    return brackets
+    for factor, values in enumerate(zip(*rows)):
+        ok = [i for i, v in enumerate(values) if not math.isnan(v)]
+        for p, q in _sign_changes(values, ok):
+            a, b = ok[p], ok[q]
+            fa, fb = values[a], values[b]
+            f_prev = values[ok[p - 1]] if p > 0 else None
+            f_next = values[ok[q + 1]] if q + 1 < len(ok) else None
+            growing = (f_prev is not None and abs(fa) > SUSPECT_GROWTH * abs(f_prev)
+                       and f_next is not None and abs(fb) > SUSPECT_GROWTH * abs(f_next))
+            # an exact hit (q > p + 1) is bracketed as found, by its neighbours or itself
+            if q == p + 1 and (b - a > 1 or growing):
+                brackets.extend(_subdivide(char_fn, float(eps[a]), float(eps[b]), fa, fb, factor))
+            else:
+                brackets.append(Bracket(float(eps[a]), float(eps[b]), fa, fb, factor=factor))
+    return sorted(brackets, key=lambda br: br.lo)  # stable: factors keep their order
 
 
 def _sign_changes(values, ok):
@@ -178,11 +181,11 @@ def _sign_changes(values, ok):
                 yield p, p + 1
 
 
-def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi):
-    # zoom in tenfold and judge each inner sign change by whether the
-    # crossing-adjacent magnitudes grew (pole) or shrank (root)
+def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi, factor=0):
+    # zoom in tenfold on one factor and judge each inner sign change by
+    # whether the crossing-adjacent magnitudes grew (pole) or shrank (root)
     sub = np.linspace(e_lo, e_hi, 11)
-    vals = [f_lo] + _values(char_fn, sub[1:-1]) + [f_hi]
+    vals = [f_lo] + [row[factor] for row in _values(char_fn, sub[1:-1])] + [f_hi]
     outer_floor = min(abs(f_lo), abs(f_hi))
     idx = [i for i, v in enumerate(vals) if not math.isnan(v)]
     out = []
@@ -190,26 +193,21 @@ def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi):
         i, j = idx[p], idx[q]
         fi, fj = vals[i], vals[j]
         suspect = min(abs(fi), abs(fj)) > outer_floor
-        out.append(Bracket(float(sub[i]), float(sub[j]), fi, fj, pole_suspect=suspect))
+        out.append(Bracket(float(sub[i]), float(sub[j]), fi, fj, suspect, factor))
     return out
 
 
 def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     """Shrink a bracket to a root by Anderson-Bjorck false position.
 
-    Each iteration takes the false position of the stored end values when it
-    lands strictly inside the current bracket, and the midpoint otherwise; a
-    flagged false position is retried at the midpoint. When an end is kept
-    twice in a row, its stored value is scaled down (Anderson & Bjorck, BIT
-    13, 1973). Converges when the bracket is narrower than tol_e, on an exact
-    zero, or at an iterate where |F| is below 1e-12 of its entry scale and F
-    changes sign within tol_e of it (Brent's tolerance step): the next
-    iteration evaluates the point tol_e past it on its open side. A sign
-    change, a zero or a flagged value there, or an open side narrower than
-    tol_e, returns the iterate. The same sign there means F is flat and the
-    root lies further in: the bracket moves to that point, bisects once and
-    resumes false position.
-    This is the lockstep refinement of roots() run on one bracket.
+    The lockstep refinement of roots() run on one bracket (see _Refinement):
+    the false position of the stored end values, or the midpoint where it
+    falls outside the bracket or is flagged, scaling the stored value at an
+    end kept twice in a row (Anderson & Bjorck, BIT 13, 1973). Converges when
+    the bracket is narrower than tol_e, on an exact zero, or at an iterate
+    where |F| is below 1e-12 of its entry scale and F changes sign within
+    tol_e of it (Brent's tolerance step). Where F keeps its sign there, F is
+    flat: the bracket moves to that point, bisects once and resumes.
 
     Raises:
         RefinementError: on iteration runoff, on flagged evaluations at the
@@ -310,10 +308,10 @@ def _ab_factor(f, f_replaced):
 
 def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
     # refine_root on every bracket at once: each iteration evaluates every
-    # open bracket's candidate in one batch, then retries flagged false
-    # positions (not the checks past a settled end) at their midpoints in a
-    # second. Each bracket keeps its own iterates, and a batch gives each
-    # energy the bits it gets alone.
+    # open bracket's candidate, whatever its factor, in one batch, then
+    # retries flagged false positions (not the checks past a settled end) at
+    # their midpoints in a second. Each bracket keeps its own iterates and
+    # reads its own factor, and a batch gives each energy the bits it gets alone.
     # Returns each bracket's root, or the RefinementError that dropped it.
     out = [br.lo for br in brackets]  # a zero-width bracket is its own root
     live = {k: _Refinement(br, tol_e) for k, br in enumerate(brackets) if br.hi != br.lo}
@@ -325,12 +323,13 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
         if not live:
             break
         cands = {k: r.candidate() for k, r in live.items()}
-        fs = dict(zip(cands, _values(char_fn, list(cands.values()))))
+        rows = _values(char_fn, list(cands.values()))
+        fs = {k: row[brackets[k].factor] for k, row in zip(cands, rows)}
         retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid
                  and live[k].settled is None]
         if retry:
-            for k, f in zip(retry, _values(char_fn, [live[k].mid for k in retry])):
-                cands[k], fs[k] = live[k].mid, f
+            for k, row in zip(retry, _values(char_fn, [live[k].mid for k in retry])):
+                cands[k], fs[k] = live[k].mid, row[brackets[k].factor]
         for k in cands:
             done = live[k].update(cands[k], fs[k])
             if done is not None:
@@ -345,18 +344,17 @@ def roots(char_fn, brackets, tol_e=1e-10, max_iter=200):
     """The roots of char_fn that brackets hold, refined in lockstep and sorted.
 
     A bracket that fails to refine is dropped with a RefinementWarning naming
-    it. A root within 10 tol_e of the one kept before it, in bracket order,
-    is the same level bracketed twice and is dropped.
+    it. A root within 10 tol_e of the last one kept of its factor is the same
+    level bracketed twice and is dropped; an even and an odd level may be closer.
     """
-    found = []
+    found, last = [], {}
     for br, root in zip(brackets, _refine_lockstep(char_fn, brackets, tol_e, max_iter)):
         if isinstance(root, RefinementError):
             warnings.warn(
                 f"bracket [{br.lo:.9g}, {br.hi:.9g}] dropped: {root}", RefinementWarning)
-            continue
-        if found and abs(root - found[-1]) <= 10.0 * tol_e:
-            continue
-        found.append(root)
+        elif abs(root - last.get(br.factor, math.inf)) > 10.0 * tol_e:
+            found.append(root)
+            last[br.factor] = root
     return sorted(found)
 
 
@@ -365,21 +363,25 @@ def characteristic_for(problem, method):
 
     v is sampled once and kept as .samples. evaluate_many() marches a batch
     endpoint-only through them and takes F of the method's rows at each
-    energy; evaluate() is evaluate_many() of one energy.
+    energy; evaluate() is evaluate_many() of one energy. On a symmetric
+    problem the value is instead its parity factors, F against the origin row
+    of psi'(0) = 0 or psi(0) = 0, read from r_R (wm.boundary_value): the tuple
+    (even, odd) for wm, cfm and dirichlet, one of them for wm-even and wm-odd.
 
     Raises:
         ValueError: for an unknown method, or a problem it does not apply to.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    rows, entry, check = _METHODS[method]
+    rows, factors, check = _METHODS[method]
     if check is not None:
         check(problem)
+    factors = factors if problem.symmetric else None
     pot, grid = problem.potential, problem.grid
     samples = sample_potential(pot, grid)
 
     def many(energies):
-        return [boundary_value(rows, problem, ends, entry)
+        return [boundary_value(rows, problem, ends, factors)
                 for ends in canonical_endpoints(pot, energies, grid, samples)]
 
     return CharacteristicFunction(lambda e: many(np.array([e]))[0], label=method,
@@ -406,6 +408,8 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
         energy_range: scan window; defaults to problem.energy_range.
         n_probe: probe cells; defaults to 200 per 10 units of energy.
         tol_e: refinement width tolerance.
+
+    On a symmetric problem wm's levels are wm-even's and wm-odd's together, bit for bit.
 
     Returns:
         EigenResults sorted by energy and indexed by position. Brackets that

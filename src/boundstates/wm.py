@@ -10,9 +10,9 @@ x_right, read by references; their rows r_L and r_R are wm_rows. CFM's
 F divides each row by its larger entry and takes det(r_L, r_R) / (|r_L| |r_R|),
 the sine of the angle between them: no poles, no overflow while the rows are
 finite, and every bit kept when one side's pair is scaled by a power of two.
-On a reflected grid F factors into the entries of r_R, W(R_c, C) for the even
-levels and W(R_c, S) for the odd ones; wm-even and wm-odd read one entry of
-r_R / |r_R|. Every level is assembled from its method's rows, read once.
+On a symmetric problem F against the origin row of psi'(0) = 0, (0, -1), or
+of psi(0) = 0, (1, 0), is W(R_c, C) or W(R_c, S) over |r_R|, the even or the
+odd factor. Every level is assembled from its method's rows, read once.
 """
 
 from __future__ import annotations
@@ -81,31 +81,36 @@ def _scaled(a, b):
     return a, b, a * a + b * b
 
 
-def boundary_value(rows, problem, ends, entry=None):
+def boundary_value(rows, problem, ends, factors=None):
     """F of one energy's Endpoints from a method's rows(problem, ends), as an Evaluation.
 
-    With entry, the parity factor: that entry of r_R / |r_R|. Flagged "overflow"
+    With factors, 0 (even) or 1 (odd), the parity factors: F against the
+    origin row of each in place of r_L, which is that entry of r_R / |r_R|;
+    one Evaluation for one factor, their tuple for two. Flagged "overflow"
     where a row is not finite, "degenerate" where it or an asymptotic pair is.
     """
     try:
         row_l, row_r = rows(problem, ends)
     except DegenerateAsymptoticsError:
-        return Evaluation(math.nan, "degenerate")
-    return _sine(row_l, row_r, entry)
+        row_l = row_r = (0.0, 0.0)  # flagged as a zero row is
+    values = _sine(row_l, row_r, factors)
+    return values[0] if len(values) == 1 else tuple(values)
 
 
-def _sine(row_l, row_r, entry=None):
-    # boundary_value of rows in hand: each row is checked, left first
-    for a, b in (row_l, row_r) if entry is None else (row_r,):
+def _sine(row_l, row_r, factors=None):
+    # boundary_value of rows in hand, as a list: each row is checked, left
+    # first, but with factors r_R alone, whose entries they read
+    n = len(factors) if factors is not None else 1
+    for a, b in (row_l, row_r) if factors is None else (row_r,):
         if not (math.isfinite(a) and math.isfinite(b)):
-            return Evaluation(math.nan, "overflow")
+            return [Evaluation(math.nan, "overflow")] * n
         if a == 0.0 and b == 0.0:
-            return Evaluation(math.nan, "degenerate")
+            return [Evaluation(math.nan, "degenerate")] * n
     ar, br, nr = _scaled(*row_r)
-    if entry is not None:
-        return Evaluation((ar, br)[entry] / math.sqrt(nr))
+    if factors is not None:
+        return [Evaluation((ar, br)[f] / math.sqrt(nr)) for f in factors]
     al, bl, nl = _scaled(*row_l)
-    return Evaluation((al * br - ar * bl) / math.sqrt(nl * nr))
+    return [Evaluation((al * br - ar * bl) / math.sqrt(nl * nr))]
 
 
 def wm_value(problem, ends):
@@ -115,7 +120,7 @@ def wm_value(problem, ends):
 
 def wm_value_symmetric(problem, ends, parity):
     """WM parity factor, W(R_c, C) or W(R_c, S) over |r_R|, from one energy's Endpoints."""
-    return boundary_value(wm_rows, problem, ends, ("even", "odd").index(parity))
+    return boundary_value(wm_rows, problem, ends, (("even", "odd").index(parity),))
 
 
 def wm_eigenfunction(problem, root, pair=None):
@@ -142,7 +147,7 @@ def assemble_eigenresult(problem, rows, pair):
     x, c, dc, s, ds, v, ends = pair
     (lc, w_l), (rc, w_r) = references(problem, ends)
     row_l, row_r = rows(problem, ends)
-    f = _sine(row_l, row_r)
+    (f,) = _sine(row_l, row_r)
     if not f.ok:
         raise DegenerateRootError(f"boundary rows {f.flag} at energy {ends.energy!r}")
     a, b, n = _scaled(*max((row_l, row_r), key=lambda r: max(abs(r[0]), abs(r[1]))))

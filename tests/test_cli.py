@@ -460,6 +460,17 @@ def test_inline_expression_solves_a_gaussian_well(capsys):
     assert float(rows[0][2]) < 0
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle", "scan"])
+def test_parity_on_a_lopsided_grid_is_a_config_error(command, capsys):
+    # the parity factors would solve the mirrored domain [-5, 5], not [-0.6, 5]
+    inline = ["--potential", "inline", "--expr", "-3*exp(-x*x)", "--parity", "--h", "0.01"]
+    assert run_cli([command] + inline + ["--nl", "60", "--nr", "500"]) == 1
+    assert "--parity needs --nl 0 or --nl equal to --nr (500), got 60" in capsys.readouterr().err
+    assert run_cli(["solve"] + inline + ["--nl", "500", "--nr", "500"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert [r[1] for r in rows] == ["even", "odd"]
+
+
 def test_unwritable_output_is_an_io_error(capsys):
     code = run_cli(["scan", "--potential", "box", "--h", "0.01",
                     "--range", "1:2", "--probes", "2",

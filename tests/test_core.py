@@ -16,6 +16,7 @@ from boundstates.core import (
     make_grid,
     wronskian,
 )
+from boundstates.integrate import _reflected
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero = finite.filter(lambda v: abs(v) > 1e-6)
@@ -103,6 +104,19 @@ def test_problem_symmetric_needs_parity_and_centered_origin():
     assert not Problem(spec, make_grid(0.5, 0.1, 0, 10), model, (0.0, 1.0)).symmetric
     plain = PotentialSpec(evaluate=lambda x: x * x)
     assert not Problem(plain, make_grid(0.0, 0.1, 0, 10), model, (0.0, 1.0)).symmetric
+
+
+@pytest.mark.parametrize("x0, n_left, n_right, symmetric", [
+    (0.0, 0, 10, True), (0.0, 10, 10, True), (0.0, 6, 50, False), (0.0, 10, 0, False),
+    (0.5, 0, 10, False), (0.5, 10, 10, False),
+])
+def test_problem_symmetric_needs_a_half_or_mirrored_grid(x0, n_left, n_right, symmetric):
+    # a lopsided grid about x0 = 0 is not the mirrored domain the parity
+    # factors solve, and the reflected march is the symmetric one with no left side
+    spec = PotentialSpec(evaluate=lambda x: x * x, parity_invariant=True)
+    problem = Problem(spec, make_grid(x0, 0.1, n_left, n_right), _flat_model(), (0.0, 1.0))
+    assert problem.symmetric is symmetric
+    assert _reflected(spec, problem.grid) is (symmetric and n_left == 0)
 
 
 def test_evaluation_ok_flags():

@@ -10,7 +10,7 @@ import pytest
 from boundstates import anharmonic, infinite_well, poschl_teller, radial
 from boundstates import integrate
 from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
-from boundstates.cfm import cfm_value
+from boundstates.cfm import cfm_rows, cfm_value
 from boundstates.cli import compile_expr
 from boundstates.integrate import (
     canonical_endpoints,
@@ -20,7 +20,7 @@ from boundstates.integrate import (
 )
 from boundstates.potentials import decay_model
 from boundstates.roots import _default_probes, characteristic_for
-from boundstates.wm import wm_value, wm_value_symmetric
+from boundstates.wm import boundary_value, wm_rows, wm_value, wm_value_symmetric
 
 FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
 PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
@@ -124,6 +124,12 @@ def _bits(value):
     return struct.pack("<d", value)
 
 
+def _factors(values):
+    # every Evaluation of each value in turn: on a symmetric problem wm's and
+    # cfm's value is the tuple of the even and the odd factor
+    return [ev for v in values for ev in (v if isinstance(v, tuple) else (v,))]
+
+
 PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
 # an odd step count, reflected; and two short odd sides about an off-centre origin
 PT25_ODD = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 0, 505))
@@ -164,8 +170,9 @@ def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method)
     fn = characteristic_for(problem, method)
     lo, hi = problem.energy_range
     eps = np.linspace(lo, hi, _default_probes(lo, hi) + 1)
-    batch = fn.evaluate_many(eps)
-    scalar = [fn.evaluate(e) for e in eps]
+    batch = _factors(fn.evaluate_many(eps))
+    scalar = _factors(fn.evaluate(e) for e in eps)
+    assert len(scalar) == len(eps) * (2 if problem.symmetric and method in ("wm", "cfm") else 1)
     assert [ev.flag for ev in batch] == [ev.flag for ev in scalar]
     assert [_bits(ev.value) for ev in batch] == [_bits(ev.value) for ev in scalar]
     if problem is QUARTIC:
@@ -205,6 +212,9 @@ def _pair_value(problem, method, energy):
     ends = canonical_pair(problem.potential, energy, problem.grid).ends
     if method in ("wm-even", "wm-odd"):
         return wm_value_symmetric(problem, ends, method[3:])
+    if problem.symmetric:
+        # the even and the odd factor, read from r_R
+        return boundary_value({"wm": wm_rows, "cfm": cfm_rows}[method], problem, ends, (0, 1))
     # dirichlet is cfm's rows with a hard-wall check
     value = {"wm": wm_value, "cfm": cfm_value, "dirichlet": cfm_value}[method]
     return value(problem, ends)
@@ -229,8 +239,8 @@ def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, meth
     fn = characteristic_for(problem, method)
     lo, hi = problem.energy_range
     eps = np.linspace(lo, hi, _default_probes(lo, hi) + 1)[::37]
-    ends = [fn.evaluate(e) for e in eps]
-    pairs = [_pair_value(problem, method, e) for e in eps]
+    ends = _factors(fn.evaluate(e) for e in eps)
+    pairs = _factors(_pair_value(problem, method, e) for e in eps)
     assert [ev.flag for ev in ends] == [ev.flag for ev in pairs]
     assert [_bits(ev.value) for ev in ends] == [_bits(ev.value) for ev in pairs]
     if problem is QUARTIC:

@@ -22,8 +22,17 @@ from boundstates import (
     refine_root,
     shooting_reference,
 )
-from boundstates.core import CharacteristicFunction, Evaluation, RefinementError, wronskian
-from boundstates.roots import RefinementWarning
+from boundstates.core import (
+    CharacteristicFunction,
+    Evaluation,
+    PotentialSpec,
+    Problem,
+    RefinementError,
+    make_grid,
+    wronskian,
+)
+from boundstates.potentials import decay_model
+from boundstates.roots import RefinementWarning, find_eigenvalues
 
 CONTINUUM_GROUND = 0.5 * math.pi ** 2
 
@@ -493,6 +502,18 @@ def test_shooting_reference_samples_the_potential_once(make, steps, n_probe):
     lo, hi = problem.energy_range
     shooting_reference(problem, (lo + 0.01 * (hi - lo), hi), n_probe=n_probe)
     assert calls[0] == 2 * steps + 1
+
+
+def test_a_lopsided_parity_invariant_problem_is_shot_over_its_own_span():
+    # n_left = 60 is no mirror of n_right = 500: the solver marches [-0.6, 5],
+    # and so must the reference, not the reflected [-5, 5]
+    spec = PotentialSpec(evaluate=lambda x: -3.0 * math.exp(-x * x), parity_invariant=True)
+    grid = make_grid(0.0, 0.01, 60, 500)
+    problem = Problem(spec, grid, decay_model(grid.x_left, grid.x_right), (-3.0, 0.0))
+    assert not problem.symmetric
+    engine = [r.energy for r in find_eigenvalues(problem)]
+    assert engine == pytest.approx([-1.82900, -0.10591], abs=1e-5)
+    assert shooting_reference(problem) == pytest.approx(engine, abs=1e-8)
 
 
 def test_the_oracle_imports_nothing_from_the_production_integrator():

@@ -27,6 +27,7 @@ from boundstates.core import (
     DegenerateRootError,
     Evaluation,
     RefinementError,
+    make_grid,
 )
 from boundstates.integrate import sample_potential
 from boundstates.roots import (
@@ -244,13 +245,23 @@ def _one_by_one(char_fn, brackets, **kwargs):
     return out
 
 
+def _factor(char_fn, factor):
+    # the function of one factor of char_fn, a flagged value as NaN
+    def f(e):
+        ev = char_fn.evaluate(e)
+        ev = ev[factor] if isinstance(ev, tuple) else ev
+        return ev.value if ev.ok else math.nan
+    return f
+
+
 def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
     # the reference: one bracket's Anderson-Bjorck false position, evaluating
-    # one energy at a time through char_fn(e). flo and fhi are the stored
+    # one energy at a time, of the bracket's factor. flo and fhi are the stored
     # values the false position reads; the true F decides every test. Where
     # |F| falls below the stop at an end, the next iteration checks the
     # point tol_e past it: the same sign there moves that end to it and
     # makes the iteration after a bisection
+    char_fn = _factor(char_fn, bracket.factor)
     lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if hi == lo:
         return lo
@@ -369,6 +380,9 @@ def test_lockstep_refinement_equals_one_bracket_at_a_time(name):
         warnings.simplefilter("ignore", RefinementWarning)
         brackets = scan_brackets(fn, window, n_probe)
     assert len(brackets) == {"quartic-cfm": 25, "box-dirichlet": 3}[name]
+    # the quartic's even and odd factors alternate
+    assert [b.factor for b in brackets] == [k % 2 if problem.symmetric else 0
+                                            for k in range(len(brackets))]
     together = _refine_lockstep(fn, brackets, 1e-10, 200)
     assert [_outcome(o) for o in together] == [_outcome(o) for o in _one_by_one(fn, brackets)]
     assert [_outcome(o) for o in together] == [_outcome(_scalar_refine(fn, b)) for b in brackets]
@@ -387,7 +401,7 @@ def test_find_eigenvalues_warns_about_dropped_brackets_in_bracket_order():
         alone = _one_by_one(fn, brackets, max_iter=4)
     dropped = [k for k, o in enumerate(alone) if isinstance(o, RefinementError)]
     assert len(alone) == 25
-    assert dropped == [1, 2, 4, 5, 6, 7, 8, 10, 12, 13, 14, 15, 16, 18, 20, 22, 24]
+    assert dropped == [0, 1, 2, 4, 5, 6, 7, 8, 10, 12, 14, 15, 16, 18, 20, 22, 24]
     expected = [str(w.message) for w in record] + [
         f"bracket [{b.lo:.9g}, {b.hi:.9g}] dropped: {o}"
         for b, o in zip(brackets, alone) if isinstance(o, RefinementError)]
@@ -429,6 +443,15 @@ def test_quartic_refinement_marches_once_per_iteration(monkeypatch):
     # 7 marches
     pytest.param(radial(lambda r: -10.0 * math.exp(-r), h=0.005), "wm", (-10.0, 0.0),
                  200, 2, 8, id="radial-wm"),
+    # symmetric problems: both parity factors' brackets share each batch
+    pytest.param(poschl_teller(10.0, h=0.001, x_right=10.0), "wm", None, 40, 4, 4,
+                 id="pt10-wm"),
+    pytest.param(poschl_teller(10.0, h=0.001, x_right=10.0), "cfm", None, 40, 4, 5,
+                 id="pt10-cfm"),
+    pytest.param(anharmonic(0.0, 1.0, h=0.01, energy_max=100.0), "wm", (0.0, 100.0),
+                 200, 25, 8, id="quartic-wm"),
+    pytest.param(anharmonic(-5.0, 1.0, h=0.005), "wm", (-6.25, 3.75), 200, 5, 8,
+                 id="double-well-wm"),
 ])
 def test_false_position_refinement_takes_few_marches(monkeypatch, problem, method, window,
                                                      n_probe, levels, most):
@@ -470,13 +493,57 @@ def test_find_eigenvalues_full_census(method):
 
 
 def test_find_eigenvalues_parity_split_matches_full():
-    prob = poschl_teller(2.5, h=0.01, x_right=10.0)
-    even = find_eigenvalues(prob, method="wm-even")
-    odd = find_eigenvalues(prob, method="wm-odd")
-    assert [len(even), len(odd)] == [1, 1]
-    full = find_eigenvalues(prob, method="wm")
-    assert even[0].energy == pytest.approx(full[0].energy, abs=1e-9)
-    assert odd[0].energy == pytest.approx(full[1].energy, abs=1e-9)
+    # wm scans and refines the two factors wm-even and wm-odd scan alone, so
+    # its levels are theirs, bit for bit: on PT 2.5 and on the deep PT10 grid
+    for prob, n_probe, counts in ((poschl_teller(2.5, h=0.01, x_right=10.0), None, [1, 1]),
+                                  (poschl_teller(10.0, h=0.001, x_right=10.0), 40, [2, 2])):
+        even, odd, full = ([r.energy.hex() for r in find_eigenvalues(prob, m, n_probe=n_probe)]
+                           for m in ("wm-even", "wm-odd", "wm"))
+        assert [len(even), len(odd)] == counts
+        assert full == [e.hex() for e in sorted(map(float.fromhex, even + odd))]
+
+
+# an even and an odd level inside one probe cell: the determinant, their
+# product, changes sign twice there, so a scan of it sees neither
+DOUBLETS = {
+    "double-well": (anharmonic(-5.0, 1.0, h=0.005), (-6.25, 3.75), 200,
+                    [-4.13576, -4.11911, -0.75676, -0.21068, 1.92129]),
+    "deep-double-well": (anharmonic(-10.0, 1.0, h=0.005), (-25.0, -19.0), None,
+                         [-21.8896582827, -21.8896582294]),
+}
+
+
+@pytest.mark.parametrize("method", ["wm", "cfm"])
+@pytest.mark.parametrize("name", DOUBLETS)
+def test_a_doublet_inside_one_probe_cell_is_found(name, method):
+    problem, (lo, hi), n_probe, levels = DOUBLETS[name]
+    cell = (hi - lo) / (n_probe or _default_probes(lo, hi))
+    # the ground doublet shares a probe cell
+    assert math.floor((levels[0] - lo) / cell) == math.floor((levels[1] - lo) / cell)
+    results = find_eigenvalues(problem, method, (lo, hi), n_probe)
+    assert [r.energy for r in results] == pytest.approx(levels, abs=1e-5)
+    assert [r.node_count for r in results] == list(range(len(levels)))
+    if method == "wm":
+        split = [r.energy for m in ("wm-even", "wm-odd")
+                 for r in find_eigenvalues(problem, m, (lo, hi), n_probe)]
+        assert [r.energy for r in results] == sorted(split)
+
+
+@pytest.mark.parametrize("method", ["wm", "cfm"])
+def test_a_doublet_split_below_the_dedupe_distance_keeps_both_levels(method):
+    # the even and the odd level of v2 = -14 lie 1.1e-11 apart, closer than
+    # the 10 tol_e that drops a level bracketed twice; each factor holds one
+    problem, window = anharmonic(-14.0, 1.0, h=0.005), (-49.0, -40.6)
+    fn = characteristic_for(problem, method)
+    brackets = scan_brackets(fn, window)
+    assert sorted(b.factor for b in brackets) == [0, 1]
+    energies = [r.energy for r in find_eigenvalues(problem, method, window)]
+    assert len(energies) == 2
+    assert 0.0 < energies[1] - energies[0] < 10 * 1e-10
+    if method == "wm":
+        split = [r.energy for m in ("wm-even", "wm-odd")
+                 for r in find_eigenvalues(problem, m, window)]
+        assert energies == sorted(split)
 
 
 def test_double_well_doublet_resolved_by_parity():
@@ -494,6 +561,16 @@ def test_parity_methods_reject_asymmetric_problems():
     for method in ("wm-even", "wm-odd"):
         with pytest.raises(ValueError):
             find_eigenvalues(box, method=method)
+
+
+@pytest.mark.parametrize("method", ["wm-even", "wm-odd"])
+def test_parity_methods_reject_a_lopsided_grid_by_name(method):
+    # a parity invariant v about x0 = 0, but 60 steps left against 500 right:
+    # the factors would give the levels of the mirrored domain [-5, 5]
+    problem = dataclasses.replace(poschl_teller(2.5, h=0.01, x_right=5.0),
+                                  grid=make_grid(0.0, 0.01, 60, 500))
+    with pytest.raises(ValueError, match="n_left=60, n_right=500"):
+        find_eigenvalues(problem, method=method)
 
 
 def test_unknown_method_is_rejected():
@@ -525,7 +602,12 @@ def test_each_method_builds_on_the_catalog_problems_it_admits(name, method):
     assert fn.label == method
     energy = 0.5 * sum(problem.energy_range)
     ev = fn.evaluate(energy)
-    assert ev.ok and ev == fn.evaluate_many([energy])[0]
+    assert ev == fn.evaluate_many([energy])[0]
+    if problem.symmetric and method in ("wm", "cfm"):
+        # the even and the odd factor
+        assert len(ev) == 2 and all(f.ok for f in ev)
+    else:
+        assert ev.ok
 
 
 def _fd_levels(problem, window):
@@ -571,7 +653,10 @@ def test_probes_past_the_double_range_are_flagged_not_raised(method):
     fn = characteristic_for(problem, method)
     evals = fn.evaluate_many(np.linspace(0.0, 20.0, _default_probes(0.0, 20.0) + 1))
     assert len(evals) == 401
-    assert all(ev.ok or ev.flag == "overflow" for ev in evals)
+    # wm and cfm read the even and the odd factor on this symmetric problem
+    factors = [f for ev in evals for f in (ev if method in ("wm", "cfm") else (ev,))]
+    assert len(factors) == 401 * (2 if method in ("wm", "cfm") else 1)
+    assert all(ev.ok or ev.flag == "overflow" for ev in factors)
 
 
 def _counting(problem):
@@ -636,22 +721,11 @@ NODE_PROBLEMS = {
 }
 
 
-def _defect(problem, method, reason):
-    return pytest.param(problem, method, id=f"{problem}-{method}",
-                        marks=pytest.mark.xfail(strict=True, reason=reason))
-
-
-DOUBLET = "the ground doublet lies inside one probe cell and is missed"
-
-
 @pytest.mark.parametrize("problem, method", [
     *(pytest.param(p, m, id=f"{p}-{m}")
-      for p in ("poschl-teller", "box", "anharmonic", "radial") for m in ("wm", "cfm")),
+      for p in ("poschl-teller", "box", "anharmonic", "radial", "quartic", "double-well")
+      for m in ("wm", "cfm")),
     pytest.param("box", "dirichlet", id="box-dirichlet"),
-    pytest.param("quartic", "wm", id="quartic-wm"),
-    pytest.param("quartic", "cfm", id="quartic-cfm"),
-    _defect("double-well", "wm", DOUBLET),
-    _defect("double-well", "cfm", DOUBLET),
 ])
 def test_node_count_matches_spectral_position(problem, method):
     # position only: an energy off the true level but in the right order passes

@@ -80,6 +80,22 @@ def test_full_determinant_factors_into_parity_pieces(energy):
     assert full2 == pytest.approx(-2.0 * even2 * odd2, rel=1e-9)
 
 
+@pytest.mark.parametrize("problem", [PT, PT_TWO_SIDED], ids=["reflected", "two-sided"])
+@pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
+def test_each_parity_factor_is_f_against_its_origin_row(problem, energy):
+    # the even levels meet psi'(0) = 0, whose origin row is (0, -1), and the
+    # odd ones psi(0) = 0, row (1, 0): F of that row against r_R is the factor
+    ends = canonical_pair(problem.potential, energy, problem.grid).ends
+    factors = boundary_value(wm_rows, problem, ends, (0, 1))
+    assert factors == (wm_value_symmetric(problem, ends, "even"),
+                       wm_value_symmetric(problem, ends, "odd"))
+    for origin, factor in zip(((0.0, -1.0), (1.0, 0.0)), factors):
+        def rows(problem, ends):
+            return origin, wm_rows(problem, ends)[1]
+        ev = boundary_value(rows, problem, ends)
+        assert factor.ok and struct.pack("<d", ev.value) == struct.pack("<d", factor.value)
+
+
 SCALE_PROBLEMS = {
     "poschl-teller": PT,
     "box": infinite_well(x0=0.25, h=0.005, energy_max=60.0),
@@ -105,14 +121,19 @@ def _scale_ends(name):
 def test_scaling_one_side_by_a_power_of_two_keeps_every_value_bit_for_bit(case, i, k, side):
     name, method = case
     problem = SCALE_PROBLEMS[name]
-    rows, entry, _ = _METHODS[method]
+    rows, factors, _ = _METHODS[method]
+    # a symmetric problem's value is its factors, one or a tuple of two
+    factors = factors if problem.symmetric else None
     ends = _scale_ends(name)[i]
     x, *phi = getattr(ends, side)
     scaled = ends._replace(**{side: (x, *(math.ldexp(v, k) for v in phi))})
-    want = boundary_value(rows, problem, ends, entry)
-    got = boundary_value(rows, problem, scaled, entry)
-    assert want.ok and got.ok
-    assert struct.pack("<d", got.value) == struct.pack("<d", want.value)
+    want = boundary_value(rows, problem, ends, factors)
+    got = boundary_value(rows, problem, scaled, factors)
+    want, got = (v if isinstance(v, tuple) else (v,) for v in (want, got))
+    assert len(want) == len(got) == (1 if factors is None else len(factors))
+    assert all(ev.ok for ev in want + got)
+    assert [struct.pack("<d", ev.value) for ev in got] == [
+        struct.pack("<d", ev.value) for ev in want]
 
 
 def test_zero_energy_flags_degenerate_asymptotics():
@@ -120,15 +141,18 @@ def test_zero_energy_flags_degenerate_asymptotics():
     ev = wm_value(PT, ends)
     assert not ev.ok
     assert ev.flag == "degenerate"
-    assert math.isnan(characteristic_for(PT, "wm")(0.0))
+    # both factors of the symmetric wm flag it
+    assert [f.flag for f in characteristic_for(PT, "wm").evaluate(0.0)] == ["degenerate"] * 2
 
 
 @pytest.mark.parametrize("method", ["cfm", "dirichlet"])
 def test_a_zero_wall_row_is_flagged_degenerate_left_first(method):
     box = SCALE_PROBLEMS["box"]
-    rows, entry, _ = _METHODS[method]
+    rows, _, _ = _METHODS[method]
+    # the box is not symmetric: its value is the determinant of the wall rows
+    assert not box.symmetric
     ends = canonical_pair(box.potential, 10.0, box.grid).ends
-    assert boundary_value(rows, box, ends, entry).ok
+    assert boundary_value(rows, box, ends).ok
 
     def zero(end):
         x, _, dc, _, ds = end
@@ -142,7 +166,7 @@ def test_a_zero_wall_row_is_flagged_degenerate_left_first(method):
                               (zero(ends.left), ends.right, "degenerate"),
                               (zero(ends.left), blown(ends.right), "degenerate"),
                               (blown(ends.left), zero(ends.right), "overflow")):
-        ev = boundary_value(rows, box, ends._replace(left=left, right=right), entry)
+        ev = boundary_value(rows, box, ends._replace(left=left, right=right))
         assert math.isnan(ev.value) and ev.flag == flag
 
 
