@@ -170,24 +170,33 @@ class Problem:
 class Evaluation:
     """A characteristic-function value with an optional trouble flag.
 
+    value is a float, or on a symmetric problem the tuple of the parity
+    factors a method reads (roots.characteristic_for), which share the flag.
     flag is None for a clean value, else one of "pole", "overflow",
     "degenerate". Flagged evaluations are skipped by the bracket scanner.
     """
 
-    value: float
+    value: float | tuple[float, ...]
     flag: str | None = None
 
     @property
+    def factors(self):
+        """value as a tuple, one float per factor; every one NaN unless ok."""
+        values = self.value if isinstance(self.value, tuple) else (self.value,)
+        ok = self.flag is None and all(map(math.isfinite, values))
+        return values if ok else (math.nan,) * len(values)
+
+    @property
     def ok(self):
-        return self.flag is None and math.isfinite(self.value)
+        return all(map(math.isfinite, self.factors))
 
 
 class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.
 
-    evaluate() returns the flagged form, an Evaluation or a tuple of them, one
-    per factor (roots.py); plain calls collapse a flagged Evaluation to NaN.
-    evaluate_many() gives evaluate() at each of many
+    evaluate() returns the flagged form, an Evaluation; plain calls give its
+    value with NaN for a flagged one, a tuple where the value is a tuple of
+    factors. evaluate_many() gives evaluate() at each of many
     energies; `many`, when given, computes that list for a numpy vector of
     energies in one batch, and must match evaluate() at each energy. Scans
     and refinement call evaluate_many(): refinement evaluates one candidate
@@ -212,7 +221,7 @@ class CharacteristicFunction:
 
     def __call__(self, energy):
         ev = self.evaluate(energy)
-        return ev.value if ev.ok else math.nan
+        return ev.factors if isinstance(ev.value, tuple) else ev.factors[0]
 
     def __repr__(self):
         return f"CharacteristicFunction({self.label!r})"

@@ -83,7 +83,8 @@ class Bracket:
 
     pole_suspect marks sign changes the zoom test attributed to a pole; no
     built-in method has poles, so find_eigenvalues refines every bracket.
-    factor indexes the value's factor tuple (0 where it does not factor).
+    factor indexes the value's factor tuple (0 where it does not factor);
+    f_lo and f_hi are that factor's values at lo and hi.
     """
 
     lo: float
@@ -92,12 +93,6 @@ class Bracket:
     f_hi: float
     pole_suspect: bool = False
     factor: int = 0
-
-
-def _values(char_fn, energies):
-    # each energy's factors (F alone where it does not factor), flagged ones NaN
-    return [tuple(ev.value if ev.ok else math.nan for ev in evs) if isinstance(evs, tuple)
-            else (evs.value if evs.ok else math.nan,) for evs in char_fn.evaluate_many(energies)]
 
 
 def _default_probes(lo, hi):
@@ -137,7 +132,7 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     if lo == hi:
         return []
     eps = np.linspace(lo, hi, int(n_probe) + 1)
-    rows = _values(char_fn, eps)
+    rows = [ev.factors for ev in char_fn.evaluate_many(eps)]
     # a run of flagged probes that spans a whole cell hides any level in it
     start = 0
     for good, run in itertools.groupby(not any(map(math.isnan, row)) for row in rows):
@@ -181,11 +176,11 @@ def _sign_changes(values, ok):
                 yield p, p + 1
 
 
-def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi, factor=0):
+def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi, factor):
     # zoom in tenfold on one factor and judge each inner sign change by
     # whether the crossing-adjacent magnitudes grew (pole) or shrank (root)
     sub = np.linspace(e_lo, e_hi, 11)
-    vals = [f_lo] + [row[factor] for row in _values(char_fn, sub[1:-1])] + [f_hi]
+    vals = [f_lo] + [ev.factors[factor] for ev in char_fn.evaluate_many(sub[1:-1])] + [f_hi]
     outer_floor = min(abs(f_lo), abs(f_hi))
     idx = [i for i, v in enumerate(vals) if not math.isnan(v)]
     out = []
@@ -207,12 +202,20 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     the bracket is narrower than tol_e, on an exact zero, or at an iterate
     where |F| is below 1e-12 of its entry scale and F changes sign within
     tol_e of it (Brent's tolerance step). Where F keeps its sign there, F is
-    flat: the bracket moves to that point, bisects once and resumes.
+    flat: the bracket moves to that point, bisects once and resumes. F is the
+    bracket's factor of char_fn, checked first to have the signs of f_lo and f_hi.
 
     Raises:
+        ValueError: when it has not, as for a bracket of another factor.
         RefinementError: on iteration runoff, on flagged evaluations at the
             midpoint, or when |F| runs away (bracketed pole).
     """
+    if bracket.hi != bracket.lo:
+        ends = [ev.factors[bracket.factor] if bracket.factor in range(len(ev.factors))
+                else math.nan for ev in char_fn.evaluate_many([bracket.lo, bracket.hi])]
+        if not all(f == s or f * s > 0 for f, s in zip(ends, (bracket.f_lo, bracket.f_hi))):
+            raise ValueError(f"{bracket} does not hold the signs of factor {bracket.factor} "
+                             f"of {char_fn.label!r} at its ends, {ends}")
     (out,) = _refine_lockstep(char_fn, [bracket], tol_e, max_iter)
     if isinstance(out, RefinementError):
         raise out
@@ -323,13 +326,13 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
         if not live:
             break
         cands = {k: r.candidate() for k, r in live.items()}
-        rows = _values(char_fn, list(cands.values()))
-        fs = {k: row[brackets[k].factor] for k, row in zip(cands, rows)}
+        evs = char_fn.evaluate_many(list(cands.values()))
+        fs = {k: ev.factors[brackets[k].factor] for k, ev in zip(cands, evs)}
         retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid
                  and live[k].settled is None]
         if retry:
-            for k, row in zip(retry, _values(char_fn, [live[k].mid for k in retry])):
-                cands[k], fs[k] = live[k].mid, row[brackets[k].factor]
+            for k, ev in zip(retry, char_fn.evaluate_many([live[k].mid for k in retry])):
+                cands[k], fs[k] = live[k].mid, ev.factors[brackets[k].factor]
         for k in cands:
             done = live[k].update(cands[k], fs[k])
             if done is not None:
@@ -364,9 +367,9 @@ def characteristic_for(problem, method):
     v is sampled once and kept as .samples. evaluate_many() marches a batch
     endpoint-only through them and takes F of the method's rows at each
     energy; evaluate() is evaluate_many() of one energy. On a symmetric
-    problem the value is instead its parity factors, F against the origin row
-    of psi'(0) = 0 or psi(0) = 0, read from r_R (wm.boundary_value): the tuple
-    (even, odd) for wm, cfm and dirichlet, one of them for wm-even and wm-odd.
+    problem the value is instead the tuple of its parity factors, F against the
+    origin row of psi'(0) = 0 or psi(0) = 0, read from r_R (wm.boundary_value):
+    (even, odd) for wm, cfm and dirichlet, (even,) for wm-even, (odd,) for wm-odd.
 
     Raises:
         ValueError: for an unknown method, or a problem it does not apply to.

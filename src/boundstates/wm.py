@@ -84,33 +84,32 @@ def _scaled(a, b):
 def boundary_value(rows, problem, ends, factors=None):
     """F of one energy's Endpoints from a method's rows(problem, ends), as an Evaluation.
 
-    With factors, 0 (even) or 1 (odd), the parity factors: F against the
-    origin row of each in place of r_L, which is that entry of r_R / |r_R|;
-    one Evaluation for one factor, their tuple for two. Flagged "overflow"
-    where a row is not finite, "degenerate" where it or an asymptotic pair is.
+    With factors, a tuple of 0 (even) and 1 (odd), the value is instead the
+    tuple of those parity factors: F against the origin row of each in place
+    of r_L, which is that entry of r_R / |r_R|. Flagged "overflow" where a
+    row is not finite, "degenerate" where it or an asymptotic pair is.
     """
     try:
         row_l, row_r = rows(problem, ends)
     except DegenerateAsymptoticsError:
         row_l = row_r = (0.0, 0.0)  # flagged as a zero row is
-    values = _sine(row_l, row_r, factors)
-    return values[0] if len(values) == 1 else tuple(values)
+    return _sine(row_l, row_r, factors)
 
 
 def _sine(row_l, row_r, factors=None):
-    # boundary_value of rows in hand, as a list: each row is checked, left
-    # first, but with factors r_R alone, whose entries they read
-    n = len(factors) if factors is not None else 1
+    # boundary_value of rows in hand: each row is checked, left first, but
+    # with factors r_R alone, whose entries they read
+    nan = math.nan if factors is None else (math.nan,) * len(factors)
     for a, b in (row_l, row_r) if factors is None else (row_r,):
         if not (math.isfinite(a) and math.isfinite(b)):
-            return [Evaluation(math.nan, "overflow")] * n
+            return Evaluation(nan, "overflow")
         if a == 0.0 and b == 0.0:
-            return [Evaluation(math.nan, "degenerate")] * n
+            return Evaluation(nan, "degenerate")
     ar, br, nr = _scaled(*row_r)
     if factors is not None:
-        return [Evaluation((ar, br)[f] / math.sqrt(nr)) for f in factors]
+        return Evaluation(tuple((ar, br)[f] / math.sqrt(nr) for f in factors))
     al, bl, nl = _scaled(*row_l)
-    return [Evaluation((al * br - ar * bl) / math.sqrt(nl * nr))]
+    return Evaluation((al * br - ar * bl) / math.sqrt(nl * nr))
 
 
 def wm_value(problem, ends):
@@ -120,7 +119,8 @@ def wm_value(problem, ends):
 
 def wm_value_symmetric(problem, ends, parity):
     """WM parity factor, W(R_c, C) or W(R_c, S) over |r_R|, from one energy's Endpoints."""
-    return boundary_value(wm_rows, problem, ends, (("even", "odd").index(parity),))
+    ev = boundary_value(wm_rows, problem, ends, (("even", "odd").index(parity),))
+    return Evaluation(ev.value[0], ev.flag)
 
 
 def wm_eigenfunction(problem, root, pair=None):
@@ -147,7 +147,7 @@ def assemble_eigenresult(problem, rows, pair):
     x, c, dc, s, ds, v, ends = pair
     (lc, w_l), (rc, w_r) = references(problem, ends)
     row_l, row_r = rows(problem, ends)
-    (f,) = _sine(row_l, row_r)
+    f = _sine(row_l, row_r)
     if not f.ok:
         raise DegenerateRootError(f"boundary rows {f.flag} at energy {ends.energy!r}")
     a, b, n = _scaled(*max((row_l, row_r), key=lambda r: max(abs(r[0]), abs(r[1]))))

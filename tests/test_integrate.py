@@ -124,12 +124,6 @@ def _bits(value):
     return struct.pack("<d", value)
 
 
-def _factors(values):
-    # every Evaluation of each value in turn: on a symmetric problem wm's and
-    # cfm's value is the tuple of the even and the odd factor
-    return [ev for v in values for ev in (v if isinstance(v, tuple) else (v,))]
-
-
 PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
 # an odd step count, reflected; and two short odd sides about an off-centre origin
 PT25_ODD = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 0, 505))
@@ -170,11 +164,14 @@ def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method)
     fn = characteristic_for(problem, method)
     lo, hi = problem.energy_range
     eps = np.linspace(lo, hi, _default_probes(lo, hi) + 1)
-    batch = _factors(fn.evaluate_many(eps))
-    scalar = _factors(fn.evaluate(e) for e in eps)
-    assert len(scalar) == len(eps) * (2 if problem.symmetric and method in ("wm", "cfm") else 1)
+    batch = fn.evaluate_many(eps)
+    scalar = [fn.evaluate(e) for e in eps]
+    # on a symmetric problem wm's and cfm's value is the even and the odd factor
+    assert {len(ev.factors) for ev in scalar} == {
+        2 if problem.symmetric and method in ("wm", "cfm") else 1}
     assert [ev.flag for ev in batch] == [ev.flag for ev in scalar]
-    assert [_bits(ev.value) for ev in batch] == [_bits(ev.value) for ev in scalar]
+    assert [_bits(f) for ev in batch for f in ev.factors] == [
+        _bits(f) for ev in scalar for f in ev.factors]
     if problem is QUARTIC:
         # the pairs stay finite, and so does every scale-free value
         assert all(ev.ok for ev in scalar)
@@ -239,10 +236,11 @@ def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, meth
     fn = characteristic_for(problem, method)
     lo, hi = problem.energy_range
     eps = np.linspace(lo, hi, _default_probes(lo, hi) + 1)[::37]
-    ends = _factors(fn.evaluate(e) for e in eps)
-    pairs = _factors(_pair_value(problem, method, e) for e in eps)
+    ends = [fn.evaluate(e) for e in eps]
+    pairs = [_pair_value(problem, method, e) for e in eps]
     assert [ev.flag for ev in ends] == [ev.flag for ev in pairs]
-    assert [_bits(ev.value) for ev in ends] == [_bits(ev.value) for ev in pairs]
+    assert [_bits(f) for ev in ends for f in ev.factors] == [
+        _bits(f) for ev in pairs for f in ev.factors]
     if problem is QUARTIC:
         assert all(ev.ok for ev in ends)
     if problem is QUARTIC_FINE:

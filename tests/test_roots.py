@@ -95,7 +95,7 @@ def test_an_exact_zero_with_no_unflagged_neighbour_is_its_own_bracket(sign):
 def test_subdivide_brackets_an_exact_zero_whichever_way_f_crosses(sign):
     # the tenfold zoom of (-1, 1) probes 0 exactly
     fn = _plain(lambda e: sign * e)
-    brackets = _subdivide(fn, -1.0, 1.0, -sign, sign)
+    brackets = _subdivide(fn, -1.0, 1.0, -sign, sign, 0)
     assert len(brackets) == 1
     assert brackets[0].lo < 0.0 < brackets[0].hi
     assert not brackets[0].pole_suspect
@@ -216,6 +216,20 @@ def test_scan_probes_as_many_cells_as_asked():
             scan_brackets(char, (0.0, 1.0), n_probe)
 
 
+def test_refine_root_rejects_a_bracket_of_another_factor():
+    # PT 2.5's odd level is a sign change of wm's odd factor; a bracket that
+    # names the even factor, Bracket's default, would refine the wrong values
+    fn = characteristic_for(poschl_teller(2.5, h=0.01, x_right=10.0), "wm")
+    even, odd = scan_brackets(fn, (-2.5, -0.01), 60)
+    assert (even.factor, odd.factor) == (0, 1)
+    with pytest.raises(ValueError, match="does not hold the signs of factor 0 of 'wm'"):
+        refine_root(fn, dataclasses.replace(odd, factor=0))
+    for factor in (2, 5, -1):
+        with pytest.raises(ValueError, match=f"factor {factor} "):
+            refine_root(fn, dataclasses.replace(odd, factor=factor))
+    assert [refine_root(fn, b) for b in (even, odd)] == roots.roots(fn, [even, odd])
+
+
 def test_refine_degenerate_bracket_returns_its_point():
     fn = _plain(lambda e: e - 2.0)
     assert refine_root(fn, Bracket(2.0, 2.0, 0.0, 0.0)) == 2.0
@@ -245,15 +259,6 @@ def _one_by_one(char_fn, brackets, **kwargs):
     return out
 
 
-def _factor(char_fn, factor):
-    # the function of one factor of char_fn, a flagged value as NaN
-    def f(e):
-        ev = char_fn.evaluate(e)
-        ev = ev[factor] if isinstance(ev, tuple) else ev
-        return ev.value if ev.ok else math.nan
-    return f
-
-
 def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
     # the reference: one bracket's Anderson-Bjorck false position, evaluating
     # one energy at a time, of the bracket's factor. flo and fhi are the stored
@@ -261,7 +266,9 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
     # |F| falls below the stop at an end, the next iteration checks the
     # point tol_e past it: the same sign there moves that end to it and
     # makes the iteration after a bisection
-    char_fn = _factor(char_fn, bracket.factor)
+    def value(e):
+        return char_fn.evaluate(e).factors[bracket.factor]
+
     lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if hi == lo:
         return lo
@@ -275,7 +282,7 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
         if settled is not None:
             at_lo = settled == lo
             x = settled + tol_e if at_lo else settled - tol_e
-            f = char_fn(x)
+            f = value(x)
             f_end = flo if at_lo else fhi
             if math.isnan(f) or f == 0.0 or (f < 0) != (f_end < 0):
                 return settled
@@ -290,10 +297,10 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
             x = hi - fhi * (hi - lo) / (fhi - flo)
             if lo < x < hi:
                 cand = x
-        f = char_fn(cand)
+        f = value(cand)
         if math.isnan(f) and cand != mid:
             cand = mid
-            f = char_fn(cand)
+            f = value(cand)
         bisect = False
         if math.isnan(f):
             return RefinementError(f"flagged evaluation at {cand!r} inside bracket", lo, hi)
@@ -602,12 +609,9 @@ def test_each_method_builds_on_the_catalog_problems_it_admits(name, method):
     assert fn.label == method
     energy = 0.5 * sum(problem.energy_range)
     ev = fn.evaluate(energy)
-    assert ev == fn.evaluate_many([energy])[0]
-    if problem.symmetric and method in ("wm", "cfm"):
-        # the even and the odd factor
-        assert len(ev) == 2 and all(f.ok for f in ev)
-    else:
-        assert ev.ok
+    assert ev.ok and ev == fn.evaluate_many([energy])[0]
+    # the even and the odd factor where the problem is symmetric
+    assert len(ev.factors) == (2 if problem.symmetric and method in ("wm", "cfm") else 1)
 
 
 def _fd_levels(problem, window):
@@ -653,10 +657,7 @@ def test_probes_past_the_double_range_are_flagged_not_raised(method):
     fn = characteristic_for(problem, method)
     evals = fn.evaluate_many(np.linspace(0.0, 20.0, _default_probes(0.0, 20.0) + 1))
     assert len(evals) == 401
-    # wm and cfm read the even and the odd factor on this symmetric problem
-    factors = [f for ev in evals for f in (ev if method in ("wm", "cfm") else (ev,))]
-    assert len(factors) == 401 * (2 if method in ("wm", "cfm") else 1)
-    assert all(ev.ok or ev.flag == "overflow" for ev in factors)
+    assert all(ev.ok or ev.flag == "overflow" for ev in evals)
 
 
 def _counting(problem):
