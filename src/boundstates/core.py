@@ -231,14 +231,16 @@ class CharacteristicFunction:
 class EigenResult:
     """One bound state.
 
-    psi = a2*C + b2*S on the sampled points, normalized to unit L2 norm, with
-    the sign that makes a2 = psi(x0) positive; where |a2| is at most
-    wm.PARITY_RATIO times |b2|, the parity tag's test for an odd state, the
-    sign makes b2 = psi'(x0) positive instead.
-    b1 and b3 are the divergent-member admixtures extracted at the left and
-    right boundary; at a well-converged root both sit near zero. residual is
-    |F| of the method's two boundary rows at the accepted energy, the sine of
-    the angle between them (see wm.py).
+    psi is a C + b S on the sampled points at unit L2 norm, each side of x0
+    the null direction of its own boundary row, the left scaled to meet the
+    right at x0: in psi' for a level odd about x0, else in psi. a2 = psi(x0)
+    and b2 = psi'(x0). On a symmetric problem parity is "even" or "odd" and
+    the sign makes a2 or b2 positive; elsewhere it is "none" and the sign
+    makes a2 positive, or b2 where |a2| is at most wm.PARITY_RATIO |b2|.
+    b1 and b3 are the divergent-member admixtures of each side's own (a, b)
+    at its boundary, roundoff under WM's rows, whose null directions they
+    are. residual is |F| of the method's two boundary rows at the accepted
+    energy, the sine of the angle between them (see wm.py).
     """
 
     energy: float

@@ -12,7 +12,8 @@ the sine of the angle between them: no poles, no overflow while the rows are
 finite, and every bit kept when one side's pair is scaled by a power of two.
 On a symmetric problem F against the origin row of psi'(0) = 0, (0, -1), or
 of psi(0) = 0, (1, 0), is W(R_c, C) or W(R_c, S) over |r_R|, the even or the
-odd factor. Every level is assembled from its method's rows, read once.
+odd factor. A level is assembled from its method's rows, each side of x0
+from its own, with the parity of the factor that vanishes.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .core import (
 )
 from .integrate import canonical_pair
 
-# parity tagging: the smaller canonical coefficient must be this far below
-# the larger one before a state is called pure even or pure odd
+# off a symmetric problem, a level is signed by psi'(x0) where psi(x0) is at
+# most this fraction of it, else by psi(x0)
 PARITY_RATIO = 1e-6
 
 NODE_FLOOR = 1e-7
@@ -137,12 +138,10 @@ def wm_eigenfunction(problem, root, pair=None):
 def assemble_eigenresult(problem, rows, pair):
     """Build a normalized EigenResult from a method's boundary rows, evaluated once.
 
-    F and the coefficient direction (a2, b2) come from the method's rows: the
-    null direction of the better conditioned row, the one with the larger
-    entry. Samples are L2 normalized by the trapezoid rule, and the overall
-    sign is fixed by the coefficients (see EigenResult). The divergent
-    admixtures are b1 = (a2 W(L_c, C) + b2 W(L_c, S)) / W(L_c, L_d) and b3
-    likewise on the right, from the rows of the references.
+    Each side of x0 is the null direction of its own row, the left one scaled
+    to meet the right at x0 (see EigenResult). On a symmetric problem the
+    level's parity is the factor that vanishes, the smaller entry of r_R / |r_R|.
+    Samples are L2 normalized by the trapezoid rule.
     """
     x, c, dc, s, ds, v, ends = pair
     (lc, w_l), (rc, w_r) = references(problem, ends)
@@ -150,40 +149,48 @@ def assemble_eigenresult(problem, rows, pair):
     f = _sine(row_l, row_r)
     if not f.ok:
         raise DegenerateRootError(f"boundary rows {f.flag} at energy {ends.energy!r}")
-    a, b, n = _scaled(*max((row_l, row_r), key=lambda r: max(abs(r[0]), abs(r[1]))))
-    a2, b2 = b / math.sqrt(n), -a / math.sqrt(n)
-    # a pair grown past the double range turns psi into inf or NaN
+    # each row's null direction (b, -a), the left one scaled to meet the right
+    # at x0, and both signed so that psi(x0) > 0, or psi'(x0) > 0 for an odd level
+    (al, bl, _), (ar, br, _) = _scaled(*row_l), _scaled(*row_r)
+    odd = abs(br) < abs(ar)
+    if (bl, al)[odd] == 0.0:
+        raise DegenerateRootError(f"the two sides cannot meet at x0 at energy {ends.energy!r}")
+    k = odd if problem.symmetric else abs(br) <= PARITY_RATIO * abs(ar)
+    sign = math.copysign(1.0, (br, -ar)[k])
+    t = sign * (br, ar)[odd] / (bl, al)[odd]
+    left, right = (t * bl, -t * al), (sign * br, -sign * ar)
+    # each side in place on its own slice of the pair, x0 the sample n_right
+    # from the end; a pair grown past the double range turns psi into inf or NaN
+    i0 = len(x) - 1 - problem.grid.n_right
+    psi, dpsi, part = np.empty_like(c), np.empty_like(c), np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = a2 * c + b2 * s
-        dpsi = a2 * dc + b2 * ds
+        for side, (a, b) in ((slice(None, i0), left), (slice(i0, None), right)):
+            for out, y, dy in ((psi, c, s), (dpsi, dc, ds)):
+                np.multiply(y[side], a, out=out[side])
+                out[side] += np.multiply(dy[side], b, out=part[side])
     if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
         raise DegenerateRootError(
             f"canonical pair or coefficients not finite at energy {ends.energy!r}")
     # divided by the largest antinode first, which keeps a member grown far
-    # out on the grid from overflowing the norm, and signed so that
-    # a2 = psi(x0) > 0, or b2 = psi'(x0) > 0 where a2 is below the parity
-    # threshold: the two mirror antinodes of an odd level tie up to roundoff
-    top = float(psi[np.argmax(np.abs(psi))])
+    # out on the grid from overflowing the norm
+    top = float(np.abs(psi).max())
     if top == 0.0:
         raise DegenerateRootError(f"eigenfunction norm degenerate at energy {ends.energy!r}")
-    top = math.copysign(top, b2 if abs(a2) <= PARITY_RATIO * abs(b2) else a2)
     psi /= top
     # L2 norm by the trapezoid rule on the uniform grid
     norm = math.sqrt(problem.grid.h * (np.sum(psi * psi) - 0.5 * (psi[0] ** 2 + psi[-1] ** 2)))
     psi /= norm
     dpsi /= top * norm
-    a2, b2 = a2 / (top * norm), b2 / (top * norm)
+    (la, lb), (a2, b2) = ((a / (top * norm), b / (top * norm)) for a, b in (left, right))
 
     (lc_c, lc_s), (rc_c, rc_s) = row(lc, ends.left), row(rc, ends.right)
-    b1 = (a2 * lc_c + b2 * lc_s) / w_l
-    b3 = (a2 * rc_c + b2 * rc_s) / w_r
-
     node_count = _count_nodes(psi, v, ends.energy)
-    parity = _parity_tag(problem, a2, b2)
     return EigenResult(
-        energy=ends.energy, index=node_count, parity=parity,
+        energy=ends.energy, index=node_count,
+        parity=("even", "odd")[odd] if problem.symmetric else "none",
         residual=abs(f.value), node_count=node_count,
-        x=x, psi=psi, dpsi=dpsi, a2=a2, b2=b2, b1=b1, b3=b3)
+        x=x, psi=psi, dpsi=dpsi, a2=a2, b2=b2,
+        b1=(la * lc_c + lb * lc_s) / w_l, b3=(a2 * rc_c + b2 * rc_s) / w_r)
 
 
 def _count_nodes(psi, v, energy):
@@ -204,14 +211,3 @@ def _count_nodes(psi, v, energy):
         return 0
     signs = np.sign(live)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def _parity_tag(problem, a2, b2):
-    if not problem.symmetric:
-        return "none"
-    big = max(abs(a2), abs(b2))
-    if abs(b2) <= PARITY_RATIO * big:
-        return "even"
-    if abs(a2) <= PARITY_RATIO * big:
-        return "odd"
-    return "none"

@@ -530,6 +530,7 @@ def test_a_doublet_inside_one_probe_cell_is_found(name, method):
     results = find_eigenvalues(problem, method, (lo, hi), n_probe)
     assert [r.energy for r in results] == pytest.approx(levels, abs=1e-5)
     assert [r.node_count for r in results] == list(range(len(levels)))
+    assert [r.parity for r in results] == [("even", "odd")[i % 2] for i in range(len(levels))]
     if method == "wm":
         split = [r.energy for m in ("wm-even", "wm-odd")
                  for r in find_eigenvalues(problem, m, (lo, hi), n_probe)]
@@ -551,6 +552,15 @@ def test_a_doublet_split_below_the_dedupe_distance_keeps_both_levels(method):
         split = [r.energy for m in ("wm-even", "wm-odd")
                  for r in find_eigenvalues(problem, m, window)]
         assert energies == sorted(split)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 4 and 7: C and S grow so far that psi(0) "
+                   "is 1e-92 of the spike at the wall, and r_R reads neither factor as zero")
+@pytest.mark.parametrize("method", ["wm", "cfm"])
+def test_a_doublet_split_below_the_dedupe_distance_comes_back_even_and_odd(method):
+    results = find_eigenvalues(anharmonic(-14.0, 1.0, h=0.005), method, (-49.0, -40.6))
+    assert sorted(r.parity for r in results) == ["even", "odd"]
+    assert sorted(r.node_count for r in results) == [0, 1]
 
 
 def test_double_well_doublet_resolved_by_parity():
@@ -741,6 +751,26 @@ def test_parity_node_counts_interleave(problem, parity, offset):
     results = find_eigenvalues(NODE_PROBLEMS[problem], method=f"wm-{parity}")
     assert len(results) >= 2
     assert [r.node_count for r in results] == [2 * r.index + offset for r in results]
+
+
+# C and S reach about 1e148 on these grids, so the physical part of a2 C + b2 S
+# is about 1e-148 of the spike it leaves at a wall
+_TAIL_SPIKES = pytest.mark.xfail(strict=True, reason="ROADMAP items 4 and 7: a forward "
+                                 "a2 C + b2 S cannot hold the decaying tail")
+
+
+@pytest.mark.parametrize("problem, method", [
+    pytest.param(p, m, id=f"{p}-{m}",
+                 marks=_TAIL_SPIKES if p in ("anharmonic", "quartic") else ())
+    for p in NODE_PROBLEMS for m in ("wm", "cfm")])
+def test_each_level_peaks_where_it_is_classically_allowed(problem, method):
+    # each side of x0 is the null direction of its own row, so neither tail
+    # carries the divergent member up into a spike at its wall
+    prob = NODE_PROBLEMS[problem]
+    results = find_eigenvalues(prob, method=method)
+    assert len(results) >= 2
+    for r in results:
+        assert prob.potential.evaluate(float(r.x[np.argmax(np.abs(r.psi))])) <= r.energy
 
 
 def test_cfm_returns_every_box_level_with_a_centred_origin():

@@ -28,7 +28,6 @@ from boundstates.integrate import canonical_endpoints, canonical_pair, sample_po
 from boundstates.roots import _METHODS
 from boundstates.wm import (
     _count_nodes,
-    _parity_tag,
     boundary_value,
     wm_value,
     wm_value_symmetric,
@@ -207,10 +206,10 @@ def test_eigenfunction_assembly_ground_state():
     # odd contamination is bounded by the root residual, not just the tag
     assert np.allclose(res.psi, res.psi[::-1], atol=1e-7)
     assert res.psi[len(res.x) // 2] > 0
-    # the left expansion anchors on its convergent member, so its divergent
-    # admixture is roundoff; the right one carries the root error
-    assert abs(res.b3) < 1e-6
-    assert abs(res.b1) < 1e-12
+    # each side is the null direction of its own convergent member's row, so
+    # both divergent admixtures are roundoff: 1.2e-25 here, mirror images
+    assert abs(res.b1) < 1e-20
+    assert abs(res.b3) < 1e-20
 
 
 def test_eigenfunction_assembly_first_excited():
@@ -218,6 +217,27 @@ def test_eigenfunction_assembly_first_excited():
     assert res.parity == "odd"
     assert res.node_count == 1
     assert np.allclose(res.psi, -res.psi[::-1], atol=1e-7)
+
+
+def _pt10_states(x):
+    # the closed-form levels of v0 = 10 (lambda = 4), up to normalization
+    t, s = np.tanh(x), 1.0 / np.cosh(x)
+    return [s ** 4, t * s ** 3, (7.0 * t * t - 1.0) * s ** 2, (7.0 * t * t - 3.0) * t * s]
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(poschl_teller(10.0, h=0.005, x_right=12.0), id="cli-h0.005"),
+    pytest.param(poschl_teller(10.0, h=0.001, x_right=10.0), id="library-h0.001"),
+])
+def test_every_readme_pt10_level_is_its_closed_form(problem):
+    # the right tail used to carry the left row's divergent admixture: the
+    # ground state peaked at the right wall, 2.8 away from sech^4
+    results = find_eigenvalues(problem, method="wm")
+    assert len(results) == 4
+    h = problem.grid.h
+    for res, phi in zip(results, _pt10_states(results[0].x)):
+        phi /= math.sqrt(h * (np.sum(phi * phi) - 0.5 * (phi[0] ** 2 + phi[-1] ** 2)))
+        assert min(np.max(np.abs(res.psi - phi)), np.max(np.abs(res.psi + phi))) < 1e-8
 
 
 @pytest.mark.parametrize("method, levels, raised_at", [
@@ -272,12 +292,3 @@ def test_node_count_ignores_crossings_outside_turning_points():
     # counting blindly over the whole span would have seen two crossings
     live = psi[np.abs(psi) > 1e-7 * np.max(np.abs(psi))]
     assert np.count_nonzero(np.sign(live)[1:] != np.sign(live)[:-1]) == 2
-
-
-def test_parity_tag_thresholds():
-    assert _parity_tag(PT, 1.0, 0.0) == "even"
-    assert _parity_tag(PT, 1.0, 1e-8) == "even"
-    assert _parity_tag(PT, 0.0, -0.7) == "odd"
-    assert _parity_tag(PT, 1.0, 0.5) == "none"
-    hydrogen = radial(lambda r: -1.0 / r, l=0, h=0.01, r_max=10.0)
-    assert _parity_tag(hydrogen, 1.0, 0.0) == "none"
