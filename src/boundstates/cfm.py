@@ -21,19 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASYMPTOTIC_LIMIT, REGULAR_ORIGIN, Evaluation, SolverError
+from .core import ASYMPTOTIC_LIMIT, REGULAR_ORIGIN, Evaluation, SolverError, on_array
 from .integrate import canonical_pair
-from .wm import boundary_value, row
+from .wm import boundary_value, references, row
 
 # denominators at or below this magnitude are reported as poles
 POLE_FLOOR = 1e-300
 
 
 def cfm_l_ratios(ends):
-    """Endpoint ratios (l-, l+) = C/S at the two ends of one energy's Endpoints.
+    """Endpoint ratios (l-, l+) = C/S at the two ends of a batch's Endpoints.
 
     Returns:
-        Two endpoint_ratio Evaluations.
+        Two endpoint_ratio Evaluations over the batch.
     """
     _, cl, _, sl, _ = ends.left
     _, cr, _, sr, _ = ends.right
@@ -41,28 +41,34 @@ def cfm_l_ratios(ends):
 
 
 def endpoint_ratio(num, den):
-    """num / den as an Evaluation.
+    """num / den elementwise, as an Evaluation of arrays.
 
     A denominator at or below POLE_FLOOR in magnitude yields a pole-flagged
     NaN, a value that is not finite an overflow-flagged NaN.
     """
-    if abs(den) <= POLE_FLOOR:
-        return Evaluation(math.nan, "pole")
-    if not (math.isfinite(num) and math.isfinite(den)):
-        return Evaluation(math.nan, "overflow")
-    return Evaluation(num / den)
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    with np.errstate(all="ignore"):
+        value = np.array(num / den)
+    flag = np.full(value.shape, None, dtype=object)
+    flag[~(np.isfinite(num) & np.isfinite(den))] = "overflow"
+    flag[np.abs(den) <= POLE_FLOOR] = "pole"
+    value[np.not_equal(flag, None)] = math.nan
+    return Evaluation(value, flag)
 
 
-def cfm_rows(problem, ends):
-    """CFM's rows (C_L, S_L) and (C_R, S_R); a REGULAR_ORIGIN left side takes WM's row."""
-    asym = problem.asymptotics
-    if asym.left_kind == REGULAR_ORIGIN:
-        return row(asym.left_convergent(ends.energy, ends.left[0]), ends.left), ends.right[1::2]
+def cfm_rows(problem, ends, refs=None):
+    """CFM's rows (C_L, S_L) and (C_R, S_R) over a batch.
+
+    A REGULAR_ORIGIN left side takes WM's row of its L_c (refs, else wm.references).
+    """
+    if problem.asymptotics.left_kind == REGULAR_ORIGIN:
+        (lc, _), _ = references(problem, ends) if refs is None else refs
+        return row(lc, ends.left), ends.right[1::2]
     return ends.left[1::2], ends.right[1::2]
 
 
 def cfm_value(problem, ends):
-    """CFM characteristic value from one energy's Endpoints."""
+    """CFM characteristic value over a batch's Endpoints."""
     return boundary_value(cfm_rows, problem, ends)
 
 
@@ -114,18 +120,10 @@ class SaturationProfile:
     tol: float
 
 
-def _ratio_rows(num_a, den_a):
-    # flagged rows are NaN
-    return np.array([endpoint_ratio(num, den).value
-                     for num, den in zip(num_a.tolist(), den_a.tolist())])
-
-
 def _saturation_x(x, ratio, limit, tol):
-    band = tol * max(1.0, abs(limit))
-    for i in range(len(ratio) - 1, -1, -1):
-        if math.isfinite(ratio[i]) and abs(ratio[i] - limit) > band:
-            return float(x[i + 1]) if i + 1 < len(x) else float(x[i])
-    return float(x[0])
+    # the sample after the last finite one outside the band, else the first
+    out = np.flatnonzero(np.isfinite(ratio) & (np.abs(ratio - limit) > tol * max(1.0, abs(limit))))
+    return float(x[min(out[-1] + 1, len(x) - 1)]) if len(out) else float(x[0])
 
 
 def saturation_profile(problem, energy, tol=1e-6):
@@ -137,7 +135,9 @@ def saturation_profile(problem, energy, tol=1e-6):
         tol: relative band defining saturation (default 1e-6).
 
     Raises:
-        SolverError: if either ratio is undefined at x_right itself.
+        SolverError: if R_c leaves the double range inside the profile,
+            naming the outermost x where it does, or if either ratio is
+            undefined at x_right itself.
     """
     asym = problem.asymptotics
     if asym.right_kind != ASYMPTOTIC_LIMIT:
@@ -148,10 +148,15 @@ def saturation_profile(problem, energy, tol=1e-6):
     end = tuple(a[keep] for a in pair[:5])
     x, c, _, s, _ = end
 
-    rc = np.array([asym.right_convergent(energy, xi) for xi in x.tolist()]).T
-    w_rc_c, w_rc_s = row(rc, end)
-    wm_ratio = _ratio_rows(w_rc_c, w_rc_s)
-    cfm_ratio = _ratio_rows(c, s)
+    rc = on_array(lambda x: asym.right_convergent(energy, x), x, 2)
+    lost = np.flatnonzero(~np.isfinite(rc).all(axis=0))
+    if len(lost):
+        raise SolverError(f"R_c leaves the double range at x = {float(x[lost[-1]])!r} "
+                          f"for energy {energy!r}")
+    with np.errstate(all="ignore"):
+        w_rc_c, w_rc_s = row(rc, end)
+    wm_ratio = endpoint_ratio(w_rc_c, w_rc_s).value
+    cfm_ratio = endpoint_ratio(c, s).value
 
     if not (math.isfinite(wm_ratio[-1]) and math.isfinite(cfm_ratio[-1])):
         raise SolverError(f"endpoint ratio undefined at x_right for energy {energy!r}")

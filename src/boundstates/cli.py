@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import potentials
-from .core import Evaluation, PotentialSpec, Problem, SolverError, make_grid
+from .core import Evaluation, PotentialSpec, Problem, SolverError, make_grid, on_array
 from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
                   saturation_profile)
 # canonical_pair is not called here, but bench/tracer.py counts pairs by
@@ -36,13 +36,11 @@ EXIT_IO = 3
 
 POTENTIALS = ("box", "poschl-teller", "anharmonic", "radial", "inline")
 
-# math names allowed inside --expr strings
-_EXPR_NAMES = {name: getattr(math, name) for name in (
-    "exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh",
-    "asin", "acos", "atan", "fabs", "pi", "e")}
-_EXPR_NAMES["abs"] = abs
-_EXPR_NAMES["min"] = min
-_EXPR_NAMES["max"] = max
+# names allowed inside --expr strings, bound to numpy's functions so that an
+# expression takes an array of x; min and max take floats alone
+_EXPR_NAMES = {name: getattr(np, name) for name in (
+    "exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "tanh", "fabs", "pi", "e")}
+_EXPR_NAMES.update(asin=np.arcsin, acos=np.arccos, atan=np.arctan, abs=abs, min=min, max=max)
 
 
 def _fmt(value):
@@ -190,7 +188,11 @@ def _parse_range(text):
 
 
 def compile_expr(expr, var):
-    """Compile a restricted arithmetic expression of one variable."""
+    """Compile a restricted arithmetic expression of one variable.
+
+    The function takes a float or an array of them (core.on_array maps one
+    that uses min or max per point).
+    """
     code = compile(expr, "<expr>", "eval")
     for name in code.co_names:
         if name != var and name not in _EXPR_NAMES:
@@ -201,9 +203,10 @@ def compile_expr(expr, var):
     names = dict(_EXPR_NAMES, __builtins__={})
 
     def fn(value):
-        return float(eval(code, names, {var: value}))
+        return eval(code, names, {var: value})
 
-    fn(1.0)  # smoke the expression once so errors surface as config errors
+    with np.errstate(all="ignore"):
+        float(fn(1.0))  # smoke the expression once so errors surface as config errors
     return fn
 
 
@@ -274,8 +277,7 @@ def build_problem(args, command):
     grid = make_grid(0.0, h, nl, nr)
     spec = PotentialSpec(evaluate=v, parity_invariant=symmetric)
     if rng is None:
-        vmin = min(v(x) for x in grid.points())
-        rng = (min(vmin, -1.0), 0.0)
+        rng = (min(float(on_array(v, grid.points()).min()), -1.0), 0.0)
     model = potentials.decay_model(grid.x_left, grid.x_right)
     return Problem(potential=spec, grid=grid, asymptotics=model, energy_range=rng)
 
@@ -382,7 +384,8 @@ def cmd_scan(args):
     lo, hi = args.energy_range or problem.energy_range
     n = args.probes if args.probes is not None else _default_probes(lo, hi)
 
-    # each column looks its value function up when called: bench/tracer.py rebinds them
+    # each column looks its value function up when called, on the whole batch:
+    # bench/tracer.py rebinds them
     symmetric = problem.symmetric
     if symmetric:
         columns = {"F_wm_even": lambda ends: wm_value_symmetric(problem, ends, "even"),
@@ -400,21 +403,23 @@ def cmd_scan(args):
                       [("range", "%s:%s" % (_fmt(lo), _fmt(hi))), ("probes", n)])
     lines.append(",".join(["epsilon", *columns, "flags"]))
     if hi > lo:
-        # one batched march gives the endpoint data every column of a row reads
+        # one batched march gives the endpoint data every column reads
         pot, grid = problem.potential, problem.grid
-        for ends in canonical_endpoints(pot, np.linspace(lo, hi, n), grid,
-                                        sample_potential(pot, grid)):
-            values = [(name, column(ends)) for name, column in columns.items()]
-            lines.append(_fmt(ends.energy) + "," + _cells(values))
+        ends = canonical_endpoints(pot, np.linspace(lo, hi, n), grid,
+                                   sample_potential(pot, grid))
+        values = [(name, column(ends)) for name, column in columns.items()]
+        for i, energy in enumerate(ends.energy.tolist()):
+            lines.append(_fmt(energy) + "," + _cells((name, ev.at(i)) for name, ev in values))
     _emit(lines, args.out)
     return EXIT_OK
 
 
-def _box_analytic(energy, x0):
-    try:
-        return box_characteristic_analytic(energy, x0)
-    except ValueError:
-        return Evaluation(math.nan, "domain")
+def _box_analytic(energies, x0):
+    # the closed form at each energy, "domain"-flagged at or below 0, where it is
+    # undefined (x0 is inside the box)
+    evs = [box_characteristic_analytic(e, x0) if e > 0.0 else Evaluation(math.nan, "domain")
+           for e in energies.tolist()]
+    return Evaluation(np.array([ev.value for ev in evs]), [ev.flag for ev in evs])
 
 
 def cmd_saturate(args):

@@ -49,6 +49,39 @@ def wronskian(y1, dy1, y2, dy2):
     return y1 * dy2 - y2 * dy1
 
 
+def on_array(fn, points, *lead):
+    """fn(points) as a float array of shape lead + points.shape, points 1-D.
+
+    fn is called once on the array, never on numpy scalars, so an entry's
+    bits do not depend on the batch; inf or NaN come back without a numpy
+    warning. A callable that raises TypeError or ValueError on the array, or
+    returns another shape (a math-only or a constant function), is called on
+    each point as a Python float instead, in order: the one per-point path.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(points), dtype=float)
+        if out.shape == (*lead, *points.shape):
+            return out
+    except (TypeError, ValueError):
+        pass
+    out = np.array([fn(p) for p in points.tolist()], dtype=float)
+    return np.moveaxis(out.reshape(len(points), *lead), 0, -1)
+
+
+def sampled(v, points):
+    """v at points (on_array), which must all be finite.
+
+    Raises:
+        ValueError: naming the first point where v is not finite.
+    """
+    out = on_array(v, points)
+    if not np.isfinite(out).all():
+        i = int(np.isfinite(out).argmin())
+        raise ValueError(f"potential is not finite at x = {float(points[i])!r}: {out[i]!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid around the integration origin.
@@ -110,7 +143,10 @@ class PotentialSpec:
     """A potential plus the facts the solvers need about it.
 
     Attributes:
-        evaluate: v(x), finite on the solver grid.
+        evaluate: v(x), finite on the solver grid. It is called on arrays of
+            x (on_array): once on each side's grid points and once on its
+            step midpoints per solve. One that cannot take an array is
+            called on each point as a Python float instead.
         parity_invariant: True when v(-x) == v(x). Enables the symmetric
             shortcuts (rightward-only integration, even/odd splitting).
     """
@@ -126,7 +162,10 @@ class AsymptoticModel:
     Each member maps (energy, x) to (value, derivative). The convergent member
     decays toward its boundary (vanishes on a hard wall); the divergent one
     grows there (stays finite on a wall). The pair on each side must remain
-    linearly independent over the problem's energy range.
+    linearly independent over the problem's energy range. A method calls each
+    member once per batch, on the batch's energy array at a float x, and reads
+    two arrays of that shape; a member that cannot is called per energy on
+    Python floats instead (on_array).
     """
 
     left_convergent: BoundaryFunc
@@ -174,6 +213,9 @@ class Evaluation:
     factors a method reads (roots.characteristic_for), which share the flag.
     flag is None for a clean value, else one of "pole", "overflow",
     "degenerate". Flagged evaluations are skipped by the bracket scanner.
+    Over a batch of energies (wm.boundary_value) value is an array, one entry
+    or row of factors per energy, and flag an array of flags or None; at(i)
+    is energy i's Evaluation.
     """
 
     value: float | tuple[float, ...]
@@ -190,15 +232,22 @@ class Evaluation:
     def ok(self):
         return all(map(math.isfinite, self.factors))
 
+    def at(self, i):
+        """Energy i of an Evaluation over a batch, as that energy's Evaluation."""
+        value = self.value[i]
+        return Evaluation(tuple(value.tolist()) if np.ndim(value) else float(value),
+                          None if self.flag is None else self.flag[i])
+
 
 class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.
 
     evaluate() returns the flagged form, an Evaluation; plain calls give its
     value with NaN for a flagged one, a tuple where the value is a tuple of
-    factors. evaluate_many() gives evaluate() at each of many
-    energies; `many`, when given, computes that list for a numpy vector of
-    energies in one batch, and must match evaluate() at each energy. Scans
+    factors. evaluate_many() gives the factors of each of many energies as
+    an array, one row per energy, NaN where flagged. fn evaluates one energy;
+    `many`, when given instead, evaluates a numpy vector of energies in one
+    batch as an Evaluation over it, and evaluate() is a batch of one. Scans
     and refinement call evaluate_many(): refinement evaluates one candidate
     per open bracket in each batch. samples are the potential samples the
     evaluations march through, if any, so that eigenfunction assembly can
@@ -212,12 +261,20 @@ class CharacteristicFunction:
         self.samples = samples
 
     def evaluate(self, energy):
-        return self._fn(float(energy))
+        if self._many is None:
+            return self._fn(float(energy))
+        return self._many(np.array([float(energy)])).at(0)
 
     def evaluate_many(self, energies):
         if self._many is None:
-            return [self.evaluate(e) for e in energies]
-        return self._many(np.asarray(energies, dtype=float))
+            out = np.array([self.evaluate(e).factors for e in energies], dtype=float)
+        else:
+            ev = self._many(np.asarray(energies, dtype=float))
+            out = np.array(ev.value, dtype=float)
+            out[np.not_equal(ev.flag, None)] = math.nan
+        out = out[:, None] if out.ndim == 1 else out
+        out[~np.isfinite(out).all(axis=1)] = math.nan
+        return out
 
     def __call__(self, energy):
         ev = self.evaluate(energy)

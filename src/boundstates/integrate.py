@@ -1,11 +1,13 @@
 """Canonical-pair integration.
 
 Classical fixed-step RK4 on the first-order form of phi'' = 2(v - eps) phi.
-v does not depend on the energy, so it is sampled once per solve, on the grid
-points and the half-step points of each side. An RK4 step is linear in the
-state, so a march of the canonical solutions C (start 1, 0) and S (start 0, 1)
-is an ordered product of 2x2 step matrices, and each step matrix is a
-quadratic polynomial in s = 2*eps whose coefficients depend on v alone.
+v does not depend on the energy, so it is sampled once per solve: one call on
+each side's grid points and one on its half-step points (core.on_array, with
+its per-point fallback for a v that cannot take an array). An RK4 step is
+linear in the state, so a march of the canonical solutions C (start 1, 0) and
+S (start 0, 1) is an ordered product of 2x2 step matrices, and each step
+matrix is a quadratic polynomial in s = 2*eps whose coefficients depend on v
+alone.
 sample_potential multiplies the steps in pairs once per solve, into one
 PairTable of quartic polynomials per side, stored in march order. Every march
 then evaluates each pair's matrix at its energies by Horner's rule and
@@ -15,8 +17,9 @@ neighbours first, in a tree over each block of pairs, then block after block.
 `canonical_pairs` keeps every sample over the full logical line for a batch
 of energies, every level of a solve (`canonical_pair` is a batch of one);
 `canonical_endpoints` keeps only the end points, for a scan's probes or one
-candidate per open bracket in a refinement step. Both give an energy's end
-points as the same `Endpoints` record, bit for bit, whatever the batch: a
+candidate per open bracket in a refinement step, as one `Endpoints` of arrays
+over the batch. Both give an energy the same end points, bit for bit, whatever
+the batch: a
 pair's matrix is evaluated elementwise, and the products are associated by
 pair index alone; the scan that keeps every state ends each block in the
 same tree.
@@ -33,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import sampled
 
 class PairTable(NamedTuple):
     """One side's RK4 steps as polynomials in s = 2*eps, built once per solve.
@@ -117,17 +121,20 @@ def _table(nodes, halves, h):
 
 
 def sample_potential(potential, grid):
-    """Sample potential.evaluate on both sides of the grid and build their PairTables."""
+    """Sample potential.evaluate on both sides of the grid and build their PairTables.
+
+    v is called on four arrays, right side first: each side's points and its
+    step midpoints (core.sampled, which raises ValueError where v is not finite).
+    """
     v = potential.evaluate
     x0 = grid.x0
 
     def side(h, n):
-        # the float operations of a per-point loop, x0 + j*h and
-        # (x0 + j*h) + h*0.5, with v called on Python floats in the same order
-        points = x0 + np.arange(n + 1) * h
-        nodes = np.fromiter(map(v, points.tolist()), float, n + 1)
-        halves = np.fromiter(map(v, (points[:-1] + h * 0.5).tolist()), float, n)
-        return nodes, _table(nodes, halves, h)
+        # the float operations of a per-point loop, x0 + j*h and (x0 + j*h) + h*0.5
+        points = np.arange(n + 1.0) * h
+        points += x0
+        nodes = sampled(v, points)
+        return nodes, _table(nodes, sampled(v, points[:-1] + h * 0.5), h)
 
     (right, rtable), (left, ltable) = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
     return PotentialSamples(np.concatenate([left[:0:-1], right]), (rtable, ltable))
@@ -209,14 +216,15 @@ def _march(table, energies):
 
 
 class Endpoints(NamedTuple):
-    """One energy's canonical pair at the two ends of its grid.
+    """A batch of energies' canonical pairs at the two ends of their grid.
 
-    left and right are (x, C, C', S, S') as Python floats, at grid.x_left
-    (-x_right for a reflected pair) and grid.x_right. A march that outgrows
-    the double range ends in inf or NaN, which the value functions flag.
+    energy is the batch's array of energies. left and right are (x, C, C', S,
+    S'): x a float, grid.x_left (-x_right for a reflected pair) or
+    grid.x_right, and the rest arrays with one entry per energy. A march that
+    outgrows the double range ends in inf or NaN, which the value functions flag.
     """
 
-    energy: float
+    energy: np.ndarray
     left: tuple
     right: tuple
 
@@ -226,7 +234,7 @@ class CanonicalPair(NamedTuple):
 
     The arrays are grid ordered over the full logical line: a reflected pair
     (see canonical_pair) holds its mirrored left half too. v holds the
-    potential samples at x, and ends the energy's Endpoints.
+    potential samples at x, and ends the Endpoints of the energy alone, a batch of one.
     """
 
     x: np.ndarray
@@ -242,12 +250,12 @@ def _reflected(potential, grid):
     return grid.n_left == 0 and potential.parity_invariant and grid.x0 == 0.0
 
 
-def _endpoints(energy, grid, reflected, left, right):
-    # one energy's Endpoints from (C, C', S, S') at the end of each sweep; a
+def _endpoints(energies, grid, reflected, left, right):
+    # Endpoints from the arrays (C, C', S, S') at the end of each sweep; a
     # reflected pair's left end mirrors its right: C(-x) = C(x), S(-x) = -S(x)
     xr, (c, dc, s, ds) = grid.x_right, right
     left = (-xr, c, -dc, -s, ds) if reflected else (grid.x_left, *left)
-    return Endpoints(energy, left, (xr, c, dc, s, ds))
+    return Endpoints(energies, left, (xr, c, dc, s, ds))
 
 
 def canonical_pairs(potential, energies, grid, samples):
@@ -268,16 +276,16 @@ def canonical_pairs(potential, energies, grid, samples):
     left = right if reflected else side(samples.tables[1])
     v = np.concatenate([samples.line[:0:-1], samples.line]) if reflected else samples.line
     x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(v), grid.n_right + 1)
-    for energy, lk, rk in zip(energies.tolist(), left, right):
-        ends = _endpoints(energy, grid, reflected, *(a[..., -1].ravel().tolist() for a in (lk, rk)))
-        # the left side from x_left in, without the origin; mirrored, C and
-        # S' are even and C' and S odd
-        lk = lk[..., :0:-1]
+    for i, (lk, rk) in enumerate(zip(left, right)):
+        ends = _endpoints(energies[i:i + 1], grid, reflected,
+                          *(a[..., -1].reshape(4, 1) for a in (lk, rk)))
+        # the left side from x_left in, without the origin, then the right;
+        # mirrored, C and S' are even and C' and S odd, negated in place
+        (c, dc), (s, ds) = pair = np.concatenate([lk[..., :0:-1], rk], axis=-1)
         if reflected:
-            lk = lk.copy()
-            np.negative(lk[0, 1], out=lk[0, 1])
-            np.negative(lk[1, 0], out=lk[1, 0])
-        (c, dc), (s, ds) = np.concatenate([lk, rk], axis=-1)
+            n = lk.shape[-1] - 1
+            np.negative(pair[0, 1, :n], out=pair[0, 1, :n])
+            np.negative(pair[1, 0, :n], out=pair[1, 0, :n])
         yield CanonicalPair(x, c, dc, s, ds, v, ends)
 
 
@@ -297,22 +305,21 @@ def canonical_pair(potential, energy, grid, samples=None):
 
 
 def canonical_endpoints(potential, energies, grid, samples):
-    """Endpoints of the canonical pair at each of many energies, marched together.
+    """The Endpoints of the canonical pair at many energies, marched together.
 
-    Returns one Endpoints per energy, in order, each equal bit for bit to
-    canonical_pair(...).ends at that energy whatever else the batch holds.
-    samples are sample_potential(potential, grid).
+    Each energy's entries equal bit for bit those of canonical_pair(...).ends
+    at that energy whatever else the batch holds. samples are
+    sample_potential(potential, grid).
     """
     energies = np.asarray(energies, dtype=float)
     reflected = _reflected(potential, grid)
 
     def side(table):
-        # (C, C', S, S') of each energy, as Python floats
-        return _propagate(table, energies, False).swapaxes(0, 1).reshape(4, -1).T.tolist()
+        # the arrays (C, C', S, S') over the energies
+        return _propagate(table, energies, False).swapaxes(0, 1).reshape(4, -1)
 
     # a reflected pair mirrors its right end; otherwise, without a left sweep
     # the left end is the origin, a march of no steps
     right = side(samples.tables[0])
-    left = right if reflected else side(samples.tables[1])
-    return [_endpoints(e, grid, reflected, lv, rv)
-            for e, lv, rv in zip(energies.tolist(), left, right)]
+    return _endpoints(energies, grid, reflected, right if reflected else side(samples.tables[1]),
+                      right)

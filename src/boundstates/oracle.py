@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import CharacteristicFunction, Evaluation, wronskian
+from .core import CharacteristicFunction, Evaluation, on_array, sampled, wronskian
 from .potentials import infinite_well
 from .roots import _window, dirichlet_determinant, roots, scan_brackets
 
@@ -70,9 +70,9 @@ def fd_box_recurrence_eigenvalues(N, n_max):
         raise ValueError(f"resolvable modes are 1 <= n <= N/2 - 1 = {N // 2 - 1}, got {n_max!r}")
 
     def many(energies):
-        return [Evaluation(v) for v in _recurrence_ends(N, energies).tolist()]
+        return Evaluation(_recurrence_ends(N, energies))
 
-    phi_end = CharacteristicFunction(lambda e: many(np.array([e]))[0], label="fd", many=many)
+    phi_end = CharacteristicFunction(None, label="fd", many=many)
     band = 0.5 * N * N  # 1 / (2 h^2), the top of the lattice dispersion
     # level gaps bottom out near 1.5 pi^2 at the fold; keep probes finer
     n_probe = max(400, math.ceil(N * N / 25))
@@ -161,13 +161,15 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     start and finds the sign changes of W(R_c, phi) at the right end, at
     grid.h / dense_factor (a positive integer) across the solver's span,
     [-x_right, x_right] on a symmetric problem. v is sampled once per call,
-    at the 2 n + 1 points the march reads. The march takes RK4 steps 1024 at a
-    time: each step's 2x2 matrix is the RK4 step applied to the unit states,
-    and a block's matrices are multiplied out pairwise and applied to the
-    state, so only the state can overflow, never an RK4 stage. Energies are
-    marched 8 at a time, each on the same bits as when marched alone, and
-    the closings are taken in Python floats, so a march that overflows is a
-    flagged value and raises no numpy warning. The mismatch goes through the
+    by the solver's rule (core.sampled), at the 2 n + 1 points the march
+    reads. The march takes RK4 steps 1024 at a time: each step's 2x2 matrix
+    is the RK4 step applied to the unit states, and a block's matrices are
+    multiplied out pairwise and applied to the state, so only the state can
+    overflow, never an RK4 stage. Energies are marched 8 at a time, each on
+    the same bits as when marched alone. The boundary members are called on
+    each batch's energy array and the closings are taken in Python floats, so
+    a march that overflows is a flagged value and raises no numpy warning.
+    The mismatch goes through the
     solver's scan_brackets (n_probe cells, by default 8 per unit of energy)
     and roots(), which closes every bracket to tol in lockstep: each
     refinement iteration marches all open brackets' iterates as one batch.
@@ -184,22 +186,23 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     x_start = grid.x0 - n_left * grid.h
     n = dense_factor * (n_left + grid.n_right)
     x_end = x_start + n * h
-    v = problem.potential.evaluate
     asym = problem.asymptotics
     # 2 v at the march's points, in the float expressions a per-step call
     # would use: the point x_start + j*h and the midpoint (x_start + j*h) + h/2
-    nodes = np.array([2.0 * v(x_start)] + [2.0 * v(x_start + j * h) for j in range(1, n + 1)])
-    halves = np.array([2.0 * v((x_start + j * h) + h * 0.5) for j in range(n)])
+    points = x_start + np.arange(n + 1) * h
+    nodes = 2.0 * sampled(problem.potential.evaluate, points)
+    halves = 2.0 * sampled(problem.potential.evaluate, points[:-1] + h * 0.5)
 
     def many(energies):
-        es = energies.tolist()
-        y0, p0 = np.array([asym.left_convergent(e, x_start) for e in es]).T
+        y0, p0 = on_array(lambda e: asym.left_convergent(e, x_start), energies, 2)
         ys, ps = _rk4(y0, p0, 2.0 * energies, nodes, halves, h)
-        return [Evaluation(wronskian(*asym.right_convergent(e, x_end), y, p))
-                for e, y, p in zip(es, ys.tolist(), ps.tolist())]
+        rc = on_array(lambda e: asym.right_convergent(e, x_end), energies, 2)
+        # each closing in Python floats, which run on past the double range
+        # without a numpy warning
+        return Evaluation(np.array([wronskian(*args) for args in zip(
+            *rc.tolist(), ys.tolist(), ps.tolist())]))
 
-    mismatch = CharacteristicFunction(lambda e: many(np.array([e]))[0], label="shooting",
-                                      many=many)
+    mismatch = CharacteristicFunction(None, label="shooting", many=many)
     lo, hi = _window(energy_range if energy_range is not None else problem.energy_range)
     if n_probe is None:
         n_probe = max(40, math.ceil(8.0 * (hi - lo)))

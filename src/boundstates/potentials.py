@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     HARD_DIRICHLET,
     REGULAR_ORIGIN,
@@ -26,25 +28,27 @@ def _steps(extent, h, what):
     return n
 
 
-def _decay_constant(energy):
-    # k = sqrt(-2 eps); clamps to 0 for eps >= 0, which the Wronskian checks
-    # then report as a degenerate pair rather than raising mid-scan
-    return math.sqrt(max(0.0, -2.0 * energy))
+def _spread(e, *values):
+    # values that do not depend on the energy, one per entry of the energies e
+    zero = np.zeros(np.shape(e))
+    return tuple(value + zero for value in values)
 
 
 def decay_model(x_left, x_right):
     """Exponential boundary pairs for potentials that die off on both sides.
 
     Members are anchored at their own endpoint (value 1 there) so nothing
-    overflows: R_c = exp(-k (x - x_right)), R_d its growing mirror, and the
-    left side reversed. Valid for energies below 0.
+    overflows at the grid ends: R_c = exp(-k (x - x_right)), R_d its growing
+    mirror, and the left side reversed, with k = sqrt(-2 eps). Valid for
+    energies below 0; k clamps to 0 above, which the Wronskian checks then
+    report as a degenerate pair. Members take arrays of e or of x.
     """
 
     def member(anchor, sign):
         # sign +1: grows with x; -1: decays
         def fn(e, x):
-            k = sign * _decay_constant(e)
-            w = math.exp(k * (x - anchor))
+            k = sign * np.sqrt(np.maximum(0.0, -2.0 * e))
+            w = np.exp(k * (x - anchor))
             return w, k * w
         return fn
 
@@ -62,13 +66,13 @@ def hard_wall_model(x_left, x_right):
     """
 
     def left_conv(e, x):
-        return x_left - x, -1.0
+        return _spread(e, x_left - x, -1.0)
 
     def right_conv(e, x):
-        return x_right - x, -1.0
+        return _spread(e, x_right - x, -1.0)
 
     def flat(e, x):
-        return 1.0, 0.0
+        return _spread(e, 1.0, 0.0)
 
     return AsymptoticModel(left_conv, flat, right_conv, flat,
                            left_kind=HARD_DIRICHLET, right_kind=HARD_DIRICHLET)
@@ -86,7 +90,7 @@ def quartic_decay_model(v4, x_left, x_right):
     def member(anchor, sign):
         # sign +1: grows with x^3; -1: decays
         def fn(e, x):
-            w = math.exp(sign * coef * (x ** 3 - anchor ** 3) / 3.0)
+            (w,) = _spread(e, np.exp(sign * coef * (x ** 3 - anchor ** 3) / 3.0))
             return w, sign * coef * x * x * w
         return fn
 
@@ -102,12 +106,12 @@ def radial_model(l, r_right):
     decay = decay_model(0.0, r_right)
 
     def origin_conv(e, r):
-        return r ** (l + 1), (l + 1) * r ** l
+        return _spread(e, r ** (l + 1), (l + 1) * r ** l)
 
     def origin_div(e, r):
         if l == 0:
-            return 1.0, 0.0
-        return r ** (-l), -l * r ** (-l - 1)
+            return _spread(e, 1.0, 0.0)
+        return _spread(e, r ** (-l), -l * r ** (-l - 1))
 
     return AsymptoticModel(origin_conv, origin_div,
                            decay.right_convergent, decay.right_divergent,
@@ -134,7 +138,7 @@ def infinite_well(x0=0.5, h=0.001, energy_max=125.0):
         raise ValueError(f"origin must lie strictly inside (0, 1), got {x0!r}")
     n_left = _steps(x0, h, "origin offset")
     n_right = _steps(1.0 - x0, h, "origin-to-wall distance")
-    spec = PotentialSpec(evaluate=lambda x: 0.0)
+    spec = PotentialSpec(evaluate=np.zeros_like)
 
     def spectrum(lo, hi):
         out = []
@@ -182,7 +186,7 @@ def poschl_teller(v0, h=0.01, x_right=5.0, energy_range=None):
     if not v0 > 0.0:
         raise ValueError(f"well strength must be positive, got {v0!r}")
     n_right = _steps(x_right, h, "half-width")
-    spec = PotentialSpec(evaluate=lambda x: -v0 / math.cosh(x) ** 2,
+    spec = PotentialSpec(evaluate=lambda x: -v0 / np.cosh(x) ** 2,
                          parity_invariant=True)
     if energy_range is None:
         energy_range = (-float(v0), 0.0)
@@ -206,7 +210,9 @@ def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
         raise ValueError(f"quartic coefficient must be positive, got {v4!r}")
 
     def v(x):
-        return v2 * x * x + v4 * x ** 4
+        # x^4 as a square of products, on the same bits for x and -x and for
+        # a float and an array, which numpy's x**4 is not
+        return v2 * x * x + v4 * (x * x) ** 2
 
     v_min = 0.0 if v2 >= 0.0 else -v2 * v2 / (4.0 * v4)
     if energy_max is None:

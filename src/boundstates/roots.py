@@ -55,7 +55,7 @@ def _hard_walls(problem):
         raise ValueError("the two-wall determinant needs hard walls on both sides")
 
 
-# method -> (rows of one energy's Endpoints, the parity factors it reads on a
+# method -> (rows of a batch's Endpoints, the parity factors it reads on a
 # symmetric problem, 0 even and 1 odd, check that raises ValueError on a problem it does not fit)
 _METHODS = {
     "wm": (wm_rows, (0, 1), None),
@@ -132,10 +132,10 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     if lo == hi:
         return []
     eps = np.linspace(lo, hi, int(n_probe) + 1)
-    rows = [ev.factors for ev in char_fn.evaluate_many(eps)]
+    rows = char_fn.evaluate_many(eps)
     # a run of flagged probes that spans a whole cell hides any level in it
     start = 0
-    for good, run in itertools.groupby(not any(map(math.isnan, row)) for row in rows):
+    for good, run in itertools.groupby(~np.isnan(rows[:, 0])):
         n = len(list(run))
         if not good and n > 1:
             warnings.warn(f"every probe from {eps[start]:.9g} to {eps[start + n - 1]:.9g} "
@@ -143,11 +143,11 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
                           RefinementWarning)
         start += n
     brackets = []
-    for factor, values in enumerate(zip(*rows)):
-        ok = [i for i, v in enumerate(values) if not math.isnan(v)]
-        for p, q in _sign_changes(values, ok):
+    for factor, values in enumerate(rows.T):
+        ok = np.flatnonzero(~np.isnan(values))
+        for p, q in _sign_changes(values[ok]):
             a, b = ok[p], ok[q]
-            fa, fb = values[a], values[b]
+            fa, fb = float(values[a]), float(values[b])
             f_prev = values[ok[p - 1]] if p > 0 else None
             f_next = values[ok[q + 1]] if q + 1 < len(ok) else None
             growing = (f_prev is not None and abs(fa) > SUSPECT_GROWTH * abs(f_prev)
@@ -160,33 +160,33 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     return sorted(brackets, key=lambda br: br.lo)  # stable: factors keep their order
 
 
-def _sign_changes(values, ok):
-    # (p, q) positions in ok of each sign change of values, in energy order.
-    # A zero has no sign: it is bracketed by its nearest unflagged neighbours
-    # when they straddle it, and by itself (p == q) when it lacks one
-    for p, i in enumerate(ok):
-        if values[i] == 0.0:
-            if p == 0 or p == len(ok) - 1:
-                yield p, p
-            elif (values[ok[p - 1]] < 0) != (values[ok[p + 1]] < 0):
-                yield p - 1, p + 1
-        elif p + 1 < len(ok):
-            fj = values[ok[p + 1]]
-            if fj != 0.0 and (values[i] < 0) != (fj < 0):
-                yield p, p + 1
+def _sign_changes(values):
+    # (p, q) positions in values, none NaN, of each sign change, in order. A
+    # zero has no sign: it is bracketed by its neighbours when they straddle
+    # it, and by itself (p == q) at either end
+    neg, zero, last = values < 0.0, values == 0.0, len(values) - 1
+    p = np.flatnonzero(~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:]))
+    z = np.flatnonzero(zero)
+    inner = z[(z > 0) & (z < last)]
+    inner = inner[neg[inner - 1] != neg[inner + 1]]
+    edge = z[(z == 0) | (z == last)]
+    at = np.concatenate([p, inner, edge])
+    pairs = np.concatenate([np.stack([p, p + 1]), np.stack([inner - 1, inner + 1]),
+                            np.stack([edge, edge])], axis=1)
+    return pairs[:, np.argsort(at, kind="stable")].T.tolist()
 
 
 def _subdivide(char_fn, e_lo, e_hi, f_lo, f_hi, factor):
     # zoom in tenfold on one factor and judge each inner sign change by
     # whether the crossing-adjacent magnitudes grew (pole) or shrank (root)
     sub = np.linspace(e_lo, e_hi, 11)
-    vals = [f_lo] + [ev.factors[factor] for ev in char_fn.evaluate_many(sub[1:-1])] + [f_hi]
+    vals = np.concatenate([[f_lo], char_fn.evaluate_many(sub[1:-1])[:, factor], [f_hi]])
     outer_floor = min(abs(f_lo), abs(f_hi))
-    idx = [i for i, v in enumerate(vals) if not math.isnan(v)]
+    idx = np.flatnonzero(~np.isnan(vals))
     out = []
-    for p, q in _sign_changes(vals, idx):
+    for p, q in _sign_changes(vals[idx]):
         i, j = idx[p], idx[q]
-        fi, fj = vals[i], vals[j]
+        fi, fj = float(vals[i]), float(vals[j])
         suspect = min(abs(fi), abs(fj)) > outer_floor
         out.append(Bracket(float(sub[i]), float(sub[j]), fi, fj, suspect, factor))
     return out
@@ -211,8 +211,9 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
             midpoint, or when |F| runs away (bracketed pole).
     """
     if bracket.hi != bracket.lo:
-        ends = [ev.factors[bracket.factor] if bracket.factor in range(len(ev.factors))
-                else math.nan for ev in char_fn.evaluate_many([bracket.lo, bracket.hi])]
+        rows = char_fn.evaluate_many([bracket.lo, bracket.hi])
+        ends = (rows[:, bracket.factor].tolist() if bracket.factor in range(rows.shape[1])
+                else [math.nan] * 2)
         if not all(f == s or f * s > 0 for f, s in zip(ends, (bracket.f_lo, bracket.f_hi))):
             raise ValueError(f"{bracket} does not hold the signs of factor {bracket.factor} "
                              f"of {char_fn.label!r} at its ends, {ends}")
@@ -326,13 +327,13 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
         if not live:
             break
         cands = {k: r.candidate() for k, r in live.items()}
-        evs = char_fn.evaluate_many(list(cands.values()))
-        fs = {k: ev.factors[brackets[k].factor] for k, ev in zip(cands, evs)}
+        rows = char_fn.evaluate_many(list(cands.values()))
+        fs = {k: float(row[brackets[k].factor]) for k, row in zip(cands, rows)}
         retry = [k for k in cands if math.isnan(fs[k]) and cands[k] != live[k].mid
                  and live[k].settled is None]
         if retry:
-            for k, ev in zip(retry, char_fn.evaluate_many([live[k].mid for k in retry])):
-                cands[k], fs[k] = live[k].mid, ev.factors[brackets[k].factor]
+            for k, row in zip(retry, char_fn.evaluate_many([live[k].mid for k in retry])):
+                cands[k], fs[k] = live[k].mid, float(row[brackets[k].factor])
         for k in cands:
             done = live[k].update(cands[k], fs[k])
             if done is not None:
@@ -365,8 +366,8 @@ def characteristic_for(problem, method):
     """CharacteristicFunction of a method in the table, labelled by its name.
 
     v is sampled once and kept as .samples. evaluate_many() marches a batch
-    endpoint-only through them and takes F of the method's rows at each
-    energy; evaluate() is evaluate_many() of one energy. On a symmetric
+    endpoint-only through them and takes F of the method's rows over it as
+    arrays; evaluate() is a batch of one. On a symmetric
     problem the value is instead the tuple of its parity factors, F against the
     origin row of psi'(0) = 0 or psi(0) = 0, read from r_R (wm.boundary_value):
     (even, odd) for wm, cfm and dirichlet, (even,) for wm-even, (odd,) for wm-odd.
@@ -384,11 +385,10 @@ def characteristic_for(problem, method):
     samples = sample_potential(pot, grid)
 
     def many(energies):
-        return [boundary_value(rows, problem, ends, factors)
-                for ends in canonical_endpoints(pot, energies, grid, samples)]
+        return boundary_value(rows, problem, canonical_endpoints(pot, energies, grid, samples),
+                              factors)
 
-    return CharacteristicFunction(lambda e: many(np.array([e]))[0], label=method,
-                                  many=many, samples=samples)
+    return CharacteristicFunction(None, label=method, many=many, samples=samples)
 
 
 def dirichlet_determinant(problem):

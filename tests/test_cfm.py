@@ -64,11 +64,12 @@ def test_analytic_box_changes_sign_at_each_level(n):
 def test_symmetric_cfm_has_the_sign_and_zeros_of_the_endpoint_product():
     # the reflected rows are (C_R, -S_R) and (C_R, S_R): F = 2 C_R S_R / |r_R|^2
     def product(e):
-        _, cr, _, sr, _ = canonical_pair(PT.potential, e, PT.grid).ends.right
+        _, cr, _, sr, _ = (float(np.ravel(a)[0])
+                           for a in canonical_pair(PT.potential, e, PT.grid).ends.right)
         return cr * sr, cr * cr + sr * sr
 
     for e in np.linspace(-2.45, -0.05, 25).tolist():
-        ev = cfm_value(PT, canonical_pair(PT.potential, e, PT.grid).ends)
+        ev = cfm_value(PT, canonical_pair(PT.potential, e, PT.grid).ends).at(0)
         p, norm = product(e)
         assert ev.ok
         assert (ev.value < 0) == (p < 0)
@@ -84,7 +85,7 @@ def test_endpoint_ratio_flags_a_zero_denominator():
     # a degenerate grid whose right end is the origin itself, where S = 0
     spec = PotentialSpec(evaluate=lambda x: 0.0)
     ends = canonical_pair(spec, -1.0, make_grid(0.0, 0.01, 100, 0)).ends
-    l_minus, l_plus = cfm_l_ratios(ends)
+    l_minus, l_plus = (ev.at(0) for ev in cfm_l_ratios(ends))
     assert l_minus.ok
     assert not l_plus.ok
     assert l_plus.flag == "pole"
@@ -97,8 +98,8 @@ def test_truncated_pair_flags_overflow():
     ends = canonical_pair(slab, -1.0, prob.grid).ends
     # the right sweep outgrew the double range and still reached x_right
     assert ends.right[0] == prob.grid.x_right
-    assert not all(map(math.isfinite, ends.right[1:]))
-    ev = cfm_value(prob, ends)
+    assert not np.isfinite(ends.right[1:]).all()
+    ev = cfm_value(prob, ends).at(0)
     assert not ev.ok
     assert ev.flag == "overflow"
 

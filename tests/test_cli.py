@@ -197,6 +197,20 @@ def test_saturate_free_space_control_is_flat(capsys):
     assert max(ratios) - min(ratios) < 1e-10
 
 
+def test_saturate_past_the_double_range_is_a_one_line_solver_failure(capsys):
+    # R_c is anchored at x_R = 200 and grows toward the origin past the
+    # double range; the profile names where, instead of printing inf cells
+    argv = ["saturate", "--potential", "poschl-teller", "--v0", "10", "--h", "0.01",
+            "--energy", "-9", "--nr"]
+    assert run_cli(argv + ["20000"]) == 2
+    assert capsys.readouterr().err == (
+        "boundstates saturate: R_c leaves the double range at x = 33.04 for energy -9.0\n")
+    # inside the range the same profile runs to the end
+    assert run_cli(argv + ["4000"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 4001 and all(r[6] for r in rows)
+
+
 def test_saturate_requires_an_energy(capsys):
     code = run_cli(["saturate", "--potential", "poschl-teller", "--v0", "2.5"])
     assert code == 1

@@ -7,9 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from boundstates import anharmonic, infinite_well, poschl_teller, radial
+from boundstates import anharmonic, find_eigenvalues, infinite_well, poschl_teller, radial
 from boundstates import integrate
-from boundstates.core import PotentialSpec, Problem, make_grid, wronskian
+from boundstates.core import PotentialSpec, Problem, make_grid, on_array, wronskian
 from boundstates.cfm import cfm_rows, cfm_value
 from boundstates.cli import compile_expr
 from boundstates.integrate import (
@@ -18,7 +18,7 @@ from boundstates.integrate import (
     canonical_pairs,
     sample_potential,
 )
-from boundstates.potentials import decay_model
+from boundstates.potentials import decay_model, hard_wall_model
 from boundstates.roots import _default_probes, characteristic_for
 from boundstates.wm import boundary_value, wm_rows, wm_value, wm_value_symmetric
 
@@ -65,7 +65,7 @@ def test_halving_the_step_changes_little():
     for h in (0.01, 0.005):
         grid = make_grid(0.0, h, 0, int(round(5.0 / h)))
         pair = canonical_pair(PT25.potential, -1.0, grid)
-        assert all(map(math.isfinite, pair.ends.left + pair.ends.right))
+        assert np.isfinite(pair.ends.left[1:] + pair.ends.right[1:]).all()
         results[h] = pair.c[-1]
     assert results[0.01] == pytest.approx(-108.51900692869377, rel=1e-12)
     rel = abs(results[0.01] - results[0.005]) / abs(results[0.005])
@@ -111,17 +111,24 @@ def test_overflow_truncates_and_flags():
     assert pair.x[-1] == pair.ends.right[0] == grid.x_right
     assert len(pair.x) == len(pair.c) == grid.n_right + 1
     # growth past the double range runs on as inf or NaN, never raises
-    assert not all(map(math.isfinite, pair.ends.right[1:]))
+    assert not np.isfinite(pair.ends.right[1:]).all()
     problem = Problem(barrier, grid, decay_model(grid.x_left, grid.x_right),
                       energy_range=(-2.0, 0.0))
     for value in (wm_value, cfm_value):
-        assert value(problem, pair.ends).flag == "overflow"
+        assert value(problem, pair.ends).at(0).flag == "overflow"
 
 
 # --- batched endpoint march -------------------------------------------------
 
 def _bits(value):
     return struct.pack("<d", value)
+
+
+def _end_bits(ends, i=0):
+    # the bits of energy i's entry of a batch's Endpoints: its energy, then
+    # (x, C, C', S, S') at the left end and at the right
+    entries = np.broadcast_arrays(ends.energy, *ends.left, *ends.right)
+    return [_bits(a[i]) for a in entries]
 
 
 PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
@@ -167,18 +174,20 @@ def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method)
     batch = fn.evaluate_many(eps)
     scalar = [fn.evaluate(e) for e in eps]
     # on a symmetric problem wm's and cfm's value is the even and the odd factor
-    assert {len(ev.factors) for ev in scalar} == {
-        2 if problem.symmetric and method in ("wm", "cfm") else 1}
-    assert [ev.flag for ev in batch] == [ev.flag for ev in scalar]
-    assert [_bits(f) for ev in batch for f in ev.factors] == [
+    k = 2 if problem.symmetric and method in ("wm", "cfm") else 1
+    assert {len(ev.factors) for ev in scalar} == {k}
+    # one row of factors per energy, NaN where the single evaluation is flagged
+    assert batch.shape == (len(eps), k)
+    assert [_bits(f) for row in batch.tolist() for f in row] == [
         _bits(f) for ev in scalar for f in ev.factors]
     if problem is QUARTIC:
         # the pairs stay finite, and so does every scale-free value
         assert all(ev.ok for ev in scalar)
     if problem is QUARTIC_FINE:
         assert any(ev.flag == "overflow" for ev in scalar)
-    assert fn.evaluate_many([]) == []
-    assert fn.evaluate_many(eps[7:8]) == [fn.evaluate(eps[7])]
+    assert fn.evaluate_many([]).shape == (0, k)
+    assert [_bits(f) for f in fn.evaluate_many(eps[7:8])[0].tolist()] == [
+        _bits(f) for f in fn.evaluate(eps[7]).factors]
 
 
 @pytest.mark.parametrize("grid", [make_grid(0.0, 0.01, 0, 10000),
@@ -191,30 +200,29 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
     samples = sample_potential(SLAB, grid)
     batch = canonical_endpoints(SLAB, energies, grid, samples)
-    for ends, e in zip(batch, energies):
+    for i, e in enumerate(energies):
         pair = canonical_pair(SLAB, e, grid)
         # the batch and a batch of one
-        for got in (ends, canonical_endpoints(SLAB, [e], grid, samples)[0]):
-            assert got == pair.ends
-            assert [_bits(v) for v in got.left + got.right] == [
-                _bits(v) for v in pair.ends.left + pair.ends.right]
+        assert _end_bits(batch, i) == _end_bits(pair.ends)
+        assert _end_bits(canonical_endpoints(SLAB, [e], grid, samples)) == _end_bits(pair.ends)
     if grid.n_right:
         # the right sweep outgrew the double range and still reached x_right
         ends = canonical_pair(SLAB, -40.0, grid).ends
         assert ends.right[0] == grid.x_right
-        assert not all(map(math.isfinite, ends.right[1:]))
+        assert not np.isfinite(ends.right[1:]).all()
 
 
 def _pair_value(problem, method, energy):
     ends = canonical_pair(problem.potential, energy, problem.grid).ends
     if method in ("wm-even", "wm-odd"):
-        return wm_value_symmetric(problem, ends, method[3:])
+        return wm_value_symmetric(problem, ends, method[3:]).at(0)
     if problem.symmetric:
         # the even and the odd factor, read from r_R
-        return boundary_value({"wm": wm_rows, "cfm": cfm_rows}[method], problem, ends, (0, 1))
+        rows = {"wm": wm_rows, "cfm": cfm_rows}[method]
+        return boundary_value(rows, problem, ends, (0, 1)).at(0)
     # dirichlet is cfm's rows with a hard-wall check
     value = {"wm": wm_value, "cfm": cfm_value, "dirichlet": cfm_value}[method]
-    return value(problem, ends)
+    return value(problem, ends).at(0)
 
 
 @pytest.mark.parametrize("problem, method", [
@@ -250,12 +258,12 @@ def test_single_energy_evaluations_match_the_full_pair_bit_for_bit(problem, meth
 
 @pytest.mark.parametrize("problem", [PT25, QUARTIC, anharmonic(-5.0, 1.0, h=0.005)])
 def test_reflected_pair_reads_the_potential_it_would_evaluate(problem):
-    # node counting reads the mirrored samples; they must be v at -x
+    # node counting reads the mirrored samples; they must be v at -x, as the
+    # array call that samples v reads it
     pair = canonical_pair(problem.potential, problem.energy_range[0], problem.grid)
     # a half grid whose pair reaches -x_right: the left half is mirrored
     assert problem.grid.n_left == 0 and pair.x[0] == -problem.grid.x_right
-    direct = np.array([problem.potential.evaluate(xi) for xi in pair.x])
-    assert np.array_equal(pair.v, direct)
+    assert np.array_equal(pair.v, on_array(problem.potential.evaluate, pair.x))
 
 
 def _looped_samples(v, grid):
@@ -271,33 +279,85 @@ def _looped_samples(v, grid):
     return side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
 
 
-@pytest.mark.parametrize("potential, grid", [
-    pytest.param(PT25.potential, PT25.grid, id="poschl-teller-reflected"),
-    pytest.param(BOX.potential, BOX.grid, id="box-two-sided"),
-    pytest.param(RADIAL.potential, RADIAL.grid, id="radial-left-side"),
-    pytest.param(PotentialSpec(evaluate=compile_expr("-2*exp(-x*x)", "x")),
-                 make_grid(0.3, 0.01, 250, 300), id="inline-expr"),
-])
-def test_potential_samples_equal_a_per_point_loop_bit_for_bit(potential, grid):
-    # the same points, the same calls in the same order, each with a Python float
-    calls, looped_calls = [], []
+def _sides(grid):
+    # each side's points and step midpoints, right side first, as the
+    # per-point loop forms them
+    out = []
+    for h, n in ((grid.h, grid.n_right), (-grid.h, grid.n_left)):
+        points = grid.x0 + np.arange(n + 1) * h
+        out += [points, points[:-1] + h * 0.5]
+    return out
 
-    def recorded(log):
-        def v(x):
-            log.append(x)
-            return potential.evaluate(x)
-        return v
 
-    samples = sample_potential(dataclasses.replace(potential, evaluate=recorded(calls)), grid)
-    right, left = _looped_samples(recorded(looped_calls), grid)
+def _recorded(potential, log):
+    # the potential with every argument it is called on appended to log
+    def v(x):
+        log.append(x)
+        return potential.evaluate(x)
+    return dataclasses.replace(potential, evaluate=v)
+
+
+def _assert_tables(samples, right, left, grid):
     # the half-step samples are kept only in the step tables
     for table, (nodes, halves), h in zip(samples.tables, (right, left), (grid.h, -grid.h)):
         want = integrate._table(nodes, halves, h)
         assert table.pairs.tobytes() == want.pairs.tobytes()
         assert table.firsts.tobytes() == want.firsts.tobytes()
     assert samples.line.tobytes() == np.concatenate([left[0][:0:-1], right[0]]).tobytes()
-    assert all(type(x) is float for x in calls)
-    assert [_bits(x) for x in calls] == [_bits(x) for x in looped_calls]
+
+
+@pytest.mark.parametrize("potential, grid", [
+    pytest.param(PT25.potential, PT25.grid, id="poschl-teller-reflected"),
+    pytest.param(BOX.potential, BOX.grid, id="box-two-sided"),
+    pytest.param(QUARTIC.potential, make_grid(0.3, 0.01, 37, 91), id="anharmonic-off-centre"),
+    pytest.param(PotentialSpec(evaluate=compile_expr("-2*exp(-x*x)", "x")),
+                 make_grid(0.3, 0.01, 250, 300), id="inline-expr"),
+])
+def test_an_array_potential_is_sampled_in_one_call_per_array(potential, grid):
+    # four calls, each on one side's points or midpoints, right side first,
+    # and the samples are v of those arrays bit for bit
+    calls = []
+    samples = sample_potential(_recorded(potential, calls), grid)
+    arrays = _sides(grid)
+    assert [x.tobytes() for x in calls] == [x.tobytes() for x in arrays]
+    v = [potential.evaluate(x) for x in arrays]
+    _assert_tables(samples, v[:2], v[2:], grid)
+
+
+@pytest.mark.parametrize("potential, grid", [
+    pytest.param(PotentialSpec(evaluate=lambda x: -2.5 / math.cosh(x) ** 2, parity_invariant=True),
+                 PT25.grid, id="poschl-teller-reflected"),
+    pytest.param(PotentialSpec(evaluate=lambda x: 0.0), BOX.grid, id="box-two-sided"),
+    pytest.param(RADIAL.potential, RADIAL.grid, id="radial-left-side"),
+    pytest.param(PotentialSpec(evaluate=compile_expr("max(-2*exp(-x*x), -1.5)", "x")),
+                 make_grid(0.3, 0.01, 250, 300), id="inline-expr"),
+])
+def test_potential_samples_equal_a_per_point_loop_bit_for_bit(potential, grid):
+    # v takes floats alone: math.cosh, math.exp (the radial catalog problem
+    # here) and max raise on an array, and a constant returns a scalar for
+    # it. After that one try per array, v is called on each point as a
+    # Python float, in a per-point loop's order, and the samples are that
+    # loop's bit for bit
+    calls, looped_calls = [], []
+    samples = sample_potential(_recorded(potential, calls), grid)
+    right, left = _looped_samples(_recorded(potential, looped_calls).evaluate, grid)
+    _assert_tables(samples, right, left, grid)
+    tried = [x for x in calls if type(x) is not float]
+    assert [x.tobytes() for x in tried] == [x.tobytes() for x in _sides(grid)]
+    floats = [x for x in calls if type(x) is float]
+    assert [_bits(x) for x in floats] == [_bits(x) for x in looped_calls]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_potential_that_is_not_finite_on_the_grid_is_named(bad):
+    # an array v returns inf or NaN where math would have raised; sampling
+    # names the first such point instead of marching through it
+    spec = PotentialSpec(evaluate=lambda x: np.where(x > 0.25, bad, 0.0))
+    with pytest.raises(ValueError, match=r"potential is not finite at x = 0\.26"):
+        sample_potential(spec, make_grid(0.0, 0.01, 10, 40))
+    with pytest.raises(ValueError, match="potential is not finite"):
+        find_eigenvalues(Problem(spec, make_grid(0.0, 0.01, 10, 40), hard_wall_model(-0.1, 0.4),
+                                 energy_range=(0.0, 10.0)))
 
 
 @pytest.mark.parametrize("potential, grid, energies", [
@@ -318,7 +378,8 @@ def test_reflected_pair_is_mirrored_bit_for_bit(potential, grid, energies):
             assert (-a[:n]).tobytes() == a[:n:-1].tobytes()
         for a in (pair.c, pair.ds, pair.v):
             assert a[:n].tobytes() == a[:n:-1].tobytes()
-        assert pair.ends == canonical_endpoints(potential, [energy], grid, samples)[0]
+        assert _end_bits(pair.ends) == _end_bits(
+            canonical_endpoints(potential, [energy], grid, samples))
 
 
 # --- the step-matrix kernel: independent of batch size and step count -------
@@ -332,10 +393,9 @@ def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
     assert max(BOX.grid.n_left, BOX.grid.n_right) < integrate._BLOCK
     samples = sample_potential(BOX.potential, BOX.grid)
     batch = canonical_endpoints(BOX.potential, energies, BOX.grid, samples)
-    single = [canonical_endpoints(BOX.potential, [e], BOX.grid, samples)[0] for e in energies]
-    assert batch == single
-    assert [_bits(v) for ends in batch for v in ends.left + ends.right] == [
-        _bits(v) for ends in single for v in ends.left + ends.right]
+    single = [canonical_endpoints(BOX.potential, [e], BOX.grid, samples) for e in energies]
+    assert [_end_bits(batch, i) for i in range(len(energies))] == [
+        _end_bits(ends) for ends in single]
 
 
 @pytest.mark.parametrize("grid", [
@@ -354,11 +414,11 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
     energies = np.linspace(-2.4, 1.0, integrate._CHUNK // block + 3)
     samples = sample_potential(PT25.potential, grid)
     batch = canonical_endpoints(PT25.potential, energies, grid, samples)
-    for ends, e in zip(batch, energies):
+    for i, e in enumerate(energies):
         pair = canonical_pair(PT25.potential, e, grid, samples)
-        for got in (ends, canonical_endpoints(PT25.potential, [e], grid, samples)[0]):
-            assert [_bits(v) for v in got.left + got.right] == [
-                _bits(v) for v in pair.ends.left + pair.ends.right]
+        assert _end_bits(batch, i) == _end_bits(pair.ends)
+        assert _end_bits(canonical_endpoints(PT25.potential, [e], grid, samples)) == _end_bits(
+            pair.ends)
 
 
 @pytest.mark.parametrize("grid", [
@@ -375,7 +435,7 @@ def test_kept_pairs_of_a_batch_equal_the_pair_of_each_energy_bit_for_bit(grid):
     for many, e in zip(kept, energies):
         pair = canonical_pair(PT25.potential, e, grid, samples)
         assert [a.tobytes() for a in many[:6]] == [a.tobytes() for a in pair[:6]]
-        assert many.ends == pair.ends
+        assert _end_bits(many.ends) == _end_bits(pair.ends)
 
 
 def _sequential_rk4(v, x0, h, n, energy):

@@ -480,11 +480,13 @@ def test_shooting_reference_warns_when_probes_end_non_finite(quartic_shooting):
 
 
 def _counting(problem):
-    calls = [0]
+    # calls[0] counts the calls of v, calls[1] the points they read
+    calls = [0, 0]
     v = problem.potential.evaluate
 
     def counted(x):
         calls[0] += 1
+        calls[1] += np.size(x)
         return v(x)
 
     pot = dataclasses.replace(problem.potential, evaluate=counted)
@@ -501,7 +503,8 @@ def test_shooting_reference_samples_the_potential_once(make, steps, n_probe):
     problem, calls = _counting(make())
     lo, hi = problem.energy_range
     shooting_reference(problem, (lo + 0.01 * (hi - lo), hi), n_probe=n_probe)
-    assert calls[0] == 2 * steps + 1
+    # by the solver's rule: one call on the march's points, one on its midpoints
+    assert calls == [2, 2 * steps + 1]
 
 
 def test_a_lopsided_parity_invariant_problem_is_shot_over_its_own_span():

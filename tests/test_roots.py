@@ -619,7 +619,8 @@ def test_each_method_builds_on_the_catalog_problems_it_admits(name, method):
     assert fn.label == method
     energy = 0.5 * sum(problem.energy_range)
     ev = fn.evaluate(energy)
-    assert ev.ok and ev == fn.evaluate_many([energy])[0]
+    # a batch of one is one row of the same factors
+    assert ev.ok and fn.evaluate_many([energy]).tolist() == [list(ev.factors)]
     # the even and the odd factor where the problem is symmetric
     assert len(ev.factors) == (2 if problem.symmetric and method in ("wm", "cfm") else 1)
 
@@ -665,9 +666,12 @@ def test_probes_past_the_double_range_are_flagged_not_raised(method):
     # reaches it, so none is read where math.exp would overflow
     problem = anharmonic(0.0, 1.0, h=0.01, energy_max=1000.0)
     fn = characteristic_for(problem, method)
-    evals = fn.evaluate_many(np.linspace(0.0, 20.0, _default_probes(0.0, 20.0) + 1))
+    energies = np.linspace(0.0, 20.0, _default_probes(0.0, 20.0) + 1)
+    evals = fn.evaluate_many(energies)
     assert len(evals) == 401
-    assert all(ev.ok or ev.flag == "overflow" for ev in evals)
+    # a row is NaN only where the energy's evaluation is flagged overflow
+    assert all(fn.evaluate(e).flag == "overflow"
+               for e, row in zip(energies, evals) if np.isnan(row).any())
 
 
 def _counting(problem):
@@ -681,6 +685,19 @@ def _counting(problem):
 
     pot = dataclasses.replace(problem.potential, evaluate=counted)
     return dataclasses.replace(problem, potential=pot), calls
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(poschl_teller(10.0, h=0.001, x_right=10.0), id="poschl-teller-deep-grid"),
+    pytest.param(anharmonic(-5.0, 1.0, h=0.005), id="double-well"),
+    pytest.param(infinite_well(x0=0.49, h=0.002, energy_max=60.0), id="box"),
+    pytest.param(radial(lambda r: -10.0 * np.exp(-r), h=0.005), id="radial"),
+])
+def test_a_catalog_solve_calls_the_potential_at_most_four_times(problem):
+    # one array call on each side's points and one on its midpoints
+    problem, calls = _counting(problem)
+    assert find_eigenvalues(problem, n_probe=200)
+    assert calls[0] <= 4
 
 
 @pytest.mark.parametrize("method", ["wm", "wm-odd", "cfm"])

@@ -25,6 +25,7 @@ from boundstates import (
 from boundstates.cfm import cfm_value
 from boundstates.core import DegenerateRootError
 from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
+from boundstates import roots
 from boundstates.roots import _METHODS
 from boundstates.wm import (
     _count_nodes,
@@ -44,10 +45,10 @@ def test_hard_wall_determinant_reduces_to_dirichlet(energy):
     # W(wall, C) = C at a wall of slope -1, so WM's rows are the wall rows
     prob = infinite_well(x0=0.25, h=0.005, energy_max=60.0)
     ends = canonical_pair(prob.potential, energy, prob.grid).ends
-    wm = wm_value(prob, ends)
+    wm = wm_value(prob, ends).at(0)
     di = characteristic_for(prob, "dirichlet").evaluate(energy)
     assert wm.ok and di.ok
-    assert wm == di == cfm_value(prob, ends)
+    assert wm == di == cfm_value(prob, ends).at(0)
 
 
 @pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
@@ -85,13 +86,13 @@ def test_each_parity_factor_is_f_against_its_origin_row(problem, energy):
     # the even levels meet psi'(0) = 0, whose origin row is (0, -1), and the
     # odd ones psi(0) = 0, row (1, 0): F of that row against r_R is the factor
     ends = canonical_pair(problem.potential, energy, problem.grid).ends
-    factors = boundary_value(wm_rows, problem, ends, (0, 1))
-    assert factors.ok and factors.value == (wm_value_symmetric(problem, ends, "even").value,
-                                            wm_value_symmetric(problem, ends, "odd").value)
+    factors = boundary_value(wm_rows, problem, ends, (0, 1)).at(0)
+    assert factors.ok and factors.value == (wm_value_symmetric(problem, ends, "even").at(0).value,
+                                            wm_value_symmetric(problem, ends, "odd").at(0).value)
     for origin, factor in zip(((0.0, -1.0), (1.0, 0.0)), factors.value):
         def rows(problem, ends):
             return origin, wm_rows(problem, ends)[1]
-        ev = boundary_value(rows, problem, ends)
+        ev = boundary_value(rows, problem, ends).at(0)
         assert struct.pack("<d", ev.value) == struct.pack("<d", factor)
 
 
@@ -123,11 +124,11 @@ def test_scaling_one_side_by_a_power_of_two_keeps_every_value_bit_for_bit(case, 
     rows, factors, _ = _METHODS[method]
     # a symmetric problem's value is the tuple of its parity factors
     factors = factors if problem.symmetric else None
-    ends = _scale_ends(name)[i]
+    ends = _scale_ends(name)
     x, *phi = getattr(ends, side)
-    scaled = ends._replace(**{side: (x, *(math.ldexp(v, k) for v in phi))})
-    want = boundary_value(rows, problem, ends, factors)
-    got = boundary_value(rows, problem, scaled, factors)
+    scaled = ends._replace(**{side: (x, *(np.ldexp(v, k) for v in phi))})
+    want = boundary_value(rows, problem, ends, factors).at(i)
+    got = boundary_value(rows, problem, scaled, factors).at(i)
     assert want.ok and got.ok
     assert len(got.factors) == (1 if factors is None else len(factors))
     assert [struct.pack("<d", f) for f in got.factors] == [
@@ -136,7 +137,7 @@ def test_scaling_one_side_by_a_power_of_two_keeps_every_value_bit_for_bit(case, 
 
 def test_zero_energy_flags_degenerate_asymptotics():
     ends = canonical_pair(PT.potential, 0.0, PT.grid).ends
-    ev = wm_value(PT, ends)
+    ev = wm_value(PT, ends).at(0)
     assert not ev.ok
     assert ev.flag == "degenerate"
     # a plain call gives NaN for both factors of the symmetric wm
@@ -152,21 +153,21 @@ def test_a_zero_wall_row_is_flagged_degenerate_left_first(method):
     # the box is not symmetric: its value is the determinant of the wall rows
     assert not box.symmetric
     ends = canonical_pair(box.potential, 10.0, box.grid).ends
-    assert boundary_value(rows, box, ends).ok
+    assert boundary_value(rows, box, ends).at(0).ok
 
     def zero(end):
-        x, _, dc, _, ds = end
-        return (x, 0.0, dc, 0.0, ds)
+        x, c, dc, s, ds = end
+        return (x, np.zeros_like(c), dc, np.zeros_like(s), ds)
 
     def blown(end):
-        x, _, dc, _, ds = end
-        return (x, math.inf, dc, 1.0, ds)
+        x, c, dc, s, ds = end
+        return (x, np.full_like(c, math.inf), dc, np.ones_like(s), ds)
 
     for left, right, flag in ((ends.left, zero(ends.right), "degenerate"),
                               (zero(ends.left), ends.right, "degenerate"),
                               (zero(ends.left), blown(ends.right), "degenerate"),
                               (blown(ends.left), zero(ends.right), "overflow")):
-        ev = boundary_value(rows, box, ends._replace(left=left, right=right))
+        ev = boundary_value(rows, box, ends._replace(left=left, right=right)).at(0)
         assert math.isnan(ev.value) and ev.flag == flag
 
 
@@ -194,6 +195,52 @@ def _pt_root(parity):
     brackets = [b for b in scan_brackets(fn, (-2.5, -0.01), 60) if not b.pole_suspect]
     assert len(brackets) == 1
     return refine_root(fn, brackets[0])
+
+
+MEMBERS = ("left_convergent", "left_divergent", "right_convergent", "right_divergent")
+
+
+@pytest.mark.parametrize("assemble", [wm_eigenfunction, roots._assemble_cfm], ids=["wm", "cfm"])
+def test_an_assembly_reads_each_boundary_member_once(assemble):
+    # the references are read once per level and shared with the method's rows
+    calls = []
+
+    def counted(name):
+        member = getattr(PT_WIDE.asymptotics, name)
+
+        def fn(e, x):
+            calls.append(name)
+            return member(e, x)
+        return fn
+
+    asym = dataclasses.replace(PT_WIDE.asymptotics, **{m: counted(m) for m in MEMBERS})
+    problem = dataclasses.replace(PT_WIDE, asymptotics=asym)
+    root = _pt_root("even")
+    res = assemble(problem, root, canonical_pair(problem.potential, root, problem.grid))
+    assert res.parity == "even" and res.node_count == 0
+    assert sorted(calls) == sorted(MEMBERS)
+
+
+def test_boundary_members_that_take_floats_alone_still_solve():
+    # math.exp raises TypeError on an array, so each member is called per
+    # energy on Python floats; at the grid ends they read what the catalog's
+    # numpy members read, exp(0) = 1, so the levels are the same bits
+    pt10 = poschl_teller(10.0, h=0.01, x_right=10.0)
+
+    def member(anchor, sign):
+        def fn(e, x):
+            k = sign * math.sqrt(max(0.0, -2.0 * e))
+            w = math.exp(k * (x - anchor))
+            return w, k * w
+        return fn
+
+    model = dataclasses.replace(pt10.asymptotics, left_convergent=member(-10.0, 1.0),
+                                left_divergent=member(-10.0, -1.0),
+                                right_convergent=member(10.0, -1.0),
+                                right_divergent=member(10.0, 1.0))
+    floats = find_eigenvalues(dataclasses.replace(pt10, asymptotics=model))
+    assert [r.energy for r in floats] == [r.energy for r in find_eigenvalues(pt10)]
+    assert [r.energy for r in floats] == pytest.approx([-8.0, -4.5, -2.0, -0.5], abs=1e-4)
 
 
 def test_eigenfunction_assembly_ground_state():
