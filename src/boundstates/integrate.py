@@ -9,20 +9,22 @@ S (start 0, 1) is an ordered product of 2x2 step matrices, and each step
 matrix is a quadratic polynomial in s = 2*eps whose coefficients depend on v
 alone.
 sample_potential multiplies the steps in pairs once per solve, into one
-PairTable of quartic polynomials per side, stored in march order. Every march
-then evaluates each pair's matrix at its energies by Horner's rule and
-multiplies half as many matrices as there are steps, with no arithmetic on v:
-neighbours first, in a tree over each block of pairs, then block after block.
+PairTable of quartic polynomials per side, stored in march order. A march
+evaluates each pair's matrix at its energies by one BLAS product per entry,
+the Vandermonde rows [s^4, ..., s, 1] of the energies times the coefficients,
+highest degree first to add the terms in Horner's order, and multiplies half
+as many matrices as there are steps, with no arithmetic on v: neighbours
+first, in a tree over each block of pairs, then block after block.
 
 `canonical_pairs` keeps every sample over the full logical line for a batch
 of energies, every level of a solve (`canonical_pair` is a batch of one);
 `canonical_endpoints` keeps only the end points, for a scan's probes or one
 candidate per open bracket in a refinement step, as one `Endpoints` of arrays
 over the batch. Both give an energy the same end points, bit for bit, whatever
-the batch: a
-pair's matrix is evaluated elementwise, and the products are associated by
-pair index alone; the scan that keeps every state ends each block in the
-same tree.
+the batch: products are associated by pair index alone, the scan that keeps
+every state ends each block in the same tree, and BLAS is assumed to give a
+product's rows the same arithmetic for any row count from two up; numpy sends
+one row to gemv, which rounds otherwise, so one energy is evaluated as two.
 Bits are given up against a march that steps one point after the next, which
 multiplies in another order, and against the RK4 stages, which round
 otherwise than their polynomial form: both differ in the last digits.
@@ -45,9 +47,9 @@ class PairTable(NamedTuple):
     polynomial of degree 2 in s whose coefficients depend on v alone. Steps
     are stored in march order after identity steps: one when the count is
     odd, and pairs of them until the pairs fill whole blocks. Pair j is
-    steps 2j and 2j + 1; pairs[d] holds the coefficient of s**d of each
-    pair's matrix, d = 0..4, indexed [row, column, pair], and firsts[d],
-    d = 0..2, step 2j of each pair, for the states inside pairs.
+    steps 2j and 2j + 1; pairs holds their coefficients [row, column, degree,
+    pair] from s**4 down, as the product that evaluates them reads them, and
+    firsts those of step 2j, from s**2 down, for the states inside pairs.
     """
 
     pairs: np.ndarray
@@ -83,23 +85,23 @@ def _mul(m, n):
 def _steps(nodes, halves, h, pad):
     # every RK4 step of (y, y') on y'' = (G - s) y multiplied out, after pad
     # identity steps, with G = 2v at the step's start, midpoint and end (ga,
-    # gm, gb), r = h^2/6 and t = h^2/4: the coefficients of s^0, s^1, s^2,
-    # indexed [power, row, column, step]
+    # gm, gb), r = h^2/6 and t = h^2/4: the coefficients of s^2, s^1, s^0,
+    # indexed [row, column, degree, step]
     ga, gm, gb = 2.0 * nodes[:-1], 2.0 * halves, 2.0 * nodes[1:]
     r, t = h * h / 6.0, h * h / 4.0
-    out = np.zeros((3, 2, 2, pad + len(halves)))
-    out[0, 0, 0, :pad] = out[0, 1, 1, :pad] = 1.0
+    out = np.zeros((2, 2, 3, pad + len(halves)))
+    out[0, 0, 2, :pad] = out[1, 1, 2, :pad] = 1.0
     step = out[..., pad:]
-    step[0, 0, 0] = 1.0 + r * (ga + 2.0 * gm + t * ga * gm)
-    step[0, 0, 1] = h + (h * r) * gm
-    step[0, 1, 0] = h / 6.0 * (ga + gb + 4.0 * gm + 2.0 * t * gm * (ga + gb))
-    step[0, 1, 1] = 1.0 + r * (gb + 2.0 * gm + t * gb * gm)
-    step[1, 0, 0] = -r * (3.0 + t * (ga + gm))
-    step[1, 0, 1] = -h * r
-    step[1, 1, 0] = -h / 6.0 * (6.0 + 2.0 * t * (ga + gb + 2.0 * gm))
+    step[0, 0, 2] = 1.0 + r * (ga + 2.0 * gm + t * ga * gm)
+    step[0, 1, 2] = h + (h * r) * gm
+    step[1, 0, 2] = h / 6.0 * (ga + gb + 4.0 * gm + 2.0 * t * gm * (ga + gb))
+    step[1, 1, 2] = 1.0 + r * (gb + 2.0 * gm + t * gb * gm)
+    step[0, 0, 1] = -r * (3.0 + t * (ga + gm))
+    step[0, 1, 1] = -h * r
+    step[1, 0, 1] = -h / 6.0 * (6.0 + 2.0 * t * (ga + gb + 2.0 * gm))
     step[1, 1, 1] = -r * (3.0 + t * (gb + gm))
-    step[2, 0, 0] = step[2, 1, 1] = r * t
-    step[2, 1, 0] = 2.0 / 3.0 * h * t
+    step[0, 0, 0] = step[1, 1, 0] = r * t
+    step[1, 0, 0] = 2.0 / 3.0 * h * t
     return out
 
 
@@ -109,14 +111,14 @@ def _table(nodes, halves, h):
     n = len(halves)
     steps = _steps(nodes, halves, h, 2 * (-n // 2 % _BLOCK) + n % 2)
     firsts, second = steps[..., 0::2].copy(), steps[..., 1::2]
-    # the product of two polynomials in s convolves their coefficients
-    pairs = np.zeros((5, 2, 2, firsts.shape[-1]))
+    # a product of polynomials convolves their coefficients, summed from s^0 up
+    pairs = np.zeros((2, 2, 5, firsts.shape[-1]))
     term, part = np.empty((2, 2, 2, firsts.shape[-1]))
-    for a in range(3):
+    for a in range(2, -1, -1):
         for b in range(3):
-            np.multiply(second[b][:, :1], firsts[a][:1], out=term)
-            term += np.multiply(second[b][:, 1:], firsts[a][1:], out=part)
-            pairs[a + b] += term
+            np.multiply(second[:, :1, b], firsts[:1, :, a], out=term)
+            term += np.multiply(second[:, 1:, b], firsts[1:, :, a], out=part)
+            pairs[:, :, a + b] += term
     return PairTable(pairs, firsts, n)
 
 
@@ -140,15 +142,13 @@ def sample_potential(potential, grid):
     return PotentialSamples(np.concatenate([left[:0:-1], right]), (rtable, ltable))
 
 
-def _horner(coefs, s):
-    # sum over d of coefs[d] * s**d, coefs [degree, row, column, pair], s over
-    # energies: entries [row, column, energy, pair]
-    out = coefs[-1][:, :, None] * s[:, None]
-    out += coefs[-2][:, :, None]
-    for c in coefs[-3::-1]:
-        out *= s[:, None]
-        out += c[:, :, None]
-    return out
+def _evaluate(coefs, s):
+    # coefs [row, column, degree, pair] at the energies s = 2*eps by the
+    # Vandermonde product of the module docstring: [row, column, energy, block, pair]
+    powers = np.vander(s if len(s) > 1 else s.repeat(2), coefs.shape[2])
+    out = np.empty((2, 2, len(powers), coefs.shape[-1]))
+    np.matmul(powers, coefs, out=out)
+    return out[:, :, :len(s)].reshape(2, 2, len(s), -1, _BLOCK)
 
 
 def _propagate(table, energies, keep):
@@ -164,10 +164,10 @@ def _propagate(table, energies, keep):
     # j ends at state 2j + 2, and its first step, applied to the state
     # before, gives state 2j + 1.
     n_pairs = table.pairs.shape[-1]
-    # energies split into equal groups, pairs into blocks of a chunk
+    # energies in equal groups, pairs in blocks of a chunk (a lone energy is two rows)
     groups = max(1, -(-len(energies) * _BLOCK // _CHUNK))
     width = max(1, -(-len(energies) // groups))
-    span = max(1, _CHUNK // (width * _BLOCK)) * _BLOCK
+    span = max(1, _CHUNK // (max(2, width) * _BLOCK)) * _BLOCK
     # kept states are stored [energy, column, row, state], each energy's together
     out = (np.empty((len(energies), 2, 2, 2 * n_pairs + 1)).transpose(2, 1, 0, 3) if keep
            else np.empty((2, 2, len(energies))))
@@ -180,7 +180,7 @@ def _propagate(table, energies, keep):
                 out[:, :, e, 0] = phi
             for k0 in range(0, n_pairs, span):
                 k = slice(k0, k0 + span)
-                x = _horner(table.pairs[..., k], s).reshape(2, 2, len(s), -1, _BLOCK)
+                x = _evaluate(table.pairs[..., k], s)
                 if keep:
                     for d in 1 << np.arange(_BITS):
                         x[..., d:] = _mul(x[..., d:], x[..., :-d])
@@ -199,7 +199,7 @@ def _propagate(table, energies, keep):
                     states = states.reshape(*x.shape, 2)
                     states[..., 1] = _mul(x, starts)
                     before = np.concatenate([starts, states[..., :-1, 1]], axis=4)
-                    firsts = _horner(table.firsts[..., k], s).reshape(x.shape)
+                    firsts = _evaluate(table.firsts[..., k], s)
                     states[..., 0] = _mul(firsts, before)
             if not keep:
                 out[..., e] = phi

@@ -409,16 +409,21 @@ def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
     pytest.param(make_grid(0.0, 0.01, 0, 257), id="257-steps"),
 ])
 def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
+    # batches of 1, 2 and 3 energies cross numpy's switch from gemv to gemm
+    # in the kernel's products, and 129 or more energies split into groups
     block = integrate._BLOCK
     assert grid.n_right % block or grid.n_left % block
     energies = np.linspace(-2.4, 1.0, integrate._CHUNK // block + 3)
     samples = sample_potential(PT25.potential, grid)
-    batch = canonical_endpoints(PT25.potential, energies, grid, samples)
-    for i, e in enumerate(energies):
+    alone = []
+    for e in energies:
         pair = canonical_pair(PT25.potential, e, grid, samples)
-        assert _end_bits(batch, i) == _end_bits(pair.ends)
-        assert _end_bits(canonical_endpoints(PT25.potential, [e], grid, samples)) == _end_bits(
-            pair.ends)
+        alone.append(_end_bits(canonical_endpoints(PT25.potential, [e], grid, samples)))
+        assert alone[-1] == _end_bits(pair.ends)
+    for size in (2, 3, 5, 129, len(energies)):
+        for i0 in range(0, len(energies), size):
+            batch = canonical_endpoints(PT25.potential, energies[i0:i0 + size], grid, samples)
+            assert [_end_bits(batch, i) for i in range(len(batch.energy))] == alone[i0:i0 + size]
 
 
 @pytest.mark.parametrize("grid", [
@@ -427,15 +432,18 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
     pytest.param(make_grid(0.3, 0.01, 0, 257), id="no-left-side"),
 ])
 def test_kept_pairs_of_a_batch_equal_the_pair_of_each_energy_bit_for_bit(grid):
-    # more energies than one chunk holds, every sample kept
+    # more energies than one chunk holds, every sample kept, and batches of
+    # 2, 3, 5 and 129 of them, each energy against its batch of one
     energies = np.linspace(-2.4, 1.0, integrate._CHUNK // integrate._BLOCK + 3)
     samples = sample_potential(PT25.potential, grid)
-    kept = list(canonical_pairs(PT25.potential, energies, grid, samples))
-    assert len(kept) == len(energies)
-    for many, e in zip(kept, energies):
-        pair = canonical_pair(PT25.potential, e, grid, samples)
-        assert [a.tobytes() for a in many[:6]] == [a.tobytes() for a in pair[:6]]
-        assert _end_bits(many.ends) == _end_bits(pair.ends)
+    alone = [canonical_pair(PT25.potential, e, grid, samples) for e in energies]
+    for size in (2, 3, 5, 129, len(energies)):
+        kept = [pair for i0 in range(0, len(energies), size)
+                for pair in canonical_pairs(PT25.potential, energies[i0:i0 + size], grid, samples)]
+        assert len(kept) == len(energies)
+        for many, pair in zip(kept, alone):
+            assert [a.tobytes() for a in many[:6]] == [a.tobytes() for a in pair[:6]]
+            assert _end_bits(many.ends) == _end_bits(pair.ends)
 
 
 def _sequential_rk4(v, x0, h, n, energy):
@@ -496,32 +504,46 @@ def _step_matrix(g0, g1, g2, h):
                       1.0 + r * (g2 + 2.0 * g1 + g2 * t)]])
 
 
-@pytest.mark.parametrize("grid", [
-    PT25.grid, PT25_ODD.grid, PT25_SHORT.grid,
+@pytest.mark.parametrize("problem, energies", [
+    pytest.param(PT25, (-2.4, -0.3, 1.5), id="grid0"),
+    pytest.param(PT25_ODD, (-2.4, -0.3, 1.5), id="grid1"),
+    pytest.param(PT25_SHORT, (-2.4, -0.3, 1.5), id="grid2"),
     # a side that fills two blocks of pairs, and a step either side of it
-    *(pytest.param(make_grid(0.0, 0.01, 0, n), id=f"{n}-steps") for n in (255, 256, 257)),
+    *(pytest.param(dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 0, n)), (-2.4, -0.3, 1.5),
+                   id=f"{n}-steps") for n in (255, 256, 257)),
+    # the top of the quartic's window, |s| = 200
+    pytest.param(QUARTIC, (0.5, 100.0), id="anharmonic"),
 ])
-def test_the_step_tables_are_products_of_rk4_step_matrices(grid):
-    samples = sample_potential(PT25.potential, grid)
-    looped = _looped_samples(PT25.potential.evaluate, grid)
+def test_the_step_tables_are_products_of_rk4_step_matrices(problem, energies):
+    grid = problem.grid
+    samples = sample_potential(problem.potential, grid)
+    looped = _looped_samples(problem.potential.evaluate, grid)
     for (nodes, halves), table, h in zip(looped, samples.tables, (grid.h, -grid.h)):
         n = len(halves)
         assert table.n_steps == n and (n or table.pairs.size == table.firsts.size == 0)
         assert table.pairs.shape[-1] % integrate._BLOCK == 0
-        for energy in (-2.4, -0.3, 1.5):
+        # the kernel's matrices at every energy, indexed [row, column, energy, pair]
+        batch = 2.0 * np.array(energies)
+        kernel = [integrate._evaluate(coefs, batch).reshape(2, 2, len(batch), -1)
+                  for coefs in (table.pairs, table.firsts)]
+        for i, energy in enumerate(energies):
             g = 2.0 * (nodes - energy), 2.0 * (halves - energy)
             # the steps in march order, after an identity step when n is odd
             steps = [np.eye(2)] * (n % 2) + [
                 _step_matrix(g[0][j], g[1][j], g[0][j + 1], h) for j in range(n)]
             firsts, seconds = (np.array(a).reshape(-1, 2, 2) for a in (steps[0::2], steps[1::2]))
             s = 2.0 * energy
-            for coefs, want in ((table.pairs, seconds @ firsts), (table.firsts, firsts)):
-                got = sum(c * s ** d for d, c in enumerate(coefs))
+            for coefs, evaluated, want in ((table.pairs, kernel[0], seconds @ firsts),
+                                           (table.firsts, kernel[1], firsts)):
+                # coefs are indexed [row, column, degree, pair], highest degree first
+                terms = [c * s ** d for d, c in enumerate(np.moveaxis(coefs, 2, 0)[::-1])]
+                got = sum(terms)
                 pad = got.shape[-1] - len(want)
                 # identity pairs fill the first block
                 assert (got[:, :, :pad] == np.eye(2)[:, :, None]).all()
                 # an entry's scale is the size of the terms its polynomial
                 # sums, which an entry smaller than them (g near 0) cancels
-                scale = sum(np.abs(c * s ** d) for d, c in enumerate(coefs))
+                scale = sum(np.abs(term) for term in terms)
                 err = np.abs(got[:, :, pad:] - want.transpose(1, 2, 0))
                 assert (err <= 1e-14 * scale[:, :, pad:]).all()
+                assert (np.abs(evaluated[:, :, i] - got) <= 1e-14 * scale).all()
