@@ -72,26 +72,29 @@ def cfm_value(problem, ends):
     return boundary_value(cfm_rows, problem, ends)
 
 
-def box_characteristic_analytic(energy, x0):
-    """Closed-form endpoint-ratio characteristic for the unit box.
+def box_characteristic_analytic(energies, x0):
+    """Closed-form endpoint-ratio characteristic for the unit box, over a batch.
 
     F(eps) = k sin(k) / (sin(k x0) sin(k (1 - x0))) with k = sqrt(2 eps).
-    Zeros sit at k = n pi regardless of x0; the poles move with x0.
+    Zeros sit at k = n pi regardless of x0; the poles move with x0. Returns an
+    Evaluation over the energies: NaN flagged "domain" at eps <= 0, where F is
+    undefined, and "pole" where a sine is at most POLE_FLOOR in magnitude.
 
     Raises:
-        ValueError: for energy <= 0 or an origin outside (0, 1).
+        ValueError: for an origin outside (0, 1).
     """
     if not 0.0 < x0 < 1.0:
         raise ValueError(f"box origin must lie strictly inside (0, 1), got {x0!r}")
-    if not energy > 0.0:
-        raise ValueError(f"box levels are positive; got energy {energy!r}")
-    k = math.sqrt(2.0 * energy)
-    s_left = math.sin(k * x0)
-    s_right = math.sin(k * (1.0 - x0))
-    den = s_left * s_right
-    if abs(s_left) <= POLE_FLOOR or abs(s_right) <= POLE_FLOOR:
-        return Evaluation(math.nan, "pole")
-    return Evaluation(k * math.sin(k) / den)
+    energies = np.asarray(energies, dtype=float)
+    with np.errstate(all="ignore"):
+        k = np.sqrt(2.0 * energies)
+        s_left, s_right = np.sin(k * x0), np.sin(k * (1.0 - x0))
+        value = k * np.sin(k) / (s_left * s_right)
+    flag = np.full(value.shape, None, dtype=object)
+    flag[(np.abs(s_left) <= POLE_FLOOR) | (np.abs(s_right) <= POLE_FLOOR)] = "pole"
+    flag[~(energies > 0.0)] = "domain"
+    value[np.not_equal(flag, None)] = math.nan
+    return Evaluation(value, flag)
 
 
 @dataclass(frozen=True)

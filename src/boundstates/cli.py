@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import potentials
-from .core import Evaluation, PotentialSpec, Problem, SolverError, make_grid, on_array
+from .core import PotentialSpec, Problem, SolverError, make_grid, on_array
 from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
                   saturation_profile)
 # canonical_pair is not called here, but bench/tracer.py counts pairs by
@@ -397,7 +397,8 @@ def cmd_scan(args):
         columns["ratio_c_over_s"] = lambda ends: endpoint_ratio(ends.right[1], ends.right[3])
         columns["ratio_s_over_c"] = lambda ends: endpoint_ratio(ends.right[3], ends.right[1])
     elif args.potential == "box":
-        columns["F_box_analytic"] = lambda ends: _box_analytic(ends.energy, problem.grid.x0)
+        columns["F_box_analytic"] = lambda ends: box_characteristic_analytic(
+            ends.energy, problem.grid.x0)
 
     lines = _preamble("scan", args, problem,
                       [("range", "%s:%s" % (_fmt(lo), _fmt(hi))), ("probes", n)])
@@ -414,19 +415,13 @@ def cmd_scan(args):
     return EXIT_OK
 
 
-def _box_analytic(energies, x0):
-    # the closed form at each energy, "domain"-flagged at or below 0, where it is
-    # undefined (x0 is inside the box)
-    evs = [box_characteristic_analytic(e, x0) if e > 0.0 else Evaluation(math.nan, "domain")
-           for e in energies.tolist()]
-    return Evaluation(np.array([ev.value for ev in evs]), [ev.flag for ev in evs])
-
-
 def cmd_saturate(args):
     problem = build_problem(args, "saturate")
     if args.energy is None:
         raise ValueError("saturate needs --energy")
     energy = args.energy
+    if not math.isfinite(energy):
+        raise ValueError(f"--energy must be finite, got {energy!r}")
     if problem.asymptotics.requires_negative_energy and energy >= 0:
         raise ValueError("saturate needs a negative --energy for decaying tails")
     tol = 1e-6 if args.tol is None else args.tol

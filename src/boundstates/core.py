@@ -122,15 +122,17 @@ def make_grid(x0, h, n_left, n_right):
         n_right: steps taken rightward from the origin (>= 0).
 
     Raises:
-        ValueError: on a nonpositive step, negative counts, or a grid with
-            fewer than two steps of total extent.
+        ValueError: on a nonpositive step, counts that are negative or not
+            whole numbers, or a grid with fewer than two steps of total extent.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"grid step must be positive and finite, got {h!r}")
     if not math.isfinite(x0):
         raise ValueError(f"grid origin must be finite, got {x0!r}")
-    n_left = int(n_left)
-    n_right = int(n_right)
+    for name, n in (("n_left", n_left), ("n_right", n_right)):
+        if not (math.isfinite(n) and n == int(n)):
+            raise ValueError(f"grid count {name} must be a whole number, got {n!r}")
+    n_left, n_right = int(n_left), int(n_right)
     if n_left < 0 or n_right < 0:
         raise ValueError("grid point counts must be nonnegative")
     if n_left + n_right < 2:
@@ -212,7 +214,7 @@ class Evaluation:
     value is a float, or on a symmetric problem the tuple of the parity
     factors a method reads (roots.characteristic_for), which share the flag.
     flag is None for a clean value, else one of "pole", "overflow",
-    "degenerate". Flagged evaluations are skipped by the bracket scanner.
+    "degenerate", "domain". Flagged evaluations are skipped by the scanner.
     Over a batch of energies (wm.boundary_value) value is an array, one entry
     or row of factors per energy, and flag an array of flags or None; at(i)
     is energy i's Evaluation.
@@ -242,36 +244,28 @@ class Evaluation:
 class CharacteristicFunction:
     """Callable whose zeros are the eigenvalues.
 
-    evaluate() returns the flagged form, an Evaluation; plain calls give its
-    value with NaN for a flagged one, a tuple where the value is a tuple of
-    factors. evaluate_many() gives the factors of each of many energies as
-    an array, one row per energy, NaN where flagged. fn evaluates one energy;
-    `many`, when given instead, evaluates a numpy vector of energies in one
-    batch as an Evaluation over it, and evaluate() is a batch of one. Scans
-    and refinement call evaluate_many(): refinement evaluates one candidate
-    per open bracket in each batch. samples are the potential samples the
-    evaluations march through, if any, so that eigenfunction assembly can
-    reuse them.
+    many evaluates a numpy vector of energies in one batch as an Evaluation
+    over it, the only input. evaluate_many() gives the factors of each of
+    many energies as an array, one row per energy, NaN where flagged; scans
+    and refinement call it, refinement with one candidate per open bracket in
+    each batch. evaluate() is a batch of one, an Evaluation, and a plain call
+    its value with NaN for a flagged one, a tuple where the value is a tuple
+    of factors. samples are the potential samples the evaluations march
+    through, if any, so that eigenfunction assembly can reuse them.
     """
 
-    def __init__(self, fn, label="", many=None, samples=None):
-        self._fn = fn
+    def __init__(self, many, label="", samples=None):
         self._many = many
         self.label = label
         self.samples = samples
 
     def evaluate(self, energy):
-        if self._many is None:
-            return self._fn(float(energy))
         return self._many(np.array([float(energy)])).at(0)
 
     def evaluate_many(self, energies):
-        if self._many is None:
-            out = np.array([self.evaluate(e).factors for e in energies], dtype=float)
-        else:
-            ev = self._many(np.asarray(energies, dtype=float))
-            out = np.array(ev.value, dtype=float)
-            out[np.not_equal(ev.flag, None)] = math.nan
+        ev = self._many(np.asarray(energies, dtype=float))
+        out = np.array(ev.value, dtype=float)
+        out[np.not_equal(ev.flag, None)] = math.nan
         out = out[:, None] if out.ndim == 1 else out
         out[~np.isfinite(out).all(axis=1)] = math.nan
         return out

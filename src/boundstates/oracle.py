@@ -72,7 +72,7 @@ def fd_box_recurrence_eigenvalues(N, n_max):
     def many(energies):
         return Evaluation(_recurrence_ends(N, energies))
 
-    phi_end = CharacteristicFunction(None, label="fd", many=many)
+    phi_end = CharacteristicFunction(many, label="fd")
     band = 0.5 * N * N  # 1 / (2 h^2), the top of the lattice dispersion
     # level gaps bottom out near 1.5 pi^2 at the fold; keep probes finer
     n_probe = max(400, math.ceil(N * N / 25))
@@ -167,12 +167,12 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     multiplied out pairwise and applied to the state, so only the state can
     overflow, never an RK4 stage. Energies are marched 8 at a time, each on
     the same bits as when marched alone. The boundary members are called on
-    each batch's energy array and the closings are taken in Python floats, so
-    a march that overflows is a flagged value and raises no numpy warning.
-    The mismatch goes through the
-    solver's scan_brackets (n_probe cells, by default 8 per unit of energy)
-    and roots(), which closes every bracket to tol in lockstep: each
-    refinement iteration marches all open brackets' iterates as one batch.
+    each batch's energy array and the batch is closed by one wronskian call
+    on arrays, so a march that overflows is a flagged value and raises no
+    numpy warning. The mismatch goes through the solver's scan_brackets
+    (n_probe cells, by default 8 per unit of energy) and roots(), which
+    closes every bracket to tol in lockstep: each refinement iteration
+    marches all open brackets' iterates as one batch.
     Flagged probe runs and dropped brackets are RefinementWarnings. A
     non-finite or reversed range, fewer than one probe cell or a dense_factor
     that is not a positive integer raises ValueError.
@@ -197,12 +197,10 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
         y0, p0 = on_array(lambda e: asym.left_convergent(e, x_start), energies, 2)
         ys, ps = _rk4(y0, p0, 2.0 * energies, nodes, halves, h)
         rc = on_array(lambda e: asym.right_convergent(e, x_end), energies, 2)
-        # each closing in Python floats, which run on past the double range
-        # without a numpy warning
-        return Evaluation(np.array([wronskian(*args) for args in zip(
-            *rc.tolist(), ys.tolist(), ps.tolist())]))
+        with np.errstate(all="ignore"):
+            return Evaluation(wronskian(*rc, ys, ps))
 
-    mismatch = CharacteristicFunction(None, label="shooting", many=many)
+    mismatch = CharacteristicFunction(many, label="shooting")
     lo, hi = _window(energy_range if energy_range is not None else problem.energy_range)
     if n_probe is None:
         n_probe = max(40, math.ceil(8.0 * (hi - lo)))

@@ -202,8 +202,10 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     the bracket is narrower than tol_e, on an exact zero, or at an iterate
     where |F| is below 1e-12 of its entry scale and F changes sign within
     tol_e of it (Brent's tolerance step). Where F keeps its sign there, F is
-    flat: the bracket moves to that point, bisects once and resumes. F is the
-    bracket's factor of char_fn, checked first to have the signs of f_lo and f_hi.
+    flat: the bracket moves to that point, bisects once and resumes. tol_e is
+    floored at Brent's 2 eps |x| over the bracket, so one below the float
+    spacing still converges. F is the bracket's factor of char_fn, checked
+    first to have the signs of f_lo and f_hi.
 
     Raises:
         ValueError: when it has not, as for a bracket of another factor.
@@ -237,7 +239,7 @@ class _Refinement:
         self.lo, self.hi = bracket.lo, bracket.hi
         self.flo, self.fhi = bracket.f_lo, bracket.f_hi
         self.fscale = max(abs(self.flo), abs(self.fhi))
-        self.tol_e = tol_e
+        self._tol_e = tol_e
         self.kept = None
         self.settled = None
         self.bisect = False
@@ -245,6 +247,12 @@ class _Refinement:
     @property
     def mid(self):
         return 0.5 * (self.lo + self.hi)
+
+    @property
+    def tol_e(self):
+        # floored at Brent's 2 eps |x| (eps = ulp(1)): the width test holds
+        # between adjacent floats, and the point tol_e past an end is another
+        return max(self._tol_e, 2.0 * math.ulp(1.0) * max(abs(self.lo), abs(self.hi)))
 
     def candidate(self):
         if self.settled is not None:
@@ -321,7 +329,7 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
     live = {k: _Refinement(br, tol_e) for k, br in enumerate(brackets) if br.hi != br.lo}
     for _ in range(max_iter):
         for k, r in list(live.items()):
-            if r.hi - r.lo < tol_e:
+            if r.hi - r.lo < r.tol_e:
                 out[k] = r.mid
                 del live[k]
         if not live:
@@ -388,7 +396,7 @@ def characteristic_for(problem, method):
         return boundary_value(rows, problem, canonical_endpoints(pot, energies, grid, samples),
                               factors)
 
-    return CharacteristicFunction(None, label=method, many=many, samples=samples)
+    return CharacteristicFunction(many, label=method, samples=samples)
 
 
 def dirichlet_determinant(problem):

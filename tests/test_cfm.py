@@ -24,7 +24,7 @@ from boundstates import (
     scan_brackets,
 )
 from boundstates.cfm import cfm_value, endpoint_ratio
-from boundstates.integrate import canonical_pair
+from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
 from boundstates.potentials import decay_model
 
 PT = poschl_teller(2.5, h=0.01, x_right=5.0)
@@ -40,37 +40,52 @@ def _free_problem(x_right=5.0):
 
 @pytest.mark.parametrize("energy", [0.0, -1.0])
 def test_analytic_box_rejects_nonpositive_energy(energy):
-    with pytest.raises(ValueError):
-        box_characteristic_analytic(energy, 0.25)
+    # no level is at or below 0: the value there is NaN, flagged "domain"
+    ev = box_characteristic_analytic(np.array([energy, 5.0]), 0.25)
+    assert math.isnan(ev.value[0]) and ev.at(0).flag == "domain"
+    assert ev.at(1).ok
 
 
 @pytest.mark.parametrize("x0", [0.0, 1.0, -0.2, 1.5])
 def test_analytic_box_rejects_origin_outside_interval(x0):
     with pytest.raises(ValueError):
-        box_characteristic_analytic(5.0, x0)
+        box_characteristic_analytic(np.array([5.0]), x0)
+
+
+def _entries(ev):
+    # each energy's value bits and flag
+    return [(float(v).hex(), f) for v, f in zip(ev.value.tolist(), ev.flag)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_analytic_box_changes_sign_at_each_level(n):
     e = box_exact_energy(n)
-    lo = box_characteristic_analytic(e - 1e-3, 0.125)
-    hi = box_characteristic_analytic(e + 1e-3, 0.125)
+    batch = box_characteristic_analytic(np.array([e - 1e-3, e + 1e-3, e]), 0.125)
+    lo, hi, at = (batch.at(i) for i in range(3))
     assert lo.ok and hi.ok
     assert (lo.value < 0) != (hi.value < 0)
-    at = box_characteristic_analytic(e, 0.125)
     assert abs(at.value) < 1e-8
+    # each energy's bits in a batch of 1, 2 and 301, through the poles at
+    # 6.4 n^2 and below 0, are its own
+    energies = np.concatenate([[e], np.linspace(-5.0, 125.0, 300)])
+    alone = [_entries(box_characteristic_analytic(energies[i:i + 1], 0.125))[0]
+             for i in range(301)]
+    for size in (1, 2, 301):
+        assert _entries(box_characteristic_analytic(energies[:size], 0.125)) == alone[:size]
 
 
 def test_symmetric_cfm_has_the_sign_and_zeros_of_the_endpoint_product():
     # the reflected rows are (C_R, -S_R) and (C_R, S_R): F = 2 C_R S_R / |r_R|^2
-    def product(e):
-        _, cr, _, sr, _ = (float(np.ravel(a)[0])
-                           for a in canonical_pair(PT.potential, e, PT.grid).ends.right)
+    samples = sample_potential(PT.potential, PT.grid)
+
+    def product(energies):
+        _, cr, _, sr, _ = canonical_endpoints(PT.potential, energies, PT.grid, samples).right
         return cr * sr, cr * cr + sr * sr
 
-    for e in np.linspace(-2.45, -0.05, 25).tolist():
-        ev = cfm_value(PT, canonical_pair(PT.potential, e, PT.grid).ends).at(0)
-        p, norm = product(e)
+    energies = np.linspace(-2.45, -0.05, 25)
+    evs = cfm_value(PT, canonical_endpoints(PT.potential, energies, PT.grid, samples))
+    for i, (p, norm) in enumerate(zip(*(a.tolist() for a in product(energies)))):
+        ev = evs.at(i)
         assert ev.ok
         assert (ev.value < 0) == (p < 0)
         assert ev.value == pytest.approx(2.0 * p / norm, rel=1e-14)

@@ -9,6 +9,7 @@ import sys
 import venv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boundstates import box_characteristic_analytic, find_eigenvalues
@@ -148,9 +149,9 @@ def test_scan_box_includes_the_analytic_column(capsys):
     _, header, rows = parse_csv(capsys.readouterr().out)
     assert header == ["epsilon", "F_wm", "F_cfm", "F_box_analytic", "flags"]
     assert len(rows) == 5
-    for row in rows:
-        expected = box_characteristic_analytic(float(row[0]), 0.5).value
-        assert float(row[3]) == pytest.approx(expected, rel=1e-12)
+    expected = box_characteristic_analytic(np.array([float(row[0]) for row in rows]), 0.5)
+    for row, value in zip(rows, expected.value.tolist()):
+        assert float(row[3]) == pytest.approx(value, rel=1e-12)
 
 
 def test_scan_flags_energies_outside_the_analytic_domain(capsys):
@@ -221,6 +222,16 @@ def test_saturate_rejects_nonnegative_energy_for_decaying_tails(capsys):
     code = run_cli(["saturate", "--potential", "poschl-teller", "--v0", "2.5",
                     "--energy", "1.0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("energy", ["nan", "-inf"])
+def test_saturate_rejects_a_non_finite_energy_by_name(energy, capsys):
+    # a configuration error, not a solver failure at the first x
+    code = run_cli(["saturate", "--potential", "poschl-teller", "--v0", "2.5",
+                    "--energy", energy])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"boundstates saturate: --energy must be finite, got {float(energy)!r}\n")
 
 
 def test_oracle_box_compares_routes_and_reports_orders(capsys):

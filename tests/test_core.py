@@ -76,6 +76,12 @@ def test_make_grid_rejects_bad_counts_and_origin():
         make_grid(0.0, 0.1, 0, 1)
     with pytest.raises(ValueError):
         make_grid(math.nan, 0.1, 0, 10)
+    # a count that is not a whole number is named, not truncated
+    with pytest.raises(ValueError, match="n_left must be a whole number, got 2.7"):
+        make_grid(0.0, 0.1, 2.7, 3.9)
+    with pytest.raises(ValueError, match="n_right must be a whole number, got 3.9"):
+        make_grid(0.0, 0.1, 2, 3.9)
+    assert make_grid(0.0, 0.1, 500.0, 3.0) == make_grid(0.0, 0.1, 500, 3)
 
 
 def _flat_model(requires_negative_energy=False):
@@ -128,7 +134,7 @@ def test_evaluation_ok_flags():
 
 def test_characteristic_function_call_collapses_flags_to_nan():
     fn = CharacteristicFunction(
-        lambda e: Evaluation(e, "pole" if e > 0 else None), label="toy")
+        lambda e: Evaluation(e, np.where(e > 0, "pole", None)), label="toy")
     assert fn(-2.0) == -2.0
     assert math.isnan(fn(3.0))
     assert fn.evaluate(3.0).flag == "pole"

@@ -304,6 +304,24 @@ def test_each_refinement_iteration_marches_every_open_bracket_together(case, mon
         assert set(then) <= set(now)
 
 
+def _rebind_closings(monkeypatch, edit=None):
+    # rebinds oracle.wronskian, which closes each march batch as one array:
+    # every entry of every closing array is recorded, in order, in the list
+    # returned. edit(first, out), when given, may change a batch's entries
+    # in place first, first being the index its first entry is recorded at
+    entries = []
+
+    def closing(*args):
+        out = np.array(wronskian(*args), dtype=float)
+        if edit is not None:
+            edit(len(entries), out)
+        entries.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(oracle, "wronskian", closing)
+    return entries
+
+
 @pytest.mark.parametrize("case", sorted(SHOOTING_CASES))
 def test_shooting_reference_agrees_with_the_stepwise_loop(case, monkeypatch):
     # The block product associates the RK4 arithmetic by blocks, the loop
@@ -313,17 +331,15 @@ def test_shooting_reference_agrees_with_the_stepwise_loop(case, monkeypatch):
     # two root finders can stop at different steps, 3.6e-11 apart on box-1023.
     make, window, n_probe, n_levels, dense = SHOOTING_CASES[case]
     problem = make()
-    closings, expected_closings = [], []
-
-    def recording(into):
-        def closing(*args):
-            into.append(wronskian(*args))
-            return into[-1]
-        return closing
-
-    monkeypatch.setattr(oracle, "wronskian", recording(closings))
+    closings = _rebind_closings(monkeypatch)
     roots = shooting_reference(problem, window, n_probe=n_probe, dense_factor=dense, tol=1e-13)
-    expected = _per_energy_shooting(problem, window, n_probe, closing=recording(expected_closings),
+    expected_closings = []
+
+    def recording(*args):
+        expected_closings.append(wronskian(*args))
+        return expected_closings[-1]
+
+    expected = _per_energy_shooting(problem, window, n_probe, closing=recording,
                                     dense_factor=dense, tol=1e-13)
     assert len(roots) == len(expected) == n_levels
     assert max(abs(r - e) for r, e in zip(roots, expected)) <= 1e-12
@@ -338,13 +354,11 @@ def test_an_exact_zero_on_a_probe_is_one_root_where_it_brackets_a_level(k, monke
     # zero on probe k has no sign: it is one root, as scan_brackets counts
     # it, where its neighbours straddle it (k = 9, 10, 26, 27) or on a
     # window edge (k = 0, 30), and no root between probes of one sign.
-    calls = [0]
+    def zero_on_probe_k(first, out):
+        if first <= k < first + len(out):
+            out[k - first] = 0.0
 
-    def zero_on_probe_k(*args):
-        calls[0] += 1
-        return 0.0 if calls[0] == k + 1 else wronskian(*args)
-
-    monkeypatch.setattr(oracle, "wronskian", zero_on_probe_k)
+    _rebind_closings(monkeypatch, zero_on_probe_k)
     make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
     roots = shooting_reference(make(), window, n_probe=n_probe)
     cell = (window[1] - window[0]) / n_probe
@@ -353,28 +367,27 @@ def test_an_exact_zero_on_a_probe_is_one_root_where_it_brackets_a_level(k, monke
         assert sum(abs(r - level) < cell for r in roots) == 1
 
 
-@pytest.mark.parametrize("f, tol", [
-    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 1e-10),
-    # a step with no zero closes to adjacent floats, never below tol = 0
-    (lambda x: -1.0 if x < 0.5 else 1.0, 0.0),
+@pytest.mark.parametrize("f, tol, max_iter", [
+    (lambda x: np.where((0.4 < x) & (x < 0.6), math.nan, x - 0.5), 1e-10, 200),
+    # a step with no zero takes 17 steps to close to adjacent floats
+    (lambda x: np.where(x < 0.5, -1.0, 1.0), 0.0, 8),
 ], ids=["non-finite-iterate", "steps-run-out"])
-def test_the_root_finder_returns_no_root_it_did_not_close(f, tol):
+def test_the_root_finder_returns_no_root_it_did_not_close(f, tol, max_iter):
     fn = CharacteristicFunction(lambda e: Evaluation(f(e)), label="synthetic")
+    f_lo, f_hi = f(np.array([0.0, 1.0])).tolist()
     with pytest.raises(RefinementError):
-        refine_root(fn, Bracket(0.0, 1.0, f(0.0), f(1.0)), tol_e=tol)
+        refine_root(fn, Bracket(0.0, 1.0, f_lo, f_hi), tol_e=tol, max_iter=max_iter)
 
 
 def test_shooting_reference_warns_when_a_bracket_is_dropped(monkeypatch):
     # every root-finder march past the probe lattice ends non-finite, so both
     # brackets are dropped and each is said to be, not closed on a midpoint
     make, window, n_probe, n_levels, _ = SHOOTING_CASES["poschl-teller"]
-    calls = [0]
 
-    def nan_past_the_probes(*args):
-        calls[0] += 1
-        return wronskian(*args) if calls[0] <= n_probe + 1 else math.nan
+    def nan_past_the_probes(first, out):
+        out[max(0, n_probe + 1 - first):] = math.nan
 
-    monkeypatch.setattr(oracle, "wronskian", nan_past_the_probes)
+    _rebind_closings(monkeypatch, nan_past_the_probes)
     with pytest.warns(RefinementWarning) as record:
         assert shooting_reference(make(), window, n_probe=n_probe) == []
     messages = [str(w.message) for w in record]
@@ -385,13 +398,7 @@ def test_shooting_reference_warns_when_a_bracket_is_dropped(monkeypatch):
 def test_shooting_reference_needs_few_marches_per_root(monkeypatch):
     # every closing past the probe lattice is one root-finder iterate; plain
     # bisection from a 1/16-wide cell to the 1e-10 width takes 30 per root
-    closings = []
-
-    def recording(*args):
-        closings.append(args)
-        return wronskian(*args)
-
-    monkeypatch.setattr(oracle, "wronskian", recording)
+    closings = _rebind_closings(monkeypatch)
     n_probe = 40
     roots = shooting_reference(poschl_teller(2.5, h=0.01, x_right=5.0), (-2.5, 0.0),
                                n_probe=n_probe)

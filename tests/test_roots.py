@@ -41,9 +41,8 @@ from boundstates.roots import (
 
 
 def _plain(f):
-    def fn(e):
-        return Evaluation(f(e))
-    return CharacteristicFunction(fn, label="synthetic")
+    # f, an expression that takes the batch's energy array, unflagged
+    return CharacteristicFunction(lambda energies: Evaluation(f(energies)), label="synthetic")
 
 
 def test_scan_and_refine_cubic():
@@ -63,11 +62,17 @@ def test_scan_handles_an_exact_probe_zero():
         assert abs(refine_root(fn, b)) <= 1e-10
 
 
+def _flagged(f, hit, flag, label):
+    # f on the batch, NaN flagged `flag` wherever hit(energies) holds
+    def many(energies):
+        at = hit(energies)
+        return Evaluation(np.where(at, math.nan, f(energies)), np.where(at, flag, None))
+    return CharacteristicFunction(many, label=label)
+
+
 def _flagged_at(f, flagged):
     # f, with the probes in `flagged` flagged as overflow
-    def fn(e):
-        return Evaluation(math.nan, "overflow") if e in flagged else Evaluation(f(e))
-    return CharacteristicFunction(fn, label="flagged")
+    return _flagged(f, lambda energies: np.isin(energies, flagged), "overflow", "flagged")
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
@@ -117,12 +122,7 @@ def test_scan_keeps_an_exact_zero_on_a_window_edge(f, edge):
 
 
 def test_scan_bridges_flagged_probes():
-    def fn(e):
-        if abs(e) < 1e-9:
-            return Evaluation(math.nan, "pole")
-        return Evaluation(e - 0.05)
-
-    char = CharacteristicFunction(fn, label="gapped")
+    char = _flagged(lambda e: e - 0.05, lambda e: np.abs(e) < 1e-9, "pole", "gapped")
     brackets = scan_brackets(char, (-1.0, 1.0), 10)
     assert len(brackets) == 1
     assert not brackets[0].pole_suspect
@@ -130,12 +130,11 @@ def test_scan_bridges_flagged_probes():
 
 
 def test_scan_marks_a_pole_sign_change_as_suspect():
-    def fn(e):
-        if e == 3.0:
-            return Evaluation(math.nan, "pole")
-        return Evaluation(1.0 / (e - 3.0))
+    def f(e):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (e - 3.0)
 
-    char = CharacteristicFunction(fn, label="pole")
+    char = _flagged(f, lambda e: e == 3.0, "pole", "pole")
     brackets = scan_brackets(char, (2.0, 4.0), 37)
     assert len(brackets) == 1
     assert brackets[0].pole_suspect
@@ -144,8 +143,7 @@ def test_scan_marks_a_pole_sign_change_as_suspect():
 
 
 def test_scan_warns_when_everything_is_flagged():
-    fn = CharacteristicFunction(lambda e: Evaluation(math.nan, "overflow"),
-                                label="dead")
+    fn = _flagged(lambda e: e, lambda e: np.full(e.shape, True), "overflow", "dead")
     with pytest.warns(RefinementWarning):
         assert scan_brackets(fn, (0.0, 1.0), 10) == []
 
@@ -160,12 +158,11 @@ def test_scan_warns_when_everything_is_flagged():
 ])
 def test_scan_warns_about_each_run_of_flagged_probes_covering_a_cell(flagged, spans):
     # a cell with both ends flagged is blind; a lone flagged probe is not
-    def fn(e):
-        return Evaluation(math.nan, "overflow") if round(10 * e) in flagged else Evaluation(e - 0.55)
-
+    fn = _flagged(lambda e: e - 0.55, lambda e: np.isin(np.round(10 * e), list(flagged)),
+                  "overflow", "runs")
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        scan_brackets(CharacteristicFunction(fn, label="runs"), (0.0, 1.0), 10)
+        scan_brackets(fn, (0.0, 1.0), 10)
     messages = [str(w.message) for w in record if w.category is RefinementWarning]
     assert len(messages) == len(spans)
     for message, (a, b) in zip(messages, spans):
@@ -201,16 +198,16 @@ def test_a_non_finite_window_is_rejected_by_name(window, n_probe):
 
 
 def test_scan_probes_as_many_cells_as_asked():
-    energies = []
+    batches = []
 
-    def fn(e):
-        energies.append(e)
-        return Evaluation(e - 0.3)
+    def many(energies):
+        batches.append(energies.tolist())
+        return Evaluation(energies - 0.3)
 
-    char = CharacteristicFunction(fn, label="counted")
-    # one cell is its two edges, lo and hi
+    char = CharacteristicFunction(many, label="counted")
+    # one cell is its two edges, lo and hi, in one batch
     assert len(scan_brackets(char, (0.0, 1.0), 1)) == 1
-    assert energies == [0.0, 1.0]
+    assert batches == [[0.0, 1.0]]
     for n_probe in (0, -2):
         with pytest.raises(ValueError):
             scan_brackets(char, (0.0, 1.0), n_probe)
@@ -269,6 +266,10 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
     def value(e):
         return char_fn.evaluate(e).factors[bracket.factor]
 
+    def tol():
+        # tol_e, floored at 2 eps |x| over the bracket
+        return max(tol_e, 2.0 * float(np.finfo(float).eps) * max(abs(lo), abs(hi)))
+
     lo, hi, flo, fhi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if hi == lo:
         return lo
@@ -277,11 +278,11 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
     settled = None
     bisect = False
     for _ in range(max_iter):
-        if hi - lo < tol_e:
+        if hi - lo < tol():
             return 0.5 * (lo + hi)
         if settled is not None:
             at_lo = settled == lo
-            x = settled + tol_e if at_lo else settled - tol_e
+            x = settled + tol() if at_lo else settled - tol()
             f = value(x)
             f_end = flo if at_lo else fhi
             if math.isnan(f) or f == 0.0 or (f < 0) != (f_end < 0):
@@ -320,7 +321,7 @@ def _scalar_refine(char_fn, bracket, tol_e=1e-10, max_iter=200):
                 flo *= m if m > 0.0 else 0.5
             hi, fhi, kept = cand, f, "lo"
         if abs(f) < 1e-12 * fscale:
-            if hi - lo < tol_e:
+            if hi - lo < tol():
                 return cand
             settled = cand
     return RefinementError(f"no convergence in {max_iter} iterations", lo, hi)
@@ -333,27 +334,27 @@ def _outcome(out):
     return ("root", float(out).hex())
 
 
-def _mixed(e):
+def _mixed(energies):
     # a converging cubic, a pole at 3, a flagged region holding both the
     # false position and the midpoint of [5, 6], and one holding only the
     # first false position of [6.5, 8]
-    if 5.2 < e < 5.6 or 7.02 < e < 7.05:
-        return Evaluation(math.nan, "overflow")
-    if e < 2.0:
-        return Evaluation((e - 1.1) ** 3 + 0.001 * (e - 1.1))
-    if e < 4.0:
-        return Evaluation(1.0 / (e - 3.0)) if e != 3.0 else Evaluation(math.nan, "pole")
-    if e < 6.2:
-        return Evaluation(e - 5.4)
-    return Evaluation(e * e - 50.0)
+    e = np.asarray(energies, dtype=float)
+    overflow = ((5.2 < e) & (e < 5.6)) | ((7.02 < e) & (e < 7.05))
+    pole = e == 3.0
+    with np.errstate(divide="ignore"):
+        value = np.where(e < 2.0, (e - 1.1) ** 3 + 0.001 * (e - 1.1),
+                         np.where(e < 4.0, 1.0 / (e - 3.0),
+                                  np.where(e < 6.2, e - 5.4, e * e - 50.0)))
+    return Evaluation(np.where(overflow | pole, math.nan, value),
+                      np.where(overflow, "overflow", np.where(pole, "pole", None)))
 
 
 MIXED_BRACKETS = [
-    Bracket(0.4, 1.7, _mixed(0.4).value, _mixed(1.7).value),
-    Bracket(2.6, 3.7, _mixed(2.6).value, _mixed(3.7).value),
+    Bracket(0.4, 1.7, *_mixed([0.4, 1.7]).value.tolist()),
+    Bracket(2.6, 3.7, *_mixed([2.6, 3.7]).value.tolist()),
     Bracket(4.0, 4.0, 0.0, 0.0),
-    Bracket(5.0, 6.0, _mixed(5.0).value, _mixed(6.0).value),
-    Bracket(6.5, 8.0, _mixed(6.5).value, _mixed(8.0).value),
+    Bracket(5.0, 6.0, *_mixed([5.0, 6.0]).value.tolist()),
+    Bracket(6.5, 8.0, *_mixed([6.5, 8.0]).value.tolist()),
 ]
 
 
@@ -597,6 +598,20 @@ def test_unknown_method_is_rejected():
 
 
 # the methods each catalog problem admits: parity splitting needs a symmetric
+@pytest.mark.parametrize("tol", [1e-16, 1e-17, 1e-300])
+def test_a_tolerance_below_the_float_spacing_still_closes_every_level(tol):
+    # tol_e is floored at 2 eps |E|: the width test holds between adjacent
+    # floats, and the check past a settled end reads another float
+    problem = poschl_teller(2.5, h=0.01, x_right=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RefinementWarning)
+        results = find_eigenvalues(problem, tol_e=tol)
+        at_spacing = find_eigenvalues(problem, tol_e=2e-16)
+    assert [r.energy for r in results] == [r.energy for r in at_spacing]
+    assert [r.energy for r in results] == pytest.approx(poschl_teller_exact_energies(2.5),
+                                                        abs=1e-5)
+
+
 # problem, the two-wall determinant hard walls on both sides
 ADMITTED = {
     "poschl-teller": (poschl_teller(2.5, h=0.01, x_right=5.0), {"wm", "wm-even", "wm-odd", "cfm"}),
