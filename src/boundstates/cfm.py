@@ -138,6 +138,7 @@ def saturation_profile(problem, energy, tol=1e-6):
         tol: relative band defining saturation (default 1e-6).
 
     Raises:
+        ValueError: for a tol that is not finite or is negative.
         SolverError: if R_c leaves the double range inside the profile,
             naming the outermost x where it does, or if either ratio is
             undefined at x_right itself.
@@ -145,6 +146,8 @@ def saturation_profile(problem, energy, tol=1e-6):
     asym = problem.asymptotics
     if asym.right_kind != ASYMPTOTIC_LIMIT:
         raise ValueError("saturation profiling needs a decaying right boundary model")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"saturation band tol must be finite and nonnegative, got {tol!r}")
     pair = canonical_pair(problem.potential, energy, problem.grid)
     keep = pair.x >= problem.grid.x0
     # (x, C, C', S, S') from the origin out

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import potentials
-from .core import PotentialSpec, Problem, SolverError, make_grid, on_array
+from .core import PotentialSpec, Problem, SolverError, is_symmetric, make_grid, on_array
 from .cfm import (box_characteristic_analytic, cfm_value, endpoint_ratio,
                   saturation_profile)
 # canonical_pair is not called here, but bench/tracer.py counts pairs by
@@ -272,10 +272,10 @@ def build_problem(args, command):
     symmetric = bool(args.parity)
     nr = args.nr if args.nr is not None else 500
     nl = args.nl if args.nl is not None else (0 if symmetric else nr)
-    if symmetric and nl not in (0, nr):
-        raise ValueError(f"--parity needs --nl 0 or --nl equal to --nr ({nr}), got {nl}")
     grid = make_grid(0.0, h, nl, nr)
     spec = PotentialSpec(evaluate=v, parity_invariant=symmetric)
+    if symmetric and not is_symmetric(spec, grid):
+        raise ValueError(f"--parity needs --nl 0 or --nl equal to --nr ({nr}), got {nl}")
     if rng is None:
         rng = (min(float(on_array(v, grid.points()).min()), -1.0), 0.0)
     model = potentials.decay_model(grid.x_left, grid.x_right)

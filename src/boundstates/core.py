@@ -103,13 +103,18 @@ class Grid:
     def x_right(self):
         return self.x0 + self.n_right * self.h
 
-    @property
-    def size(self):
-        return self.n_left + self.n_right + 1
-
     def points(self):
         j = np.arange(-self.n_left, self.n_right + 1)
         return self.x0 + j * self.h
+
+
+def whole(name, n, least):
+    """The count n as an int; ValueError naming it unless n is a whole number >= least."""
+    if not (math.isfinite(n) and n == int(n)):
+        raise ValueError(f"{name} must be a whole number, got {n!r}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n!r}")
+    return int(n)
 
 
 def make_grid(x0, h, n_left, n_right):
@@ -129,12 +134,7 @@ def make_grid(x0, h, n_left, n_right):
         raise ValueError(f"grid step must be positive and finite, got {h!r}")
     if not math.isfinite(x0):
         raise ValueError(f"grid origin must be finite, got {x0!r}")
-    for name, n in (("n_left", n_left), ("n_right", n_right)):
-        if not (math.isfinite(n) and n == int(n)):
-            raise ValueError(f"grid count {name} must be a whole number, got {n!r}")
-    n_left, n_right = int(n_left), int(n_right)
-    if n_left < 0 or n_right < 0:
-        raise ValueError("grid point counts must be nonnegative")
+    n_left, n_right = whole("n_left", n_left, 0), whole("n_right", n_right, 0)
     if n_left + n_right < 2:
         raise ValueError("grid needs at least two steps of total extent")
     return Grid(float(x0), float(h), n_left, n_right)
@@ -146,15 +146,20 @@ class PotentialSpec:
 
     Attributes:
         evaluate: v(x), finite on the solver grid. It is called on arrays of
-            x (on_array): once on each side's grid points and once on its
-            step midpoints per solve. One that cannot take an array is
-            called on each point as a Python float instead.
+            x (on_array): once on each marched side's grid points and once
+            on its step midpoints per solve. One that cannot take an array
+            is called on each point as a Python float instead.
         parity_invariant: True when v(-x) == v(x). Enables the symmetric
-            shortcuts (rightward-only integration, even/odd splitting).
+            shortcuts (is_symmetric).
     """
 
     evaluate: Callable[[float], float]
     parity_invariant: bool = False
+
+
+def is_symmetric(potential, grid):
+    """True for v even, x0 = 0 and a half or mirrored grid: the right side alone is marched."""
+    return potential.parity_invariant and grid.x0 == 0.0 and grid.n_left in (0, grid.n_right)
 
 
 @dataclass(frozen=True)
@@ -202,9 +207,8 @@ class Problem:
 
     @property
     def symmetric(self):
-        """True when the even/odd machinery applies: v even, x0 = 0, a half or mirrored grid."""
-        g = self.grid
-        return self.potential.parity_invariant and g.x0 == 0.0 and g.n_left in (0, g.n_right)
+        """True when the even/odd machinery applies (is_symmetric)."""
+        return is_symmetric(self.potential, self.grid)
 
 
 @dataclass(frozen=True)

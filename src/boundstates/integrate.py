@@ -2,14 +2,15 @@
 
 Classical fixed-step RK4 on the first-order form of phi'' = 2(v - eps) phi.
 v does not depend on the energy, so it is sampled once per solve: one call on
-each side's grid points and one on its half-step points (core.on_array, with
-its per-point fallback for a v that cannot take an array). An RK4 step is
-linear in the state, so a march of the canonical solutions C (start 1, 0) and
-S (start 0, 1) is an ordered product of 2x2 step matrices, and each step
-matrix is a quadratic polynomial in s = 2*eps whose coefficients depend on v
-alone.
+each marched side's grid points and one on its half-step points (core.on_array,
+with its per-point fallback for a v that cannot take an array). A symmetric
+problem (core.is_symmetric) marches its right side only, its left the mirror
+image. An RK4 step is linear in the state, so a march of the canonical
+solutions C (start 1, 0) and S (start 0, 1) is an ordered product of 2x2 step
+matrices, and each step matrix is a quadratic polynomial in s = 2*eps whose
+coefficients depend on v alone.
 sample_potential multiplies the steps in pairs once per solve, into one
-PairTable of quartic polynomials per side, stored in march order. A march
+PairTable of quartic polynomials per marched side, stored in march order. A march
 evaluates each pair's matrix at its energies by one BLAS product per entry,
 the Vandermonde rows [s^4, ..., s, 1] of the energies times the coefficients,
 highest degree first to add the terms in Horner's order, and multiplies half
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import sampled
+from .core import is_symmetric, sampled
 
 class PairTable(NamedTuple):
     """One side's RK4 steps as polynomials in s = 2*eps, built once per solve.
@@ -60,8 +61,9 @@ class PairTable(NamedTuple):
 class PotentialSamples(NamedTuple):
     """v(x) on one grid, sampled once per solve.
 
-    line is v at grid.points(), which pairs slice for node counting. tables
-    holds the right and left sides' PairTables.
+    line is v at the pairs' x over the full logical line, for node counting.
+    tables holds the right side's PairTable, then the left's unless the
+    problem is symmetric, whose left side mirrors the right.
     """
 
     line: np.ndarray
@@ -123,10 +125,11 @@ def _table(nodes, halves, h):
 
 
 def sample_potential(potential, grid):
-    """Sample potential.evaluate on both sides of the grid and build their PairTables.
+    """Sample potential.evaluate on each marched side of the grid and build its PairTable.
 
-    v is called on four arrays, right side first: each side's points and its
-    step midpoints (core.sampled, which raises ValueError where v is not finite).
+    v is called on each marched side's points and its step midpoints, right
+    side first (core.sampled, which raises ValueError where v is not finite):
+    on two arrays on a symmetric problem, else four.
     """
     v = potential.evaluate
     x0 = grid.x0
@@ -138,8 +141,11 @@ def sample_potential(potential, grid):
         nodes = sampled(v, points)
         return nodes, _table(nodes, sampled(v, points[:-1] + h * 0.5), h)
 
-    (right, rtable), (left, ltable) = side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
-    return PotentialSamples(np.concatenate([left[:0:-1], right]), (rtable, ltable))
+    right, table = side(grid.h, grid.n_right)
+    if is_symmetric(potential, grid):
+        return PotentialSamples(np.concatenate([right[:0:-1], right]), (table,))
+    left, ltable = side(-grid.h, grid.n_left)
+    return PotentialSamples(np.concatenate([left[:0:-1], right]), (table, ltable))
 
 
 def _evaluate(coefs, s):
@@ -219,9 +225,10 @@ class Endpoints(NamedTuple):
     """A batch of energies' canonical pairs at the two ends of their grid.
 
     energy is the batch's array of energies. left and right are (x, C, C', S,
-    S'): x a float, grid.x_left (-x_right for a reflected pair) or
-    grid.x_right, and the rest arrays with one entry per energy. A march that
-    outgrows the double range ends in inf or NaN, which the value functions flag.
+    S'): x a float, grid.x_left (-x_right on a symmetric problem, whose left
+    end mirrors the right) or grid.x_right, and the rest arrays with one entry
+    per energy. A march that outgrows the double range ends in inf or NaN,
+    which the value functions flag.
     """
 
     energy: np.ndarray
@@ -246,13 +253,9 @@ class CanonicalPair(NamedTuple):
     ends: Endpoints
 
 
-def _reflected(potential, grid):
-    return grid.n_left == 0 and potential.parity_invariant and grid.x0 == 0.0
-
-
 def _endpoints(energies, grid, reflected, left, right):
     # Endpoints from the arrays (C, C', S, S') at the end of each sweep; a
-    # reflected pair's left end mirrors its right: C(-x) = C(x), S(-x) = -S(x)
+    # symmetric problem's left end mirrors its right: C(-x) = C(x), S(-x) = -S(x)
     xr, (c, dc, s, ds) = grid.x_right, right
     left = (-xr, c, -dc, -s, ds) if reflected else (grid.x_left, *left)
     return Endpoints(energies, left, (xr, c, dc, s, ds))
@@ -266,7 +269,7 @@ def canonical_pairs(potential, energies, grid, samples):
     sample_potential(potential, grid).
     """
     energies = np.asarray(energies, dtype=float)
-    reflected = _reflected(potential, grid)
+    reflected = is_symmetric(potential, grid)
 
     def side(table):
         # [energy, column, value or derivative, state] from the origin out
@@ -274,8 +277,7 @@ def canonical_pairs(potential, energies, grid, samples):
 
     right = side(samples.tables[0])
     left = right if reflected else side(samples.tables[1])
-    v = np.concatenate([samples.line[:0:-1], samples.line]) if reflected else samples.line
-    x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(v), grid.n_right + 1)
+    x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(samples.line), grid.n_right + 1)
     for i, (lk, rk) in enumerate(zip(left, right)):
         ends = _endpoints(energies[i:i + 1], grid, reflected,
                           *(a[..., -1].reshape(4, 1) for a in (lk, rk)))
@@ -286,18 +288,18 @@ def canonical_pairs(potential, energies, grid, samples):
             n = lk.shape[-1] - 1
             np.negative(pair[0, 1, :n], out=pair[0, 1, :n])
             np.negative(pair[1, 0, :n], out=pair[1, 0, :n])
-        yield CanonicalPair(x, c, dc, s, ds, v, ends)
+        yield CanonicalPair(x, c, dc, s, ds, samples.line, ends)
 
 
 def canonical_pair(potential, energy, grid, samples=None):
     """Build the canonical pair for one energy, keeping every sample.
 
-    When the potential is parity invariant and the grid is the right half
-    line from x0 = 0, only the rightward sweep runs and the pair is
-    reflected: its left half is the mirror image of the right, with C, S'
-    and v even and x, C' and S odd. samples are the solve's PotentialSamples
-    of this potential on this grid; without them v is sampled here. This is
-    canonical_pairs of a batch of one.
+    On a symmetric problem (core.is_symmetric), a half grid or a mirrored
+    one, only the rightward sweep runs and the pair is reflected: its left
+    half is the mirror image of the right, with C, S' and v even and x, C'
+    and S odd. samples are the solve's PotentialSamples of this potential on
+    this grid; without them v is sampled here. This is canonical_pairs of a
+    batch of one.
     """
     if samples is None:
         samples = sample_potential(potential, grid)
@@ -312,14 +314,14 @@ def canonical_endpoints(potential, energies, grid, samples):
     sample_potential(potential, grid).
     """
     energies = np.asarray(energies, dtype=float)
-    reflected = _reflected(potential, grid)
+    reflected = is_symmetric(potential, grid)
 
     def side(table):
         # the arrays (C, C', S, S') over the energies
         return _propagate(table, energies, False).swapaxes(0, 1).reshape(4, -1)
 
-    # a reflected pair mirrors its right end; otherwise, without a left sweep
-    # the left end is the origin, a march of no steps
+    # a symmetric problem mirrors its right end; otherwise, without a left
+    # sweep the left end is the origin, a march of no steps
     right = side(samples.tables[0])
     return _endpoints(energies, grid, reflected, right if reflected else side(samples.tables[1]),
                       right)

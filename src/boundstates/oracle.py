@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import CharacteristicFunction, Evaluation, on_array, sampled, wronskian
+from .core import CharacteristicFunction, Evaluation, on_array, sampled, whole, wronskian
 from .potentials import infinite_well
 from .roots import _window, dirichlet_determinant, roots, scan_brackets
 
@@ -30,8 +30,7 @@ def fd_box_dispersion(n, h):
     lattice (n h < 1). Approaches n^2 pi^2 / 2 from below as h -> 0 with
     leading error -n^4 pi^4 h^2 / 6.
     """
-    if n != int(n) or n < 1:
-        raise ValueError(f"mode index must be a positive integer, got {n!r}")
+    n = whole("mode index n", n, 1)
     if not 0.0 < h:
         raise ValueError(f"lattice step must be positive, got {h!r}")
     if n * h >= 1.0:
@@ -64,9 +63,10 @@ def fd_box_recurrence_eigenvalues(N, n_max):
     first n_max sign changes are closed by roots(), every iterate of an
     iteration in one sweep.
     """
-    if N % 2 or N < 4:
+    N, n_max = whole("lattice size N", N, 4), whole("n_max", n_max, 1)
+    if N % 2:
         raise ValueError(f"need an even lattice with N >= 4, got {N!r}")
-    if n_max != int(n_max) or not 1 <= n_max <= N // 2 - 1:
+    if n_max > N // 2 - 1:
         raise ValueError(f"resolvable modes are 1 <= n <= N/2 - 1 = {N // 2 - 1}, got {n_max!r}")
 
     def many(energies):
@@ -174,12 +174,10 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     closes every bracket to tol in lockstep: each refinement iteration
     marches all open brackets' iterates as one batch.
     Flagged probe runs and dropped brackets are RefinementWarnings. A
-    non-finite or reversed range, fewer than one probe cell or a dense_factor
-    that is not a positive integer raises ValueError.
+    non-finite or reversed range, or an n_probe or dense_factor that is not a
+    whole number of at least one, raises ValueError.
     """
-    if dense_factor != int(dense_factor) or dense_factor < 1:
-        raise ValueError(f"dense_factor must be a positive integer, got {dense_factor!r}")
-    dense_factor = int(dense_factor)
+    dense_factor = whole("dense_factor", dense_factor, 1)
     grid = problem.grid
     h = grid.h / dense_factor
     n_left = grid.n_right if problem.symmetric else grid.n_left
@@ -207,23 +205,26 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     return roots(mismatch, scan_brackets(mismatch, (lo, hi), n_probe), tol_e=tol)
 
 
-def convergence_orders(h_values=(0.02, 0.01, 0.005)):
+ORDER_STEPS = (0.02, 0.01, 0.005)  # the steps convergence_orders fits its slopes over
+
+
+def convergence_orders():
     """Measured convergence orders of the two box routes.
 
     Returns {"fd": slope, "rk4": slope}: the log-log slope of the ground-state
-    error against h for the second-difference dispersion (expected 2) and for
-    the RK4 two-wall determinant (expected 4).
+    error against h over ORDER_STEPS for the second-difference dispersion
+    (expected 2) and for the RK4 two-wall determinant (expected 4).
     """
     continuum = 0.5 * math.pi ** 2
-    fd_err = [abs(fd_box_dispersion(1, h) - continuum) for h in h_values]
+    fd_err = [abs(fd_box_dispersion(1, h) - continuum) for h in ORDER_STEPS]
     rk_err = []
-    for h in h_values:
+    for h in ORDER_STEPS:
         prob = infinite_well(x0=0.5, h=h, energy_max=10.0)
         fn = dirichlet_determinant(prob)
         root = roots(fn, scan_brackets(fn, (1.0, 10.0), 90), tol_e=1e-13)[0]
         rk_err.append(abs(root - continuum))
 
     def slope(errors):
-        return float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+        return float(np.polyfit(np.log(ORDER_STEPS), np.log(errors), 1)[0])
 
     return {"fd": slope(fd_err), "rk4": slope(rk_err)}

@@ -7,6 +7,7 @@ the closed-form spectrum for error reporting.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from .core import (
     PotentialSpec,
     Problem,
     make_grid,
+    whole,
 )
 
 
@@ -120,9 +122,7 @@ def radial_model(l, r_right):
 
 def box_exact_energy(n):
     """n-th level of the unit box, n = 1, 2, ..."""
-    if n < 1:
-        raise ValueError("box levels start at n = 1")
-    return 0.5 * (n * math.pi) ** 2
+    return 0.5 * (whole("box level n", n, 1) * math.pi) ** 2
 
 
 def infinite_well(x0=0.5, h=0.001, energy_max=125.0):
@@ -141,15 +141,8 @@ def infinite_well(x0=0.5, h=0.001, energy_max=125.0):
     spec = PotentialSpec(evaluate=np.zeros_like)
 
     def spectrum(lo, hi):
-        out = []
-        n = 1
-        while True:
-            e = box_exact_energy(n)
-            if e > hi:
-                return out
-            if e >= lo:
-                out.append(e)
-            n += 1
+        levels = map(box_exact_energy, itertools.count(1))
+        return [e for e in itertools.takewhile(lambda e: e <= hi, levels) if e >= lo]
 
     return Problem(spec, make_grid(x0, h, n_left, n_right),
                    hard_wall_model(0.0, 1.0), energy_range=(0.0, float(energy_max)),
@@ -164,17 +157,13 @@ def poschl_teller_lambda(v0):
 def poschl_teller_exact_energies(v0):
     """All strictly negative levels -(lam - 1 - n)^2 / 2, n = 0, 1, ..."""
     lam = poschl_teller_lambda(v0)
-    out = []
-    n = 0
-    while lam - 1.0 - n > 1e-12:
-        out.append(-0.5 * (lam - 1.0 - n) ** 2)
-        n += 1
-    return out
+    depths = itertools.takewhile(lambda d: d > 1e-12, (lam - 1.0 - n for n in itertools.count()))
+    return [-0.5 * d ** 2 for d in depths]
 
 
 def poschl_teller_critical_strengths(count):
     """Strengths v0 = n (n + 1) / 2 at which the n-th level detaches from 0."""
-    return [0.5 * n * (n + 1) for n in range(count)]
+    return [0.5 * n * (n + 1) for n in range(whole("count", count, 0))]
 
 
 def poschl_teller(v0, h=0.01, x_right=5.0, energy_range=None):
@@ -245,9 +234,7 @@ def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
         r_min: innermost grid point, default 10 h.
         r_max: outermost grid point, where the decaying model anchors.
     """
-    if l < 0 or l != int(l):
-        raise ValueError(f"angular momentum must be a nonnegative integer, got {l!r}")
-    l = int(l)
+    l = whole("angular momentum l", l, 0)
     if r_min is None:
         r_min = 10.0 * h
     if not 0.0 < r_min < r_origin < r_max:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cfm import cfm_rows
-from .core import HARD_DIRICHLET, CharacteristicFunction, RefinementError, SolverError
+from .core import HARD_DIRICHLET, CharacteristicFunction, RefinementError, SolverError, whole
 # canonical_pair is not called here, but bench/tracer.py counts pairs by
 # rebinding it in this module
 from .integrate import canonical_endpoints, canonical_pair, canonical_pairs, sample_potential
@@ -121,17 +121,14 @@ def scan_brackets(char_fn, energy_range, n_probe=None):
     by its nearest unflagged neighbours on each side, or is a zero-width
     bracket when one side has none (a zero on a window edge). Returns every
     factor's brackets in energy order, pole-suspect ones included but marked.
-    A non-finite or reversed range, or fewer than one probe cell, raises
-    ValueError.
+    A non-finite or reversed range, or an n_probe that is not a whole number
+    of at least one cell, raises ValueError.
     """
     lo, hi = _window(energy_range)
-    if n_probe is None:
-        n_probe = _default_probes(lo, hi)
-    elif n_probe < 1:
-        raise ValueError(f"need at least one probe cell, got n_probe={n_probe!r}")
+    n_probe = _default_probes(lo, hi) if n_probe is None else whole("n_probe", n_probe, 1)
     if lo == hi:
         return []
-    eps = np.linspace(lo, hi, int(n_probe) + 1)
+    eps = np.linspace(lo, hi, n_probe + 1)
     rows = char_fn.evaluate_many(eps)
     # a run of flagged probes that spans a whole cell hides any level in it
     start = 0
@@ -208,7 +205,8 @@ def refine_root(char_fn, bracket, tol_e=1e-10, max_iter=200):
     first to have the signs of f_lo and f_hi.
 
     Raises:
-        ValueError: when it has not, as for a bracket of another factor.
+        ValueError: when it has not, as for a bracket of another factor, for
+            a tol_e that is not finite, or a max_iter not a whole number >= 1.
         RefinementError: on iteration runoff, on flagged evaluations at the
             midpoint, or when |F| runs away (bracketed pole).
     """
@@ -325,6 +323,9 @@ def _refine_lockstep(char_fn, brackets, tol_e, max_iter):
     # their midpoints in a second. Each bracket keeps its own iterates and
     # reads its own factor, and a batch gives each energy the bits it gets alone.
     # Returns each bracket's root, or the RefinementError that dropped it.
+    if not math.isfinite(tol_e):  # no width is below it, and no root passes roots()' dedupe
+        raise ValueError(f"tol_e must be finite, got {tol_e!r}")
+    max_iter = whole("max_iter", max_iter, 1)
     out = [br.lo for br in brackets]  # a zero-width bracket is its own root
     live = {k: _Refinement(br, tol_e) for k, br in enumerate(brackets) if br.hi != br.lo}
     for _ in range(max_iter):

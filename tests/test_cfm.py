@@ -178,6 +178,13 @@ def test_saturation_profile_needs_a_decaying_right_side():
         saturation_profile(box, 5.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+def test_saturation_profile_rejects_a_band_that_is_not_finite_and_nonnegative(tol):
+    # a NaN band put every sample inside it: saturation_x read 0.0
+    with pytest.raises(ValueError, match="saturation band tol"):
+        saturation_profile(PT, -1.0, tol=tol)
+
+
 def test_dirichlet_determinant_needs_hard_walls():
     hydrogen = radial(lambda r: -1.0 / r, l=0, h=0.01, r_max=10.0)
     with pytest.raises(ValueError):

@@ -13,10 +13,11 @@ from boundstates.core import (
     Evaluation,
     PotentialSpec,
     Problem,
+    is_symmetric,
     make_grid,
     wronskian,
 )
-from boundstates.integrate import _reflected
+from boundstates.integrate import sample_potential
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero = finite.filter(lambda v: abs(v) > 1e-6)
@@ -56,7 +57,7 @@ def test_grid_points_are_uniform(n_left, n_right, h, x0):
         n_right = 2
     g = make_grid(x0, h, n_left, n_right)
     pts = g.points()
-    assert pts.size == g.size == n_left + n_right + 1
+    assert pts.size == n_left + n_right + 1
     assert pts[n_left] == x0
     assert g.x_left == pytest.approx(pts[0], rel=1e-12, abs=1e-12)
     assert g.x_right == pytest.approx(pts[-1], rel=1e-12, abs=1e-12)
@@ -118,11 +119,12 @@ def test_problem_symmetric_needs_parity_and_centered_origin():
 ])
 def test_problem_symmetric_needs_a_half_or_mirrored_grid(x0, n_left, n_right, symmetric):
     # a lopsided grid about x0 = 0 is not the mirrored domain the parity
-    # factors solve, and the reflected march is the symmetric one with no left side
+    # factors solve; a half or mirrored one is, and is sampled and marched on
+    # its right side alone, one PairTable, its left side reflected
     spec = PotentialSpec(evaluate=lambda x: x * x, parity_invariant=True)
     problem = Problem(spec, make_grid(x0, 0.1, n_left, n_right), _flat_model(), (0.0, 1.0))
-    assert problem.symmetric is symmetric
-    assert _reflected(spec, problem.grid) is (symmetric and n_left == 0)
+    assert problem.symmetric is is_symmetric(spec, problem.grid) is symmetric
+    assert len(sample_potential(spec, problem.grid).tables) == (1 if symmetric else 2)
 
 
 def test_evaluation_ok_flags():

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from boundstates import anharmonic, find_eigenvalues, infinite_well, poschl_teller, radial
-from boundstates import integrate
-from boundstates.core import PotentialSpec, Problem, make_grid, on_array, wronskian
+from boundstates import integrate, roots
+from boundstates.core import PotentialSpec, Problem, is_symmetric, make_grid, on_array, wronskian
 from boundstates.cfm import cfm_rows, cfm_value
 from boundstates.cli import compile_expr
 from boundstates.integrate import (
@@ -24,6 +24,8 @@ from boundstates.wm import boundary_value, wm_rows, wm_value, wm_value_symmetric
 
 FREE = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
 PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
+# the same v not declared even: a mirrored grid marches it leftward as well
+PT25_V_TWO_SIDED = dataclasses.replace(PT25.potential, parity_invariant=False)
 
 
 def test_canonical_pair_initial_data():
@@ -73,11 +75,11 @@ def test_halving_the_step_changes_little():
 
 
 def test_leftward_sweep_mirrors_rightward_for_even_potential():
-    # C from the origin outward on each side of a two-sided pair; a grid with
-    # a left side is marched leftward, never reflected
+    # C from the origin outward on each side of a two-sided pair; off a
+    # symmetric problem a grid with a left side is marched leftward
     grid = make_grid(0.0, 0.01, 400, 400)
     assert grid.n_left == 400
-    pair = canonical_pair(PT25.potential, -1.0, grid)
+    pair = canonical_pair(PT25_V_TWO_SIDED, -1.0, grid)
     left, right = slice(400, None, -1), slice(400, None)
     assert np.allclose(pair.c[left], pair.c[right], rtol=1e-13, atol=1e-13)
     assert np.allclose(pair.dc[left], -pair.dc[right], rtol=1e-13, atol=1e-13)
@@ -85,7 +87,7 @@ def test_leftward_sweep_mirrors_rightward_for_even_potential():
 
 def test_reflected_pair_agrees_with_two_sided_integration():
     half = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 0, 300))
-    full = canonical_pair(PT25.potential, -1.0, make_grid(0.0, 0.01, 300, 300))
+    full = canonical_pair(PT25_V_TWO_SIDED, -1.0, make_grid(0.0, 0.01, 300, 300))
     # the half grid's pair is mirrored onto the full line
     assert len(half.x) == len(full.x) == 601
     hx, hc, hdc, hs, hds = half[:5]
@@ -131,7 +133,8 @@ def _end_bits(ends, i=0):
     return [_bits(a[i]) for a in entries]
 
 
-PT25_TWO_SIDED = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 500, 500))
+PT25_TWO_SIDED = dataclasses.replace(PT25, potential=PT25_V_TWO_SIDED,
+                                     grid=make_grid(0.0, 0.01, 500, 500))
 # an odd step count, reflected; and two short odd sides about an off-centre origin
 PT25_ODD = dataclasses.replace(PT25, grid=make_grid(0.0, 0.01, 0, 505))
 PT25_SHORT = dataclasses.replace(PT25, grid=make_grid(0.3, 0.01, 37, 91))
@@ -190,24 +193,33 @@ def test_batched_evaluations_match_the_scalar_march_bit_for_bit(problem, method)
         _bits(f) for f in fn.evaluate(eps[7]).factors]
 
 
-@pytest.mark.parametrize("grid", [make_grid(0.0, 0.01, 0, 10000),
-                                  make_grid(0.0, 0.01, 10000, 10000),
-                                  make_grid(0.5, 0.01, 0, 10000),
-                                  make_grid(0.0, 0.01, 100, 0)])
-def test_batched_endpoints_match_the_pair_when_sweeps_truncate(grid):
-    # the slab on a reflected grid, a two-sided one, an unreflected one with
-    # no left sweep, and one with no right sweep
+@pytest.mark.parametrize("slab, grid", [
+    pytest.param(SLAB, make_grid(0.0, 0.01, 0, 10000), id="grid0"),
+    pytest.param(dataclasses.replace(SLAB, parity_invariant=False),
+                 make_grid(0.0, 0.01, 10000, 10000), id="grid1"),
+    pytest.param(SLAB, make_grid(0.5, 0.01, 0, 10000), id="grid2"),
+    pytest.param(SLAB, make_grid(0.0, 0.01, 100, 0), id="grid3"),
+])
+def test_batched_endpoints_match_the_pair_when_sweeps_truncate(slab, grid):
+    # the slab on a reflected grid, a two-sided one (the slab not declared
+    # even, so its left side is marched), an unreflected one with no left
+    # sweep, and one with no right sweep
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
-    samples = sample_potential(SLAB, grid)
-    batch = canonical_endpoints(SLAB, energies, grid, samples)
+    samples = sample_potential(slab, grid)
+    batch = canonical_endpoints(slab, energies, grid, samples)
     for i, e in enumerate(energies):
-        pair = canonical_pair(SLAB, e, grid)
+        pair = canonical_pair(slab, e, grid)
         # the batch and a batch of one
         assert _end_bits(batch, i) == _end_bits(pair.ends)
-        assert _end_bits(canonical_endpoints(SLAB, [e], grid, samples)) == _end_bits(pair.ends)
+        assert _end_bits(canonical_endpoints(slab, [e], grid, samples)) == _end_bits(pair.ends)
+    if grid.n_left == grid.n_right:
+        # the left sweep outgrew the double range and still reached x_left
+        ends = canonical_pair(slab, -40.0, grid).ends
+        assert ends.left[0] == grid.x_left
+        assert not np.isfinite(ends.left[1:]).all()
     if grid.n_right:
         # the right sweep outgrew the double range and still reached x_right
-        ends = canonical_pair(SLAB, -40.0, grid).ends
+        ends = canonical_pair(slab, -40.0, grid).ends
         assert ends.right[0] == grid.x_right
         assert not np.isfinite(ends.right[1:]).all()
 
@@ -266,24 +278,31 @@ def test_reflected_pair_reads_the_potential_it_would_evaluate(problem):
     assert np.array_equal(pair.v, on_array(problem.potential.evaluate, pair.x))
 
 
-def _looped_samples(v, grid):
+def _marched(potential, grid):
+    # (h, n) of each side sample_potential samples, right side first: the
+    # right alone on a symmetric problem, whose left side mirrors it
+    sides = ((grid.h, grid.n_right), (-grid.h, grid.n_left))
+    return sides[:1] if is_symmetric(potential, grid) else sides
+
+
+def _looped_samples(potential, grid):
     # sample_potential as a per-point loop: v at x0 + j*h and at the step
     # midpoints (x0 + j*h) + h*0.5, one call at a time, right side first
-    x0 = grid.x0
+    v, x0 = potential.evaluate, grid.x0
 
     def side(h, n):
         nodes = [float(v(x0))] + [float(v(x0 + j * h)) for j in range(1, n + 1)]
         halves = [float(v((x0 + j * h) + h * 0.5)) for j in range(n)]
         return np.array(nodes), np.array(halves)
 
-    return side(grid.h, grid.n_right), side(-grid.h, grid.n_left)
+    return [side(h, n) for h, n in _marched(potential, grid)]
 
 
-def _sides(grid):
-    # each side's points and step midpoints, right side first, as the
-    # per-point loop forms them
+def _sides(potential, grid):
+    # each sampled side's points and step midpoints, right side first, as
+    # the per-point loop forms them
     out = []
-    for h, n in ((grid.h, grid.n_right), (-grid.h, grid.n_left)):
+    for h, n in _marched(potential, grid):
         points = grid.x0 + np.arange(n + 1) * h
         out += [points, points[:-1] + h * 0.5]
     return out
@@ -297,13 +316,17 @@ def _recorded(potential, log):
     return dataclasses.replace(potential, evaluate=v)
 
 
-def _assert_tables(samples, right, left, grid):
-    # the half-step samples are kept only in the step tables
-    for table, (nodes, halves), h in zip(samples.tables, (right, left), (grid.h, -grid.h)):
+def _assert_tables(samples, sides, grid):
+    # the half-step samples are kept only in the step tables, one per
+    # sampled side; the line is the left side's nodes from x_left in, the
+    # right side's mirrored where it is the only one, then the right's
+    assert len(samples.tables) == len(sides)
+    for table, (nodes, halves), h in zip(samples.tables, sides, (grid.h, -grid.h)):
         want = integrate._table(nodes, halves, h)
         assert table.pairs.tobytes() == want.pairs.tobytes()
         assert table.firsts.tobytes() == want.firsts.tobytes()
-    assert samples.line.tobytes() == np.concatenate([left[0][:0:-1], right[0]]).tobytes()
+    left, right = sides[-1][0], sides[0][0]
+    assert samples.line.tobytes() == np.concatenate([left[:0:-1], right]).tobytes()
 
 
 @pytest.mark.parametrize("potential, grid", [
@@ -314,14 +337,16 @@ def _assert_tables(samples, right, left, grid):
                  make_grid(0.3, 0.01, 250, 300), id="inline-expr"),
 ])
 def test_an_array_potential_is_sampled_in_one_call_per_array(potential, grid):
-    # four calls, each on one side's points or midpoints, right side first,
-    # and the samples are v of those arrays bit for bit
+    # one call on each sampled side's points and one on its midpoints, right
+    # side first: two on a symmetric problem, else four; and the samples are
+    # v of those arrays bit for bit
     calls = []
     samples = sample_potential(_recorded(potential, calls), grid)
-    arrays = _sides(grid)
+    arrays = _sides(potential, grid)
+    assert len(calls) == (2 if is_symmetric(potential, grid) else 4)
     assert [x.tobytes() for x in calls] == [x.tobytes() for x in arrays]
     v = [potential.evaluate(x) for x in arrays]
-    _assert_tables(samples, v[:2], v[2:], grid)
+    _assert_tables(samples, list(zip(v[::2], v[1::2])), grid)
 
 
 @pytest.mark.parametrize("potential, grid", [
@@ -340,10 +365,9 @@ def test_potential_samples_equal_a_per_point_loop_bit_for_bit(potential, grid):
     # loop's bit for bit
     calls, looped_calls = [], []
     samples = sample_potential(_recorded(potential, calls), grid)
-    right, left = _looped_samples(_recorded(potential, looped_calls).evaluate, grid)
-    _assert_tables(samples, right, left, grid)
+    _assert_tables(samples, _looped_samples(_recorded(potential, looped_calls), grid), grid)
     tried = [x for x in calls if type(x) is not float]
-    assert [x.tobytes() for x in tried] == [x.tobytes() for x in _sides(grid)]
+    assert [x.tobytes() for x in tried] == [x.tobytes() for x in _sides(potential, grid)]
     floats = [x for x in calls if type(x) is float]
     assert [_bits(x) for x in floats] == [_bits(x) for x in looped_calls]
 
@@ -380,6 +404,53 @@ def test_reflected_pair_is_mirrored_bit_for_bit(potential, grid, energies):
             assert a[:n].tobytes() == a[:n:-1].tobytes()
         assert _end_bits(pair.ends) == _end_bits(
             canonical_endpoints(potential, [energy], grid, samples))
+
+
+def _mirrored(problem):
+    # the problem on a grid whose left side mirrors its right
+    n = problem.grid.n_right
+    return dataclasses.replace(problem, grid=make_grid(0.0, problem.grid.h, n, n))
+
+
+@pytest.mark.parametrize("method", ["wm", "cfm"])
+@pytest.mark.parametrize("problem", [
+    pytest.param(_mirrored(PT25), id="poschl-teller-2.5"),
+    pytest.param(_mirrored(poschl_teller(10.0, h=0.01, x_right=8.0)), id="poschl-teller-10"),
+    pytest.param(_mirrored(anharmonic(-5.0, 1.0, h=0.01)), id="double-well"),
+])
+def test_a_mirrored_symmetric_grid_is_reflected_as_the_two_sided_march_bit_for_bit(
+        problem, method, monkeypatch):
+    # declared even, v is sampled and marched on the right side alone and the
+    # left side is its mirror image; not declared even, the same v is marched
+    # leftward too. The two agree bit for bit: v(-x) is v(x), and a leftward
+    # step's matrix is the rightward one with its off-diagonal entries negated
+    grid = problem.grid
+    assert problem.symmetric and grid.n_left == grid.n_right > 0
+    two_sided = dataclasses.replace(problem.potential, parity_invariant=False)
+    calls = []
+    samples = sample_potential(_recorded(problem.potential, calls), grid)
+    assert len(calls) == 2 and len(samples.tables) == 1
+    marched = sample_potential(two_sided, grid)
+    assert len(marched.tables) == 2
+    assert samples.line.tobytes() == marched.line.tobytes()
+    energies = np.linspace(*problem.energy_range, 9)
+    ends = canonical_endpoints(problem.potential, energies, grid, samples)
+    want = canonical_endpoints(two_sided, energies, grid, marched)
+    assert [_end_bits(ends, i) for i in range(len(energies))] == [
+        _end_bits(want, i) for i in range(len(energies))]
+    for pair, two in zip(canonical_pairs(problem.potential, energies, grid, samples),
+                         canonical_pairs(two_sided, energies, grid, marched), strict=True):
+        assert [a.tobytes() for a in pair[:6]] == [a.tobytes() for a in two[:6]]
+        assert _end_bits(pair.ends) == _end_bits(two.ends)
+    levels = find_eigenvalues(problem, method)
+    # the same solve with every march two-sided
+    for name in ("sample_potential", "canonical_endpoints", "canonical_pairs"):
+        monkeypatch.setattr(roots, name, lambda potential, *args, f=getattr(integrate, name):
+                            f(two_sided, *args))
+    want = find_eigenvalues(problem, method)
+    assert len(levels) > 1
+    assert [(_bits(r.energy), r.psi.tobytes(), r.node_count, r.parity) for r in levels] == [
+        (_bits(r.energy), r.psi.tobytes(), r.node_count, r.parity) for r in want]
 
 
 # --- the step-matrix kernel: independent of batch size and step count -------
@@ -517,7 +588,8 @@ def _step_matrix(g0, g1, g2, h):
 def test_the_step_tables_are_products_of_rk4_step_matrices(problem, energies):
     grid = problem.grid
     samples = sample_potential(problem.potential, grid)
-    looped = _looped_samples(problem.potential.evaluate, grid)
+    looped = _looped_samples(problem.potential, grid)
+    assert len(samples.tables) == len(looped)
     for (nodes, halves), table, h in zip(looped, samples.tables, (grid.h, -grid.h)):
         n = len(halves)
         assert table.n_steps == n and (n or table.pairs.size == table.firsts.size == 0)

@@ -88,6 +88,23 @@ def test_recurrence_shooting_matches_the_dispersion_formula():
         assert abs(root - fd_box_dispersion(n, 1.0 / N)) <= 1e-10
 
 
+def test_recurrence_counts_are_whole_numbers():
+    # a whole float is that count; 6.0 raised TypeError, and inf OverflowError
+    assert fd_box_recurrence_eigenvalues(6.0, 1.0) == fd_box_recurrence_eigenvalues(6, 1)
+    for N, n_max in ((6.5, 1), (math.inf, 1), (6, 1.5), (6, math.inf), (6, math.nan)):
+        with pytest.raises(ValueError, match="must be a whole number"):
+            fd_box_recurrence_eigenvalues(N, n_max)
+    with pytest.raises(ValueError, match="mode index n must be a whole number"):
+        fd_box_dispersion(math.inf, 0.01)
+
+
+def test_shooting_reference_rejects_a_probe_count_that_is_not_a_whole_number():
+    problem = poschl_teller(2.5, h=0.02, x_right=5.0)
+    for n_probe in (math.inf, 12.5):
+        with pytest.raises(ValueError, match="n_probe must be a whole number"):
+            shooting_reference(problem, (-2.5, 0.0), n_probe=n_probe)
+
+
 def test_recurrence_shooting_matches_the_dispersion_formula_on_a_fine_lattice():
     N = 100
     roots = fd_box_recurrence_eigenvalues(N, 25)
@@ -406,10 +423,10 @@ def test_shooting_reference_needs_few_marches_per_root(monkeypatch):
     assert len(closings) - (n_probe + 1) <= 10 * len(roots)
 
 
-@pytest.mark.parametrize("dense_factor", [-1, 0, 2.5])
+@pytest.mark.parametrize("dense_factor", [-1, 0, 2.5, math.inf])
 def test_shooting_reference_rejects_a_dense_factor_that_is_not_a_positive_integer(dense_factor):
     problem = poschl_teller(2.5, h=0.02, x_right=5.0)
-    with pytest.raises(ValueError, match="dense_factor must be a positive integer"):
+    with pytest.raises(ValueError, match="dense_factor must be (a whole number|at least 1)"):
         shooting_reference(problem, (-2.5, 0.0), n_probe=10, dense_factor=dense_factor)
 
 
@@ -418,8 +435,8 @@ def test_shooting_reference_rejects_a_dense_factor_that_is_not_a_positive_intege
     ((-2.5, math.inf), 10, "energy window must be finite"),
     ((math.nan, 0.0), 10, "energy window must be finite"),
     ((0.0, -2.5), 10, "energy range is reversed"),
-    ((-2.5, 0.0), 0, "need at least one probe cell"),
-    ((-2.5, 0.0), -3, "need at least one probe cell"),
+    ((-2.5, 0.0), 0, "n_probe must be at least 1"),
+    ((-2.5, 0.0), -3, "n_probe must be at least 1"),
 ], ids=["infinite", "infinite-10-cells", "nan", "reversed", "no-cell", "negative-cells"])
 def test_shooting_reference_rejects_a_reversed_range_or_no_probe_cell(window, n_probe, match):
     problem = poschl_teller(2.5, h=0.02, x_right=5.0)

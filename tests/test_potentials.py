@@ -37,6 +37,10 @@ def test_exact_spectrum_at_the_critical_depth():
 
 def test_critical_strengths():
     assert poschl_teller_critical_strengths(4) == [0.0, 1.0, 3.0, 6.0]
+    # a count by the count rule: 4.0 is 4, and 2.5 raised TypeError
+    assert poschl_teller_critical_strengths(4.0) == [0.0, 1.0, 3.0, 6.0]
+    with pytest.raises(ValueError, match="count must be a whole number"):
+        poschl_teller_critical_strengths(2.5)
 
 
 @pytest.mark.parametrize("v0,count", [(0.4, 1), (2.5, 2), (10.0, 4)])
@@ -60,6 +64,10 @@ def test_box_exact_energy_and_spectrum_window():
     assert box_exact_energy(1) == pytest.approx(0.5 * math.pi ** 2)
     with pytest.raises(ValueError):
         box_exact_energy(0)
+    # the levels are whole n; 2.5 gave an energy that is no level
+    for n in (2.5, math.inf):
+        with pytest.raises(ValueError, match="box level n must be a whole number"):
+            box_exact_energy(n)
     prob = infinite_well(x0=0.5, h=0.01, energy_max=60.0)
     window = prob.exact_spectrum(0.0, 60.0)
     assert window == [box_exact_energy(n) for n in (1, 2, 3)]
@@ -126,6 +134,10 @@ def test_radial_rejects_bad_geometry_and_angular_momentum():
         radial(ok, l=-1)
     with pytest.raises(ValueError):
         radial(ok, l=0.5)
+    # inf overflowed in the conversion; a whole float is that l
+    with pytest.raises(ValueError, match="angular momentum l must be a whole number"):
+        radial(ok, l=math.inf)
+    assert radial(ok, l=1.0).potential.evaluate(2.0) == radial(ok, l=1).potential.evaluate(2.0)
     with pytest.raises(ValueError):
         radial(ok, r_origin=1.0, r_min=2.0)
     with pytest.raises(ValueError):

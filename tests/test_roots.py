@@ -211,6 +211,42 @@ def test_scan_probes_as_many_cells_as_asked():
     for n_probe in (0, -2):
         with pytest.raises(ValueError):
             scan_brackets(char, (0.0, 1.0), n_probe)
+    # a whole float is that many cells
+    assert len(scan_brackets(char, (0.0, 1.0), 2.0)) == 1
+    assert batches[-1] == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("n_probe", [2.7, math.inf, math.nan])
+def test_a_probe_count_that_is_not_a_whole_number_is_rejected(n_probe):
+    # 2.7 was truncated to 2 cells, one of the PT 2.5 levels lost without a
+    # word; inf overflowed in the conversion
+    problem = poschl_teller(2.5, h=0.01, x_right=5.0)
+    with pytest.raises(ValueError, match="n_probe must be a whole number"):
+        find_eigenvalues(problem, n_probe=n_probe)
+    with pytest.raises(ValueError, match="n_probe must be a whole number"):
+        scan_brackets(_plain(lambda e: e), (-1.0, 1.0), n_probe)
+
+
+@pytest.mark.parametrize("tol_e", [math.nan, math.inf])
+def test_a_tolerance_that_is_not_finite_is_rejected(tol_e):
+    # no root passed roots()' dedupe check abs(root - last) > 10 tol_e, so
+    # every level was lost without a warning
+    problem = poschl_teller(2.5, h=0.01, x_right=5.0)
+    with pytest.raises(ValueError, match="tol_e must be finite"):
+        find_eigenvalues(problem, tol_e=tol_e)
+    fn = _plain(lambda e: e - 0.25)
+    brackets = scan_brackets(fn, (-1.0, 1.0), 8)
+    for refine in (lambda: roots.roots(fn, brackets, tol_e=tol_e),
+                   lambda: refine_root(fn, brackets[0], tol_e=tol_e)):
+        with pytest.raises(ValueError, match="tol_e must be finite"):
+            refine()
+
+
+@pytest.mark.parametrize("max_iter", [0, 2.5, math.inf])
+def test_an_iteration_cap_that_is_not_a_whole_number_of_at_least_one_is_rejected(max_iter):
+    fn = _plain(lambda e: e - 0.25)
+    with pytest.raises(ValueError, match="max_iter must be"):
+        roots.roots(fn, scan_brackets(fn, (-1.0, 1.0), 8), max_iter=max_iter)
 
 
 def test_refine_root_rejects_a_bracket_of_another_factor():

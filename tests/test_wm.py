@@ -36,8 +36,11 @@ from boundstates.wm import (
 
 PT = poschl_teller(2.5, h=0.01, x_right=5.0)
 PT_WIDE = poschl_teller(2.5, h=0.01, x_right=10.0)
-# same potential integrated across the whole line instead of reflecting
-PT_TWO_SIDED = dataclasses.replace(PT, grid=make_grid(0.0, 0.01, 500, 500))
+# same potential integrated across the whole line instead of reflecting: not
+# declared even, so the mirrored grid's left side is marched leftward
+PT_TWO_SIDED = dataclasses.replace(
+    PT, potential=dataclasses.replace(PT.potential, parity_invariant=False),
+    grid=make_grid(0.0, 0.01, 500, 500))
 
 
 @pytest.mark.parametrize("energy", [3.0, 10.0, 30.0, 55.0])
@@ -53,8 +56,8 @@ def test_hard_wall_determinant_reduces_to_dirichlet(energy):
 
 @pytest.mark.parametrize("energy", [-2.0, -1.0, -0.45])
 def test_reflection_ties_left_wronskians_to_right_ones(energy):
-    # a grid with a left side is marched leftward, never reflected
-    assert PT_TWO_SIDED.grid.n_left == 500
+    # a potential not declared even is marched leftward, never reflected
+    assert PT_TWO_SIDED.grid.n_left == 500 and not PT_TWO_SIDED.symmetric
     pair = canonical_pair(PT_TWO_SIDED.potential, energy, PT_TWO_SIDED.grid)
     (lc_c, lc_s), (rc_c, rc_s) = wm_rows(PT_TWO_SIDED, pair.ends)
     assert lc_c == pytest.approx(-rc_c, rel=1e-9, abs=1e-12)
