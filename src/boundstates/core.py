@@ -288,14 +288,15 @@ class EigenResult:
 
     psi is a C + b S on the sampled points at unit L2 norm, each side of x0
     the null direction of its own boundary row, the left scaled to meet the
-    right at x0: in psi' for a level odd about x0, else in psi. a2 = psi(x0)
-    and b2 = psi'(x0). On a symmetric problem parity is "even" or "odd" and
-    the sign makes a2 or b2 positive; elsewhere it is "none" and the sign
-    makes a2 positive, or b2 where |a2| is at most wm.PARITY_RATIO |b2|.
-    b1 and b3 are the divergent-member admixtures of each side's own (a, b)
-    at its boundary, roundoff under WM's rows, whose null directions they
-    are. residual is |F| of the method's two boundary rows at the accepted
-    energy, the sine of the angle between them (see wm.py).
+    right at x0: in psi' for a level odd about x0, else in psi, and marched
+    as that combination (wm.assemble_eigenresult), not summed from C and S.
+    a2 = psi(x0) and b2 = psi'(x0). On a symmetric problem parity is "even"
+    or "odd" and the sign makes a2 or b2 positive; elsewhere it is "none"
+    and the sign makes a2 positive, or b2 where |a2| is at most
+    wm.PARITY_RATIO |b2|. b1 and b3 are the divergent-member admixtures of
+    each side's own (a, b) at its boundary, roundoff under WM's rows, whose
+    null directions they are. residual is |F| of the method's two boundary
+    rows at the accepted energy, the sine of the angle between them (see wm.py).
     """
 
     energy: float

@@ -17,15 +17,21 @@ highest degree first to add the terms in Horner's order, and multiplies half
 as many matrices as there are steps, with no arithmetic on v: neighbours
 first, in a tree over each block of pairs, then block after block.
 
-`canonical_pairs` keeps every sample over the full logical line for a batch
-of energies, every level of a solve (`canonical_pair` is a batch of one);
-`canonical_endpoints` keeps only the end points, for a scan's probes or one
-candidate per open bracket in a refinement step, as one `Endpoints` of arrays
-over the batch. Both give an energy the same end points, bit for bit, whatever
-the batch: products are associated by pair index alone, the scan that keeps
-every state ends each block in the same tree, and BLAS is assumed to give a
-product's rows the same arithmetic for any row count from two up; numpy sends
-one row to gemv, which rounds otherwise, so one energy is evaluated as two.
+A march is two passes over the same trees. `block_starts` multiplies each
+block's tree up to its product and applies the products in order, keeping
+Phi = [[C, S], [C', S']] at every block start and at the grid end, the
+`Endpoints` of a scan's probes (`canonical_endpoints`). `kept_march` keeps
+every state: it sweeps each block's tree back down from a given start,
+matrix times state, Phi there for `canonical_pair`, whose last state is
+then its end point bit for bit, or Phi there times a level's (a, b) for
+eigenfunction assembly, which marches psi = a C + b S itself. Each block's
+start then has the error of a C + b S there, and a decaying tail stays
+exact: psi carried from block to block would grow its roundoff admixture of
+the growing solution over the whole march. An energy's end points and
+states have the same bits in any batch: products are associated by pair
+index alone, and BLAS is assumed to give a product's rows the same
+arithmetic for any row count from two up; numpy sends one row to gemv,
+which rounds otherwise, so one energy is evaluated as two.
 Bits are given up against a march that steps one point after the next, which
 multiplies in another order, and against the RK4 stages, which round
 otherwise than their polynomial form: both differ in the last digits.
@@ -35,6 +41,7 @@ inf or NaN, which the value functions flag as overflow.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -157,68 +164,69 @@ def _evaluate(coefs, s):
     return out[:, :, :len(s)].reshape(2, 2, len(s), -1, _BLOCK)
 
 
-def _propagate(table, energies, keep):
-    # The fundamental matrix Phi = [[C, S], [C', S']] of each energy (I at
-    # the start) as the ordered product of its pair matrices, each evaluated
-    # from the table, in march order. A block is reduced by a tree that
-    # multiplies neighbours, or with keep by a Hillis-Steele inclusive scan,
-    # whose last element is that tree; block products act on the running
-    # state in order, so the association depends on the pair index alone,
-    # not on the chunking over pairs and energies. Returns Phi indexed
-    # [row, column, energy]; with keep, [row, column, energy, state] over the
-    # start and the states after each step, the identity ones included: pair
-    # j ends at state 2j + 2, and its first step, applied to the state
-    # before, gives state 2j + 1.
+def _chunks(table, energies):
+    # (energy slice, s = 2*eps, pair slice): the energies in equal groups (a
+    # lone energy is two rows), each across the pairs in spans of whole
+    # blocks, a span holding at most a chunk of pair x energy elements
     n_pairs = table.pairs.shape[-1]
-    # energies in equal groups, pairs in blocks of a chunk (a lone energy is two rows)
     groups = max(1, -(-len(energies) * _BLOCK // _CHUNK))
     width = max(1, -(-len(energies) // groups))
     span = max(1, _CHUNK // (max(2, width) * _BLOCK)) * _BLOCK
-    # kept states are stored [energy, column, row, state], each energy's together
-    out = (np.empty((len(energies), 2, 2, 2 * n_pairs + 1)).transpose(2, 1, 0, 3) if keep
-           else np.empty((2, 2, len(energies))))
+    for e0 in range(0, len(energies), width):
+        e = slice(e0, e0 + width)
+        for k0 in range(0, n_pairs, span):
+            yield e, 2.0 * energies[e], slice(k0, min(k0 + span, n_pairs))
+
+
+def _tree(x):
+    # the levels of the tree over each block of pair matrices x, [row,
+    # column, energy, block, pair], from the pairs up to the block product:
+    # each level multiplies neighbours of the one below, the later on the left
+    yield x
+    for _ in range(_BITS):
+        x = _mul(x[..., 1::2], x[..., ::2])
+        yield x
+
+
+def _propagate(table, energies):
+    # Phi = [[C, S], [C', S']] of each energy at the start of each block of
+    # pairs and after the last, [row, column, energy, block]: I, then each
+    # block's tree product applied to the state before it, in march order.
+    # A kept march starts each block from Phi here, never from where its
+    # sweep of the block before ends, which keeps a decaying tail exact.
+    out = np.empty((2, 2, len(energies), table.pairs.shape[-1] // _BLOCK + 1))
+    out[..., 0] = np.eye(2)[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for e0 in range(0, len(energies), width):
-            e = slice(e0, e0 + width)
-            s = 2.0 * energies[e]
-            phi = np.eye(2)[:, :, None].repeat(len(s), axis=2)
-            if keep:
-                out[:, :, e, 0] = phi
-            for k0 in range(0, n_pairs, span):
-                k = slice(k0, k0 + span)
-                x = _evaluate(table.pairs[..., k], s)
-                if keep:
-                    for d in 1 << np.arange(_BITS):
-                        x[..., d:] = _mul(x[..., d:], x[..., :-d])
-                    q = x[..., -1]
-                else:
-                    for _ in range(_BITS):
-                        x = _mul(x[..., 1::2], x[..., ::2])
-                    q = x[..., 0]
-                starts = []
-                for b in range(q.shape[3]):
-                    starts.append(phi)
-                    phi = _mul(q[..., b], phi)
-                if keep:
-                    starts = np.stack(starts, axis=3)[..., None]
-                    states = out[:, :, e, 2 * k0 + 1:2 * (k0 + x.shape[3] * _BLOCK) + 1]
-                    states = states.reshape(*x.shape, 2)
-                    states[..., 1] = _mul(x, starts)
-                    before = np.concatenate([starts, states[..., :-1, 1]], axis=4)
-                    firsts = _evaluate(table.firsts[..., k], s)
-                    states[..., 0] = _mul(firsts, before)
-            if not keep:
-                out[..., e] = phi
+        for e, s, k in _chunks(table, energies):
+            for q in _tree(_evaluate(table.pairs[..., k], s)):
+                pass  # up to the block products, each level freed in turn
+            for b in range(q.shape[3]):
+                j = k.start // _BLOCK + b
+                out[:, :, e, j + 1] = _mul(q[..., b, 0], out[:, :, e, j])
     return out
 
 
-def _march(table, energies):
-    # _propagate with every state kept: the columns (C, C') and (S, S') of
-    # each energy in turn, [column, value or derivative, state] over the last
-    # n_steps + 1 states, those of the grid (the states before them are I).
-    # bench/tracer.py unpacks all three items and counts column-steps.
-    phi = _propagate(table, energies, True)[..., -table.n_steps - 1:]
-    return phi.transpose(2, 1, 0, 3).reshape(-1, 2, table.n_steps + 1), table.n_steps + 1, False
+def _march(table, energies, starts):
+    # Every state from starts [row, column, energy, block] at each block
+    # boundary: down each block's tree, a node's left child applied to the
+    # state before the node gives the state halfway through it, and pair j's
+    # first step applied to state 2j gives 2j + 1. Returns the grid's last
+    # n_steps + 1 states as columns [value or derivative, state], each
+    # column's energies in turn, their count and False (bench/tracer.py).
+    out = np.empty((2, *starts.shape[1:3], 2 * table.pairs.shape[-1] + 1))
+    out[..., ::2 * _BLOCK] = starts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, s, k in _chunks(table, energies):
+            levels = list(itertools.islice(_tree(_evaluate(table.pairs[..., k], s)), _BITS))
+            blocks = out[:, :, e, 2 * k.start:2 * k.stop]
+            blocks = blocks.reshape(*blocks.shape[:3], -1, 2 * _BLOCK)
+            # from the level below the block product down, each freed once swept
+            while levels:
+                d = 1 << len(levels)
+                blocks[..., d::2 * d] = _mul(levels.pop()[..., ::2], blocks[..., ::2 * d])
+            blocks[..., 1::2] = _mul(_evaluate(table.firsts[..., k], s), blocks[..., ::2])
+    columns = np.moveaxis(out[..., -table.n_steps - 1:], 0, 2).reshape(-1, 2, table.n_steps + 1)
+    return columns, table.n_steps + 1, False
 
 
 class Endpoints(NamedTuple):
@@ -253,42 +261,50 @@ class CanonicalPair(NamedTuple):
     ends: Endpoints
 
 
-def _endpoints(energies, grid, reflected, left, right):
-    # Endpoints from the arrays (C, C', S, S') at the end of each sweep; a
-    # symmetric problem's left end mirrors its right: C(-x) = C(x), S(-x) = -S(x)
-    xr, (c, dc, s, ds) = grid.x_right, right
-    left = (-xr, c, -dc, -s, ds) if reflected else (grid.x_left, *left)
-    return Endpoints(energies, left, (xr, c, dc, s, ds))
+def block_starts(potential, energies, grid, samples):
+    """Phi at the start of every block of pairs of each marched side, and the Endpoints.
 
-
-def canonical_pairs(potential, energies, grid, samples):
-    """The canonical pair of each of many energies, every sample kept, marched together.
-
-    Yields one CanonicalPair per energy, in order, each equal bit for bit to
-    canonical_pair at that energy whatever else the batch holds. samples are
-    sample_potential(potential, grid).
+    Returns (starts, ends): the right side's [row, column, energy, block]
+    array, then the left's unless the problem is symmetric, each ending with
+    Phi at its grid end, and those ends as the batch's Endpoints. samples
+    are sample_potential(potential, grid).
     """
     energies = np.asarray(energies, dtype=float)
-    reflected = is_symmetric(potential, grid)
+    starts = tuple(_propagate(table, energies) for table in samples.tables)
+    # (C, C', S, S') at each end; a symmetric problem's left end mirrors the
+    # right, and with no left sweep it is the origin, a march of no steps
+    (c, dc, s, ds), left = (phi[..., -1].swapaxes(0, 1).reshape(4, -1)
+                            for phi in (starts[0], starts[-1]))
+    xr = grid.x_right
+    left = (-xr, c, -dc, -s, ds) if is_symmetric(potential, grid) else (grid.x_left, *left)
+    return starts, Endpoints(energies, left, (xr, c, dc, s, ds))
 
-    def side(table):
-        # [energy, column, value or derivative, state] from the origin out
-        return _march(table, energies)[0].reshape(len(energies), 2, 2, -1)
 
-    right = side(samples.tables[0])
-    left = right if reflected else side(samples.tables[1])
+def kept_march(potential, energies, grid, samples, starts, parity):
+    """Every state of the marches from given block starts, over the full logical line.
+
+    starts are block_starts' arrays, Phi (whose columns march C and S) or
+    Phi (a, b) per energy (which marches a C + b S). Returns (x, states),
+    states [column, energy, value or derivative, point], the origin the
+    right side's. On a symmetric problem the left half mirrors the right,
+    its value times parity [column, energy], +1 or -1, its derivative
+    times -parity.
+    """
+    energies = np.asarray(energies, dtype=float)
     x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(samples.line), grid.n_right + 1)
-    for i, (lk, rk) in enumerate(zip(left, right)):
-        ends = _endpoints(energies[i:i + 1], grid, reflected,
-                          *(a[..., -1].reshape(4, 1) for a in (lk, rk)))
-        # the left side from x_left in, without the origin, then the right;
-        # mirrored, C and S' are even and C' and S odd, negated in place
-        (c, dc), (s, ds) = pair = np.concatenate([lk[..., :0:-1], rk], axis=-1)
-        if reflected:
-            n = lk.shape[-1] - 1
-            np.negative(pair[0, 1, :n], out=pair[0, 1, :n])
-            np.negative(pair[1, 0, :n], out=pair[1, 0, :n])
-        yield CanonicalPair(x, c, dc, s, ds, samples.line, ends)
+    shape = starts[0].shape[1:3]
+    sides = [_march(table, energies, start)[0].reshape(*shape, 2, table.n_steps + 1)
+             for table, start in zip(samples.tables, starts)]
+    out = np.empty((*shape, 2, len(x)))
+    i0 = len(x) - 1 - grid.n_right
+    if is_symmetric(potential, grid):
+        out[..., :i0] = sides[0][..., :0:-1]
+        for row, odd in ((0, parity < 0), (1, parity > 0)):
+            np.negative(out[:, :, row, :i0], out=out[:, :, row, :i0], where=odd[..., None])
+    else:
+        out[..., i0::-1] = sides[1]
+    out[..., i0:] = sides[0]
+    return x, out
 
 
 def canonical_pair(potential, energy, grid, samples=None):
@@ -297,31 +313,19 @@ def canonical_pair(potential, energy, grid, samples=None):
     On a symmetric problem (core.is_symmetric), a half grid or a mirrored
     one, only the rightward sweep runs and the pair is reflected: its left
     half is the mirror image of the right, with C, S' and v even and x, C'
-    and S odd. samples are the solve's PotentialSamples of this potential on
-    this grid; without them v is sampled here. This is canonical_pairs of a
-    batch of one.
+    and S odd. Each block starts from block_starts' Phi itself, so the pair
+    ends on its Endpoints' bits. samples are sample_potential(potential,
+    grid), sampled here without them.
     """
     if samples is None:
         samples = sample_potential(potential, grid)
-    return next(canonical_pairs(potential, [energy], grid, samples))
+    energies = np.array([float(energy)])
+    starts, ends = block_starts(potential, energies, grid, samples)
+    x, states = kept_march(potential, energies, grid, samples, starts, np.array([[1.0], [-1.0]]))
+    (c, dc), (s, ds) = states[:, 0]
+    return CanonicalPair(x, c, dc, s, ds, samples.line, ends)
 
 
 def canonical_endpoints(potential, energies, grid, samples):
-    """The Endpoints of the canonical pair at many energies, marched together.
-
-    Each energy's entries equal bit for bit those of canonical_pair(...).ends
-    at that energy whatever else the batch holds. samples are
-    sample_potential(potential, grid).
-    """
-    energies = np.asarray(energies, dtype=float)
-    reflected = is_symmetric(potential, grid)
-
-    def side(table):
-        # the arrays (C, C', S, S') over the energies
-        return _propagate(table, energies, False).swapaxes(0, 1).reshape(4, -1)
-
-    # a symmetric problem mirrors its right end; otherwise, without a left
-    # sweep the left end is the origin, a march of no steps
-    right = side(samples.tables[0])
-    return _endpoints(energies, grid, reflected, right if reflected else side(samples.tables[1]),
-                      right)
+    """block_starts' Endpoints alone: each energy's equal canonical_pair(...).ends bit for bit."""
+    return block_starts(potential, energies, grid, samples)[1]

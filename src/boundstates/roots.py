@@ -4,7 +4,8 @@ One table maps each method name to its two boundary rows (wm.py, cfm.py),
 the parity factors it reads on a symmetric problem, and the check that a
 problem admits it. characteristic_for builds every characteristic function
 from it, each the scale-free F of wm.boundary_value, and find_eigenvalues
-assembles the levels of a solve from one kept march over its roots.
+assembles all the levels of a solve in one batch over its roots
+(wm.assemble_eigenresult), through the samples its scan read.
 
 On a symmetric problem a method's value is its parity factors (see
 characteristic_for). Their product, the determinant, changes sign twice at an
@@ -39,7 +40,7 @@ from .cfm import cfm_rows
 from .core import HARD_DIRICHLET, CharacteristicFunction, RefinementError, SolverError, whole
 # canonical_pair is not called here, but bench/tracer.py counts pairs by
 # rebinding it in this module
-from .integrate import canonical_endpoints, canonical_pair, canonical_pairs, sample_potential
+from .integrate import canonical_endpoints, canonical_pair, sample_potential
 from .wm import assemble_eigenresult, boundary_value, wm_eigenfunction, wm_rows
 
 
@@ -405,9 +406,9 @@ def dirichlet_determinant(problem):
     return characteristic_for(problem, "dirichlet")
 
 
-def _assemble_cfm(problem, root, pair):
-    # wm_eigenfunction with CFM's rows, from the pair at root
-    return assemble_eigenresult(problem, cfm_rows, pair)
+def _assemble_cfm(problem, energies, samples=None):
+    # wm_eigenfunction with CFM's rows
+    return assemble_eigenresult(problem, cfm_rows, energies, samples)
 
 
 def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
@@ -432,14 +433,11 @@ def find_eigenvalues(problem, method="wm", energy_range=None, n_probe=None,
     window = energy_range if energy_range is not None else problem.energy_range
     energies = roots(char_fn, scan_brackets(char_fn, window, n_probe), tol_e, max_iter)
     assemble = _assemble_cfm if _METHODS[method][0] is cfm_rows else wm_eigenfunction
-    # every level's pair from one march through the samples the scan read
-    pairs = canonical_pairs(problem.potential, energies, problem.grid, char_fn.samples)
     results = []
-    for root, pair in zip(energies, pairs):
-        try:
-            res = assemble(problem, root, pair)
-        except SolverError as exc:
-            warnings.warn(f"level at {root:.9g} dropped: {exc}", RefinementWarning)
-            continue
-        results.append(replace(res, index=len(results)))
+    # every level from one batch through the samples the scan read
+    for root, res in zip(energies, assemble(problem, energies, char_fn.samples)):
+        if isinstance(res, SolverError):
+            warnings.warn(f"level at {root:.9g} dropped: {res}", RefinementWarning)
+        else:
+            results.append(replace(res, index=len(results)))
     return results

@@ -13,12 +13,11 @@ finite, and every bit kept when one side's pair is scaled by a power of two.
 On a symmetric problem F against the origin row of psi'(0) = 0, (0, -1), or
 of psi(0) = 0, (1, 0), is W(R_c, C) or W(R_c, S) over |r_R|, the even or the
 odd factor. A level is assembled from its method's rows, each side of x0
-from its own, with the parity of the factor that vanishes.
+from its own, with the parity of the factor that vanishes, and psi is
+marched as that combination; a solve assembles all its levels in one batch.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,7 +29,9 @@ from .core import (
     on_array,
     wronskian,
 )
-from .integrate import canonical_pair
+# canonical_pair is not called here, but bench/tracer.py counts pairs by
+# rebinding it in this module
+from .integrate import block_starts, canonical_pair, kept_march, sample_potential
 
 # off a symmetric problem, a level is signed by psi'(x0) where psi(x0) is at
 # most this fraction of it, else by psi(x0)
@@ -131,106 +132,101 @@ def wm_value_symmetric(problem, ends, parity):
     return Evaluation(ev.value[:, 0], ev.flag)
 
 
-def wm_eigenfunction(problem, root, pair=None):
-    """Assemble the normalized eigenfunction at an accepted root from WM's rows.
+def wm_eigenfunction(problem, energies, samples=None):
+    """assemble_eigenresult of WM's rows at a batch of accepted roots: an item per energy."""
+    return assemble_eigenresult(problem, wm_rows, energies, samples)
 
-    pair is the canonical pair at root, else one is marched. The index is the
-    node count; callers re-index by spectral position.
+
+def assemble_eigenresult(problem, rows, energies, samples=None):
+    """Normalized EigenResults at many roots from a method's boundary rows, in one batch.
+
+    integrate.block_starts gives the Endpoints, whose references are shared
+    with the rows. Each side of x0 is the null direction (a, b) of its own
+    row, the left scaled to meet the right at x0 (see EigenResult), and psi
+    = a C + b S is marched itself, each block from Phi there times (a, b).
+    On a symmetric problem the parity, the factor that vanishes (the smaller
+    entry of r_R / |r_R|), signs the mirrored left half. psi is L2 normalized
+    by the trapezoid rule. samples are sample_potential's, else sampled here.
+    Returns per energy its EigenResult, indexed by node count, or the
+    SolverError that stopped it: DegenerateAsymptoticsError, naming the side
+    whose pair's own Wronskian vanishes or is not finite, or DegenerateRootError.
     """
-    if pair is None:
-        pair = canonical_pair(problem.potential, root, problem.grid)
-    return assemble_eigenresult(problem, wm_rows, pair)
-
-
-def assemble_eigenresult(problem, rows, pair):
-    """Build a normalized EigenResult from a method's boundary rows, evaluated once.
-
-    pair.ends is a batch of one, whose references are read once and shared
-    with the rows. Each side of x0 is the null direction of its own row, the
-    left one scaled to meet the right at x0 (see EigenResult). On a symmetric
-    problem the level's parity is the factor that vanishes, the smaller entry
-    of r_R / |r_R|. Samples are L2 normalized by the trapezoid rule.
-
-    Raises:
-        DegenerateAsymptoticsError: where a boundary pair's own Wronskian
-            vanishes or is not finite, naming the side.
-        DegenerateRootError: where the rows or the samples cannot make a level.
-    """
-    x, c, dc, s, ds, v, ends = pair
-    energy = float(ends.energy[0])
+    pot, grid = problem.potential, problem.grid
+    if samples is None:
+        samples = sample_potential(pot, grid)
+    energies = np.asarray(energies, dtype=float)
+    starts, ends = block_starts(pot, energies, grid, samples)
     with np.errstate(all="ignore"):
         refs = (lc, w_l), (rc, w_r) = references(problem, ends)
-        for side, w in (("left", w_l), ("right", w_r)):
-            if not _sound(w[0]):
-                raise DegenerateAsymptoticsError(
-                    f"asymptotic pair degenerate at the {side} endpoint "
-                    f"(pair Wronskian {float(w[0])!r} at energy {energy!r})")
         row_l, row_r = rows(problem, ends, refs)
-        f = _sine(row_l, row_r).at(0)
-        # each side's WM row, which reads the admixture b1 or b3, and each
-        # method row over its larger entry
-        (lc_c, lc_s), (rc_c, rc_s), (al, bl, _), (ar, br, _) = (
-            [float(a[0]) for a in r] for r in (row(lc, ends.left), row(rc, ends.right),
-                                               _unit(*row_l), _unit(*row_r)))
-    if not f.ok:
-        raise DegenerateRootError(f"boundary rows {f.flag} at energy {energy!r}")
-    # each row's null direction (b, -a), the left one scaled to meet the right
-    # at x0, and both signed so that psi(x0) > 0, or psi'(x0) > 0 for an odd level
-    odd = abs(br) < abs(ar)
-    if (bl, al)[odd] == 0.0:
-        raise DegenerateRootError(f"the two sides cannot meet at x0 at energy {energy!r}")
-    k = odd if problem.symmetric else abs(br) <= PARITY_RATIO * abs(ar)
-    sign = math.copysign(1.0, (br, -ar)[k])
-    t = sign * (br, ar)[odd] / (bl, al)[odd]
-    left, right = (t * bl, -t * al), (sign * br, -sign * ar)
-    # each side in place on its own slice of the pair, x0 the sample n_right
-    # from the end; a pair grown past the double range turns psi into inf or NaN
-    i0 = len(x) - 1 - problem.grid.n_right
-    psi, dpsi = np.empty_like(c), np.empty_like(c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for side, (a, b) in ((slice(None, i0), left), (slice(i0, None), right)):
-            for out, y, dy in ((psi, c, s), (dpsi, dc, ds)):
-                np.multiply(y[side], a, out=out[side])
-                out[side] += dy[side] * b
-    if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
-        raise DegenerateRootError(
-            f"canonical pair or coefficients not finite at energy {energy!r}")
-    # divided by the largest antinode first, which keeps a member grown far
-    # out on the grid from overflowing the norm
-    top = max(float(psi.max()), -float(psi.min()))
-    if top == 0.0:
-        raise DegenerateRootError(f"eigenfunction norm degenerate at energy {energy!r}")
-    psi /= top
-    # L2 norm by the trapezoid rule on the uniform grid
-    norm = math.sqrt(problem.grid.h * (np.sum(psi * psi) - 0.5 * (psi[0] ** 2 + psi[-1] ** 2)))
-    psi /= norm
-    dpsi /= top * norm
-    (la, lb), (a2, b2) = ((a / (top * norm), b / (top * norm)) for a, b in (left, right))
-
-    node_count = _count_nodes(psi, v, energy)
-    return EigenResult(
-        energy=energy, index=node_count,
-        parity=("even", "odd")[odd] if problem.symmetric else "none",
-        residual=abs(f.value), node_count=node_count,
-        x=x, psi=psi, dpsi=dpsi, a2=a2, b2=b2,
-        b1=(la * lc_c + lb * lc_s) / float(w_l[0]), b3=(a2 * rc_c + b2 * rc_s) / float(w_r[0]))
+        f = _sine(row_l, row_r)
+        (al, bl, _), (ar, br, _) = _unit(*row_l), _unit(*row_r)
+        # each row's null direction (b, -a), the left one scaled to meet the
+        # right at x0, and both signed so that psi(x0) > 0, or psi'(x0) > 0
+        # for an odd level
+        odd = np.abs(br) < np.abs(ar)
+        k = odd if problem.symmetric else np.abs(br) <= PARITY_RATIO * np.abs(ar)
+        sign = np.copysign(1.0, np.where(k, -ar, br))
+        t = sign * np.where(odd, ar, br) / np.where(odd, al, bl)
+        sides = (sign * br, -sign * ar), (t * bl, -t * al)
+        x, line = kept_march(pot, energies, grid, samples,
+                             [phi[:, :1] * a[:, None] + phi[:, 1:] * b[:, None]
+                              for phi, (a, b) in zip(starts, sides)],
+                             np.where(odd, -1.0, 1.0)[None])
+        psi, dpsi = line[0].swapaxes(0, 1)
+        finite = np.isfinite(line).all(axis=(0, 2, 3))
+        # divided by the largest antinode first, which keeps a member grown
+        # far out on the grid from overflowing the norm
+        top = np.maximum(psi.max(axis=1), -psi.min(axis=1))
+        psi /= top[:, None]
+        norm = np.sqrt(grid.h * (np.sum(psi * psi, axis=1)
+                                 - 0.5 * (psi[:, 0] ** 2 + psi[:, -1] ** 2)))
+        psi /= norm[:, None]
+        dpsi /= (top * norm)[:, None]
+        (la, lb), (a2, b2) = ((a / (top * norm), b / (top * norm)) for a, b in sides[::-1])
+        (lc_c, lc_s), (rc_c, rc_s) = row(lc, ends.left), row(rc, ends.right)
+        b1, b3 = (la * lc_c + lb * lc_s) / w_l, (a2 * rc_c + b2 * rc_s) / w_r
+        nodes = _count_nodes(psi, samples.line, energies)
+    # each level's first failing check, in the order a level is built
+    pair = "asymptotic pair degenerate at the %s endpoint (pair Wronskian {%s!r} at energy {e!r})"
+    checks = ((~_sound(w_l), DegenerateAsymptoticsError, pair % ("left", "w_l")),
+              (~_sound(w_r), DegenerateAsymptoticsError, pair % ("right", "w_r")),
+              (~np.isfinite(f.value), DegenerateRootError, "boundary rows {flag} at energy {e!r}"),
+              (np.where(odd, al, bl) == 0.0, DegenerateRootError,
+               "the two sides cannot meet at x0 at energy {e!r}"),
+              (~finite, DegenerateRootError, "psi not finite at energy {e!r}"),
+              (top == 0.0, DegenerateRootError, "eigenfunction norm degenerate at energy {e!r}"))
+    # each level owns a copy of its samples, so the batch's buffer goes with
+    # the solve's other temporaries (0.5 MB less peak RSS on the README dump)
+    out = []
+    for i, energy in enumerate(energies.tolist()):
+        failed = next(((error, text) for mask, error, text in checks if mask[i]), None)
+        out.append(failed[0](failed[1].format(e=energy, w_l=float(w_l[i]), w_r=float(w_r[i]),
+                                              flag=f.flag[i])) if failed else EigenResult(
+            energy=energy, index=int(nodes[i]),
+            parity=("odd" if odd[i] else "even") if problem.symmetric else "none",
+            residual=float(abs(f.value[i])), node_count=int(nodes[i]),
+            x=x, psi=psi[i].copy(), dpsi=dpsi[i].copy(), a2=float(a2[i]), b2=float(b2[i]),
+            b1=float(b1[i]), b3=float(b3[i])))
+    return out
 
 
 def _count_nodes(psi, v, energy):
-    # Nodes of a bound state sit between the outermost classical turning
-    # points; past them the true solution is monotone, but the residual
-    # divergent admixture grows there and can fake a crossing, so restrict
-    # the count to the allowed span. v holds the potential at psi's samples.
-    allowed = v <= energy
-    if allowed.any():
-        i0 = int(allowed.argmax())
-        i1 = len(psi) - 1 - int(allowed[::-1].argmax())
-        psi = psi[i0:i1 + 1]
-    # drop samples that are numerically zero so wall values and the exact
-    # S(0) = 0 sample cannot fake or hide a crossing
-    amp = max(psi.max(), -psi.min())
-    live = psi[np.abs(psi) > NODE_FLOOR * amp]
-    if live.size < 2:
-        return 0
-    signs = np.sign(live)
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+    # Nodes of each bound state psi [level, point] at its energy sit between
+    # the outermost classical turning points; past them the residual
+    # divergent admixture grows and can fake a crossing, so the count keeps
+    # to the allowed span of v, at psi's points, if any.
+    allowed = v <= np.reshape(energy, (-1, 1))
+    j = np.arange(psi.shape[1])
+    amp = np.abs(psi)
+    amp[(j < allowed.argmax(axis=1)[:, None])
+        | (j >= len(j) - allowed[:, ::-1].argmax(axis=1)[:, None])] = 0.0
+    # samples numerically zero (walls, S(0) = 0) neither fake nor hide a
+    # crossing: a node is a sign change between neighbours among one level's
+    # live samples, which follow the level before's in up
+    live = amp > NODE_FLOOR * amp.max(axis=1, keepdims=True)
+    up = (psi > 0.0)[live]
+    firsts = np.cumsum(np.count_nonzero(live, axis=1))[:-1]
+    flips = np.flatnonzero(up[1:] != up[:-1]) + 1
+    flips = flips[~np.isin(flips, firsts)]
+    return np.bincount(np.searchsorted(firsts, flips, side="right"), minlength=len(psi))

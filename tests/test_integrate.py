@@ -8,16 +8,11 @@ import numpy as np
 import pytest
 
 from boundstates import anharmonic, find_eigenvalues, infinite_well, poschl_teller, radial
-from boundstates import integrate, roots
+from boundstates import integrate, roots, wm
 from boundstates.core import PotentialSpec, Problem, is_symmetric, make_grid, on_array, wronskian
 from boundstates.cfm import cfm_rows, cfm_value
 from boundstates.cli import compile_expr
-from boundstates.integrate import (
-    canonical_endpoints,
-    canonical_pair,
-    canonical_pairs,
-    sample_potential,
-)
+from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
 from boundstates.potentials import decay_model, hard_wall_model
 from boundstates.roots import _default_probes, characteristic_for
 from boundstates.wm import boundary_value, wm_rows, wm_value, wm_value_symmetric
@@ -28,8 +23,11 @@ PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
 PT25_V_TWO_SIDED = dataclasses.replace(PT25.potential, parity_invariant=False)
 
 
-def test_canonical_pair_initial_data():
-    grid = make_grid(0.5, 0.01, 30, 40)
+@pytest.mark.parametrize("n_left, n_right", [(30, 40), (30, 0), (0, 40)],
+                         ids=["two-sided", "no-right-side", "no-left-side"])
+def test_canonical_pair_initial_data(n_left, n_right):
+    # a side of no steps still holds the origin
+    grid = make_grid(0.5, 0.01, n_left, n_right)
     pair = canonical_pair(FREE, 1.0, grid)
     i = grid.n_left
     assert pair.x[i] == 0.5
@@ -438,19 +436,26 @@ def test_a_mirrored_symmetric_grid_is_reflected_as_the_two_sided_march_bit_for_b
     want = canonical_endpoints(two_sided, energies, grid, marched)
     assert [_end_bits(ends, i) for i in range(len(energies))] == [
         _end_bits(want, i) for i in range(len(energies))]
-    for pair, two in zip(canonical_pairs(problem.potential, energies, grid, samples),
-                         canonical_pairs(two_sided, energies, grid, marched), strict=True):
+    for energy in energies:
+        pair = canonical_pair(problem.potential, energy, grid, samples)
+        two = canonical_pair(two_sided, energy, grid, marched)
         assert [a.tobytes() for a in pair[:6]] == [a.tobytes() for a in two[:6]]
         assert _end_bits(pair.ends) == _end_bits(two.ends)
     levels = find_eigenvalues(problem, method)
-    # the same solve with every march two-sided
-    for name in ("sample_potential", "canonical_endpoints", "canonical_pairs"):
-        monkeypatch.setattr(roots, name, lambda potential, *args, f=getattr(integrate, name):
-                            f(two_sided, *args))
+    # the same solve with every march two-sided: the scan's, and the
+    # assembly's, which marches each level's psi leftward from the left
+    # side's own (a, b) where the symmetric one mirrors the right half
+    for module, names in ((roots, ("sample_potential", "canonical_endpoints")),
+                          (wm, ("block_starts", "kept_march"))):
+        for name in names:
+            monkeypatch.setattr(module, name, lambda potential, *args, f=getattr(integrate, name):
+                                f(two_sided, *args))
     want = find_eigenvalues(problem, method)
     assert len(levels) > 1
-    assert [(_bits(r.energy), r.psi.tobytes(), r.node_count, r.parity) for r in levels] == [
-        (_bits(r.energy), r.psi.tobytes(), r.node_count, r.parity) for r in want]
+    # the values of psi agree, not all their bits: where an odd level's psi
+    # is an exact zero at a wall, its mirror is -0.0 and the leftward march 0.0
+    assert [(_bits(r.energy), r.psi.tolist(), r.node_count, r.parity) for r in levels] == [
+        (_bits(r.energy), r.psi.tolist(), r.node_count, r.parity) for r in want]
 
 
 # --- the step-matrix kernel: independent of batch size and step count -------
@@ -497,24 +502,34 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
             assert [_end_bits(batch, i) for i in range(len(batch.energy))] == alone[i0:i0 + size]
 
 
+def _level_bits(res):
+    # a level's every field, bit for bit, or the error that stopped it
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    return [a.tobytes() if isinstance(a, np.ndarray) else _bits(float(a)) if isinstance(a, float)
+            else a for a in dataclasses.astuple(res)]
+
+
 @pytest.mark.parametrize("grid", [
     pytest.param(PT25.grid, id="reflected"),
     pytest.param(PT25_SHORT.grid, id="both-sides-short-and-odd"),
     pytest.param(make_grid(0.3, 0.01, 0, 257), id="no-left-side"),
 ])
-def test_kept_pairs_of_a_batch_equal_the_pair_of_each_energy_bit_for_bit(grid):
-    # more energies than one chunk holds, every sample kept, and batches of
-    # 2, 3, 5 and 129 of them, each energy against its batch of one
+def test_assembled_levels_of_a_batch_equal_those_of_each_energy_bit_for_bit(grid):
+    # more energies than one chunk holds, every sample of psi kept, and
+    # batches of 2, 3, 5 and 129 of them, each energy against its batch of one
+    problem = dataclasses.replace(PT25, grid=grid)
     energies = np.linspace(-2.4, 1.0, integrate._CHUNK // integrate._BLOCK + 3)
     samples = sample_potential(PT25.potential, grid)
-    alone = [canonical_pair(PT25.potential, e, grid, samples) for e in energies]
+    alone = [_level_bits(res) for e in energies
+             for res in wm.wm_eigenfunction(problem, [e], samples)]
+    assert len(alone) == len(energies)
+    assert sum(isinstance(res, list) for res in alone) > len(energies) // 2
+    assert wm.wm_eigenfunction(problem, [], samples) == []
     for size in (2, 3, 5, 129, len(energies)):
-        kept = [pair for i0 in range(0, len(energies), size)
-                for pair in canonical_pairs(PT25.potential, energies[i0:i0 + size], grid, samples)]
-        assert len(kept) == len(energies)
-        for many, pair in zip(kept, alone):
-            assert [a.tobytes() for a in many[:6]] == [a.tobytes() for a in pair[:6]]
-            assert _end_bits(many.ends) == _end_bits(pair.ends)
+        kept = [_level_bits(res) for i0 in range(0, len(energies), size)
+                for res in wm.wm_eigenfunction(problem, energies[i0:i0 + size], samples)]
+        assert kept == alone
 
 
 def _sequential_rk4(v, x0, h, n, energy):

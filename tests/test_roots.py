@@ -767,17 +767,19 @@ def test_a_solve_samples_the_potential_once(method):
     pytest.param("wm-odd", 12, id="wm-odd"),
 ])
 def test_a_level_that_fails_to_assemble_is_dropped_not_fatal(method, levels, monkeypatch):
-    # assembly fails at the third root; every other level of the solve still
-    # comes back, re-indexed, with a warning that names the dropped energy
+    # the batch's assembly fails at the third root alone; every other level
+    # of the solve still comes back, re-indexed, with a warning that names
+    # the dropped energy
     problem = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
     energies = [r.energy for r in find_eigenvalues(problem, method=method)]
     assert len(energies) == levels
     assemble = roots.wm_eigenfunction
 
-    def failing(problem, root, pair=None):
-        if root == energies[2]:
-            raise DegenerateRootError(f"no direction at {root!r}")
-        return assemble(problem, root, pair)
+    def failing(problem, found, samples=None):
+        out = assemble(problem, found, samples)
+        assert list(found) == energies
+        out[2] = DegenerateRootError(f"no direction at {found[2]!r}")
+        return out
 
     monkeypatch.setattr(roots, "wm_eigenfunction", failing)
     with pytest.warns(RefinementWarning) as record:

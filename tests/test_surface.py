@@ -10,8 +10,8 @@ import boundstates
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "boundstates"
 
-# bench/tracer.py counts canonical pairs by rebinding this name in cli and roots
-TRACED_ONLY = {("cli", "canonical_pair"), ("roots", "canonical_pair")}
+# bench/tracer.py counts canonical pairs by rebinding this name in cli, roots and wm
+TRACED_ONLY = {("cli", "canonical_pair"), ("roots", "canonical_pair"), ("wm", "canonical_pair")}
 
 
 def _exported(node):

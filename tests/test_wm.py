@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import struct
 
 import numpy as np
@@ -178,8 +179,9 @@ def test_assembly_names_the_energy_whose_rows_are_flagged():
     # the quartic's pairs at h = 0.005 out to E = 200 overflow at every level
     # below 119.84, so the rows at its ground state are not finite
     problem = anharmonic(0.0, 1.0, h=0.005, energy_max=200.0)
-    with pytest.raises(DegenerateRootError, match=r"rows overflow at energy 0\.667986"):
-        wm_eigenfunction(problem, 0.667986)
+    (err,) = wm_eigenfunction(problem, [0.667986])
+    assert isinstance(err, DegenerateRootError)
+    assert re.search(r"rows overflow at energy 0\.667986", str(err))
 
 
 def test_symmetric_characteristic_rejects_bad_parity():
@@ -219,7 +221,7 @@ def test_an_assembly_reads_each_boundary_member_once(assemble):
     asym = dataclasses.replace(PT_WIDE.asymptotics, **{m: counted(m) for m in MEMBERS})
     problem = dataclasses.replace(PT_WIDE, asymptotics=asym)
     root = _pt_root("even")
-    res = assemble(problem, root, canonical_pair(problem.potential, root, problem.grid))
+    (res,) = assemble(problem, [root])
     assert res.parity == "even" and res.node_count == 0
     assert sorted(calls) == sorted(MEMBERS)
 
@@ -247,7 +249,7 @@ def test_boundary_members_that_take_floats_alone_still_solve():
 
 
 def test_eigenfunction_assembly_ground_state():
-    res = wm_eigenfunction(PT_WIDE, _pt_root("even"))
+    (res,) = wm_eigenfunction(PT_WIDE, [_pt_root("even")])
     assert res.parity == "even"
     assert res.node_count == 0
     assert res.residual < 1e-8
@@ -263,7 +265,7 @@ def test_eigenfunction_assembly_ground_state():
 
 
 def test_eigenfunction_assembly_first_excited():
-    res = wm_eigenfunction(PT_WIDE, _pt_root("odd"))
+    (res,) = wm_eigenfunction(PT_WIDE, [_pt_root("odd")])
     assert res.parity == "odd"
     assert res.node_count == 1
     assert np.allclose(res.psi, -res.psi[::-1], atol=1e-7)
@@ -288,6 +290,60 @@ def test_every_readme_pt10_level_is_its_closed_form(problem):
     for res, phi in zip(results, _pt10_states(results[0].x)):
         phi /= math.sqrt(h * (np.sum(phi * phi) - 0.5 * (phi[0] ** 2 + phi[-1] ** 2)))
         assert min(np.max(np.abs(res.psi - phi)), np.max(np.abs(res.psi + phi))) < 1e-8
+
+
+PT10_DEEP = poschl_teller(10.0, h=0.001, x_right=10.0)
+QUARTIC = anharmonic(0.0, 1.0, h=0.01, energy_max=100.0)
+
+
+def test_the_deepest_pt10_tails_are_their_closed_forms():
+    # each block of psi starts from Phi there times (a, b), with the error
+    # of a C + b S at that point; psi carried from block to block grows its
+    # roundoff admixture of the growing solution over the whole march and
+    # missed sech^4 by 0.24 at |x| > 8
+    results = find_eigenvalues(PT10_DEEP, method="wm", n_probe=40)
+    assert [round(r.energy, 6) for r in results] == [-8.0, -4.5, -2.0, -0.5]
+    h, tail = PT10_DEEP.grid.h, np.abs(results[0].x) > 8.0
+    for res, phi in zip(results[:2], _pt10_states(results[0].x)):
+        phi /= math.sqrt(h * (np.sum(phi * phi) - 0.5 * (phi[0] ** 2 + phi[-1] ** 2)))
+        assert np.max(np.abs(res.psi - phi)[tail]) < 1e-14
+
+
+@pytest.mark.parametrize("problem, method", [
+    pytest.param(PT10_DEEP, "wm", id="poschl-teller-wm"),
+    pytest.param(PT10_DEEP, "cfm", id="poschl-teller-cfm"),
+    pytest.param(QUARTIC, "wm", id="quartic-wm"),
+    pytest.param(QUARTIC, "cfm", id="quartic-cfm"),
+    pytest.param(anharmonic(-5.0, 1.0, h=0.005), "wm-odd", id="double-well-wm-odd"),
+])
+def test_each_level_of_a_solve_is_its_batch_of_one_bit_for_bit(problem, method):
+    # a solve assembles all its levels in one batch
+    results = find_eigenvalues(problem, method=method, n_probe=40 if problem is PT10_DEEP else None)
+    assert len(results) > 1
+    assemble = roots._assemble_cfm if method == "cfm" else wm_eigenfunction
+    for res in results:
+        (alone,) = assemble(problem, [res.energy])
+        fields = ("energy", "residual", "a2", "b2", "b1", "b3")
+        assert [struct.pack("<d", getattr(alone, f)) for f in fields] == [
+            struct.pack("<d", getattr(res, f)) for f in fields]
+        assert alone.psi.tobytes() == res.psi.tobytes()
+        assert alone.dpsi.tobytes() == res.dpsi.tobytes()
+        assert (alone.node_count, alone.parity) == (res.node_count, res.parity)
+
+
+@pytest.mark.parametrize("problem", [
+    pytest.param(PT10_DEEP, id="poschl-teller"),
+    pytest.param(QUARTIC, id="quartic"),
+])
+def test_a_symmetric_level_is_the_parity_signed_mirror_of_its_right_half(problem):
+    # one column per level is marched, rightward; psi' has the other parity
+    results = find_eigenvalues(problem, method="wm", n_probe=40 if problem is PT10_DEEP else None)
+    assert {r.parity for r in results} == {"even", "odd"}
+    for res in results:
+        n = len(res.x) // 2
+        sign = 1.0 if res.parity == "even" else -1.0
+        assert (sign * res.psi[:n]).tobytes() == res.psi[:n:-1].tobytes()
+        assert (-sign * res.dpsi[:n]).tobytes() == res.dpsi[:n:-1].tobytes()
 
 
 @pytest.mark.parametrize("method, levels, raised_at", [
@@ -315,13 +371,13 @@ def test_the_sign_of_an_odd_level_does_not_follow_roundoff():
     problem = poschl_teller(10.0, h=0.001, x_right=9.9)
     root = min((r.energy for r in find_eigenvalues(problem, method="wm", n_probe=40)),
                key=lambda e: abs(e + 0.5))
-    ref = wm_eigenfunction(problem, root)
+    (ref,) = wm_eigenfunction(problem, [root])
     assert ref.parity == "odd" and ref.b2 > 0
     for direction in (-math.inf, math.inf):
         energy = root
         for _ in range(3):
             energy = math.nextafter(energy, direction)
-            res = wm_eigenfunction(problem, energy)
+            (res,) = wm_eigenfunction(problem, [energy])
             assert res.b2 > 0
             assert np.max(np.abs(res.psi - ref.psi)) < 1e-9
 
@@ -330,7 +386,7 @@ def test_node_count_interior_crossings_only():
     x = np.linspace(0.0, math.pi, 301)
     psi = np.sin(3.0 * x)
     # wall zeros at both ends must not register; the allowed span is everything
-    assert _count_nodes(psi, np.zeros_like(x), 4.5) == 2
+    assert _count_nodes(psi[None], np.zeros_like(x), [4.5]).tolist() == [2]
 
 
 def test_node_count_ignores_crossings_outside_turning_points():
@@ -338,7 +394,7 @@ def test_node_count_ignores_crossings_outside_turning_points():
     psi = np.where(np.abs(x) < 2.5, np.exp(-x * x), -1e-4)
     # a nodeless state whose far tail flips sign: v = x^2, eps = 1 puts the
     # turning points at +-1, so the flips at |x| = 2.5 are out of scope
-    assert _count_nodes(psi, x * x, 1.0) == 0
+    assert _count_nodes(psi[None], x * x, [1.0]).tolist() == [0]
     # counting blindly over the whole span would have seen two crossings
     live = psi[np.abs(psi) > 1e-7 * np.max(np.abs(psi))]
     assert np.count_nonzero(np.sign(live)[1:] != np.sign(live)[:-1]) == 2
