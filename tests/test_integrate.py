@@ -23,16 +23,20 @@ PT25 = poschl_teller(2.5, h=0.01, x_right=5.0)
 PT25_V_TWO_SIDED = dataclasses.replace(PT25.potential, parity_invariant=False)
 
 
-@pytest.mark.parametrize("n_left, n_right", [(30, 40), (30, 0), (0, 40)],
-                         ids=["two-sided", "no-right-side", "no-left-side"])
-def test_canonical_pair_initial_data(n_left, n_right):
-    # a side of no steps still holds the origin
-    grid = make_grid(0.5, 0.01, n_left, n_right)
+def test_canonical_pair_initial_data():
+    grid = make_grid(0.5, 0.01, 30, 40)
     pair = canonical_pair(FREE, 1.0, grid)
     i = grid.n_left
     assert pair.x[i] == 0.5
     assert (pair.c[i], pair.dc[i]) == (1.0, 0.0)
     assert (pair.s[i], pair.ds[i]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("n_left, n_right", [(30, 0), (0, 40)], ids=["no-right-side", "no-left-side"])
+def test_a_side_of_no_steps_still_holds_the_origin(n_left, n_right):
+    pair = canonical_pair(FREE, 1.0, make_grid(0.5, 0.01, n_left, n_right))
+    assert (pair.x[n_left], pair.c[n_left], pair.dc[n_left], pair.s[n_left], pair.ds[n_left]) == (
+        0.5, 1.0, 0.0, 0.0, 1.0)
 
 
 def test_free_particle_matches_trig_solutions():
