@@ -261,13 +261,13 @@ class CanonicalPair(NamedTuple):
     ends: Endpoints
 
 
-def block_starts(potential, energies, grid, samples):
+def block_starts(energies, grid, samples):
     """Phi at the start of every block of pairs of each marched side, and the Endpoints.
 
     Returns (starts, ends): the right side's [row, column, energy, block]
     array, then the left's unless the problem is symmetric, each ending with
     Phi at its grid end, and those ends as the batch's Endpoints. samples
-    are sample_potential(potential, grid).
+    are sample_potential's, one table in them on a symmetric problem.
     """
     energies = np.asarray(energies, dtype=float)
     starts = tuple(_propagate(table, energies) for table in samples.tables)
@@ -276,11 +276,11 @@ def block_starts(potential, energies, grid, samples):
     (c, dc, s, ds), left = (phi[..., -1].swapaxes(0, 1).reshape(4, -1)
                             for phi in (starts[0], starts[-1]))
     xr = grid.x_right
-    left = (-xr, c, -dc, -s, ds) if is_symmetric(potential, grid) else (grid.x_left, *left)
+    left = (-xr, c, -dc, -s, ds) if len(samples.tables) == 1 else (grid.x_left, *left)
     return starts, Endpoints(energies, left, (xr, c, dc, s, ds))
 
 
-def kept_march(potential, energies, grid, samples, starts, parity):
+def kept_march(energies, grid, samples, starts, parity):
     """Every state of the marches from given block starts, over the full logical line.
 
     starts are block_starts' arrays, Phi (whose columns march C and S) or
@@ -288,19 +288,18 @@ def kept_march(potential, energies, grid, samples, starts, parity):
     states [column, energy, value or derivative, point], the origin the
     right side's. On a symmetric problem the left half mirrors the right,
     its value times parity [column, energy], +1 or -1, its derivative
-    times -parity.
+    times -parity, each negation 0.0 - x, which leaves a zero +0.0.
     """
-    energies = np.asarray(energies, dtype=float)
     x = grid.x0 + grid.h * np.arange(grid.n_right + 1 - len(samples.line), grid.n_right + 1)
     shape = starts[0].shape[1:3]
     sides = [_march(table, energies, start)[0].reshape(*shape, 2, table.n_steps + 1)
              for table, start in zip(samples.tables, starts)]
     out = np.empty((*shape, 2, len(x)))
     i0 = len(x) - 1 - grid.n_right
-    if is_symmetric(potential, grid):
+    if len(samples.tables) == 1:
         out[..., :i0] = sides[0][..., :0:-1]
         for row, odd in ((0, parity < 0), (1, parity > 0)):
-            np.negative(out[:, :, row, :i0], out=out[:, :, row, :i0], where=odd[..., None])
+            np.subtract(0.0, out[:, :, row, :i0], out=out[:, :, row, :i0], where=odd[..., None])
     else:
         out[..., i0::-1] = sides[1]
     out[..., i0:] = sides[0]
@@ -320,12 +319,12 @@ def canonical_pair(potential, energy, grid, samples=None):
     if samples is None:
         samples = sample_potential(potential, grid)
     energies = np.array([float(energy)])
-    starts, ends = block_starts(potential, energies, grid, samples)
-    x, states = kept_march(potential, energies, grid, samples, starts, np.array([[1.0], [-1.0]]))
+    starts, ends = block_starts(energies, grid, samples)
+    x, states = kept_march(energies, grid, samples, starts, np.array([[1.0], [-1.0]]))
     (c, dc), (s, ds) = states[:, 0]
     return CanonicalPair(x, c, dc, s, ds, samples.line, ends)
 
 
 def canonical_endpoints(potential, energies, grid, samples):
     """block_starts' Endpoints alone: each energy's equal canonical_pair(...).ends bit for bit."""
-    return block_starts(potential, energies, grid, samples)[1]
+    return block_starts(energies, grid, samples)[1]

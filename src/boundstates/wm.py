@@ -152,10 +152,9 @@ def assemble_eigenresult(problem, rows, energies, samples=None):
     whose pair's own Wronskian vanishes or is not finite, or DegenerateRootError.
     """
     pot, grid = problem.potential, problem.grid
-    if samples is None:
-        samples = sample_potential(pot, grid)
+    samples = sample_potential(pot, grid) if samples is None else samples
     energies = np.asarray(energies, dtype=float)
-    starts, ends = block_starts(pot, energies, grid, samples)
+    starts, ends = block_starts(energies, grid, samples)
     with np.errstate(all="ignore"):
         refs = (lc, w_l), (rc, w_r) = references(problem, ends)
         row_l, row_r = rows(problem, ends, refs)
@@ -169,7 +168,7 @@ def assemble_eigenresult(problem, rows, energies, samples=None):
         sign = np.copysign(1.0, np.where(k, -ar, br))
         t = sign * np.where(odd, ar, br) / np.where(odd, al, bl)
         sides = (sign * br, -sign * ar), (t * bl, -t * al)
-        x, line = kept_march(pot, energies, grid, samples,
+        x, line = kept_march(energies, grid, samples,
                              [phi[:, :1] * a[:, None] + phi[:, 1:] * b[:, None]
                               for phi, (a, b) in zip(starts, sides)],
                              np.where(odd, -1.0, 1.0)[None])
@@ -187,27 +186,30 @@ def assemble_eigenresult(problem, rows, energies, samples=None):
         (lc_c, lc_s), (rc_c, rc_s) = row(lc, ends.left), row(rc, ends.right)
         b1, b3 = (la * lc_c + lb * lc_s) / w_l, (a2 * rc_c + b2 * rc_s) / w_r
         nodes = _count_nodes(psi, samples.line, energies)
-    # each level's first failing check, in the order a level is built
-    pair = "asymptotic pair degenerate at the %s endpoint (pair Wronskian {%s!r} at energy {e!r})"
-    checks = ((~_sound(w_l), DegenerateAsymptoticsError, pair % ("left", "w_l")),
-              (~_sound(w_r), DegenerateAsymptoticsError, pair % ("right", "w_r")),
-              (~np.isfinite(f.value), DegenerateRootError, "boundary rows {flag} at energy {e!r}"),
-              (np.where(odd, al, bl) == 0.0, DegenerateRootError,
-               "the two sides cannot meet at x0 at energy {e!r}"),
-              (~finite, DegenerateRootError, "psi not finite at energy {e!r}"),
-              (top == 0.0, DegenerateRootError, "eigenfunction norm degenerate at energy {e!r}"))
     # each level owns a copy of its samples, so the batch's buffer goes with
     # the solve's other temporaries (0.5 MB less peak RSS on the README dump)
     out = []
     for i, energy in enumerate(energies.tolist()):
-        failed = next(((error, text) for mask, error, text in checks if mask[i]), None)
-        out.append(failed[0](failed[1].format(e=energy, w_l=float(w_l[i]), w_r=float(w_r[i]),
-                                              flag=f.flag[i])) if failed else EigenResult(
-            energy=energy, index=int(nodes[i]),
-            parity=("odd" if odd[i] else "even") if problem.symmetric else "none",
-            residual=float(abs(f.value[i])), node_count=int(nodes[i]),
-            x=x, psi=psi[i].copy(), dpsi=dpsi[i].copy(), a2=float(a2[i]), b2=float(b2[i]),
-            b1=float(b1[i]), b3=float(b3[i])))
+        if not (_sound(w_l[i]) and _sound(w_r[i])):
+            side, w = ("left", w_l[i]) if not _sound(w_l[i]) else ("right", w_r[i])
+            out.append(DegenerateAsymptoticsError(
+                f"asymptotic pair degenerate at the {side} endpoint "
+                f"(pair Wronskian {float(w)!r} at energy {energy!r})"))
+        elif not np.isfinite(f.value[i]):
+            out.append(DegenerateRootError(f"boundary rows {f.flag[i]} at energy {energy!r}"))
+        elif (al[i] if odd[i] else bl[i]) == 0.0:
+            out.append(DegenerateRootError(
+                f"the two sides cannot meet at x0 at energy {energy!r}"))
+        elif not finite[i]:
+            out.append(DegenerateRootError(f"psi not finite at energy {energy!r}"))
+        elif top[i] == 0.0:
+            out.append(DegenerateRootError(f"eigenfunction norm degenerate at energy {energy!r}"))
+        else:
+            out.append(EigenResult(
+                energy=energy, index=int(nodes[i]), residual=float(abs(f.value[i])),
+                parity=("odd" if odd[i] else "even") if problem.symmetric else "none",
+                node_count=int(nodes[i]), x=x, psi=psi[i].copy(), dpsi=dpsi[i].copy(),
+                a2=float(a2[i]), b2=float(b2[i]), b1=float(b1[i]), b3=float(b3[i])))
     return out
 
 

@@ -336,14 +336,20 @@ def test_each_level_of_a_solve_is_its_batch_of_one_bit_for_bit(problem, method):
     pytest.param(QUARTIC, id="quartic"),
 ])
 def test_a_symmetric_level_is_the_parity_signed_mirror_of_its_right_half(problem):
-    # one column per level is marched, rightward; psi' has the other parity
+    # one column per level is marched, rightward; psi' has the other parity.
+    # A mirrored value is negated as 0.0 - x, which leaves an exact zero
+    # +0.0, as a leftward march does
     results = find_eigenvalues(problem, method="wm", n_probe=40 if problem is PT10_DEEP else None)
     assert {r.parity for r in results} == {"even", "odd"}
+    zeros = 0
     for res in results:
         n = len(res.x) // 2
-        sign = 1.0 if res.parity == "even" else -1.0
-        assert (sign * res.psi[:n]).tobytes() == res.psi[:n:-1].tobytes()
-        assert (-sign * res.dpsi[:n]).tobytes() == res.dpsi[:n:-1].tobytes()
+        odd = res.parity == "odd"
+        for a, negated in ((res.psi, odd), (res.dpsi, not odd)):
+            # a[:n:-1] is the right half read from the outside in
+            assert a[:n].tobytes() == (0.0 - a[:n:-1] if negated else a[:n:-1]).tobytes()
+            zeros += np.count_nonzero(a[:n] == 0.0)
+    assert zeros > 0
 
 
 @pytest.mark.parametrize("method, levels, raised_at", [
