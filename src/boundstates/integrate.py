@@ -15,7 +15,9 @@ evaluates each pair's matrix at its energies by one BLAS product per entry,
 the Vandermonde rows [s^4, ..., s, 1] of the energies times the coefficients,
 highest degree first to add the terms in Horner's order, and multiplies half
 as many matrices as there are steps, with no arithmetic on v: neighbours
-first, in a tree over each block of pairs, then block after block.
+first, in a tree over each block of pairs, then block after block. A side
+shorter than one block fills only the least power of two of pairs that holds
+it, with the bits of a whole block (_block).
 
 A march is two passes over the same trees. `block_starts` multiplies each
 block's tree up to its product and applies the products in order, keeping
@@ -54,10 +56,11 @@ class PairTable(NamedTuple):
     A step's matrix, which maps (phi, phi') at its start to its end, is a
     polynomial of degree 2 in s whose coefficients depend on v alone. Steps
     are stored in march order after identity steps: one when the count is
-    odd, and pairs of them until the pairs fill whole blocks. Pair j is
-    steps 2j and 2j + 1; pairs holds their coefficients [row, column, degree,
-    pair] from s**4 down, as the product that evaluates them reads them, and
-    firsts those of step 2j, from s**2 down, for the states inside pairs.
+    odd, and pairs of them until the pairs fill whole blocks (_block). Pair
+    j is steps 2j and 2j + 1; pairs holds their coefficients [row, column,
+    degree, pair] from s**4 down, as the product that evaluates them reads
+    them, and firsts those of step 2j, from s**2 down, for the states inside
+    pairs.
     """
 
     pairs: np.ndarray
@@ -79,8 +82,7 @@ class PotentialSamples(NamedTuple):
 
 # Pairs per block, a power of two, and the bound on pair x energy elements
 # per array of one chunk.
-_BITS = 7
-_BLOCK = 1 << _BITS
+_BLOCK = 128
 _CHUNK = 1 << 14
 
 
@@ -114,11 +116,23 @@ def _steps(nodes, halves, h, pad):
     return out
 
 
+def _block(n_pairs):
+    # pairs per block of a side of n_pairs pairs: _BLOCK, or on a shorter side
+    # the least power of two that holds it, two at least, since numpy sends a
+    # product with one column of pairs to gemv, which rounds otherwise. The
+    # pad is congruent modulo that power to a whole block's, and identity
+    # pairs multiply finite matrices exactly, so the pairs associate and
+    # round as in a block of _BLOCK; only an entry that overflowed may read
+    # inf where the whole block read NaN (inf * 0 in an identity product).
+    return min(_BLOCK, 1 << max(n_pairs - 1, 1).bit_length())
+
+
 def _table(nodes, halves, h):
     # identity steps first, one for an odd count and pairs of them to whole
     # blocks; the table keeps a copy of the first steps alone
     n = len(halves)
-    steps = _steps(nodes, halves, h, 2 * (-n // 2 % _BLOCK) + n % 2)
+    n_pairs = -(-n // 2)
+    steps = _steps(nodes, halves, h, 2 * (-n_pairs % _block(n_pairs)) + n % 2)
     firsts, second = steps[..., 0::2].copy(), steps[..., 1::2]
     # a product of polynomials convolves their coefficients, summed from s^0 up
     pairs = np.zeros((2, 2, 5, firsts.shape[-1]))
@@ -157,11 +171,11 @@ def sample_potential(potential, grid):
 
 def _evaluate(coefs, s):
     # coefs [row, column, degree, pair] at the energies s = 2*eps by the
-    # Vandermonde product of the module docstring: [row, column, energy, block, pair]
+    # Vandermonde product of the module docstring: [row, column, energy, pair]
     powers = np.vander(s if len(s) > 1 else s.repeat(2), coefs.shape[2])
     out = np.empty((2, 2, len(powers), coefs.shape[-1]))
     np.matmul(powers, coefs, out=out)
-    return out[:, :, :len(s)].reshape(2, 2, len(s), -1, _BLOCK)
+    return out[:, :, :len(s)]
 
 
 def _chunks(table, energies):
@@ -169,21 +183,24 @@ def _chunks(table, energies):
     # lone energy is two rows), each across the pairs in spans of whole
     # blocks, a span holding at most a chunk of pair x energy elements
     n_pairs = table.pairs.shape[-1]
-    groups = max(1, -(-len(energies) * _BLOCK // _CHUNK))
+    block = _block(n_pairs)
+    groups = max(1, -(-len(energies) * block // _CHUNK))
     width = max(1, -(-len(energies) // groups))
-    span = max(1, _CHUNK // (max(2, width) * _BLOCK)) * _BLOCK
+    span = max(1, _CHUNK // (max(2, width) * block)) * block
     for e0 in range(0, len(energies), width):
         e = slice(e0, e0 + width)
         for k0 in range(0, n_pairs, span):
             yield e, 2.0 * energies[e], slice(k0, min(k0 + span, n_pairs))
 
 
-def _tree(x):
+def _tree(x, block):
     # the levels of the tree over each block of pair matrices x, [row,
-    # column, energy, block, pair], from the pairs up to the block product:
-    # each level multiplies neighbours of the one below, the later on the left
+    # column, energy, pair] in blocks of block pairs, as [row, column,
+    # energy, block, pair] from the pairs up to the block product: each
+    # level multiplies neighbours of the one below, the later on the left
+    x = x.reshape(*x.shape[:3], -1, block)
     yield x
-    for _ in range(_BITS):
+    while x.shape[-1] > 1:
         x = _mul(x[..., 1::2], x[..., ::2])
         yield x
 
@@ -194,14 +211,15 @@ def _propagate(table, energies):
     # block's tree product applied to the state before it, in march order.
     # A kept march starts each block from Phi here, never from where its
     # sweep of the block before ends, which keeps a decaying tail exact.
-    out = np.empty((2, 2, len(energies), table.pairs.shape[-1] // _BLOCK + 1))
+    block = _block(table.pairs.shape[-1])
+    out = np.empty((2, 2, len(energies), table.pairs.shape[-1] // block + 1))
     out[..., 0] = np.eye(2)[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for e, s, k in _chunks(table, energies):
-            for q in _tree(_evaluate(table.pairs[..., k], s)):
+            for q in _tree(_evaluate(table.pairs[..., k], s), block):
                 pass  # up to the block products, each level freed in turn
             for b in range(q.shape[3]):
-                j = k.start // _BLOCK + b
+                j = k.start // block + b
                 out[:, :, e, j + 1] = _mul(q[..., b, 0], out[:, :, e, j])
     return out
 
@@ -213,18 +231,20 @@ def _march(table, energies, starts):
     # first step applied to state 2j gives 2j + 1. Returns the grid's last
     # n_steps + 1 states as columns [value or derivative, state], each
     # column's energies in turn, their count and False (bench/tracer.py).
+    block = _block(table.pairs.shape[-1])
     out = np.empty((2, *starts.shape[1:3], 2 * table.pairs.shape[-1] + 1))
-    out[..., ::2 * _BLOCK] = starts
+    out[..., ::2 * block] = starts
     with np.errstate(over="ignore", invalid="ignore"):
         for e, s, k in _chunks(table, energies):
-            levels = list(itertools.islice(_tree(_evaluate(table.pairs[..., k], s)), _BITS))
-            blocks = out[:, :, e, 2 * k.start:2 * k.stop]
-            blocks = blocks.reshape(*blocks.shape[:3], -1, 2 * _BLOCK)
+            levels = list(itertools.islice(_tree(_evaluate(table.pairs[..., k], s), block),
+                                           block.bit_length() - 1))
+            span = out[:, :, e, 2 * k.start:2 * k.stop]
+            blocks = span.reshape(*span.shape[:3], -1, 2 * block)
             # from the level below the block product down, each freed once swept
             while levels:
                 d = 1 << len(levels)
                 blocks[..., d::2 * d] = _mul(levels.pop()[..., ::2], blocks[..., ::2 * d])
-            blocks[..., 1::2] = _mul(_evaluate(table.firsts[..., k], s), blocks[..., ::2])
+            span[..., 1::2] = _mul(_evaluate(table.firsts[..., k], s), span[..., ::2])
     columns = np.moveaxis(out[..., -table.n_steps - 1:], 0, 2).reshape(-1, 2, table.n_steps + 1)
     return columns, table.n_steps + 1, False
 

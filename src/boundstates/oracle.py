@@ -5,11 +5,12 @@ and a direct shooting solve of the same recurrence, which must agree to
 rounding), and a shooting reference for any catalog problem. The shooting
 code deliberately duplicates its integrator instead of importing the
 production one, so the two never share a bug; only the Wronskian primitive is
-reused. Its march multiplies out blocks of RK4 step matrices built by its own
-RK4 step, with none of the production kernel's pair tables or polynomials in
-the energy. Both families are CharacteristicFunctions of their own marches,
-scanned by the solver's scan_brackets and closed by its lockstep roots(): a
-root finder has no integrator to share a bug with, so one serves all.
+reused. Its march multiplies out blocks of RK4 step matrices, each its own RK4
+stages run on the unit states, with none of the production kernel's pair
+tables or polynomials in the energy. Both families are CharacteristicFunctions
+of their own marches, scanned by the solver's scan_brackets and closed by its
+lockstep roots(): a root finder has no integrator to share a bug with, so one
+serves all.
 """
 
 from __future__ import annotations
@@ -89,66 +90,67 @@ _BLOCK = 1024
 _CHUNK = 8
 
 
-def _rk4_step(y, p, g0, g1, g2, h):
-    # one classical RK4 step of phi'' = g phi from (y, p), where g0, g1 and
-    # g2 hold g at the step's start, midpoint and end
+def _unit_steps(m, g0, g1, g2, h):
+    # Each step's RK4 matrix of phi'' = g phi into m [row, column, energy,
+    # step]: the classical stages (tests/test_oracle.py keeps them general)
+    # run on the unit states (1, 0) and (0, 1), g0, g1 and g2 holding g at
+    # the step's start, midpoint and end. Only what changes no bit of an
+    # entry for finite g is dropped: products by 1, 0 + x where x is never
+    # -0, and the zero k1p = g0 * 0 of (0, 1), which reaches only 1 + h/2 k1p
+    # and an entry 1 + h/6 (...). Every 0.0 + that turns -0 into +0 stays.
     h2 = h * 0.5
     h6 = h / 6.0
-    k1p = g0 * y
-    k2y = p + h2 * k1p
-    k2p = g1 * (y + h2 * p)
-    k3y = p + h2 * k2p
-    k3p = g1 * (y + h2 * k2y)
-    k4y = p + h * k3p
-    k4p = g2 * (y + h * k3y)
-    return (y + h6 * (p + 2.0 * (k2y + k3y) + k4y),
-            p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
-
-
-def _block_product(a, b, c, d):
-    # the ordered product of the 2x2 matrices [[a, b], [c, d]] along the last
-    # axis, later steps on the left, by multiplying neighbours pairwise
-    while a.shape[-1] > 1:
-        a0, a1 = a[..., 0::2], a[..., 1::2]
-        b0, b1 = b[..., 0::2], b[..., 1::2]
-        c0, c1 = c[..., 0::2], c[..., 1::2]
-        d0, d1 = d[..., 0::2], d[..., 1::2]
-        a, b, c, d = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
-                      c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
-    return a[..., 0], b[..., 0], c[..., 0], d[..., 0]
+    # from (1, 0): k1p = g0, k2p = g1, and k2y + k3y is never -0
+    k2y = 0.0 + h2 * g0
+    k3y = 0.0 + h2 * g1
+    k3p = g1 * (1.0 + h2 * k2y)
+    k4y = 0.0 + h * k3p
+    k4p = g2 * (1.0 + h * k3y)
+    np.add(1.0, h6 * (2.0 * (k2y + k3y) + k4y), out=m[0, 0])
+    np.add(0.0, h6 * (g0 + 2.0 * (g1 + k3p) + k4p), out=m[1, 0])
+    # from (0, 1): k2y = 1, k3p = k2p, 2 (k2p + k3p) = 4 k2p exactly, and
+    # neither 1 + x nor h k3y (0 or at least h 2**-53 in size) is -0
+    k2p = g1 * h2
+    k3y = 1.0 + h2 * k2p
+    k4y = 1.0 + h * k2p
+    k4p = g2 * (h * k3y)
+    np.multiply(h6, 1.0 + 2.0 * (1.0 + k3y) + k4y, out=m[0, 1])
+    np.add(1.0, h6 * (4.0 * k2p + k4p), out=m[1, 1])
 
 
 def _rk4(y, p, e2, nodes, halves, h):
     # Classical RK4 on phi'' = (2 v - 2 eps) phi from (y, p), equal-length
     # sequences, for the energies e2 = 2 eps, where the arrays nodes[j] and
     # halves[j] hold 2 v at the j-th point and the midpoint of step j. Each
-    # step's matrix is _rk4_step on the unit states; each block of _BLOCK
-    # steps, the last padded by identity steps, is multiplied out and applied
-    # to (y, p), for _CHUNK energies at a time. Every association follows
-    # from the step index alone, so an energy ends on the same bits in any
-    # batch.
+    # block of _BLOCK steps' matrices (_unit_steps) is written into one
+    # buffer, the tail of the last block filled with identity steps,
+    # multiplied out by a tree of neighbour products, the later step on the
+    # left, and applied to (y, p), for _CHUNK energies at a time. Every
+    # association follows from the step index alone, so an energy ends on
+    # the same bits in any batch.
     y = np.array(y, dtype=float)
     p = np.array(p, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     n = len(halves)
+    buffer = np.empty((2, 2, min(_CHUNK, len(e2)), _BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, len(e2), _CHUNK):
             rows = slice(first, first + _CHUNK)
             e2c = e2[rows, None]
+            m = buffer[:, :, :len(e2c)]
             for start in range(0, n, _BLOCK):
                 stop = min(start + _BLOCK, n)
-                g0 = nodes[start:stop] - e2c
+                g = nodes[start:stop + 1] - e2c
                 g1 = halves[start:stop] - e2c
-                g2 = nodes[start + 1:stop + 1] - e2c
-                a, c = _rk4_step(1.0, 0.0, g0, g1, g2, h)
-                b, d = _rk4_step(0.0, 1.0, g0, g1, g2, h)
+                _unit_steps(m[..., :stop - start], g[:, :-1], g1, g[:, 1:], h)
                 if stop - start < _BLOCK:
-                    # one buffer: np.pad took longer than the block itself
-                    full = np.zeros((4, len(e2c), _BLOCK))
-                    full[[0, 3], :, stop - start:] = 1.0
-                    full[:, :, :stop - start] = a, b, c, d
-                    a, b, c, d = full
-                a, b, c, d = _block_product(a, b, c, d)
+                    m[..., stop - start:] = np.eye(2)[:, :, None, None]
+                # einsum sums each entry's two products from +0, which differs
+                # from their plain sum only where both are -0
+                q = m
+                while q.shape[-1] > 1:
+                    q = np.einsum("ik...,kj...->ij...", q[..., 1::2], q[..., ::2])
+                (a, b), (c, d) = q[..., 0]
                 y[rows], p[rows] = a * y[rows] + b * p[rows], c * y[rows] + d * p[rows]
     return y, p
 
@@ -163,13 +165,14 @@ def shooting_reference(problem, energy_range=None, n_probe=None, dense_factor=4,
     [-x_right, x_right] on a symmetric problem. v is sampled once per call,
     by the solver's rule (core.sampled), at the 2 n + 1 points the march
     reads. The march takes RK4 steps 1024 at a time: each step's 2x2 matrix
-    is the RK4 step applied to the unit states, and a block's matrices are
-    multiplied out pairwise and applied to the state, so only the state can
-    overflow, never an RK4 stage. Energies are marched 8 at a time, each on
-    the same bits as when marched alone. The boundary members are called on
-    each batch's energy array and the batch is closed by one wronskian call
-    on arrays, so a march that overflows is a flagged value and raises no
-    numpy warning. The mismatch goes through the solver's scan_brackets
+    is the RK4 stages run on the unit states, less the operations that
+    cannot change a bit of it, and a block's matrices are multiplied out
+    pairwise, one einsum per level of the tree, and applied to the state,
+    so only the state can overflow, never an RK4 stage. Energies are
+    marched 8 at a time, each on the same bits as when marched alone. The
+    boundary members are called on each batch's energy array and the batch
+    is closed by one wronskian call on arrays, so a march that overflows is
+    a flagged value and raises no numpy warning. The mismatch goes through the solver's scan_brackets
     (n_probe cells, by default 8 per unit of energy) and roots(), which
     closes every bracket to tol in lockstep: each refinement iteration
     marches all open brackets' iterates as one batch.

@@ -263,6 +263,30 @@ def test_oracle_off_the_box_shoots_for_its_reference(capsys):
         assert abs(float(row[1]) - float(row[2])) <= 2e-8
 
 
+@pytest.mark.parametrize("argv, columns, orders", [
+    # the README box: the dirichlet engine against the fd recurrence, and
+    # the measured convergence orders
+    (["oracle", "--potential", "box", "--range", "0:60", "--probes", "150"],
+     [["0x1.3bd3ccf1e2a8fp+2", "0x1.3bb9341db00f4p+2"],
+      ["0x1.3bd3d1fa54d01p+4", "0x1.3b697562dc5fap+4"],
+      ["0x1.634e64b575469p+5", "0x1.624146b9929a3p+5"]],
+     ["0x1.ffe8abe89fcb2p+0", "0x1.ffe0c32aee1dfp+1"]),
+    # the README PT 2.5 problem: the wm engine against shooting_reference
+    (["oracle"] + PT25_SMALL,
+     [["-0x1.9ab7146d0eb4ap+0", "-0x1.9ab7146e937bfp+0"],
+      ["-0x1.4094e05749679p-2", "-0x1.4094e0668c958p-2"]],
+     []),
+], ids=["box", "poschl-teller"])
+def test_the_readme_oracle_outputs_keep_their_bits(argv, columns, orders, capsys):
+    # the engine and reference columns and the order lines, as float.hex
+    # recorded before the oracle's march and short-side blocks were recast;
+    # work that moves no result must leave every bit of them
+    assert run_cli(argv) == 0
+    meta, _, rows = parse_csv(capsys.readouterr().out)
+    assert [[float(r[1]).hex(), float(r[2]).hex()] for r in rows] == columns
+    assert [float(l.split("=")[1]).hex() for l in meta if "_order" in l] == orders
+
+
 def test_solve_radial_takes_an_inner_expression(capsys):
     assert run_cli(["solve", "--potential", "radial", "--expr", "-10*exp(-r)",
                     "--h", "0.01"]) == 0

@@ -502,6 +502,39 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
             assert [_end_bits(batch, i) for i in range(len(batch.energy))] == alone[i0:i0 + size]
 
 
+def _padded_to_whole_blocks(table):
+    # the table with identity pairs put before its own by hand, up to whole
+    # blocks of integrate._BLOCK pairs; the coefficients run from the highest
+    # degree down, so an identity's 1 is the last of its diagonal entries'
+    def padded(coefs):
+        eye = np.zeros((*coefs.shape[:3], -coefs.shape[-1] % integrate._BLOCK))
+        eye[0, 0, -1] = eye[1, 1, -1] = 1.0
+        return np.concatenate([eye, coefs], axis=-1)
+
+    return table._replace(pairs=padded(table.pairs), firsts=padded(table.firsts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 50, 127, 128, 129, 255, 256, 257])
+def test_a_short_side_marches_as_if_padded_to_a_whole_block_bit_for_bit(n):
+    # A side shorter than one block is padded to the least power of two of
+    # pairs that holds it. Its pad count is congruent to the whole block's
+    # modulo that power, so its pairs associate as they would there.
+    grid = make_grid(0.3, 0.01, n, n)  # x0 = 0.3: both sides are marched
+    samples = sample_potential(PT25.potential, grid)
+    padded = samples._replace(tables=tuple(map(_padded_to_whole_blocks, samples.tables)))
+    assert all(t.pairs.shape[-1] % integrate._BLOCK == 0 for t in padded.tables)
+    for energies in (np.array([-1.0]), np.linspace(-2.4, 1.0, 7)):
+        (starts, ends), (want_starts, want_ends) = (
+            integrate.block_starts(energies, grid, s) for s in (samples, padded))
+        assert [_end_bits(ends, i) for i in range(len(energies))] == [
+            _end_bits(want_ends, i) for i in range(len(energies))]
+        (x, states), (want_x, want_states) = (
+            integrate.kept_march(energies, grid, s, st, None)
+            for s, st in ((samples, starts), (padded, want_starts)))
+        assert states.shape == (2, len(energies), 2, 2 * n + 1)
+        assert (x.tobytes(), states.tobytes()) == (want_x.tobytes(), want_states.tobytes())
+
+
 def _level_bits(res):
     # a level's every field, bit for bit, or the error that stopped it
     if isinstance(res, Exception):
@@ -608,7 +641,13 @@ def test_the_step_tables_are_products_of_rk4_step_matrices(problem, energies):
     for (nodes, halves), table, h in zip(looped, samples.tables, (grid.h, -grid.h)):
         n = len(halves)
         assert table.n_steps == n and (n or table.pairs.size == table.firsts.size == 0)
-        assert table.pairs.shape[-1] % integrate._BLOCK == 0
+        # whole blocks of pairs, or on a side shorter than one block the least
+        # power of two of pairs that holds it, two at least
+        real, least = -(-n // 2), 2
+        while least < real:
+            least *= 2
+        block = min(least, integrate._BLOCK)
+        assert not n or table.pairs.shape[-1] == -(-real // block) * block
         # the kernel's matrices at every energy, indexed [row, column, energy, pair]
         batch = 2.0 * np.array(energies)
         kernel = [integrate._evaluate(coefs, batch).reshape(2, 2, len(batch), -1)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -245,6 +246,90 @@ def _per_energy_shooting(problem, energy_range, n_probe, closing=wronskian,
                 kept = "lo"
         roots.append(0.5 * (blo + bhi))
     return roots
+
+
+def _rk4_step(y, p, g0, g1, g2, h):
+    # one classical RK4 step of phi'' = g phi from (y, p), where g0, g1 and
+    # g2 hold g at the step's start, midpoint and end: the general stages
+    # that oracle._unit_steps specialises to the unit states
+    h2 = h * 0.5
+    h6 = h / 6.0
+    k1p = g0 * y
+    k2y = p + h2 * k1p
+    k2p = g1 * (y + h2 * p)
+    k3y = p + h2 * k2p
+    k3p = g1 * (y + h2 * k2y)
+    k4y = p + h * k3p
+    k4p = g2 * (y + h * k3y)
+    return (y + h6 * (p + 2.0 * (k2y + k3y) + k4y),
+            p + h6 * (k1p + 2.0 * (k2p + k3p) + k4p))
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# g of both signs up to 1e6, both zeros, and the sizes between
+G_VALUES = (-1e6, -31415.9, -250.0, -2.5, -1.0, -1e-3, -1e-300, -0.0,
+            0.0, 1e-300, 1e-3, 0.7, 12.5, 4321.0, 1e6)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.0025, 1.0 / 1023])
+def test_the_unit_state_step_matrices_are_the_general_rk4_stages_bit_for_bit(h):
+    # one step for each (g0, g1, g2) drawn from G_VALUES
+    g0, g1, g2 = np.array(list(itertools.product(G_VALUES, repeat=3))).T[:, None]
+    m = np.empty((2, 2, *g0.shape))
+    oracle._unit_steps(m, g0, g1, g2, h)
+    (a, c), (b, d) = (_rk4_step(y, p, g0, g1, g2, h) for y, p in ((1.0, 0.0), (0.0, 1.0)))
+    assert _hex(m) == _hex([[a, b], [c, d]])
+
+
+def _general_march(y, p, e2, nodes, halves, h):
+    # oracle._rk4 restated on the general stages, one energy at a time: each
+    # block of 1024 steps' matrices, the last block's tail identity steps,
+    # multiplied out neighbour by neighbour, entry by entry, the later step
+    # on the left, and applied to (y, p)
+    n = len(halves)
+    out = []
+    for yk, pk, ek in zip(y, p, e2):
+        for start in range(0, n, 1024):
+            stop = min(start + 1024, n)
+            g = nodes[start:stop] - ek, halves[start:stop] - ek, nodes[start + 1:stop + 1] - ek
+            m = np.zeros((2, 2, 1024))
+            m[0, 0] = m[1, 1] = 1.0
+            m[:, 0, :stop - start] = _rk4_step(1.0, 0.0, *g, h)
+            m[:, 1, :stop - start] = _rk4_step(0.0, 1.0, *g, h)
+            (a, b), (c, d) = m
+            while len(a) > 1:
+                a, b, c, d = (a[1::2] * a[::2] + b[1::2] * c[::2],
+                              a[1::2] * b[::2] + b[1::2] * d[::2],
+                              c[1::2] * a[::2] + d[1::2] * c[::2],
+                              c[1::2] * b[::2] + d[1::2] * d[::2])
+            yk, pk = a[0] * yk + b[0] * pk, c[0] * yk + d[0] * pk
+        out.append((yk, pk))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025])
+def test_the_oracle_march_is_the_general_rk4_stages_multiplied_out_bit_for_bit(n):
+    # v returns -0.0 on the first quarter of the span, so at eps = 0 g is
+    # -0.0 there; spikes put |g| near 1e6 on a few steps of either sign
+    h = 1.0 / n
+
+    def v(x):
+        out = np.where(x < 0.25, -0.0, 2.5 * np.sin(7.0 * x))
+        out[::97] = 4e5
+        out[50::131] = -4e5
+        return out
+
+    points = np.arange(n + 1) * h
+    nodes, halves = 2.0 * v(points), 2.0 * v(points[:-1] + h * 0.5)
+    assert np.signbit(nodes[1]) and nodes[1] == 0.0
+    e2 = np.array([0.0, -6.0, 3.5, 40.0, -0.5])
+    y, p = np.array([1.0, 0.0, 0.3, -2.0, 1e-3]), np.array([0.0, 1.0, -0.7, 0.5, 2.0])
+    got = oracle._rk4(y, p, e2, nodes, halves, h)
+    assert np.isfinite(got).all()
+    assert _hex(got) == _hex(_general_march(y, p, e2, nodes, halves, h))
 
 
 def _quartic():
