@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config handling, exit codes, CSV shape."""
 
+import hashlib
 import importlib.util
 import math
 import os
@@ -285,6 +286,49 @@ def test_the_readme_oracle_outputs_keep_their_bits(argv, columns, orders, capsys
     meta, _, rows = parse_csv(capsys.readouterr().out)
     assert [[float(r[1]).hex(), float(r[2]).hex()] for r in rows] == columns
     assert [float(l.split("=")[1]).hex() for l in meta if "_order" in l] == orders
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["solve"] + PT10, "d922ae7b9432e6d0b1f3fc1a98a26f075ce64714a6370750f53850573a219823"),
+    (["scan"] + PT25_SMALL + ["--range", "-2.5:0", "--probes", "200"],
+     "eb7be5b3bf9971b7a05d817b35acf910f18f8414aeebf98fd0048a755d5241ac"),
+    (["saturate"] + PT25_SMALL + ["--energy", "-1"],
+     "ad2ca7a2a6fbe95527202fdd90f9c065bf7752b460bff0f2c959433645b9d273"),
+    # not a README command: the box layout, with its analytic column's domain flag
+    (["scan", "--potential", "box", "--h", "0.01", "--range", "0:60", "--probes", "50"],
+     "e1232b95630696d7973ed32d2f8db459ebc3af27f5c2cab39e6e9f64253596f7"),
+], ids=["solve", "scan", "saturate", "scan-box"])
+def test_the_readme_tables_keep_their_bytes(argv, digest, capsys):
+    # sha256 of stdout, recorded before the parser and the scan table were
+    # recast; work outside the solver must leave every byte of it
+    assert run_cli(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_the_readme_dump_keeps_its_bytes(tmp_path, capsys):
+    dump = tmp_path / "psi.csv"
+    assert run_cli(["solve"] + PT10 + ["--dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert _sha256(dump.read_text()) == (
+        "3dcb5382604915cfe1e90098d1fe4f791263fd154fd0b609b884368979ebd8cf")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--help"], "b3ad89520e4096596651d5b86948d2c3b6ff7e2bc1fdd5fdc1ba66041feddf6a"),
+    (["solve", "--help"], "7f4eece3e5609a56b70dcd649fa02681fa18537923dff5caeffcf3069b8b2fc2"),
+    (["scan", "--help"], "3ab7db3c59f88af1f06e0b1e8af70bcd99f0bcf809a02fd1c28aa27db62f4a54"),
+    (["saturate", "--help"], "7c7c08e7075661d3167d260079696ac344fb9ac84a6f8bacb150b98ec29f1831"),
+    (["oracle", "--help"], "5a3ffd7f5a98f81f41a5f70e96060fec29d763fdbcb5fcd8cb3c0806cd87a121"),
+], ids=["top", "solve", "scan", "saturate", "oracle"])
+def test_the_help_texts_keep_their_bytes(argv, digest, monkeypatch, capsys):
+    # argparse wraps help to $COLUMNS; the digests are Python 3.11's layout
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
 
 
 def test_solve_radial_takes_an_inner_expression(capsys):
