@@ -60,30 +60,31 @@ class _Parser(argparse.ArgumentParser):
         _fail(EXIT_CONFIG, "%s: error: %s" % (self.prog, message))
 
 
-def _add_common(p):
-    p.add_argument("--potential", choices=POTENTIALS)
-    p.add_argument("--v0", type=float, help="well depth (poschl-teller)")
-    p.add_argument("--v2", type=float, help="quadratic coefficient (anharmonic)")
-    p.add_argument("--v4", type=float, help="quartic coefficient (anharmonic)")
-    p.add_argument("--l", type=int, help="angular momentum (radial)")
-    p.add_argument("--x0", type=float, help="matching point (box)")
-    p.add_argument("--h", type=float, help="grid step")
-    p.add_argument("--nl", type=int, help="steps left of the origin")
-    p.add_argument("--nr", type=int, help="steps right of the origin")
-    p.add_argument("--range", dest="energy_range", metavar="LO:HI", type=_parse_range)
-    p.add_argument("--probes", type=_positive_int,
-                   help="probe count: scan prints N rows, solve and oracle probe N cells")
-    p.add_argument("--tol", type=_positive_float, help="energy tolerance / band width")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--expr", help="potential expression in x (inline) or r (radial)")
-    p.add_argument("--parity", action="store_true", default=None,
-                   help="declare the inline potential symmetric about 0")
-    p.add_argument("--energy", type=float, help="fixed energy (saturate)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--config", help="key = value file; flags take precedence")
-
-
 def build_parser():
+    # the flags every subcommand shares are declared once, on a parent whose
+    # actions each subparser copies: copying builds no help formatter
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--potential", choices=POTENTIALS)
+    common.add_argument("--v0", type=float, help="well depth (poschl-teller)")
+    common.add_argument("--v2", type=float, help="quadratic coefficient (anharmonic)")
+    common.add_argument("--v4", type=float, help="quartic coefficient (anharmonic)")
+    common.add_argument("--l", type=int, help="angular momentum (radial)")
+    common.add_argument("--x0", type=float, help="matching point (box)")
+    common.add_argument("--h", type=float, help="grid step")
+    common.add_argument("--nl", type=int, help="steps left of the origin")
+    common.add_argument("--nr", type=int, help="steps right of the origin")
+    common.add_argument("--range", dest="energy_range", metavar="LO:HI", type=_parse_range)
+    common.add_argument("--probes", type=_positive_int,
+                        help="probe count: scan prints N rows, solve and oracle probe N cells")
+    common.add_argument("--tol", type=_positive_float, help="energy tolerance / band width")
+    common.add_argument("--method", choices=METHODS)
+    common.add_argument("--expr", help="potential expression in x (inline) or r (radial)")
+    common.add_argument("--parity", action="store_true", default=None,
+                        help="declare the inline potential symmetric about 0")
+    common.add_argument("--energy", type=float, help="fixed energy (saturate)")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--config", help="key = value file; flags take precedence")
+
     parser = _Parser(prog="boundstates",
                      description="Bound states by Wronskian and canonical-function methods.")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -92,8 +93,7 @@ def build_parser():
             ("scan", "tabulate characteristic functions over an energy range"),
             ("saturate", "tabulate endpoint ratios against x at fixed energy"),
             ("oracle", "compare the engines against independent references")):
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
+        p = sub.add_parser(name, help=helptext, parents=[common])
         if name == "solve":
             p.add_argument("--dump", help="also write eigenfunctions to this CSV")
     return parser
@@ -224,7 +224,12 @@ def build_problem(args, command):
     pot = args.potential
     if pot is None:
         raise ValueError("--potential is required")
+    # the Problem's default window must be ordered: an empty --range (lo = hi)
+    # holds no level, and the command scans it as given while the Problem
+    # keeps its factory's default
     rng = args.energy_range
+    if rng and rng[0] == rng[1]:
+        rng = None
 
     if pot == "box":
         # the oracle route sweeps the N = 1/h recurrence, so keep its
@@ -332,18 +337,17 @@ def _emit(lines, path):
         _fail(EXIT_IO, "cannot write %s: %s" % (path, exc))
 
 
-def _cells(values):
-    # flagged cells are left empty; the flag column names them col:flag
-    row = []
-    notes = []
-    for name, ev in values:
-        if ev.flag is None and math.isfinite(ev.value):
-            row.append(_fmt(ev.value))
-        else:
-            row.append("")
-            notes.append("%s:%s" % (name, ev.flag or "nan"))
-    row.append(";".join(notes))
-    return ",".join(row)
+def _column(name, ev):
+    # a scan column's cells and flag notes, one each per energy: a flagged
+    # cell is left empty, and its note, name:flag, goes to the flags column
+    values = ev.value.tolist()
+    flags = [None] * len(values) if ev.flag is None else ev.flag.tolist()
+    cells, notes = [], []
+    for value, flag in zip(values, flags):
+        ok = flag is None and math.isfinite(value)
+        cells.append(_fmt(value) if ok else "")
+        notes.append("" if ok else "%s:%s" % (name, flag or "nan"))
+    return cells, notes
 
 
 # --- subcommands ---------------------------------------------------------
@@ -408,9 +412,9 @@ def cmd_scan(args):
         pot, grid = problem.potential, problem.grid
         ends = canonical_endpoints(pot, np.linspace(lo, hi, n), grid,
                                    sample_potential(pot, grid))
-        values = [(name, column(ends)) for name, column in columns.items()]
-        for i, energy in enumerate(ends.energy.tolist()):
-            lines.append(_fmt(energy) + "," + _cells((name, ev.at(i)) for name, ev in values))
+        cells, notes = zip(*(_column(name, column(ends)) for name, column in columns.items()))
+        lines += [",".join((_fmt(energy), *row, ";".join(filter(None, note))))
+                  for energy, row, note in zip(ends.energy.tolist(), zip(*cells), zip(*notes))]
     _emit(lines, args.out)
     return EXIT_OK
 

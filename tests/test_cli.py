@@ -172,6 +172,26 @@ def test_scan_empty_range_emits_header_only(capsys):
     assert rows == []
 
 
+@pytest.mark.parametrize("flags", [
+    ["--potential", "box", "--h", "0.01"],
+    ["--potential", "poschl-teller", "--v0", "2.5", "--h", "0.02", "--nr", "250"],
+    ["--potential", "anharmonic", "--v2", "1", "--v4", "1", "--h", "0.02", "--nr", "250"],
+    ["--potential", "radial", "--expr", "-10*exp(-r)", "--h", "0.02"],
+    ["--potential", "inline", "--expr", "-2*exp(-x*x)", "--parity", "--h", "0.02",
+     "--nr", "250"],
+], ids=lambda flags: flags[1])
+def test_an_empty_window_holds_no_level_on_every_potential(flags, capsys):
+    # --range a:a is a window, not a configuration error, wherever a lies
+    # against the Problem's own default window
+    assert run_cli(["scan"] + flags + ["--range", "-1:-1"]) == 0
+    meta, header, rows = parse_csv(capsys.readouterr().out)
+    assert "# range = -1:-1" in meta and header[0] == "epsilon" and rows == []
+    assert run_cli(["solve"] + flags + ["--range", "-1:-1"]) == 2
+    assert "no bound states found" in capsys.readouterr().err
+    assert run_cli(["oracle"] + flags + ["--range", "-1:-1"]) == 2
+    assert "engine found 0 levels, reference found 0" in capsys.readouterr().err
+
+
 def test_saturate_profile_table_and_footer(capsys):
     assert run_cli(["saturate", "--potential", "poschl-teller", "--v0", "2.5",
                     "--energy", "-1"]) == 0
