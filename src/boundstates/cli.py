@@ -163,14 +163,6 @@ def read_config_file(path, parser):
     return values
 
 
-def _merge_config(args, parser):
-    # precedence: command line > config file > built-in defaults
-    if args.config:
-        for dest, value in read_config_file(args.config, parser).items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
-
-
 def _parse_range(text):
     # the --range type, for config files too; an empty range leaves the window unset
     if not text:
@@ -224,9 +216,8 @@ def build_problem(args, command):
     pot = args.potential
     if pot is None:
         raise ValueError("--potential is required")
-    # the Problem's default window must be ordered: an empty --range (lo = hi)
-    # holds no level, and the command scans it as given while the Problem
-    # keeps its factory's default
+    # an empty --range (lo = hi) holds no level: the command scans it as given,
+    # and the Problem, whose window must be ordered, keeps its factory default
     rng = args.energy_range
     if rng and rng[0] == rng[1]:
         rng = None
@@ -340,10 +331,8 @@ def _emit(lines, path):
 def _column(name, ev):
     # a scan column's cells and flag notes, one each per energy: a flagged
     # cell is left empty, and its note, name:flag, goes to the flags column
-    values = ev.value.tolist()
-    flags = [None] * len(values) if ev.flag is None else ev.flag.tolist()
     cells, notes = [], []
-    for value, flag in zip(values, flags):
+    for value, flag in zip(ev.value.tolist(), ev.flag.tolist()):
         ok = flag is None and math.isfinite(value)
         cells.append(_fmt(value) if ok else "")
         notes.append("" if ok else "%s:%s" % (name, flag or "nan"))
@@ -530,7 +519,11 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(sys.stderr)
         _fail(EXIT_CONFIG, "boundstates: error: a command is required")
-    _merge_config(args, _commands(parser)[args.command])
+    # precedence: command line > config file > built-in defaults
+    if args.config:
+        for dest, value in read_config_file(args.config, _commands(parser)[args.command]).items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
