@@ -103,10 +103,11 @@ class SaturationProfile:
 
     x runs from the origin to x_right, with the canonical pair's C and S and
     the boundary Wronskians w_rc_c = W(R_c, C) and w_rc_s = W(R_c, S) at each
-    x. wm_ratio is w_rc_c / w_rc_s and cfm_ratio is C/S, NaN where
-    cfm.endpoint_ratio flags a row. Each saturation_x is the smallest grid
-    point beyond which the ratio stays inside tol * max(1, |limit|) of its
-    x_right value; pole rows are ignored.
+    x, C' - kappa C and S' - kappa S for a member R_c = (1, kappa). wm_ratio
+    is w_rc_c / w_rc_s and cfm_ratio is C/S, NaN where cfm.endpoint_ratio
+    flags a row. Each saturation_x is the smallest grid point beyond which
+    the ratio stays inside tol * max(1, |limit|) of its x_right value; pole
+    rows are ignored.
     """
 
     x: np.ndarray
@@ -138,16 +139,18 @@ def saturation_profile(problem, energy, tol=1e-6):
         tol: relative band defining saturation (default 1e-6).
 
     Raises:
-        ValueError: for a tol that is not finite or is negative.
-        SolverError: if R_c leaves the double range inside the profile,
-            naming the outermost x where it does, or if either ratio is
-            undefined at x_right itself.
+        ValueError: for a tol that is not finite or is negative, or an
+            energy at or above 0 on a model whose decaying members need one
+            below it (AsymptoticModel.requires_negative_energy).
+        SolverError: if either ratio is undefined at x_right itself.
     """
     asym = problem.asymptotics
     if asym.right_kind != ASYMPTOTIC_LIMIT:
         raise ValueError("saturation profiling needs a decaying right boundary model")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"saturation band tol must be finite and nonnegative, got {tol!r}")
+    if asym.requires_negative_energy and energy >= 0.0:
+        raise ValueError(f"decaying tails need an energy below 0, got {energy!r}")
     pair = canonical_pair(problem.potential, energy, problem.grid)
     keep = pair.x >= problem.grid.x0
     # (x, C, C', S, S') from the origin out
@@ -155,10 +158,6 @@ def saturation_profile(problem, energy, tol=1e-6):
     x, c, _, s, _ = end
 
     rc = on_array(lambda x: asym.right_convergent(energy, x), x, 2)
-    lost = np.flatnonzero(~np.isfinite(rc).all(axis=0))
-    if len(lost):
-        raise SolverError(f"R_c leaves the double range at x = {float(x[lost[-1]])!r} "
-                          f"for energy {energy!r}")
     with np.errstate(all="ignore"):
         w_rc_c, w_rc_s = row(rc, end)
     wm_ratio = endpoint_ratio(w_rc_c, w_rc_s).value

@@ -216,8 +216,9 @@ def build_problem(args, command):
     pot = args.potential
     if pot is None:
         raise ValueError("--potential is required")
-    # an empty --range (lo = hi) holds no level: the command scans it as given,
-    # and the Problem, whose window must be ordered, keeps its factory default
+    # a --range that holds no level, empty (lo = hi) or topped at or below a
+    # box's or a well's floor, is scanned as given, and the Problem, whose
+    # window must be ordered, keeps its factory default
     rng = args.energy_range
     if rng and rng[0] == rng[1]:
         rng = None
@@ -227,8 +228,7 @@ def build_problem(args, command):
         # default grid at the reference size instead of the solver default
         h = _resolved_h(args, 0.01 if command == "oracle" else 0.001)
         x0 = args.x0 if args.x0 is not None else 0.5
-        emax = rng[1] if rng else 125.0
-        return potentials.infinite_well(x0=x0, h=h, energy_max=emax)
+        return potentials.infinite_well(x0=x0, h=h)
 
     if pot == "poschl-teller":
         if args.v0 is None:
@@ -247,7 +247,7 @@ def build_problem(args, command):
             raise ValueError("anharmonic needs --v2 and --v4")
         h = _resolved_h(args, 0.01)
         x_right = args.nr * h if args.nr is not None else None
-        emax = rng[1] if rng else None
+        emax = rng[1] if rng and rng[1] > potentials.anharmonic_floor(args.v2, args.v4) else None
         return potentials.anharmonic(args.v2, args.v4, h=h, energy_max=emax,
                                      x_right=x_right)
 
@@ -274,8 +274,8 @@ def build_problem(args, command):
         raise ValueError(f"--parity needs --nl 0 or --nl equal to --nr ({nr}), got {nl}")
     if rng is None:
         rng = (min(float(on_array(v, grid.points()).min()), -1.0), 0.0)
-    model = potentials.decay_model(grid.x_left, grid.x_right)
-    return Problem(potential=spec, grid=grid, asymptotics=model, energy_range=rng)
+    return Problem(potential=spec, grid=grid, asymptotics=potentials.decay_model(),
+                   energy_range=rng)
 
 
 def _solve_window(args, command):
@@ -398,9 +398,9 @@ def cmd_scan(args):
     lines.append(",".join(["epsilon", *columns, "flags"]))
     if hi > lo:
         # one batched march gives the endpoint data every column reads
-        pot, grid = problem.potential, problem.grid
-        ends = canonical_endpoints(pot, np.linspace(lo, hi, n), grid,
-                                   sample_potential(pot, grid))
+        grid = problem.grid
+        ends = canonical_endpoints(np.linspace(lo, hi, n), grid,
+                                   sample_potential(problem.potential, grid))
         cells, notes = zip(*(_column(name, column(ends)) for name, column in columns.items()))
         lines += [",".join((_fmt(energy), *row, ";".join(filter(None, note))))
                   for energy, row, note in zip(ends.energy.tolist(), zip(*cells), zip(*notes))]
@@ -415,8 +415,6 @@ def cmd_saturate(args):
     energy = args.energy
     if not math.isfinite(energy):
         raise ValueError(f"--energy must be finite, got {energy!r}")
-    if problem.asymptotics.requires_negative_energy and energy >= 0:
-        raise ValueError("saturate needs a negative --energy for decaying tails")
     tol = 1e-6 if args.tol is None else args.tol
 
     profile = saturation_profile(problem, energy, tol=tol)

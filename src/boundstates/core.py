@@ -169,9 +169,11 @@ class AsymptoticModel:
     Each member maps (energy, x) to (value, derivative). The convergent member
     decays toward its boundary (vanishes on a hard wall); the divergent one
     grows there (stays finite on a wall). The pair on each side must remain
-    linearly independent over the problem's energy range. A method calls each
-    member once per batch, on the batch's energy array at a float x, and reads
-    two arrays of that shape; a member that cannot is called per energy on
+    linearly independent over the problem's energy range. Every reader takes
+    a member up to scale, so it may be scaled freely wherever it is read (the
+    decaying models return (1, kappa) at every x). A method calls each member
+    once per batch, on the batch's energy array at a float x, and reads two
+    arrays of that shape; a member that cannot is called per energy on
     Python floats instead (on_array).
     """
 

@@ -345,6 +345,6 @@ def canonical_pair(potential, energy, grid, samples=None):
     return CanonicalPair(x, c, dc, s, ds, samples.line, ends)
 
 
-def canonical_endpoints(potential, energies, grid, samples):
+def canonical_endpoints(energies, grid, samples):
     """block_starts' Endpoints alone: each energy's equal canonical_pair(...).ends bit for bit."""
     return block_starts(energies, grid, samples)[1]

@@ -36,27 +36,33 @@ def _spread(e, *values):
     return tuple(value + zero for value in values)
 
 
-def decay_model(x_left, x_right):
-    """Exponential boundary pairs for potentials that die off on both sides.
+def _log_derivative_model(kappa, requires_negative_energy=False):
+    """Members (1, kappa(sign, e, x)), value 1 and log-derivative, at every x.
 
-    Members are anchored at their own endpoint (value 1 there) so nothing
-    overflows at the grid ends: R_c = exp(-k (x - x_right)), R_d its growing
-    mirror, and the left side reversed, with k = sqrt(-2 eps). Valid for
-    energies below 0; k clamps to 0 above, which the Wronskian checks then
-    report as a degenerate pair. Members take arrays of e or of x.
+    sign is +1 for the member that grows with x, -1 for the one that decays;
+    a member takes an array of e or of x and returns two arrays of its shape.
     """
 
-    def member(anchor, sign):
-        # sign +1: grows with x; -1: decays
+    def member(sign):
         def fn(e, x):
-            k = sign * np.sqrt(np.maximum(0.0, -2.0 * e))
-            w = np.exp(k * (x - anchor))
-            return w, k * w
+            slope = kappa(sign, e, x)
+            return np.ones_like(slope), slope
         return fn
 
-    return AsymptoticModel(member(x_left, +1.0), member(x_left, -1.0),
-                           member(x_right, -1.0), member(x_right, +1.0),
-                           requires_negative_energy=True)
+    return AsymptoticModel(member(+1.0), member(-1.0), member(-1.0), member(+1.0),
+                           requires_negative_energy=requires_negative_energy)
+
+
+def decay_model():
+    """Exponential boundary pairs for potentials that die off on both sides.
+
+    R_c = exp(-k x), R_d its growing mirror and the left side reversed, with
+    k = sqrt(-2 eps), as _log_derivative_model's (1, +-k). Valid for
+    energies below 0; k clamps to 0 above, which the Wronskian checks then
+    report as a degenerate pair.
+    """
+    return _log_derivative_model(lambda sign, e, x: sign * np.sqrt(np.maximum(0.0 * x, -2.0 * e)),
+                                 requires_negative_energy=True)
 
 
 def hard_wall_model(x_left, x_right):
@@ -80,32 +86,21 @@ def hard_wall_model(x_left, x_right):
                            left_kind=HARD_DIRICHLET, right_kind=HARD_DIRICHLET)
 
 
-def quartic_decay_model(v4, x_left, x_right):
+def quartic_decay_model(v4):
     """Leading-order boundary pairs for quartic growth.
 
-    Solutions behave like exp(-+ sqrt(2 v4) x^3 / 3) up to slower factors;
-    the quadratic term's contribution is deliberately dropped, which the
-    outward placement of x_right absorbs. Energy independent at this order.
+    Solutions behave like exp(-+ sqrt(2 v4) x^3 / 3) up to slower factors,
+    as _log_derivative_model's (1, +- sqrt(2 v4) x^2); the quadratic term's
+    contribution is deliberately dropped, which the outward placement of
+    x_right absorbs. Energy independent at this order.
     """
     coef = math.sqrt(2.0 * v4)
-
-    def member(anchor, sign):
-        # sign +1: grows with x^3; -1: decays
-        def fn(e, x):
-            (w,) = _spread(e, np.exp(sign * coef * (x ** 3 - anchor ** 3) / 3.0))
-            return w, sign * coef * x * x * w
-        return fn
-
-    return AsymptoticModel(
-        left_convergent=member(x_left, +1.0),
-        left_divergent=member(x_left, -1.0),
-        right_convergent=member(x_right, -1.0),
-        right_divergent=member(x_right, +1.0))
+    return _log_derivative_model(lambda sign, e, x: sign * coef * x * x + 0.0 * e)
 
 
-def radial_model(l, r_right):
+def radial_model(l):
     """Origin power laws r^(l+1), r^-l (a REGULAR_ORIGIN side) and an exponential far side."""
-    decay = decay_model(0.0, r_right)
+    decay = decay_model()
 
     def origin_conv(e, r):
         return _spread(e, r ** (l + 1), (l + 1) * r ** l)
@@ -184,8 +179,13 @@ def poschl_teller(v0, h=0.01, x_right=5.0, energy_range=None):
         return [e for e in poschl_teller_exact_energies(v0) if lo <= e <= hi]
 
     return Problem(spec, make_grid(0.0, h, 0, n_right),
-                   decay_model(-x_right, x_right), energy_range=energy_range,
+                   decay_model(), energy_range=energy_range,
                    exact_spectrum=spectrum)
+
+
+def anharmonic_floor(v2, v4):
+    """The floor of v2 x^2 + v4 x^4 (v4 > 0): 0, or -v2^2 / (4 v4) for a double well."""
+    return 0.0 if v2 >= 0.0 else -v2 * v2 / (4.0 * v4)
 
 
 def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
@@ -203,7 +203,7 @@ def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
         # a float and an array, which numpy's x**4 is not
         return v2 * x * x + v4 * (x * x) ** 2
 
-    v_min = 0.0 if v2 >= 0.0 else -v2 * v2 / (4.0 * v4)
+    v_min = anharmonic_floor(v2, v4)
     if energy_max is None:
         energy_max = v_min + 10.0
     if x_right is None:
@@ -215,7 +215,7 @@ def anharmonic(v2, v4, h=0.01, energy_max=None, x_right=None):
     n_right = _steps(x_right, h, "half-width")
     spec = PotentialSpec(evaluate=v, parity_invariant=True)
     return Problem(spec, make_grid(0.0, h, 0, n_right),
-                   quartic_decay_model(v4, -x_right, x_right),
+                   quartic_decay_model(v4),
                    energy_range=(v_min, float(energy_max)))
 
 
@@ -232,7 +232,7 @@ def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
         l: nonnegative integer angular momentum.
         r_origin: canonical origin (initial-data point), default 1.
         r_min: innermost grid point, default 10 h.
-        r_max: outermost grid point, where the decaying model anchors.
+        r_max: outermost grid point.
     """
     l = whole("angular momentum l", l, 0)
     if r_min is None:
@@ -256,4 +256,4 @@ def radial(inner, l=0, h=0.01, r_origin=1.0, r_min=None, r_max=10.0,
     n_left = _steps(r_origin - r_min, h, "origin-to-r_min distance")
     n_right = _steps(r_max - r_origin, h, "origin-to-r_max distance")
     return Problem(spec, make_grid(r_origin, h, n_left, n_right),
-                   radial_model(l, r_max), energy_range=energy_range)
+                   radial_model(l), energy_range=energy_range)

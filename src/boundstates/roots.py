@@ -391,11 +391,11 @@ def characteristic_for(problem, method):
     if check is not None:
         check(problem)
     factors = factors if problem.symmetric else None
-    pot, grid = problem.potential, problem.grid
-    samples = sample_potential(pot, grid)
+    grid = problem.grid
+    samples = sample_potential(problem.potential, grid)
 
     def many(energies):
-        return boundary_value(rows, problem, canonical_endpoints(pot, energies, grid, samples),
+        return boundary_value(rows, problem, canonical_endpoints(energies, grid, samples),
                               factors)
 
     return CharacteristicFunction(many, label=method, samples=samples)

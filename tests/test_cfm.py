@@ -25,7 +25,7 @@ from boundstates import (
 )
 from boundstates.cfm import cfm_value, endpoint_ratio
 from boundstates.integrate import canonical_endpoints, canonical_pair, sample_potential
-from boundstates.potentials import decay_model
+from boundstates.potentials import anharmonic, decay_model
 
 PT = poschl_teller(2.5, h=0.01, x_right=5.0)
 PT_WIDE = poschl_teller(2.5, h=0.01, x_right=10.0)
@@ -34,7 +34,7 @@ PT_WIDE = poschl_teller(2.5, h=0.01, x_right=10.0)
 def _free_problem(x_right=5.0):
     spec = PotentialSpec(evaluate=lambda x: 0.0, parity_invariant=True)
     grid = make_grid(0.0, 0.01, 0, int(round(x_right / 0.01)))
-    return Problem(spec, grid, decay_model(-x_right, x_right),
+    return Problem(spec, grid, decay_model(),
                    energy_range=(-2.0, 0.0))
 
 
@@ -79,11 +79,11 @@ def test_symmetric_cfm_has_the_sign_and_zeros_of_the_endpoint_product():
     samples = sample_potential(PT.potential, PT.grid)
 
     def product(energies):
-        _, cr, _, sr, _ = canonical_endpoints(PT.potential, energies, PT.grid, samples).right
+        _, cr, _, sr, _ = canonical_endpoints(energies, PT.grid, samples).right
         return cr * sr, cr * cr + sr * sr
 
     energies = np.linspace(-2.45, -0.05, 25)
-    evs = cfm_value(PT, canonical_endpoints(PT.potential, energies, PT.grid, samples))
+    evs = cfm_value(PT, canonical_endpoints(energies, PT.grid, samples))
     for i, (p, norm) in enumerate(zip(*(a.tolist() for a in product(energies)))):
         ev = evs.at(i)
         assert ev.ok
@@ -109,7 +109,7 @@ def test_endpoint_ratio_flags_a_zero_denominator():
 def test_truncated_pair_flags_overflow():
     slab = PotentialSpec(evaluate=lambda x: 25.0)
     prob = Problem(slab, make_grid(0.0, 0.01, 0, 10000),
-                   decay_model(-100.0, 100.0), energy_range=(-2.0, 0.0))
+                   decay_model(), energy_range=(-2.0, 0.0))
     ends = canonical_pair(slab, -1.0, prob.grid).ends
     # the right sweep outgrew the double range and still reached x_right
     assert ends.right[0] == prob.grid.x_right
@@ -176,6 +176,15 @@ def test_saturation_profile_needs_a_decaying_right_side():
     box = infinite_well(x0=0.5, h=0.01, energy_max=60.0)
     with pytest.raises(ValueError):
         saturation_profile(box, 5.0)
+
+
+@pytest.mark.parametrize("energy", [0.5, 0.0])
+def test_saturation_profile_on_decaying_tails_needs_an_energy_below_0(energy):
+    # k clamped to 0 gave a limit_wm of -0.842 at 0.5 from a flat "decaying" member
+    with pytest.raises(ValueError, match=f"energy below 0, got {energy!r}"):
+        saturation_profile(poschl_teller(2.5), energy)
+    # a quartic well's members do not depend on the energy, and take any
+    assert math.isfinite(saturation_profile(anharmonic(1.0, 1.0), 2.0).limit_wm)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])

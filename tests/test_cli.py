@@ -192,6 +192,24 @@ def test_an_empty_window_holds_no_level_on_every_potential(flags, capsys):
     assert "engine found 0 levels, reference found 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, window", [
+    (["--potential", "box", "--h", "0.01"], "-5:-1"),
+    (["--potential", "box", "--h", "0.01"], "-5:0"),
+    (["--potential", "anharmonic", "--v2", "1", "--v4", "1"], "-5:-1"),
+    (["--potential", "anharmonic", "--v2", "-5", "--v4", "1"], "-9:-6.25"),
+], ids=["box-below", "box-to-floor", "anharmonic-below", "double-well-to-floor"])
+def test_a_window_at_or_below_the_floor_holds_no_level(flags, window, capsys):
+    # a window topped at or below the box's or the well's floor is a window
+    # without a level, not a configuration error naming a pair never given
+    assert run_cli(["scan"] + flags + ["--range", window, "--probes", "3"]) == 0
+    meta, header, rows = parse_csv(capsys.readouterr().out)
+    assert f"# range = {window}" in meta and header[0] == "epsilon" and len(rows) == 3
+    assert run_cli(["solve"] + flags + ["--range", window]) == 2
+    assert "no bound states found" in capsys.readouterr().err
+    assert run_cli(["oracle"] + flags + ["--range", window]) == 2
+    assert "engine found 0 levels, reference found 0" in capsys.readouterr().err
+
+
 def test_saturate_profile_table_and_footer(capsys):
     assert run_cli(["saturate", "--potential", "poschl-teller", "--v0", "2.5",
                     "--energy", "-1"]) == 0
@@ -220,17 +238,19 @@ def test_saturate_free_space_control_is_flat(capsys):
 
 
 def test_saturate_past_the_double_range_is_a_one_line_solver_failure(capsys):
-    # R_c is anchored at x_R = 200 and grows toward the origin past the
-    # double range; the profile names where, instead of printing inf cells
+    # R_c is (1, -k) wherever it is read, so a long profile runs as far as C
+    # and S stay finite: to x_R = 167 at E = -9, where an R_c scaled to 1 at
+    # x_R overflowed near the origin, its slope k e^708 there
     argv = ["saturate", "--potential", "poschl-teller", "--v0", "10", "--h", "0.01",
             "--energy", "-9", "--nr"]
+    assert run_cli(argv + ["16700"]) == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 16701 and all(r[6] for r in rows)
+    # past x = 167 C and S themselves leave the double range, and the
+    # profile says so in one line instead of printing inf cells
     assert run_cli(argv + ["20000"]) == 2
     assert capsys.readouterr().err == (
-        "boundstates saturate: R_c leaves the double range at x = 33.04 for energy -9.0\n")
-    # inside the range the same profile runs to the end
-    assert run_cli(argv + ["4000"]) == 0
-    _, _, rows = parse_csv(capsys.readouterr().out)
-    assert len(rows) == 4001 and all(r[6] for r in rows)
+        "boundstates saturate: endpoint ratio undefined at x_right for energy -9.0\n")
 
 
 def test_saturate_requires_an_energy(capsys):
@@ -239,10 +259,14 @@ def test_saturate_requires_an_energy(capsys):
     assert "--energy" in capsys.readouterr().err
 
 
-def test_saturate_rejects_nonnegative_energy_for_decaying_tails(capsys):
+@pytest.mark.parametrize("energy", ["1.0", "0"])
+def test_saturate_rejects_nonnegative_energy_for_decaying_tails(energy, capsys):
+    # saturation_profile's own rule, a configuration error
     code = run_cli(["saturate", "--potential", "poschl-teller", "--v0", "2.5",
-                    "--energy", "1.0"])
+                    "--energy", energy])
     assert code == 1
+    assert capsys.readouterr().err == (
+        f"boundstates saturate: decaying tails need an energy below 0, got {float(energy)!r}\n")
 
 
 @pytest.mark.parametrize("energy", ["nan", "-inf"])
@@ -316,8 +340,9 @@ def _sha256(text):
     (["solve"] + PT10, "d922ae7b9432e6d0b1f3fc1a98a26f075ce64714a6370750f53850573a219823"),
     (["scan"] + PT25_SMALL + ["--range", "-2.5:0", "--probes", "200"],
      "eb7be5b3bf9971b7a05d817b35acf910f18f8414aeebf98fd0048a755d5241ac"),
+    # W_Rc_C and W_Rc_S of R_c = (1, -k) at each x, C' + k C and S' + k S
     (["saturate"] + PT25_SMALL + ["--energy", "-1"],
-     "ad2ca7a2a6fbe95527202fdd90f9c065bf7752b460bff0f2c959433645b9d273"),
+     "b126529b94fb127e833487ba9800964a45bf696ab7ccb35c54291e5f179c392e"),
     # not a README command: the box layout, with its analytic column's domain flag
     (["scan", "--potential", "box", "--h", "0.01", "--range", "0:60", "--probes", "50"],
      "e1232b95630696d7973ed32d2f8db459ebc3af27f5c2cab39e6e9f64253596f7"),

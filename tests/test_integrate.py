@@ -116,7 +116,7 @@ def test_overflow_truncates_and_flags():
     assert len(pair.x) == len(pair.c) == grid.n_right + 1
     # growth past the double range runs on as inf or NaN, never raises
     assert not np.isfinite(pair.ends.right[1:]).all()
-    problem = Problem(barrier, grid, decay_model(grid.x_left, grid.x_right),
+    problem = Problem(barrier, grid, decay_model(),
                       energy_range=(-2.0, 0.0))
     for value in (wm_value, cfm_value):
         assert value(problem, pair.ends).at(0).flag == "overflow"
@@ -208,12 +208,12 @@ def test_batched_endpoints_match_the_pair_when_sweeps_truncate(slab, grid):
     # sweep, and one with no right sweep
     energies = [-40.0, -1.0, 0.5, 24.0, 30.0]
     samples = sample_potential(slab, grid)
-    batch = canonical_endpoints(slab, energies, grid, samples)
+    batch = canonical_endpoints(energies, grid, samples)
     for i, e in enumerate(energies):
         pair = canonical_pair(slab, e, grid)
         # the batch and a batch of one
         assert _end_bits(batch, i) == _end_bits(pair.ends)
-        assert _end_bits(canonical_endpoints(slab, [e], grid, samples)) == _end_bits(pair.ends)
+        assert _end_bits(canonical_endpoints([e], grid, samples)) == _end_bits(pair.ends)
     if grid.n_left == grid.n_right:
         # the left sweep outgrew the double range and still reached x_left
         ends = canonical_pair(slab, -40.0, grid).ends
@@ -405,7 +405,7 @@ def test_reflected_pair_is_mirrored_bit_for_bit(potential, grid, energies):
         for a in (pair.c, pair.ds, pair.v):
             assert a[:n].tobytes() == a[:n:-1].tobytes()
         assert _end_bits(pair.ends) == _end_bits(
-            canonical_endpoints(potential, [energy], grid, samples))
+            canonical_endpoints([energy], grid, samples))
 
 
 def _mirrored(problem):
@@ -436,8 +436,8 @@ def test_a_mirrored_symmetric_grid_is_reflected_as_the_two_sided_march_bit_for_b
     assert len(marched.tables) == 2
     assert samples.line.tobytes() == marched.line.tobytes()
     energies = np.linspace(*problem.energy_range, 9)
-    ends = canonical_endpoints(problem.potential, energies, grid, samples)
-    want = canonical_endpoints(two_sided, energies, grid, marched)
+    ends = canonical_endpoints(energies, grid, samples)
+    want = canonical_endpoints(energies, grid, marched)
     assert [_end_bits(ends, i) for i in range(len(energies))] == [
         _end_bits(want, i) for i in range(len(energies))]
     for energy in energies:
@@ -449,9 +449,8 @@ def test_a_mirrored_symmetric_grid_is_reflected_as_the_two_sided_march_bit_for_b
     # the same solve with every march two-sided: the scan's, and the
     # assembly's, which marches each level's psi leftward from the left
     # side's own (a, b) where the symmetric one mirrors the right half
-    for name in ("sample_potential", "canonical_endpoints"):
-        monkeypatch.setattr(roots, name, lambda potential, *args, f=getattr(integrate, name):
-                            f(two_sided, *args))
+    monkeypatch.setattr(roots, "sample_potential",
+                        lambda potential, grid: integrate.sample_potential(two_sided, grid))
     want = find_eigenvalues(problem, method)
     assert len(levels) > 1
     assert [(_bits(r.energy), r.psi.tobytes(), r.node_count, r.parity) for r in levels] == [
@@ -468,8 +467,8 @@ def test_the_box_scan_matches_single_energy_marches_bit_for_bit():
     assert len(energies) == 1201 > integrate._CHUNK // integrate._BLOCK
     assert max(BOX.grid.n_left, BOX.grid.n_right) < integrate._BLOCK
     samples = sample_potential(BOX.potential, BOX.grid)
-    batch = canonical_endpoints(BOX.potential, energies, BOX.grid, samples)
-    single = [canonical_endpoints(BOX.potential, [e], BOX.grid, samples) for e in energies]
+    batch = canonical_endpoints(energies, BOX.grid, samples)
+    single = [canonical_endpoints([e], BOX.grid, samples) for e in energies]
     assert [_end_bits(batch, i) for i in range(len(energies))] == [
         _end_bits(ends) for ends in single]
 
@@ -494,11 +493,11 @@ def test_marches_agree_bit_for_bit_whatever_the_step_count(grid):
     alone = []
     for e in energies:
         pair = canonical_pair(PT25.potential, e, grid, samples)
-        alone.append(_end_bits(canonical_endpoints(PT25.potential, [e], grid, samples)))
+        alone.append(_end_bits(canonical_endpoints([e], grid, samples)))
         assert alone[-1] == _end_bits(pair.ends)
     for size in (2, 3, 5, 129, len(energies)):
         for i0 in range(0, len(energies), size):
-            batch = canonical_endpoints(PT25.potential, energies[i0:i0 + size], grid, samples)
+            batch = canonical_endpoints(energies[i0:i0 + size], grid, samples)
             assert [_end_bits(batch, i) for i in range(len(batch.energy))] == alone[i0:i0 + size]
 
 

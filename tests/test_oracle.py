@@ -621,7 +621,7 @@ def test_a_lopsided_parity_invariant_problem_is_shot_over_its_own_span():
     # and so must the reference, not the reflected [-5, 5]
     spec = PotentialSpec(evaluate=lambda x: -3.0 * math.exp(-x * x), parity_invariant=True)
     grid = make_grid(0.0, 0.01, 60, 500)
-    problem = Problem(spec, grid, decay_model(grid.x_left, grid.x_right), (-3.0, 0.0))
+    problem = Problem(spec, grid, decay_model(), (-3.0, 0.0))
     assert not problem.symmetric
     engine = [r.energy for r in find_eigenvalues(problem)]
     assert engine == pytest.approx([-1.82900, -0.10591], abs=1e-5)

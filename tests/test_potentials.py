@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,7 @@ from boundstates import (
     radial,
     wronskian,
 )
-from boundstates.core import ASYMPTOTIC_LIMIT, HARD_DIRICHLET
+from boundstates.core import ASYMPTOTIC_LIMIT, HARD_DIRICHLET, on_array
 from boundstates.potentials import (
     anharmonic,
     decay_model,
@@ -146,7 +147,7 @@ def test_radial_rejects_bad_geometry_and_angular_momentum():
 
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_radial_origin_members_have_constant_wronskian(l):
-    model = radial_model(l, 10.0)
+    model = radial_model(l)
     for r in (0.1, 0.37, 1.0):
         cv, cd = model.left_convergent(-1.0, r)
         dv, dd = model.left_divergent(-1.0, r)
@@ -154,12 +155,16 @@ def test_radial_origin_members_have_constant_wronskian(l):
     assert model.requires_negative_energy
 
 
-def test_decay_model_members_anchor_at_their_endpoints():
-    model = decay_model(-5.0, 5.0)
-    k = math.sqrt(2.0)
-    assert model.right_convergent(-1.0, 5.0) == (1.0, -k)
-    assert model.right_divergent(-1.0, 5.0) == (1.0, k)
-    assert model.left_convergent(-1.0, -5.0) == (1.0, k)
+def test_decay_model_members_are_value_one_and_slope_kappa_at_every_x():
+    # no anchor: x = 0 on an x_R = 200 grid, where a member scaled to 1 at
+    # its grid end would read e^(+-848), is (1, -+k) like every other x
+    model = poschl_teller(10.0, h=0.01, x_right=200.0).asymptotics
+    k = math.sqrt(18.0)
+    for x in (-200.0, -5.0, 0.0, 3.7, 200.0):
+        assert model.right_convergent(-9.0, x) == (1.0, -k)
+        assert model.right_divergent(-9.0, x) == (1.0, k)
+        assert model.left_convergent(-9.0, x) == (1.0, k)
+        assert model.left_divergent(-9.0, x) == (1.0, -k)
     assert model.requires_negative_energy
     assert model.right_kind == ASYMPTOTIC_LIMIT
 
@@ -172,11 +177,40 @@ def test_hard_wall_members():
     assert not model.requires_negative_energy
 
 
-def test_quartic_decay_members_anchor_and_log_derivative():
-    model = quartic_decay_model(0.5, -4.0, 4.0)
-    value, slope = model.right_convergent(-1.0, 4.0)
-    assert (value, slope) == (1.0, -16.0)
-    value, slope = model.right_convergent(-1.0, 3.0)
-    assert slope / value == pytest.approx(-9.0, rel=1e-12)
-    value, slope = model.left_convergent(-1.0, -3.0)
-    assert slope / value == pytest.approx(9.0, rel=1e-12)
+def test_quartic_decay_members_are_value_one_and_slope_kappa_at_every_x():
+    model = quartic_decay_model(0.5)
+    for x in (-40.0, -3.0, 0.0, 3.0, 4.0, 40.0):
+        kappa = 1.0 * x * x
+        assert model.right_convergent(-1.0, x) == (1.0, -kappa)
+        assert model.right_divergent(-1.0, x) == (1.0, kappa)
+        assert model.left_convergent(-1.0, x) == (1.0, kappa)
+        assert model.left_divergent(-1.0, x) == (1.0, -kappa)
+    # the catalog well's, read at its grid end
+    well = anharmonic(1.0, 0.5)
+    xr = well.grid.x_right
+    assert well.asymptotics.right_convergent(2.0, xr) == (1.0, -(xr * xr))
+
+
+MEMBERS = {"decay": decay_model(), "quartic": quartic_decay_model(2.0),
+           "radial far side": radial_model(1)}
+
+
+@pytest.mark.parametrize("name", MEMBERS)
+def test_a_member_takes_an_energy_or_an_x_array_in_one_call(name):
+    model = MEMBERS[name]
+    energies = np.linspace(-4.0, -0.5, 7)
+    xs = np.linspace(-3.0, 9.0, 5)
+    for member in (model.right_convergent, model.right_divergent):
+        calls = []
+
+        def counted(*args, member=member):
+            calls.append(args)
+            return member(*args)
+
+        by_energy = on_array(lambda e: counted(e, 2.5), energies, 2)
+        by_x = on_array(lambda x: counted(-1.5, x), xs, 2)
+        assert len(calls) == 2 and by_energy.shape == (2, 7) and by_x.shape == (2, 5)
+        assert (by_energy[0] == 1.0).all() and (by_x[0] == 1.0).all()
+        # each entry on the bits of its own call on floats
+        assert by_energy[1].tolist() == [float(member(e, 2.5)[1]) for e in energies.tolist()]
+        assert by_x[1].tolist() == [float(member(-1.5, x)[1]) for x in xs.tolist()]

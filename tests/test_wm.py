@@ -116,7 +116,7 @@ def _scale_ends(name):
     # end points at seven energies inside the problem's window
     problem = SCALE_PROBLEMS[name]
     energies = np.linspace(*problem.energy_range, 9)[1:-1]
-    return canonical_endpoints(problem.potential, energies, problem.grid,
+    return canonical_endpoints(energies, problem.grid,
                                sample_potential(problem.potential, problem.grid))
 
 
