@@ -398,9 +398,8 @@ def cmd_scan(args):
     lines.append(",".join(["epsilon", *columns, "flags"]))
     if hi > lo:
         # one batched march gives the endpoint data every column reads
-        grid = problem.grid
-        ends = canonical_endpoints(np.linspace(lo, hi, n), grid,
-                                   sample_potential(problem.potential, grid))
+        ends = canonical_endpoints(np.linspace(lo, hi, n), problem.grid,
+                                   sample_potential(problem.potential, problem.grid))
         cells, notes = zip(*(_column(name, column(ends)) for name, column in columns.items()))
         lines += [",".join((_fmt(energy), *row, ";".join(filter(None, note))))
                   for energy, row, note in zip(ends.energy.tolist(), zip(*cells), zip(*notes))]

@@ -39,8 +39,9 @@ def _spread(e, *values):
 def _log_derivative_model(kappa, requires_negative_energy=False):
     """Members (1, kappa(sign, e, x)), value 1 and log-derivative, at every x.
 
-    sign is +1 for the member that grows with x, -1 for the one that decays;
-    a member takes an array of e or of x and returns two arrays of its shape.
+    sign is +1 for the member that grows with x, -1 for the one that decays.
+    kappa takes an array of e or of x, and a 0.0 * term spreads it over the
+    one it does not read, so each member returns two arrays of that shape.
     """
 
     def member(sign):

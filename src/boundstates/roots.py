@@ -391,11 +391,10 @@ def characteristic_for(problem, method):
     if check is not None:
         check(problem)
     factors = factors if problem.symmetric else None
-    grid = problem.grid
-    samples = sample_potential(problem.potential, grid)
+    samples = sample_potential(problem.potential, problem.grid)
 
     def many(energies):
-        return boundary_value(rows, problem, canonical_endpoints(energies, grid, samples),
+        return boundary_value(rows, problem, canonical_endpoints(energies, problem.grid, samples),
                               factors)
 
     return CharacteristicFunction(many, label=method, samples=samples)
